@@ -95,7 +95,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _constants_entries(which: str, tol: float) -> list[tuple[str, float, float]]:
+def _constants_entries(which: str) -> list[tuple[str, float, float]]:
     """(name, computed, target) triples for the requested constant suite."""
     entries: list[tuple[str, float, float]] = []
     pi = math.pi
@@ -122,15 +122,12 @@ def _constants_entries(which: str, tol: float) -> list[tuple[str, float, float]]
 
 
 def cmd_constants(args) -> int:
-    entries = _constants_entries(args.which, args.tol)
+    entries = _constants_entries(args.which)
     rows = []
     ok = True
     for name, computed, target in entries:
         disc = abs(computed - target)
-        tol = args.tol
-        if name.startswith("integral_e_mw2_5cube"):
-            tol = max(tol, 1e-7)  # quadruple quadrature, relaxed by design
-        passed = disc <= tol
+        passed = disc <= args.tol
         ok = ok and passed
         rows.append({"name": name, "computed": computed, "target": target,
                      "discrepancy": disc, "pass": passed})

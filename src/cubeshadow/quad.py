@@ -6,6 +6,13 @@ defining triple/quadruple moment integrals over the spherical angle
 boxes.  All integrals are evaluated in double precision with error
 estimates; the elliptic-product integrands decay polynomially (with log^2
 factors), well within reach of adaptive Gauss-Kronrod rules.
+
+The moment integrals are reduced before they are integrated: the angle
+theta enters only through sqrt(a sin^2 theta + b), whose integral over
+[0, pi/2] is the complete elliptic integral sqrt(a+b) E(sqrt(a/(a+b)))
+(evaluated by the AGM), and an integrand free of theta (or of the 5-cube's
+phi_1) integrates to a constant factor.  Each triple integral becomes a
+double one over (phi, psi), and the quadruple one a double one.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from dataclasses import dataclass
 
 from scipy import integrate
 
-from .specfun import catalan_const, elliptic_imag, gamma_fn, hyp3f2_unit
+from .specfun import (_agm_ke, catalan_const, elliptic_imag, gamma_fn,
+                      hyp3f2_unit)
 
 HALF_PI = 0.5 * math.pi
 PI = math.pi
@@ -58,10 +66,26 @@ def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
 
 
 def _nested(f, ranges, tols) -> QuadResult:
-    """Iterated adaptive 1D integration; ranges[0] is the innermost variable."""
+    """Iterated adaptive 1D integration; ranges[0] is the innermost variable.
+
+    Raises BudgetError when the outermost error estimate exceeds ten times
+    the accuracy requested of it, max(t, t*|value|) with t = tols[-1].
+    """
     opts = [{"epsabs": t, "epsrel": t} for t in tols]
-    value, err = integrate.nquad(f, ranges, opts=opts)
-    return QuadResult(value=value, error_estimate=err, evaluations=0)
+    value, err, info = integrate.nquad(f, ranges, opts=opts, full_output=True)
+    result = QuadResult(value=value, error_estimate=err,
+                        evaluations=int(info["neval"]))
+    requested = tols[-1] * max(1.0, abs(value))
+    if not err <= 10.0 * requested:
+        raise BudgetError(result, f"nested quadrature error estimate {err:.3g}"
+                                  f" exceeds 10 x {requested:.3g}")
+    return result
+
+
+def _scaled(r: QuadResult, factor: float) -> QuadResult:
+    return QuadResult(value=factor * r.value,
+                      error_estimate=factor * r.error_estimate,
+                      evaluations=r.evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +117,7 @@ def pi_over_128_suite(tol: float = 1e-12) -> PiIdentitySuite:
     scale = 1.0 / (12.0 * PI)
 
     def scaled(f) -> QuadResult:
-        r = integrate_1d(f, 0.0, math.inf, tol=tol)
-        return QuadResult(value=scale * r.value,
-                          error_estimate=scale * r.error_estimate,
-                          evaluations=r.evaluations)
+        return _scaled(integrate_1d(f, 0.0, math.inf, tol=tol), scale)
 
     first = scaled(lambda t: _ek(t)[0] * t / (1.0 + t * t) ** 2)
     second = scaled(lambda t: _ek(t)[0] * t / (1.0 + t * t) ** 3)
@@ -200,6 +221,51 @@ def _dens4(phi: float, psi: float) -> float:
     return math.sin(phi) * math.sin(psi) ** 2 / (2.0 * PI**2)
 
 
+def _theta_sqrt_integral(a: float, b: float) -> float:
+    """int_0^{pi/2} sqrt(a sin^2(theta) + b) dtheta for a, b >= 0.
+
+    a sin^2 + b = (a+b)(1 - k^2 cos^2) with k^2 = a/(a+b), so the integral
+    is sqrt(a+b) E(k); k and k' = sqrt(b/(a+b)) carry no cancellation.
+    """
+    if b == 0.0:
+        return math.sqrt(a)  # E(1) = 1; the AGM needs k' > 0
+    total = a + b
+    return math.sqrt(total) * _agm_ke(math.sqrt(a / total),
+                                      math.sqrt(b / total))[1]
+
+
+# The theta-integrated integrands of the three entries whose defining
+# integrand depends on theta; the triple integral over (theta, phi, psi)
+# is the double integral of these over (phi, psi).
+
+def _ar2_reduced(ph: float, ps: float) -> float:
+    c, s = math.cos, math.sin
+    first = 384.0 * (c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
+    second = 1536.0 * s(ph) * s(ps) * _theta_sqrt_integral(
+        s(ph) ** 2 * s(ps) ** 2, c(ps) ** 2)
+    third = (384.0 * s(ph) * s(ps)
+             * math.sqrt(c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2))
+    return (HALF_PI * (first + third) + second) * _dens4(ph, ps)
+
+
+def _area_terms_reduced(ph: float, ps: float) -> float:
+    """theta-integral of sqrt(c^2(ph)s^2(ps) + c^2(ps))
+    + sqrt(s^2(th)s^2(ph)s^2(ps) + c^2(ph)s^2(ps))."""
+    c, s = math.cos, math.sin
+    return (HALF_PI * math.sqrt(c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
+            + _theta_sqrt_integral(s(ph) ** 2 * s(ps) ** 2,
+                                   c(ph) ** 2 * s(ps) ** 2))
+
+
+def _vl_ar_reduced(ph: float, ps: float) -> float:
+    return 384.0 * math.cos(ps) * _area_terms_reduced(ph, ps) * _dens4(ph, ps)
+
+
+def _ar_mw_reduced(ph: float, ps: float) -> float:
+    return (192.0 * math.sqrt(1.0 - math.cos(ps) ** 2)
+            * _area_terms_reduced(ph, ps) * _dens4(ph, ps))
+
+
 @dataclass(frozen=True)
 class SuiteEntry:
     name: str
@@ -211,9 +277,9 @@ class SuiteEntry:
         return abs(self.numeric.value - self.closed_form)
 
 
-def _triple(f, tols=(1e-12, 1e-11, 1e-10)) -> QuadResult:
-    """Integral of f(theta, phi, psi) over [0, pi/2]^3, theta innermost."""
-    return _nested(f, [(0.0, HALF_PI)] * 3, tols)
+def _double(f) -> QuadResult:
+    """Integral of f(phi, psi) over [0, pi/2]^2, phi innermost."""
+    return _nested(f, [(0.0, HALF_PI)] * 2, (1e-12, 1e-11))
 
 
 def moment_integral_suite(zeta4: float | None = None) -> list[SuiteEntry]:
@@ -221,7 +287,8 @@ def moment_integral_suite(zeta4: float | None = None) -> list[SuiteEntry]:
 
     Entries cover E(vl), E(vl^2), E(ar), E(ar^2), E(mw), E(mw^2) for the
     4-cube, the joint moments, and the 2D/4D-analog E(mw^2) integrals
-    (the latter via the quadruple I and J integrals).
+    (the latter via the quadruple I and J integrals).  The theta (and
+    phi_1) integrations are done analytically; see the module docstring.
     """
     if zeta4 is None:
         zeta4 = zeta4_quadrature()
@@ -231,103 +298,76 @@ def moment_integral_suite(zeta4: float | None = None) -> list[SuiteEntry]:
         entries.append(SuiteEntry(name=name, numeric=result,
                                   closed_form=closed_form))
 
+    def theta_free(f) -> QuadResult:
+        """Triple integral of an integrand f(phi, psi) free of theta."""
+        return _scaled(_double(f), HALF_PI)
+
     c = math.cos
     s = math.sin
 
     add("e_vl",
-        _triple(lambda th, ph, ps: 64.0 * c(ps) * _dens4(ph, ps)),
+        theta_free(lambda ph, ps: 64.0 * c(ps) * _dens4(ph, ps)),
         16.0 / (3.0 * PI))
     add("e_vl2",
-        _triple(lambda th, ph, ps: (64.0 * c(ps) ** 2
-                                    + 192.0 * c(ph) * s(ps) * c(ps))
-                * _dens4(ph, ps)),
+        theta_free(lambda ph, ps: (64.0 * c(ps) ** 2
+                                   + 192.0 * c(ph) * s(ps) * c(ps))
+                   * _dens4(ph, ps)),
         1.0 + 6.0 / PI)
     add("e_ar",
-        _triple(lambda th, ph, ps: 192.0
-                * math.sqrt(c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
-                * _dens4(ph, ps)),
+        theta_free(lambda ph, ps: 192.0
+                   * math.sqrt(c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
+                   * _dens4(ph, ps)),
         8.0)
-
-    def ar2_integrand(th, ph, ps):
-        first = 384.0 * (c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
-        second = (1536.0 * s(ph) * s(ps)
-                  * math.sqrt(s(th) ** 2 * s(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2))
-        third = (384.0 * s(ph) * s(ps)
-                 * math.sqrt(c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2))
-        return (first + second + third) * _dens4(ph, ps)
-
-    add("e_ar2", _triple(ar2_integrand, tols=(1e-11, 1e-11, 1e-10)),
-        12.0 + 6.0 * zeta4 + 3.0 * PI)
-
+    add("e_ar2", _double(_ar2_reduced), 12.0 + 6.0 * zeta4 + 3.0 * PI)
     add("e_mw",
-        _triple(lambda th, ph, ps: 32.0 * math.sqrt(1.0 - c(ps) ** 2)
-                * _dens4(ph, ps)),
+        theta_free(lambda ph, ps: 32.0 * math.sqrt(1.0 - c(ps) ** 2)
+                   * _dens4(ph, ps)),
         16.0 / (3.0 * PI))
     add("e_mw2",
-        _triple(lambda th, ph, ps: (16.0 * (1.0 - c(ps) ** 2)
-                                    + 48.0
-                                    * math.sqrt(1.0 - c(ph) ** 2 * s(ps) ** 2)
-                                    * math.sqrt(1.0 - c(ps) ** 2))
-                * _dens4(ph, ps)),
+        theta_free(lambda ph, ps: (16.0 * (1.0 - c(ps) ** 2)
+                                   + 48.0
+                                   * math.sqrt(1.0 - c(ph) ** 2 * s(ps) ** 2)
+                                   * math.sqrt(1.0 - c(ps) ** 2))
+                   * _dens4(ph, ps)),
         3.0 * (0.25 + PI / 8.0 + 1.0 / PI))
-
-    add("e_vl_ar",
-        _triple(lambda th, ph, ps: 384.0 * c(ps)
-                * (math.sqrt(c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
-                   + math.sqrt(s(th) ** 2 * s(ph) ** 2 * s(ps) ** 2
-                               + c(ph) ** 2 * s(ps) ** 2))
-                * _dens4(ph, ps),
-                tols=(1e-11, 1e-11, 1e-10)),
-        6.0 * (1.0 + 4.0 / PI))
+    add("e_vl_ar", _double(_vl_ar_reduced), 6.0 * (1.0 + 4.0 / PI))
     add("e_vl_mw",
-        _triple(lambda th, ph, ps: (32.0 * c(ps)
-                                    + 96.0 * c(ph) * s(ps))
-                * math.sqrt(1.0 - c(ps) ** 2) * _dens4(ph, ps)),
+        theta_free(lambda ph, ps: (32.0 * c(ps) + 96.0 * c(ph) * s(ps))
+                   * math.sqrt(1.0 - c(ps) ** 2) * _dens4(ph, ps)),
         9.0 / 4.0 + 2.0 / PI)
-    add("e_ar_mw",
-        _triple(lambda th, ph, ps: 192.0 * math.sqrt(1.0 - c(ps) ** 2)
-                * (math.sqrt(c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
-                   + math.sqrt(s(th) ** 2 * s(ph) ** 2 * s(ps) ** 2
-                               + c(ph) ** 2 * s(ps) ** 2))
-                * _dens4(ph, ps),
-                tols=(1e-11, 1e-11, 1e-10)),
+    add("e_ar_mw", _double(_ar_mw_reduced),
         3.0 * (5.0 + 2.0 * catalan_const()) / PI + 9.0 * PI / 4.0)
 
-    # 2D analog (shadow of the 3-cube onto a plane): E(mw^2)
-    def mw2_3cube(th, ph):
+    # 2D analog (shadow of the 3-cube onto a plane): E(mw^2), a double
+    # integral over (theta, phi) whose theta-integral is
+    # int sqrt(1 - cos^2(th) sin^2(ph)) = E(sin(ph)).
+    def mw2_3cube(ph):
         pref = (2.0 / PI) ** 2 * s(ph) / (4.0 * PI)
-        return (24.0 * (1.0 - c(ph) ** 2)
-                + 48.0 * math.sqrt(1.0 - c(th) ** 2 * s(ph) ** 2)
+        return (24.0 * (1.0 - c(ph) ** 2) * HALF_PI
+                + 48.0 * _theta_sqrt_integral(s(ph) ** 2, c(ph) ** 2)
                 * math.sqrt(1.0 - c(ph) ** 2)) * pref
 
     f1 = hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 2.0)
-    add("e_mw2_3cube",
-        _nested(mw2_3cube, [(0.0, HALF_PI)] * 2, (1e-12, 1e-11)),
+    add("e_mw2_3cube", integrate_1d(mw2_3cube, 0.0, HALF_PI, tol=1e-12),
         2.0 / PI**2 * (4.0 + 3.0 * PI * f1))
 
-    # 4D analog (shadow of the 5-cube): E(mw^2) = 32 (4/(3 pi))^2 (5I + 20J)
-    def dens5(p1, p2, p3):
-        return (3.0 / (8.0 * PI**2)
-                * s(p1) * s(p2) ** 2 * s(p3) ** 3)
-
-    def ij_integrand(th, p1, p2, p3):
+    # 4D analog (shadow of the 5-cube): E(mw^2) = 32 (4/(3 pi))^2 (5I + 20J),
+    # a quadruple integral over (theta, p1, p2, p3) whose integrand is free
+    # of theta and depends on p1 only through the density factor sin(p1),
+    # which integrates to 1.
+    def ij_integrand(p2, p3):
         i_part = 5.0 * (1.0 - c(p3) ** 2)
         j_part = 20.0 * (math.sqrt(1.0 - c(p2) ** 2 * s(p3) ** 2)
                          * math.sqrt(1.0 - c(p3) ** 2))
-        return (i_part + j_part) * dens5(p1, p2, p3)
+        return (i_part + j_part) * 3.0 / (8.0 * PI**2) * s(p2) ** 2 * s(p3) ** 3
 
-    ij = _nested(ij_integrand, [(0.0, HALF_PI)] * 4,
-                 (1e-9, 1e-9, 1e-9, 1e-9))
+    ij = _double(ij_integrand)
     f2 = hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 3.0)
     g4 = gamma_fn(0.25)
     mw2_5 = (4.0 / (81.0 * PI**4)
              * (144.0 * PI**2 - 10.0 * g4**4
                 + 45.0 * PI**3 * (8.0 * f1 - f2)))
-    add("e_mw2_5cube",
-        QuadResult(value=32.0 * (4.0 / (3.0 * PI)) ** 2 * ij.value,
-                   error_estimate=32.0 * (4.0 / (3.0 * PI)) ** 2
-                   * ij.error_estimate,
-                   evaluations=ij.evaluations),
+    add("e_mw2_5cube", _scaled(ij, HALF_PI * 32.0 * (4.0 / (3.0 * PI)) ** 2),
         mw2_5)
 
     return entries

@@ -2,17 +2,19 @@
 
 Gamma, complete elliptic integrals of the first and second kind (real and
 purely imaginary modulus, via AGM), the generalized hypergeometric 3F2 at
-unit argument, and Catalan's constant.  Modulus convention: K(k), E(k)
-take the modulus k, not the parameter m = k^2.
+unit argument (terminating sum, Gauss summation or the Euler integral over
+2F1, in double precision), and Catalan's constant.  Modulus convention:
+K(k), E(k) take the modulus k, not the parameter m = k^2.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
-import mpmath
+from scipy import integrate, special
 
 
 class DomainError(ValueError):
@@ -99,24 +101,112 @@ def elliptic_imag(t: float) -> EllipticPair:
     return EllipticPair(k_value=big_k / s, e_value=s * big_e)
 
 
+# Series terms summed exactly before the Euler integral takes the rest, so
+# that the quadrature's error scales with the tail, not with the whole sum.
+_HEAD_TERMS = 16
+
+
+def _is_nonpositive_int(x: float) -> bool:
+    return x <= 0 and abs(x - round(x)) < 1e-12
+
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x), zero at the poles."""
+    return 0.0 if _is_nonpositive_int(x) else 1.0 / math.gamma(x)
+
+
+def _series_terms(uppers, lowers, count: int) -> list[float]:
+    """The first count terms of sum_k prod (a)_k / (prod (b)_k k!) z^k at z = 1."""
+    terms = [1.0]
+    for k in range(count - 1):
+        terms.append(terms[-1] * math.prod(a + k for a in uppers)
+                     / (math.prod(b + k for b in lowers) * (k + 1)))
+    return terms
+
+
 def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float:
-    """Generalized hypergeometric 3F2(a1,a2,a3; b1,b2; 1).
+    """Generalized hypergeometric 3F2(a1,a2,a3; b1,b2; 1), in double precision.
 
     Requires sum(b) - sum(a) > 0 (convergence at unit argument) and no
-    lower parameter a nonpositive integer.  Evaluated in 30-digit working
-    precision, so float-accurate even for slowly converging parameter sets.
+    lower parameter a nonpositive integer.  Evaluated by the first route
+    that applies:
+
+    - an upper parameter is a nonpositive integer: the series terminates
+      and is summed directly;
+    - an upper parameter equals a lower one: Gauss's formula for 2F1 at 1;
+    - otherwise the first terms of the series are summed and the rest is
+      the Euler integral (DLMF 16.5.2), with the parameters permuted so
+      that b2 > a3 > 0,
+      Gamma(b2)/(Gamma(a3) Gamma(b2-a3)) int_0^1 t^(a3-1) (1-t)^(b2-a3-1)
+      [2F1(a1,a2;b1;t) - its first terms] dt,
+      by Clenshaw-Curtis/Gauss-Kronrod quadrature with the algebraic
+      weight.  The 2F1 behaves like (1-t)^e at t = 1, e = b1 - a1 - a2; a
+      negative power is moved into the weight by Euler's transformation,
+      and of the admissible permutations the one with the largest |e|
+      (the smoothest integrand) is used.
+
+    Raises DomainError when no route applies (no upper parameter positive
+    and below a lower one), ConvergenceError when the series diverges or
+    the quadrature does not certify ~1e-10 relative accuracy.
     """
-    for b in (b1, b2):
-        if b <= 0 and abs(b - round(b)) < 1e-12:
+    uppers, lowers = (a1, a2, a3), (b1, b2)
+    for b in lowers:
+        if _is_nonpositive_int(b):
             raise DomainError(f"lower parameter {b} is a nonpositive integer")
-    if any(a <= 0 and abs(a - round(a)) < 1e-12 for a in (a1, a2, a3)):
-        # terminating series; always convergent
-        pass
-    elif b1 + b2 - a1 - a2 - a3 <= 0:
+    for a in uppers:
+        if _is_nonpositive_int(a):
+            # terminating series; always convergent
+            return math.fsum(_series_terms(uppers, lowers, round(-a) + 1))
+    excess = b1 + b2 - a1 - a2 - a3
+    if excess <= 0:
         raise ConvergenceError(
-            f"series diverges at z=1: sum(b)-sum(a) = {b1 + b2 - a1 - a2 - a3}")
-    with mpmath.workdps(30):
-        return float(mpmath.hyp3f2(a1, a2, a3, b1, b2, 1))
+            f"series diverges at z=1: sum(b)-sum(a) = {excess}")
+    choices = []
+    for i, j in itertools.product(range(3), range(2)):
+        a, b, c = uppers[i], lowers[j], lowers[1 - j]
+        p, q = (x for k, x in enumerate(uppers) if k != i)
+        if a == b:
+            return (math.gamma(c) * math.gamma(c - p - q)
+                    * _rgamma(c - p) * _rgamma(c - q))
+        if b > a > 0:
+            choices.append((abs(c - p - q), c - p - q, a, b, c, p, q))
+    if not choices:
+        raise DomainError(
+            f"3F2({a1}, {a2}, {a3}; {b1}, {b2}; 1) has no upper parameter "
+            "a3 and lower parameter b2 with b2 > a3 > 0")
+    _, e, a, b, c, p, q = max(choices)
+    # term k of the 2F1, integrated against the weight, is term k of the 3F2
+    head = _series_terms((p, q), (c,), _HEAD_TERMS)[::-1]
+
+    def head_poly(t: float) -> float:
+        total = 0.0
+        for coeff in head:
+            total = total * t + coeff
+        return total
+
+    beta = b - a - 1.0
+    if e < 0:
+        # Euler's transformation 2F1(p,q;c;t) = (1-t)^e 2F1(c-p,c-q;c;t)
+        # moves the singular factor into the weight (beta + e > -1 since
+        # the series converges), leaving an integrand finite at t = 1.
+        beta += e
+
+        def tail(t: float) -> float:
+            return (special.hyp2f1(c - p, c - q, c, t)
+                    - (1.0 - t) ** -e * head_poly(t))
+    else:
+        def tail(t: float) -> float:
+            return special.hyp2f1(p, q, c, t) - head_poly(t)
+
+    value, err, *_ = integrate.quad(
+        tail, 0.0, 1.0, weight="alg", wvar=(a - 1.0, beta),
+        epsabs=1e-15, epsrel=1e-13, limit=200, full_output=True)
+    scale = math.gamma(b) / (math.gamma(a) * math.gamma(b - a))
+    total = math.fsum(_series_terms(uppers, lowers, _HEAD_TERMS)) + scale * value
+    if not (math.isfinite(total) and scale * err <= 1e-10 * max(1.0, abs(total))):
+        raise ConvergenceError(
+            f"Euler integral not converged: error estimate {scale * err:.3g}")
+    return total
 
 
 @functools.lru_cache(maxsize=1)

@@ -76,7 +76,7 @@ def test_criterion_07_lower_dim_analogs(moment_suite):
     numeric_5 = next(e for e in moment_suite if e.name == "e_mw2_5cube")
     ok = (abs(mw2_3 - 2.253091059149751) < 1e-10
           and abs(mw2_5 - 3.516040901689803) < 1e-9
-          and abs(numeric_5.numeric.value - 3.516040901689803) < 1e-7)
+          and abs(numeric_5.numeric.value - 3.516040901689803) < 1e-9)
     report(7, ok, f"E(mw^2) analogs {mw2_3:.15f}, {mw2_5:.15f}")
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cubeshadow
 from cubeshadow import cli
 
 
@@ -125,6 +130,15 @@ class TestConstants:
             assert code == 0
             assert json.loads(out)["pass"] is True
 
+    def test_moment_integrals_pass_at_default_tol(self, capsys):
+        code, out, _ = run_cli(capsys, "constants", "--which", "moments",
+                               "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and payload["pass"]
+        assert payload["tolerance"] == 1e-9
+        assert len(payload["rows"]) == 11
+        assert all(row["pass"] for row in payload["rows"])
+
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--which", "zeta4",
                                "--tol", "1e-18")
@@ -152,6 +166,15 @@ class TestHullDump:
         c = run_cli(capsys, "hull-dump", "--seed", "10")[1]
         assert a == b
         assert a != c
+
+
+def test_import_does_not_load_mpmath():
+    src = str(Path(cubeshadow.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = "import sys, cubeshadow.cli; sys.exit('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0
 
 
 class TestParser:

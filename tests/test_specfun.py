@@ -130,6 +130,21 @@ class TestHyp3F2:
         assert specfun.hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 2.0) == pytest.approx(
             7.118558716719735 / (3.0 * math.pi), abs=1e-10)
 
+    @pytest.mark.parametrize("params", [
+        (0.3, 0.7, 1.2, 2.1, 2.5),
+        # every admissible permutation leaves a 2F1 singular at t = 1, so
+        # this set takes Euler's transformation
+        (1.5, 1.5, 0.5, 2.0, 2.2),
+    ])
+    def test_generic_parameter_sets_against_series(self, params):
+        assert specfun.hyp3f2_unit(*params) == pytest.approx(
+            series_3f2_oracle(*params), abs=1e-11)
+
+    def test_unsupported_parameters(self):
+        # convergent, but no upper parameter is positive
+        with pytest.raises(specfun.DomainError):
+            specfun.hyp3f2_unit(-0.5, -0.5, -0.5, 1.0, 1.0)
+
     def test_gauss_2f1_identity(self):
         # upper = lower parameter reduces to 2F1; Gauss summation at z=1
         rng = np.random.default_rng(21)
