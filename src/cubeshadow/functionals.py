@@ -85,10 +85,15 @@ def segment_mw_coeff(d: int) -> float:
 
 
 def shadow_mean_width(u) -> float:
-    """Mean width of the corank-1 shadow: c_{n-1} sum_j sqrt(1 - u_j^2)."""
+    """Mean width of the corank-1 shadow: c_{n-1} sum_j sqrt(1 - u_j^2).
+
+    1 - u_j^2 is taken as the sum of the other squares, which for a unit u
+    is the same number without the cancellation as |u_j| -> 1.
+    """
     u = np.asarray(u, dtype=float)
-    coeff = segment_mw_coeff(len(u) - 1)
-    return coeff * float(np.sum(np.sqrt(np.clip(1.0 - u * u, 0.0, None))))
+    n = len(u)
+    coeff = segment_mw_coeff(n - 1)
+    return coeff * float(np.sum(np.sqrt((1.0 - np.eye(n)) @ (u * u))))
 
 
 def shadow_functionals(u) -> ShadowFunctionals:

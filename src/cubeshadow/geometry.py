@@ -14,6 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 DEGENERACY_TOL = 1e-12
+# The explicit 4D frame takes sqrt(1 - x^2), whose rounding error relative
+# to |(y, z, w)| is about 2e-16 / (1 - x^2); below this bound the permuted
+# frame, always well conditioned, is built instead, so every frame is
+# orthonormal to about 3e-13.
+CANCELLATION_TOL = 1e-3
 
 
 class DimensionError(ValueError):
@@ -46,11 +51,18 @@ def sample_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_unit_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Batch of `count` uniform directions, shape (count, n)."""
+    """Batch of `count` uniform directions, shape (count, n).
+
+    A row whose norm is at most 1e-100 is redrawn, after the batch, by
+    `sample_unit_vector`; every other row is its Gaussian draw normalized.
+    """
     if n < 2:
         raise DimensionError(f"need n >= 2, got {n}")
     v = rng.standard_normal((count, n))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    for i in np.flatnonzero(norms[:, 0] <= 1e-100):
+        v[i], norms[i] = sample_unit_vector(n, rng), 1.0
+    return v / norms
 
 
 def spherical_to_cartesian4(theta: float, phi: float, psi: float) -> np.ndarray:
@@ -130,7 +142,7 @@ def build_frame(u: np.ndarray) -> ProjectionFrame:
         # first column of q is +-u; the remaining n-1 span the complement
         return ProjectionFrame(rows=q[:, 1:n].T, normal=u)
     x = u[0]
-    if 1.0 - x * x >= DEGENERACY_TOL and u[2] ** 2 + u[3] ** 2 >= DEGENERACY_TOL:
+    if 1.0 - x * x >= CANCELLATION_TOL and u[2] ** 2 + u[3] ** 2 >= DEGENERACY_TOL:
         return ProjectionFrame(rows=_corank1_rows_4d(u), normal=u)
     perm = np.argsort(np.abs(u))  # smallest |coord| first; two largest last
     rows_p = _corank1_rows_4d(u[perm])

@@ -4,6 +4,23 @@
 merged back into polygonal faces (shadows of the 4-cube are zonotopes, so
 generic faces are parallelograms), edges are recovered with their two
 adjacent faces, and volume / surface area / mean width are extracted.
+
+The post-processing is array code over one mesh at a time:
+
+- Deduplication reads one pairwise-distance matrix: a point is dropped
+  when it lies within DEDUP_TOL of an earlier kept point.
+- Coplanar grouping reads one matrix of pairwise equality of Qhull's plane
+  equations.  Qhull merges coplanar facets (its default pre-merge, C-0)
+  and splits each merged facet into simplices that carry the facet's
+  equation unchanged, so equal rows are exactly the faces.  A face is
+  numbered by its first simplex, in Qhull's order.  A tolerance on normals
+  and offsets would merge Qhull facets only in part for directions within
+  about 1e-9 of a coordinate hyperplane.
+- Each face's vertices are ordered by one lexsort over (face, angle about
+  the face centre) incidences; edges are the loop edges keyed by their
+  sorted ends, and np.unique must count every key exactly twice.
+- Volume, area and mean width are sums over all fan triangles and all
+  edges at once.
 """
 
 from __future__ import annotations
@@ -13,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial.distance import cdist
 
-COPLANAR_TOL = 1e-9   # relative to cloud diameter
 DEDUP_TOL = 1e-12
 
 
@@ -74,11 +91,23 @@ class Polygon2D:
 
 
 def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
-    kept: list = []
-    for p in points:
-        if not any(np.linalg.norm(p - q) <= tol for q in kept):
-            kept.append(p)
-    return np.array(kept)
+    """Drop each point within tol of an earlier kept point."""
+    close = cdist(points, points) <= tol
+    first = np.argmax(close, axis=0)  # earliest point within tol of each
+    keep = first == np.arange(len(points))
+    # A point is dropped when its earliest close point is kept.  When that
+    # point was dropped itself (a chain a~b~c with a and c apart), the
+    # greedy rule is applied in index order.
+    for j in np.flatnonzero(~keep[first]):
+        keep[j] = not np.any(close[:j, j] & keep[:j])
+    return points[keep]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of (m, 3) arrays, bit-identical to np.cross,
+    whose axis handling costs more than the product for one mesh's rows."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return a[:, i] * b[:, j] - a[:, j] * b[:, i]
 
 
 def _affine_rank(points: np.ndarray, tol: float = 1e-9) -> int:
@@ -106,55 +135,60 @@ def convex_hull_3d(points) -> PolyMesh:
     except QhullError as exc:  # pragma: no cover - rank check catches first
         raise FlatInputError(rank, str(exc)) from exc
 
-    diameter = float(np.max(np.linalg.norm(pts - pts[0], axis=1))) or 1.0
+    # A face is a set of equal rows of hull.equations (one Qhull facet),
+    # numbered by its first simplex.
+    eq = hull.equations
+    first = np.argmax(cdist(eq, eq, "chebyshev") == 0.0, axis=0)
+    is_first = first == np.arange(len(eq))
+    leaders = np.flatnonzero(is_first)
+    simplex_face = (np.cumsum(is_first) - 1)[first]
 
-    # Group hull simplices by their (outward) plane equation.
-    groups: list[dict] = []
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        for g in groups:
-            if (np.dot(g["normal"], eq[:3]) > 1.0 - COPLANAR_TOL
-                    and abs(g["offset"] - eq[3]) <= COPLANAR_TOL * diameter):
-                g["verts"].update(simplex)
-                break
-        else:
-            groups.append({"normal": eq[:3].copy(), "offset": eq[3],
-                           "verts": set(simplex)})
+    on_hull = np.zeros(len(pts), dtype=bool)
+    on_hull[hull.simplices] = True
+    vertices = pts[on_hull]
+    nv = len(vertices)
 
-    used = sorted({v for g in groups for v in g["verts"]})
-    remap = {old: new for new, old in enumerate(used)}
-    vertices = pts[used]
+    # Face-vertex incidences, read out sorted by face and then by vertex.
+    incidence = np.zeros((len(leaders), nv), dtype=bool)
+    incidence[simplex_face[:, None],
+              (np.cumsum(on_hull) - 1)[hull.simplices]] = True
+    inc_face, inc_vert = np.nonzero(incidence)
+    counts = incidence.sum(axis=1)
+    starts = np.cumsum(counts) - counts
 
-    faces = []
-    normals = []
-    for g in groups:
-        normal = g["normal"] / np.linalg.norm(g["normal"])
-        idx = np.array(sorted(remap[v] for v in g["verts"]))
-        face_pts = vertices[idx]
-        center = face_pts.mean(axis=0)
-        # in-plane basis
-        b1 = face_pts[1] - face_pts[0]
-        b1 -= np.dot(b1, normal) * normal
-        b1 /= np.linalg.norm(b1)
-        b2 = np.cross(normal, b1)
-        ang = np.arctan2((face_pts - center) @ b2, (face_pts - center) @ b1)
-        order = idx[np.argsort(ang)]
-        faces.append([int(i) for i in order])
-        normals.append(normal)
-    face_normals = np.array(normals)
+    # Order each face's vertices by the angle of (vertex - centre) from b1,
+    # the direction of its first two vertices, towards n x b1.
+    normals = eq[leaders, :3]
+    normals = normals / np.linalg.norm(normals, axis=1)[:, None]
+    face_pts = vertices[inc_vert]
+    center = np.add.reduceat(face_pts, starts, axis=0) / counts[:, None]
+    b1 = face_pts[starts + 1] - face_pts[starts]
+    b2 = _cross(normals, b1)
+    rel = face_pts - center[inc_face]
+    ang = np.arctan2(np.sum(rel * b2[inc_face], axis=1),
+                     np.sum(rel * b1[inc_face], axis=1))
+    loops = inc_vert[np.lexsort((ang, inc_face))]
+    flat = loops.tolist()
+    faces = [flat[s:s + c] for s, c in zip(starts.tolist(), counts.tolist())]
 
-    edge_faces: dict = {}
-    for fi, face in enumerate(faces):
-        for a, b in zip(face, face[1:] + face[:1]):
-            key = (min(a, b), max(a, b))
-            edge_faces.setdefault(key, []).append(fi)
-    edges = []
-    for (a, b), fs in sorted(edge_faces.items()):
-        if len(fs) != 2:
-            raise FlatInputError(rank, f"edge ({a},{b}) borders {len(fs)} faces")
-        edges.append((a, b, fs[0], fs[1]))
+    # Each loop edge (v, next v) is keyed by its sorted ends; a closed
+    # surface has every key exactly twice, once per adjacent face.
+    nxt = np.arange(1, len(loops) + 1)
+    nxt[starts + counts - 1] = starts
+    key = np.minimum(loops, loops[nxt]) * nv + np.maximum(loops, loops[nxt])
+    order = np.lexsort((inc_face, key))
+    keys, key_counts = np.unique(key[order], return_counts=True)
+    bad = np.flatnonzero(key_counts != 2)
+    if len(bad):
+        a, b = divmod(int(keys[bad[0]]), nv)
+        raise FlatInputError(
+            rank, f"edge ({a},{b}) borders {key_counts[bad[0]]} faces")
+    edge_faces = inc_face[order].reshape(-1, 2).T
+    edges = list(zip((keys // nv).tolist(), (keys % nv).tolist(),
+                     edge_faces[0].tolist(), edge_faces[1].tolist()))
 
     return PolyMesh(vertices=vertices, faces=faces, edges=edges,
-                    face_normals=face_normals)
+                    face_normals=normals)
 
 
 def mesh_measures(mesh: PolyMesh) -> MeshMeasures:
@@ -166,25 +200,28 @@ def mesh_measures(mesh: PolyMesh) -> MeshMeasures:
     convex polytopes; the unit cube gives 3/2).
     """
     verts = mesh.vertices
-    centroid = verts.mean(axis=0)
+    centroid = verts.sum(axis=0) / len(verts)
 
-    volume = 0.0
-    area = 0.0
-    for face in mesh.faces:
-        p0 = verts[face[0]]
-        for a, b in zip(face[1:-1], face[2:]):
-            cross = np.cross(verts[a] - p0, verts[b] - p0)
-            area += 0.5 * np.linalg.norm(cross)
-            volume += abs(np.dot(np.cross(verts[a] - centroid, verts[b] - centroid),
-                                 p0 - centroid)) / 6.0
+    # Fan triangles (f[0], f[i], f[i+1]) of every face.
+    fan = np.array([(face[0], a, b) for face in mesh.faces
+                    for a, b in zip(face[1:-1], face[2:])])
+    p0 = verts[fan[:, 0]]
+    cross = _cross(verts[fan[:, 1]] - p0, verts[fan[:, 2]] - p0)
+    area = 0.5 * float(np.sum(np.linalg.norm(cross, axis=1)))
+    # det(p0 - c, a - c, b - c) = (p0 - c) . ((a - p0) x (b - p0))
+    dets = np.sum(cross * (p0 - centroid), axis=1)
+    volume = float(np.sum(np.abs(dets))) / 6.0
 
-    mw = 0.0
-    for a, b, fa, fb in mesh.edges:
-        length = np.linalg.norm(verts[a] - verts[b])
-        cosang = float(np.clip(np.dot(mesh.face_normals[fa],
-                                      mesh.face_normals[fb]), -1.0, 1.0))
-        mw += length * math.acos(cosang)
-    mw /= 4.0 * math.pi
+    edges = np.array(mesh.edges)
+    lengths = np.linalg.norm(verts[edges[:, 0]] - verts[edges[:, 1]], axis=1)
+    na = mesh.face_normals[edges[:, 2]]
+    nb = mesh.face_normals[edges[:, 3]]
+    # The angle between unit normals as 2 atan2(|na - nb|, |na + nb|) stays
+    # accurate where arccos(na . nb) loses digits, between nearly coplanar
+    # faces.
+    angles = 2.0 * np.arctan2(np.linalg.norm(na - nb, axis=1),
+                              np.linalg.norm(na + nb, axis=1))
+    mw = float(np.sum(lengths * angles)) / (4.0 * math.pi)
 
     return MeshMeasures(volume=volume, area=area, mean_width=mw,
                         vertex_count=mesh.vertex_count,

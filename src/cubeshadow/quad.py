@@ -51,34 +51,40 @@ def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
 
     Returns the estimate with its error bound and evaluation count; raises
     BudgetError (carrying the best estimate) when the requested tolerance
-    is not certified.
+    is not certified (see `_certified`).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     out = integrate.quad(f, a, b, epsabs=tol, epsrel=tol,
                          limit=limit, full_output=True)
     value, err, info = out[0], out[1], out[2]
-    result = QuadResult(value=value, error_estimate=err,
-                        evaluations=int(info["neval"]))
-    if len(out) > 3 and err > 10.0 * tol:
-        raise BudgetError(result, str(out[3]))
-    return result
+    return _certified(QuadResult(value=value, error_estimate=err,
+                                 evaluations=int(info["neval"])),
+                      tol, "quadrature")
 
 
 def _nested(f, ranges, tols) -> QuadResult:
     """Iterated adaptive 1D integration; ranges[0] is the innermost variable.
 
-    Raises BudgetError when the outermost error estimate exceeds ten times
-    the accuracy requested of it, max(t, t*|value|) with t = tols[-1].
+    Raises BudgetError when the outermost error estimate is not certified
+    (see `_certified`) for t = tols[-1].
     """
     opts = [{"epsabs": t, "epsrel": t} for t in tols]
     value, err, info = integrate.nquad(f, ranges, opts=opts, full_output=True)
-    result = QuadResult(value=value, error_estimate=err,
-                        evaluations=int(info["neval"]))
-    requested = tols[-1] * max(1.0, abs(value))
-    if not err <= 10.0 * requested:
-        raise BudgetError(result, f"nested quadrature error estimate {err:.3g}"
-                                  f" exceeds 10 x {requested:.3g}")
+    return _certified(QuadResult(value=value, error_estimate=err,
+                                 evaluations=int(info["neval"])),
+                      tols[-1], "nested quadrature")
+
+
+def _certified(result: QuadResult, tol: float, what: str) -> QuadResult:
+    """Return result, or raise BudgetError when its error estimate exceeds
+    ten times the accuracy asked of QUADPACK with epsabs = epsrel = tol,
+    which is max(tol, tol*|value|)."""
+    requested = tol * max(1.0, abs(result.value))
+    if not result.error_estimate <= 10.0 * requested:
+        raise BudgetError(result, f"{what} error estimate "
+                                  f"{result.error_estimate:.3g} exceeds "
+                                  f"10 x {requested:.3g}")
     return result
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -159,6 +160,20 @@ class TestHullDump:
         assert lines[0] == "OFF"
         nv, nf, ne = map(int, lines[1].split())
         assert (nv, nf, ne) == (14, 12, 24)
+
+    # sha256 of `hull-dump --seed 9`, which fixes the vertex order, the face
+    # order and each loop's starting vertex (recorded with numpy's OpenBLAS
+    # wheel on x86-64).
+    OFF_SEED9_SHA256 = (
+        "bc07b20b10b9bf0d9aefb9f0ce0a62d3c6e2608348f4a3ed495c101c8827e0bd")
+    OFF_SEED9_FACES = ["4 11 12 9 7", "4 0 3 11 7", "4 0 1 4 3", "4 12 13 10 9",
+                       "4 7 8 1 0", "4 9 10 8 7", "4 8 10 2 1", "4 1 2 6 4",
+                       "4 10 13 6 2", "4 3 5 12 11", "4 5 6 13 12", "4 3 4 6 5"]
+
+    def test_off_bytes_pinned(self, capsys):
+        out = run_cli(capsys, "hull-dump", "--seed", "9")[1]
+        assert out.strip().split("\n")[-12:] == self.OFF_SEED9_FACES
+        assert hashlib.sha256(out.encode()).hexdigest() == self.OFF_SEED9_SHA256
 
     def test_seed_determinism(self, capsys):
         a = run_cli(capsys, "hull-dump", "--seed", "9")[1]

@@ -36,6 +36,38 @@ def test_stream_determinism():
     assert not np.array_equal(a, c)
 
 
+def test_batch_is_normalized_gaussian_draw():
+    v = geometry.stream(5).standard_normal((1000, 4))
+    expected = v / np.linalg.norm(v, axis=1, keepdims=True)
+    got = geometry.sample_unit_vectors(4, 1000, geometry.stream(5))
+    assert got.tobytes() == expected.tobytes()
+
+
+class _ZeroRowGenerator:
+    """Stub generator whose first draw has an all-zero second row."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        if len(self.sizes) == 1:
+            out = np.arange(1.0, 1.0 + np.prod(size)).reshape(size)
+            out[1] = 0.0
+            return out
+        return np.full(size, -2.0)
+
+
+def test_batch_redraws_zero_norm_rows_only():
+    rng = _ZeroRowGenerator()
+    x = geometry.sample_unit_vectors(4, 3, rng)
+    assert rng.sizes == [(3, 4), 4]
+    assert np.all(np.isfinite(x))
+    assert np.allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-15)
+    assert np.array_equal(x[1], [-0.5, -0.5, -0.5, -0.5])
+    assert np.array_equal(x[0], np.arange(1.0, 5.0) / math.sqrt(30.0))
+
+
 def test_spherical_to_cartesian4_special_points():
     assert np.allclose(geometry.spherical_to_cartesian4(math.pi / 2, math.pi / 2, math.pi / 2),
                        [0, 1, 0, 0], atol=1e-15)

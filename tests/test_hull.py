@@ -163,3 +163,101 @@ def test_polygon_rotation_invariance():
     a1, p1 = hull.polygon_measures(poly_r)
     assert a1 == pytest.approx(a0, abs=1e-12)
     assert p1 == pytest.approx(p0, abs=1e-12)
+
+
+def test_dedup_chain_keeps_far_end():
+    # a~b and b~c but a and c apart: b is dropped next to the kept a, and c
+    # is kept because the only point near it (b) was dropped.
+    tol = 1.0
+    pts = np.array([[0.0, 0.0], [0.6, 0.0], [1.2, 0.0], [0.1, 0.0]])
+    assert np.array_equal(hull._dedup(pts, tol), pts[[0, 2]])
+
+
+# The per-simplex and per-face loops that the array code replaced, kept as
+# the reference: they merged simplices whose Qhull planes agree within
+# COPLANAR_TOL rather than exactly.  Faces and edges must match exactly on
+# generic clouds.  The measures add in another order, so they may differ by
+# rounding only; the dihedral angle is 2 atan2(|na - nb|, |na + nb|) in
+# both, as arccos of the dot product is off by up to 1e-16 / sin(angle).
+
+COPLANAR_TOL = 1e-9
+
+def _reference_dedup(points, tol):
+    kept = []
+    for p in points:
+        if not any(np.linalg.norm(p - q) <= tol for q in kept):
+            kept.append(p)
+    return np.array(kept)
+
+
+def _reference_hull(points):
+    pts = _reference_dedup(np.asarray(points, dtype=float), hull.DEDUP_TOL)
+    qh = hull.ConvexHull(pts)
+    diameter = float(np.max(np.linalg.norm(pts - pts[0], axis=1))) or 1.0
+    groups = []
+    for simplex, eq in zip(qh.simplices, qh.equations):
+        for g in groups:
+            if (np.dot(g["normal"], eq[:3]) > 1.0 - COPLANAR_TOL
+                    and abs(g["offset"] - eq[3]) <= COPLANAR_TOL * diameter):
+                g["verts"].update(simplex)
+                break
+        else:
+            groups.append({"normal": eq[:3].copy(), "offset": eq[3],
+                           "verts": set(simplex)})
+    used = sorted({v for g in groups for v in g["verts"]})
+    remap = {old: new for new, old in enumerate(used)}
+    vertices = pts[used]
+    faces = []
+    for g in groups:
+        normal = g["normal"] / np.linalg.norm(g["normal"])
+        idx = np.array(sorted(remap[v] for v in g["verts"]))
+        face_pts = vertices[idx]
+        center = face_pts.mean(axis=0)
+        b1 = face_pts[1] - face_pts[0]
+        b1 -= np.dot(b1, normal) * normal
+        b1 /= np.linalg.norm(b1)
+        b2 = np.cross(normal, b1)
+        ang = np.arctan2((face_pts - center) @ b2, (face_pts - center) @ b1)
+        faces.append([int(i) for i in idx[np.argsort(ang)]])
+    edge_faces = {}
+    for fi, face in enumerate(faces):
+        for a, b in zip(face, face[1:] + face[:1]):
+            edge_faces.setdefault((min(a, b), max(a, b)), []).append(fi)
+    edges = [(a, b, fs[0], fs[1]) for (a, b), fs in sorted(edge_faces.items())]
+    return vertices, faces, edges
+
+
+def _reference_measures(mesh):
+    verts = mesh.vertices
+    centroid = verts.mean(axis=0)
+    volume = area = 0.0
+    for face in mesh.faces:
+        p0 = verts[face[0]]
+        for a, b in zip(face[1:-1], face[2:]):
+            area += 0.5 * np.linalg.norm(np.cross(verts[a] - p0, verts[b] - p0))
+            volume += abs(np.dot(np.cross(verts[a] - centroid, verts[b] - centroid),
+                                 p0 - centroid)) / 6.0
+    mw = 0.0
+    for a, b, fa, fb in mesh.edges:
+        na, nb = mesh.face_normals[fa], mesh.face_normals[fb]
+        angle = 2.0 * math.atan2(np.linalg.norm(na - nb), np.linalg.norm(na + nb))
+        mw += np.linalg.norm(verts[a] - verts[b]) * angle
+    return volume, area, mw / (4.0 * math.pi)
+
+
+def test_matches_loop_reference():
+    rng = geometry.stream(18)
+    clouds = [geometry.cube_vertices(3),
+              np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], float)]
+    clouds += [geometry.project_vertices(geometry.build_frame(
+        geometry.sample_unit_vector(4, rng))) for _ in range(200)]
+    for pts in clouds:
+        mesh = hull.convex_hull_3d(pts)
+        vertices, faces, edges = _reference_hull(pts)
+        assert np.array_equal(mesh.vertices, vertices)
+        assert mesh.faces == faces
+        assert mesh.edges == edges
+        m = hull.mesh_measures(mesh)
+        for got, want in zip((m.volume, m.area, m.mean_width),
+                             _reference_measures(mesh)):
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-14)

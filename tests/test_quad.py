@@ -37,6 +37,21 @@ class TestIntegrator:
         with pytest.raises(ValueError):
             quad.integrate_1d(lambda t: t, 0, 1, tol=0.0)
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_unconverged_raises_budget_error(self):
+        with pytest.raises(quad.BudgetError) as info:
+            quad.integrate_1d(lambda x: math.sin(1e4 * x), 0, 1, tol=1e-13,
+                              limit=20)
+        assert info.value.best.evaluations > 0
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_budget_is_relative_to_the_value(self):
+        # |I| = 12.87: the error estimate 1.4e-13 is above 10 x 1e-14 in
+        # absolute terms but within the relative accuracy QUADPACK was asked.
+        r = quad.integrate_1d(lambda th: _ar2_original(th, 0.3, 1.2),
+                              0.0, math.pi / 2, tol=1e-14)
+        assert r.value == pytest.approx(quad._ar2_reduced(0.3, 1.2), rel=1e-14)
+
 
 class TestNested:
     def test_value_and_evaluations(self):
