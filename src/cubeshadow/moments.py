@@ -4,6 +4,27 @@ Every analytic moment is paired with a simulation estimate; the verify
 report compares them with a |z| < 4 accept rule.  Monte Carlo is chunked
 with one counter-based stream per chunk, so results are bit-identical for
 a fixed (seed, samples) regardless of thread count.
+
+The batch kernel `_shadow_quantities` squares the directions once, into
+s = x.T**2 laid out (n, m), so that each coordinate is one contiguous row.
+The area is 2 sum_{j<k} sqrt(s_j + s_k), one add and one sqrt per pair into
+a preallocated buffer; the mean width takes 1 - u_j^2 as prefix plus suffix
+sums of s (the other squares), which, unlike 1 - s_j, does not cancel as
+|u_j| -> 1.  A worker holds two (n, CHUNK) arrays, s and the suffix sums.
+
+Error of sqrt(s_j + s_k) against sqrt(u_j^2 + u_k^2): for unit vectors
+s_j <= 1, so nothing overflows.  When both squares are normal numbers, the
+squares, the sum and the sqrt round once each, and a term is within 2
+units of roundoff (2.2e-16) relative.  A square is subnormal only for a
+coordinate below 1.5e-154; its absolute error is then at most 2^-1075, and
+the term is off by at most sqrt(2 * 2^-1075) < 3e-162 more, far below
+1e-154.
+
+Each chunk returns its count, per quantity its sum and its
+M2 = sum (v - chunk mean)^2, and the extremes of the bounded quantities
+(vl, ar, mw; perimeter, area).  `_accumulate` merges them in chunk-index
+order by the rule of Chan, Golub and LeVeque (1979); the means stay the
+chunk-ordered sums over N.
 """
 
 from __future__ import annotations
@@ -159,15 +180,36 @@ class McResult:
 
 
 def _shadow_quantities(x: np.ndarray, coeff: float) -> dict:
-    """Per-sample vl, ar, mw arrays for a batch of directions x (m, n)."""
-    n = x.shape[1]
+    """Per-sample vl, ar, mw arrays for a batch of directions x (m, n).
+
+    Layout and error bound are in the module docstring.
+    """
+    m, n = x.shape
     vl = np.abs(x).sum(axis=1)
-    ar = np.zeros(len(x))
+    s = np.empty((n, m))
+    np.square(x.T, out=s)
+    t = np.empty(m)
+    ar = np.zeros(m)
     for j in range(n):
         for k in range(j + 1, n):
-            ar += np.hypot(x[:, j], x[:, k])
+            np.add(s[j], s[k], out=t)
+            np.sqrt(t, out=t)
+            ar += t
     ar *= 2.0
-    mw = coeff * np.sqrt(np.clip(1.0 - x * x, 0.0, None)).sum(axis=1)
+    # 1 - u_j^2 as the sum of the other squares: prefix (running) plus
+    # suffix (rest[j] = s[j+1] + ... + s[n-1]), with no cancellation.
+    rest = np.empty((n, m))
+    rest[n - 1] = 0.0
+    for j in range(n - 2, -1, -1):
+        np.add(rest[j + 1], s[j + 1], out=rest[j])
+    prefix = np.zeros(m)
+    mw = np.zeros(m)
+    for j in range(n):
+        np.add(prefix, rest[j], out=t)
+        np.sqrt(t, out=t)
+        mw += t
+        prefix += s[j]
+    mw *= coeff
     return {"vl": vl, "ar": ar, "mw": mw}
 
 
@@ -176,26 +218,53 @@ def _chunk_bounds(samples: int) -> list[tuple[int, int, int]]:
             for i, start in enumerate(range(0, samples, CHUNK))]
 
 
+def _chunk_stats(values: dict, ranged: tuple) -> dict:
+    """One chunk's count, and per quantity its sum and M2 = sum (v - mean)^2.
+
+    `ranged` names the quantities whose min and max are also kept.
+    """
+    count = len(values[ranged[0]])
+    sums = {k: float(v.sum()) for k, v in values.items()}
+    return {
+        "count": count,
+        "sums": sums,
+        "m2": {k: float(np.square(v - sums[k] / count).sum())
+               for k, v in values.items()},
+        "mins": {k: float(values[k].min()) for k in ranged},
+        "maxs": {k: float(values[k].max()) for k in ranged},
+    }
+
+
 def _accumulate(per_chunk: list[dict], samples: int, seed: int) -> McResult:
-    names = list(per_chunk[0]["sums"].keys())
-    sums = {q: 0.0 for q in names}
-    sumsq = {q: 0.0 for q in names}
-    mins: dict = {}
-    maxs: dict = {}
-    for chunk in per_chunk:  # fixed index order: deterministic reduction
-        for q in names:
-            sums[q] += chunk["sums"][q]
-            sumsq[q] += chunk["sumsq"][q]
+    """Reduce chunk statistics in chunk-index order.
+
+    Means are the chunk-ordered sums over `samples`.  M2 is merged by the
+    rule of Chan, Golub and LeVeque (1979),
+    M2 = M2_a + M2_b + (mean_b - mean_a)^2 n_a n_b / (n_a + n_b),
+    which has no sumsq/N - mean^2 cancellation.
+    """
+    first = per_chunk[0]
+    count = first["count"]
+    sums = dict(first["sums"])
+    m2 = dict(first["m2"])
+    mins = dict(first["mins"])
+    maxs = dict(first["maxs"])
+    for chunk in per_chunk[1:]:  # fixed index order: deterministic reduction
+        nb = chunk["count"]
+        weight = count * nb / (count + nb)
+        for q, sb in chunk["sums"].items():
+            delta = sb / nb - sums[q] / count
+            m2[q] += chunk["m2"][q] + delta * delta * weight
+            sums[q] += sb
+        count += nb
         for q, lo in chunk["mins"].items():
-            mins[q] = lo if q not in mins else min(mins[q], lo)
+            mins[q] = min(mins[q], lo)
         for q, hi in chunk["maxs"].items():
-            maxs[q] = hi if q not in maxs else max(maxs[q], hi)
+            maxs[q] = max(maxs[q], hi)
     estimates = {}
-    for q in names:
-        mean = sums[q] / samples
-        var = max(sumsq[q] / samples - mean * mean, 0.0)
-        stderr = math.sqrt(var / samples)
-        estimates[q] = (mean, stderr)
+    for q in sums:
+        var = m2[q] / samples
+        estimates[q] = (sums[q] / samples, math.sqrt(var / samples))
     extremes = {q: (mins[q], maxs[q]) for q in mins}
     return McResult(samples=samples, seed=seed, estimates=estimates,
                     extremes_observed=extremes)
@@ -232,12 +301,7 @@ def mc_estimate(n: int, samples: int, seed: int, threads: int = 1) -> McResult:
             "vl_ar": q["vl"] * q["ar"], "vl_mw": q["vl"] * q["mw"],
             "ar_mw": q["ar"] * q["mw"],
         }
-        return {
-            "sums": {k: float(v.sum()) for k, v in values.items()},
-            "sumsq": {k: float((v * v).sum()) for k, v in values.items()},
-            "mins": {k: float(q[k].min()) for k in ("vl", "ar", "mw")},
-            "maxs": {k: float(q[k].max()) for k in ("vl", "ar", "mw")},
-        }
+        return _chunk_stats(values, ("vl", "ar", "mw"))
 
     return _run_chunked(worker, samples, seed, threads)
 
@@ -268,12 +332,7 @@ def mc_octagon(samples: int, seed: int, threads: int = 1) -> McResult:
             for k in range(j + 1, 4):
                 area += np.abs(u[:, j] * v[:, k] - u[:, k] * v[:, j])
         values = {"perimeter": per, "perimeter2": per**2, "area": area}
-        return {
-            "sums": {k: float(v.sum()) for k, v in values.items()},
-            "sumsq": {k: float((v * v).sum()) for k, v in values.items()},
-            "mins": {k: float(values[k].min()) for k in ("perimeter", "area")},
-            "maxs": {k: float(values[k].max()) for k in ("perimeter", "area")},
-        }
+        return _chunk_stats(values, ("perimeter", "area"))
 
     return _run_chunked(worker, samples, seed, threads)
 
@@ -353,20 +412,24 @@ def closed_form_targets(n: int) -> dict:
 def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
     """Compare hull-derived measures with the closed-form functionals.
 
+    The directions are drawn one by one from their own stream; the closed
+    forms for all of them come from one call to the batch kernel.
+
     Returns (max absolute deviation over volume/area/mean width,
     fraction of samples with the generic 14/24/12 combinatorics and
     deviation below 1e-9).
     """
     rng = geometry.stream(seed, index=2**32)  # separate from MC chunks
+    dirs = np.array([geometry.sample_unit_vector(4, rng) for _ in range(samples)])
+    q = _shadow_quantities(dirs, functionals.segment_mw_coeff(3))
+    vl, ar, mw = (q[k].tolist() for k in ("vl", "ar", "mw"))
     max_dev = 0.0
     good = 0
-    for _ in range(samples):
-        u = geometry.sample_unit_vector(4, rng)
+    for i, u in enumerate(dirs):
         mesh = hull.convex_hull_3d(geometry.project_vertices(geometry.build_frame(u)))
         meas = hull.mesh_measures(mesh)
-        dev = max(abs(meas.volume - functionals.shadow_volume(u)),
-                  abs(meas.area - functionals.shadow_area(u)),
-                  abs(meas.mean_width - functionals.shadow_mean_width(u)))
+        dev = max(abs(meas.volume - vl[i]), abs(meas.area - ar[i]),
+                  abs(meas.mean_width - mw[i]))
         max_dev = max(max_dev, dev)
         if (dev < 1e-9 and meas.vertex_count == 14 and meas.edge_count == 24
                 and meas.face_count == 12

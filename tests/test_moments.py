@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from cubeshadow import moments
+from cubeshadow import functionals, geometry, moments
 
 
 class TestClosedFormTables:
@@ -102,6 +103,13 @@ class TestMonteCarlo:
         assert a.estimates == b.estimates
         assert a.extremes_observed == b.extremes_observed
 
+    def test_n12_bytes_across_threads(self):
+        samples = 3 * moments.CHUNK + 17
+        a = moments.mc_estimate(12, samples, seed=5, threads=1)
+        b = moments.mc_estimate(12, samples, seed=5, threads=3)
+        assert a.estimates == b.estimates
+        assert a.extremes_observed == b.extremes_observed
+
     def test_seed_changes_output(self):
         a = moments.mc_estimate(4, 70_000, seed=7)
         b = moments.mc_estimate(4, 70_000, seed=8)
@@ -128,6 +136,100 @@ class TestMonteCarlo:
     def test_sample_guard(self):
         with pytest.raises(ValueError):
             moments.mc_estimate(4, 0, seed=1)
+
+
+def hypot_kernel_reference(x, coeff):
+    """The batch kernel as it was: one strided np.hypot per pair, and the
+    mean width from sqrt(1 - u_j^2)."""
+    n = x.shape[1]
+    ar = np.zeros(len(x))
+    for j in range(n):
+        for k in range(j + 1, n):
+            ar += np.hypot(x[:, j], x[:, k])
+    mw = coeff * np.sqrt(np.clip(1.0 - x * x, 0.0, None)).sum(axis=1)
+    return {"vl": np.abs(x).sum(axis=1), "ar": 2.0 * ar, "mw": mw}
+
+
+def special_directions(n):
+    """Zeros, repeated coordinates and |u_j| -> 1, normalised."""
+    rows = [np.eye(n)[0], np.ones(n), np.r_[1.0, 1.0, np.zeros(n - 2)],
+            np.r_[np.full(n - 1, 0.3), 0.0], np.r_[2.0, 2.0, np.ones(n - 2)]]
+    for eps in (1e-4, 1e-8, 1e-12, 1e-100):
+        rows.append(np.r_[1.0, np.full(n - 1, eps)])
+        rows.append(np.r_[np.full(n - 1, -eps), -1.0])
+        rows.append(np.r_[1.0, eps, np.zeros(n - 2)])
+    x = np.array(rows)
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+class TestShadowKernel:
+    @pytest.mark.parametrize("n", [3, 4, 6, 12])
+    def test_matches_scalar_functionals(self, n):
+        rng = geometry.stream(17, n)
+        x = np.vstack([geometry.sample_unit_vectors(n, 200, rng),
+                       special_directions(n)])
+        coeff = functionals.segment_mw_coeff(n - 1)
+        with np.errstate(all="raise"):
+            q = moments._shadow_quantities(x, coeff)
+            for i, u in enumerate(x):
+                assert q["vl"][i] == pytest.approx(
+                    functionals.shadow_volume(u), rel=1e-14, abs=0.0)
+                assert q["ar"][i] == pytest.approx(
+                    functionals.shadow_area(u), rel=1e-14, abs=0.0)
+                assert q["mw"][i] == pytest.approx(
+                    functionals.shadow_mean_width(u), rel=1e-14, abs=0.0)
+
+    def test_near_axis_mean_width(self):
+        # At a tilt of 1e-8 from an axis, 1 - u_0^2 cancels to a few digits;
+        # the sum of the other squares does not.
+        u = np.array([1.0, 1e-8, 0.0, 0.0])
+        x = (u / np.linalg.norm(u))[None, :]
+        coeff = functionals.segment_mw_coeff(3)
+        scalar = functionals.shadow_mean_width(x[0])
+        old = hypot_kernel_reference(x, coeff)["mw"][0]
+        assert abs(old - scalar) > 1e-12
+        assert moments._shadow_quantities(x, coeff)["mw"][0] == pytest.approx(
+            scalar, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_hypot_reference_agrees(self, n):
+        x = geometry.sample_unit_vectors(n, 1000, geometry.stream(3, n))
+        coeff = functionals.segment_mw_coeff(n - 1)
+        new = moments._shadow_quantities(x, coeff)
+        old = hypot_kernel_reference(x, coeff)
+        assert np.array_equal(new["vl"], old["vl"])
+        for q in ("ar", "mw"):
+            np.testing.assert_allclose(new[q], old[q], rtol=1e-14, atol=0.0)
+
+
+class TestAccumulate:
+    SIZES = [moments.CHUNK] * 3 + [17]
+
+    def chunks(self, offset, sigma):
+        rng = np.random.default_rng(5)
+        data = [offset + sigma * rng.standard_normal(size) for size in self.SIZES]
+        return data, [moments._chunk_stats({"v": d}, ("v",)) for d in data]
+
+    def test_large_offset_variance(self):
+        # offset / sigma = 1e5: sumsq/N - mean^2 cancels about ten digits.
+        # The merge is limited by the rounding of the chunk means, about
+        # ulp(offset) / (sigma sqrt(CHUNK)) = 6e-14 relative.
+        data, stats = self.chunks(1e8, 1e3)
+        samples = sum(self.SIZES)
+        mean, stderr = moments._accumulate(stats, samples, seed=0).estimates["v"]
+        reference = np.var(np.concatenate(data))
+        assert stderr**2 * samples == pytest.approx(reference, rel=1e-12)
+        assert mean == sum(s["sums"]["v"] for s in stats) / samples
+        sumsq = sum(float(np.square(d).sum()) for d in data)
+        old = sumsq / samples - mean * mean
+        assert abs(old / reference - 1.0) > 1e-12
+
+    def test_extremes_and_counts(self):
+        data, stats = self.chunks(0.0, 1.0)
+        values = np.concatenate(data)
+        result = moments._accumulate(stats, len(values), seed=0)
+        assert result.extremes_observed["v"] == (values.min(), values.max())
+        assert sum(s["count"] for s in stats) == len(values)
 
 
 class TestMcOctagon:
