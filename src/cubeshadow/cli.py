@@ -7,11 +7,10 @@ Subcommands: moments, verify, constants, octagon, hull-dump.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
-from . import functionals, geometry, hull, moments, quad
+from . import geometry, hull, moments, quad
 
 SPEC_VERSION = moments.SPEC_VERSION
 
@@ -24,20 +23,13 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def cmd_moments(args) -> int:
-    if args.n < 3:
-        print(f"error: --n must be >= 3, got {args.n}", file=sys.stderr)
-        return 2
     table = moments.closed_form_table(args.n)
     payload = {"spec_version": SPEC_VERSION, "moments": table.as_dict()}
     if args.n == 4:
         payload["joint"] = moments.joint_moment_table().as_dict()
     if args.format == "json":
-        _emit(_json_dump(payload), args.out)
+        _emit(moments.json_text(payload), args.out)
     elif args.format == "csv":
         lines = ["name,value"]
         for key, value in table.as_dict().items():
@@ -67,9 +59,6 @@ def cmd_verify(args) -> int:
         report = moments.octagon_report(args.samples, args.seed,
                                         threads=args.threads)
     else:
-        if args.n < 3:
-            print(f"error: --n must be >= 3, got {args.n}", file=sys.stderr)
-            return 2
         report = moments.verify_report(args.n, args.samples, args.seed,
                                        threads=args.threads)
     if args.format == "json":
@@ -132,8 +121,9 @@ def cmd_constants(args) -> int:
         rows.append({"name": name, "computed": computed, "target": target,
                      "discrepancy": disc, "pass": passed})
     if args.format == "json":
-        _emit(_json_dump({"spec_version": SPEC_VERSION, "tolerance": args.tol,
-                          "rows": rows, "pass": ok}), args.out)
+        _emit(moments.json_text({"spec_version": SPEC_VERSION,
+                                 "tolerance": args.tol, "rows": rows,
+                                 "pass": ok}), args.out)
     elif args.format == "csv":
         lines = ["name,computed,target,discrepancy,pass"]
         for r in rows:
@@ -213,7 +203,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (moments.DimensionError, geometry.DimensionError) as exc:
+    except geometry.DimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,9 +9,36 @@ the projection direction u:
     mean width  = c_{n-1} sum_j sqrt(1 - u_j^2)
 
 where c_d is the mean width of a unit segment in R^d.  Rank-2 shadows of
-the 4-cube are octagons; their perimeter has a closed form and their area
-is given locally by six rational branch formulas in seven scalars built
-from the orthonormal pair (u, v).
+the 4-cube are octagons; their perimeter and area are explicit in the six
+minors p_jk = u_j v_k - u_k v_j of the orthonormal pair (u, v), and the
+area is also given locally by six rational branch formulas in seven
+scalars built from (u, v).
+
+Each formula has one implementation, a batch kernel over rows of
+directions; the scalar functions are batches of one.
+
+`shadow_batch` squares the directions once, into s = x.T**2 laid out
+(n, m), so that each coordinate is one contiguous row.  The area is
+2 sum_{j<k} sqrt(s_j + s_k), one add and one sqrt per pair into a
+preallocated buffer; the mean width takes 1 - u_j^2 as prefix plus suffix
+sums of s (the other squares), which, unlike 1 - s_j, does not cancel as
+|u_j| -> 1.  A call holds two (n, m) arrays, s and the suffix sums.
+
+Error of sqrt(s_j + s_k) against sqrt(u_j^2 + u_k^2): for unit vectors
+s_j <= 1, so nothing overflows.  When both squares are normal numbers, the
+squares, the sum and the sqrt round once each, and a term is within 2
+units of roundoff (2.2e-16) relative.  A square is subnormal only for a
+coordinate below 1.5e-154; its absolute error is then at most 2^-1075, and
+the term is off by at most sqrt(2 * 2^-1075) < 3e-162 more, far below
+1e-154.
+
+`octagon_batch` fills the six minors into one (6, m) buffer.  The
+octagon is the zonogon of the projected edge directions, so its area is
+sum_{j<k} |p_jk|.  Its perimeter is 2 sum_j sqrt(1 - u_j^2 - v_j^2), the
+projected edge lengths.  For an orthonormal pair Lagrange's identity gives
+sum_k p_jk^2 = u_j^2 + v_j^2, and the six p_jk^2 sum to 1, so
+1 - u_j^2 - v_j^2 is the sum of p^2 over the three pairs without j: a sum
+of squares, which does not cancel as u_j^2 + v_j^2 -> 1.
 """
 
 from __future__ import annotations
@@ -22,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hull
-from .geometry import cube_vertices
+from .geometry import DimensionError, cube_vertices
 from .specfun import gamma_fn
 
 ORTHO_TOL = 1e-10
@@ -55,20 +82,40 @@ class OctagonCoeffs:
     c: float
 
 
-def shadow_volume(u) -> float:
-    """Volume of the corank-1 shadow: sum of |u_j|."""
-    return float(np.sum(np.abs(np.asarray(u, dtype=float))))
+def shadow_batch(x: np.ndarray) -> dict:
+    """Per-row vl, ar, mw arrays for a batch of unit directions x (m, n).
 
-
-def shadow_area(u) -> float:
-    """Surface area of the corank-1 shadow: 2 sum_{j<k} sqrt(u_j^2 + u_k^2)."""
-    u = np.asarray(u, dtype=float)
-    n = len(u)
-    total = 0.0
+    c_{n-1} comes from the shape, so n >= 3 (`DimensionError` otherwise).
+    Layout and error bound are in the module docstring.
+    """
+    m, n = x.shape
+    coeff = segment_mw_coeff(n - 1)
+    vl = np.abs(x).sum(axis=1)
+    s = np.empty((n, m))
+    np.square(x.T, out=s)
+    t = np.empty(m)
+    ar = np.zeros(m)
     for j in range(n):
         for k in range(j + 1, n):
-            total += math.hypot(u[j], u[k])
-    return 2.0 * total
+            np.add(s[j], s[k], out=t)
+            np.sqrt(t, out=t)
+            ar += t
+    ar *= 2.0
+    # 1 - u_j^2 as the sum of the other squares: prefix (running) plus
+    # suffix (rest[j] = s[j+1] + ... + s[n-1]), with no cancellation.
+    rest = np.empty((n, m))
+    rest[n - 1] = 0.0
+    for j in range(n - 2, -1, -1):
+        np.add(rest[j + 1], s[j + 1], out=rest[j])
+    prefix = np.zeros(m)
+    mw = np.zeros(m)
+    for j in range(n):
+        np.add(prefix, rest[j], out=t)
+        np.sqrt(t, out=t)
+        mw += t
+        prefix += s[j]
+    mw *= coeff
+    return {"vl": vl, "ar": ar, "mw": mw}
 
 
 def segment_mw_coeff(d: int) -> float:
@@ -78,53 +125,84 @@ def segment_mw_coeff(d: int) -> float:
     1/2, 4/(3*pi) for d = 2, 3, 4.
     """
     if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+        raise DimensionError(f"need d >= 2, got {d}")
     kappa_dm1 = math.pi ** ((d - 1) / 2.0) / gamma_fn((d - 1) / 2.0 + 1.0)
     kappa_d = math.pi ** (d / 2.0) / gamma_fn(d / 2.0 + 1.0)
     return 2.0 * kappa_dm1 / (d * kappa_d)
 
 
-def shadow_mean_width(u) -> float:
-    """Mean width of the corank-1 shadow: c_{n-1} sum_j sqrt(1 - u_j^2).
-
-    1 - u_j^2 is taken as the sum of the other squares, which for a unit u
-    is the same number without the cancellation as |u_j| -> 1.
-    """
-    u = np.asarray(u, dtype=float)
-    n = len(u)
-    coeff = segment_mw_coeff(n - 1)
-    return coeff * float(np.sum(np.sqrt((1.0 - np.eye(n)) @ (u * u))))
-
-
 def shadow_functionals(u) -> ShadowFunctionals:
-    """All three corank-1 functionals at direction u."""
-    return ShadowFunctionals(vl=shadow_volume(u), ar=shadow_area(u),
-                             mw=shadow_mean_width(u))
+    """All three corank-1 functionals at direction u, a batch of one."""
+    q = shadow_batch(np.asarray(u, dtype=float)[None, :])
+    return ShadowFunctionals(vl=float(q["vl"][0]), ar=float(q["ar"][0]),
+                             mw=float(q["mw"][0]))
 
 
-def _check_pair(u: np.ndarray, v: np.ndarray) -> None:
+def shadow_volume(u) -> float:
+    """Volume of the corank-1 shadow: sum of |u_j|."""
+    return shadow_functionals(u).vl
+
+
+def shadow_area(u) -> float:
+    """Surface area of the corank-1 shadow: 2 sum_{j<k} sqrt(u_j^2 + u_k^2)."""
+    return shadow_functionals(u).ar
+
+
+def shadow_mean_width(u) -> float:
+    """Mean width of the corank-1 shadow: c_{n-1} sum_j sqrt(1 - u_j^2)."""
+    return shadow_functionals(u).mw
+
+
+def _checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     dot = abs(float(np.dot(u, v)))
     if dot > ORTHO_TOL:
         raise OrthogonalityError(f"|u.v| = {dot} exceeds {ORTHO_TOL}")
+    return u, v
+
+
+#: The six index pairs (j, k), j < k, in the order of the minors.
+PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def octagon_batch(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (perimeter, area) of the octagon for orthonormal pairs (m, 4).
+
+    Both come from the minors p_jk = u_j v_k - u_k v_j (module docstring).
+    """
+    m = len(u)
+    p = np.empty((6, m))
+    t = np.empty(m)
+    area = np.zeros(m)
+    for i, (j, k) in enumerate(PAIRS):
+        np.multiply(u[:, j], v[:, k], out=p[i])
+        np.multiply(u[:, k], v[:, j], out=t)
+        p[i] -= t
+        area += np.abs(p[i], out=t)
+    np.square(p, out=p)
+    per = np.zeros(m)
+    for j in range(4):
+        a, b, c = (i for i, pair in enumerate(PAIRS) if j not in pair)
+        np.add(p[a], p[b], out=t)
+        t += p[c]
+        per += np.sqrt(t, out=t)
+    per *= 2.0
+    return per, area
 
 
 def octagon_perimeter(u, v) -> float:
     """Perimeter of the rank-2 octagonal shadow of the 4-cube.
 
-    2 sum_j sqrt(1 - v_j^2 - u_j^2) for orthogonal unit vectors u, v;
-    ranges over [4, 4*sqrt(2)].
+    2 sum_j sqrt(1 - v_j^2 - u_j^2) for orthonormal u, v, a batch of one
+    of `octagon_batch`; ranges over [4, 4*sqrt(2)].
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_pair(u, v)
-    return 2.0 * float(np.sum(np.sqrt(np.clip(1.0 - u * u - v * v, 0.0, None))))
+    u, v = _checked_pair(u, v)
+    return float(octagon_batch(u[None, :], v[None, :])[0][0])
 
 
 def octagon_coefficients(u, v) -> OctagonCoeffs:
     """The seven scalars feeding the local octagon-area branch formulas."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_pair(u, v)
+    u, v = _checked_pair(u, v)
     x, y, z, w = u
     p, q, r, s = v
     return OctagonCoeffs(
@@ -196,17 +274,19 @@ def shadow_plane_basis(u, v) -> tuple[np.ndarray, np.ndarray]:
     return e, f
 
 
-def octagon_area_oracle(u, v) -> float:
-    """Area of the rank-2 shadow by explicit projection and a 2D hull.
+def octagon_hull_measures(u, v) -> tuple[float, float]:
+    """(area, perimeter) of the rank-2 shadow by projection and a 2D hull.
 
     Projects the 16 cube vertices onto an orthonormal basis of the plane
-    orthogonal to span{u, v} and measures the hull; serves as the
-    branch-independent reference.  Ranges over [1, 1 + sqrt(2)].
+    orthogonal to span{u, v} and measures their hull; the branch-free
+    reference for the closed forms.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _check_pair(u, v)
+    u, v = _checked_pair(u, v)
     e, f = shadow_plane_basis(u, v)
     pts = cube_vertices(4) @ np.column_stack([e, f])
-    area, _ = hull.polygon_measures(hull.convex_hull_2d(pts))
-    return area
+    return hull.polygon_measures(hull.convex_hull_2d(pts))
+
+
+def octagon_area_oracle(u, v) -> float:
+    """Area of the rank-2 shadow from its 2D hull; over [1, 1 + sqrt(2)]."""
+    return octagon_hull_measures(u, v)[0]

@@ -22,7 +22,7 @@ CANCELLATION_TOL = 1e-3
 
 
 class DimensionError(ValueError):
-    """Ambient dimension outside the supported range."""
+    """A cube, ambient or segment dimension outside the supported range."""
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -63,6 +63,17 @@ def sample_unit_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndar
     for i in np.flatnonzero(norms[:, 0] <= 1e-100):
         v[i], norms[i] = sample_unit_vector(n, rng), 1.0
     return v / norms
+
+
+def complete_pairs(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row-wise unit v orthogonal to u: g less its component along u, normalized.
+
+    Computed in place in g, which is returned.  For unit rows u and
+    independent uniform rows g, (u, v) is a uniformly random orthonormal pair.
+    """
+    g -= (g * u).sum(axis=1, keepdims=True) * u
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return g
 
 
 def spherical_to_cartesian4(theta: float, phi: float, psi: float) -> np.ndarray:

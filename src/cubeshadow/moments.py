@@ -5,20 +5,8 @@ report compares them with a |z| < 4 accept rule.  Monte Carlo is chunked
 with one counter-based stream per chunk, so results are bit-identical for
 a fixed (seed, samples) regardless of thread count.
 
-The batch kernel `_shadow_quantities` squares the directions once, into
-s = x.T**2 laid out (n, m), so that each coordinate is one contiguous row.
-The area is 2 sum_{j<k} sqrt(s_j + s_k), one add and one sqrt per pair into
-a preallocated buffer; the mean width takes 1 - u_j^2 as prefix plus suffix
-sums of s (the other squares), which, unlike 1 - s_j, does not cancel as
-|u_j| -> 1.  A worker holds two (n, CHUNK) arrays, s and the suffix sums.
-
-Error of sqrt(s_j + s_k) against sqrt(u_j^2 + u_k^2): for unit vectors
-s_j <= 1, so nothing overflows.  When both squares are normal numbers, the
-squares, the sum and the sqrt round once each, and a term is within 2
-units of roundoff (2.2e-16) relative.  A square is subnormal only for a
-coordinate below 1.5e-154; its absolute error is then at most 2^-1075, and
-the term is off by at most sqrt(2 * 2^-1075) < 3e-162 more, far below
-1e-154.
+The per-sample functionals come from the batch kernels of `functionals`:
+`shadow_batch` for vl, ar, mw and `octagon_batch` for the octagon.
 
 Each chunk returns its count, per quantity its sum and its
 M2 = sum (v - chunk mean)^2, and the extremes of the bounded quantities
@@ -37,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import functionals, geometry, hull
+from .geometry import DimensionError
 from .quad import zeta4_quadrature
 from .specfun import catalan_const, gamma_fn, hyp3f2_unit
 
@@ -46,10 +35,6 @@ SPEC_VERSION = "1.0"
 
 MOMENT_NAMES = ("vl", "ar", "mw", "vl2", "ar2", "mw2",
                 "vl_ar", "vl_mw", "ar_mw")
-
-
-class DimensionError(ValueError):
-    """Moment tables need cube dimension n >= 3."""
 
 
 def zeta_n(n: int) -> tuple[float, str]:
@@ -179,40 +164,6 @@ class McResult:
     extremes_observed: dict  # name -> (min, max)
 
 
-def _shadow_quantities(x: np.ndarray, coeff: float) -> dict:
-    """Per-sample vl, ar, mw arrays for a batch of directions x (m, n).
-
-    Layout and error bound are in the module docstring.
-    """
-    m, n = x.shape
-    vl = np.abs(x).sum(axis=1)
-    s = np.empty((n, m))
-    np.square(x.T, out=s)
-    t = np.empty(m)
-    ar = np.zeros(m)
-    for j in range(n):
-        for k in range(j + 1, n):
-            np.add(s[j], s[k], out=t)
-            np.sqrt(t, out=t)
-            ar += t
-    ar *= 2.0
-    # 1 - u_j^2 as the sum of the other squares: prefix (running) plus
-    # suffix (rest[j] = s[j+1] + ... + s[n-1]), with no cancellation.
-    rest = np.empty((n, m))
-    rest[n - 1] = 0.0
-    for j in range(n - 2, -1, -1):
-        np.add(rest[j + 1], s[j + 1], out=rest[j])
-    prefix = np.zeros(m)
-    mw = np.zeros(m)
-    for j in range(n):
-        np.add(prefix, rest[j], out=t)
-        np.sqrt(t, out=t)
-        mw += t
-        prefix += s[j]
-    mw *= coeff
-    return {"vl": vl, "ar": ar, "mw": mw}
-
-
 def _chunk_bounds(samples: int) -> list[tuple[int, int, int]]:
     return [(i, start, min(start + CHUNK, samples))
             for i, start in enumerate(range(0, samples, CHUNK))]
@@ -288,13 +239,12 @@ def mc_estimate(n: int, samples: int, seed: int, threads: int = 1) -> McResult:
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    coeff = functionals.segment_mw_coeff(n - 1)
 
     def worker(bound):
         index, start, stop = bound
         rng = geometry.stream(seed, index)
         x = geometry.sample_unit_vectors(n, stop - start, rng)
-        q = _shadow_quantities(x, coeff)
+        q = functionals.shadow_batch(x)
         values = {
             "vl": q["vl"], "ar": q["ar"], "mw": q["mw"],
             "vl2": q["vl"] ** 2, "ar2": q["ar"] ** 2, "mw2": q["mw"] ** 2,
@@ -311,9 +261,9 @@ def mc_octagon(samples: int, seed: int, threads: int = 1) -> McResult:
 
     (u, v) is a uniformly random orthonormal pair: u uniform on the
     sphere, v the normalized component of an independent uniform direction
-    orthogonal to u.  Area uses the zonogon identity
-    sum_{j<k} |u_j v_k - u_k v_j| (cross-checked against the 2D hull
-    oracle in the test suite).
+    orthogonal to u.  Perimeter and area come from `octagon_batch`
+    (cross-checked against the 2D hull oracle in `octagon_report` and the
+    test suite).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -323,14 +273,8 @@ def mc_octagon(samples: int, seed: int, threads: int = 1) -> McResult:
         m = stop - start
         rng = geometry.stream(seed, index)
         u = geometry.sample_unit_vectors(4, m, rng)
-        v = rng.standard_normal((m, 4))
-        v -= (v * u).sum(axis=1, keepdims=True) * u
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        per = 2.0 * np.sqrt(np.clip(1.0 - u * u - v * v, 0.0, None)).sum(axis=1)
-        area = np.zeros(m)
-        for j in range(4):
-            for k in range(j + 1, 4):
-                area += np.abs(u[:, j] * v[:, k] - u[:, k] * v[:, j])
+        v = geometry.complete_pairs(u, rng.standard_normal((m, 4)))
+        per, area = functionals.octagon_batch(u, v)
         values = {"perimeter": per, "perimeter2": per**2, "area": area}
         return _chunk_stats(values, ("perimeter", "area"))
 
@@ -339,6 +283,11 @@ def mc_octagon(samples: int, seed: int, threads: int = 1) -> McResult:
 
 # ---------------------------------------------------------------------------
 # verification report
+
+def json_text(obj) -> str:
+    """The byte-stable JSON of every payload: sorted keys, indent 2."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
 
 @dataclass(frozen=True)
 class ReportRow:
@@ -384,7 +333,7 @@ class VerifyReport:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.as_dict())
 
     def to_csv(self) -> str:
         lines = ["name,closed_form,estimate,stderr,z"]
@@ -421,7 +370,7 @@ def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
     """
     rng = geometry.stream(seed, index=2**32)  # separate from MC chunks
     dirs = np.array([geometry.sample_unit_vector(4, rng) for _ in range(samples)])
-    q = _shadow_quantities(dirs, functionals.segment_mw_coeff(3))
+    q = functionals.shadow_batch(dirs)
     vl, ar, mw = (q[k].tolist() for k in ("vl", "ar", "mw"))
     max_dev = 0.0
     good = 0
@@ -445,8 +394,8 @@ def verify_report(n: int, samples: int, seed: int, threads: int = 1,
     For n = 4 additionally cross-checks hull-derived measures against the
     functionals on `hull_samples` seeded directions.
     """
-    mc = mc_estimate(n, samples, seed, threads=threads)
     targets = closed_form_targets(n)
+    mc = mc_estimate(n, samples, seed, threads=threads)
     rows = []
     for name in MOMENT_NAMES:
         if name not in targets:
@@ -481,24 +430,17 @@ def octagon_report(samples: int, seed: int, threads: int = 1,
     hull_dev = hull_rate = None
     if hull_samples > 0:
         rng = geometry.stream(seed, index=2**32 + 1)
-        max_dev = 0.0
-        good = 0
-        for _ in range(hull_samples):
-            u = geometry.sample_unit_vector(4, rng)
-            v = geometry.sample_unit_vector(4, rng)
-            v = v - np.dot(v, u) * u
-            v /= np.linalg.norm(v)
-            e, f = functionals.shadow_plane_basis(u, v)
-            pts = geometry.cube_vertices(4) @ np.column_stack([e, f])
-            area, per = hull.polygon_measures(hull.convex_hull_2d(pts))
-            dev = abs(per - functionals.octagon_perimeter(u, v))
-            zono = sum(abs(u[j] * v[k] - u[k] * v[j])
-                       for j in range(4) for k in range(j + 1, 4))
-            dev = max(dev, abs(area - zono))
-            max_dev = max(max_dev, dev)
-            if dev < 1e-9:
-                good += 1
-        hull_dev, hull_rate = max_dev, good / hull_samples
+        # the stream interleaves the pairs: u is every even draw, g every odd
+        draws = np.array([geometry.sample_unit_vector(4, rng)
+                          for _ in range(2 * hull_samples)])
+        u = draws[0::2]
+        v = geometry.complete_pairs(u, draws[1::2])
+        per, area = functionals.octagon_batch(u, v)
+        measured = np.array([functionals.octagon_hull_measures(a, b)
+                             for a, b in zip(u, v)])
+        dev = np.maximum(np.abs(measured[:, 1] - per),
+                         np.abs(measured[:, 0] - area))
+        hull_dev, hull_rate = float(dev.max()), float((dev < 1e-9).mean())
     ext = mc.extremes_observed
     bounds_ok = (ext["perimeter"][0] >= 4.0 - 1e-9
                  and ext["perimeter"][1] <= 4.0 * math.sqrt(2.0) + 1e-9

@@ -91,6 +91,37 @@ class TestOctagonPerimeter:
             assert functionals.octagon_perimeter(u, v) == pytest.approx(per, abs=1e-9)
 
 
+def clip_perimeter(u, v):
+    """The perimeter as it was: 2 sum_j sqrt(clip(1 - u_j^2 - v_j^2)), which
+    cancels as u_j^2 + v_j^2 -> 1."""
+    return 2.0 * float(np.sum(np.sqrt(np.clip(1.0 - u * u - v * v, 0.0, None))))
+
+
+class TestOctagonBatch:
+    def test_near_axis_pair_is_stable(self):
+        u = np.array([1.0, 1e-8, 0.0, 0.0])
+        v = np.array([0.0, 0.0, 1.0, 0.3])
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+        _, hull_per = functionals.octagon_hull_measures(u, v)
+        assert abs(clip_perimeter(u, v) - hull_per) > 1e-9
+        per, _ = functionals.octagon_batch(u[None, :], v[None, :])
+        assert abs(per[0] - hull_per) <= 1e-14
+        assert abs(functionals.octagon_perimeter(u, v) - hull_per) <= 1e-14
+
+    def test_perimeter_is_batch_of_one(self):
+        rng = geometry.stream(37)
+        pairs = [random_pair(rng) for _ in range(50)]
+        u = np.array([a for a, _ in pairs])
+        v = np.array([b for _, b in pairs])
+        per, area = functionals.octagon_batch(u, v)
+        for i, (a, b) in enumerate(pairs):
+            assert functionals.octagon_perimeter(a, b) == per[i]
+            hull_area, hull_per = functionals.octagon_hull_measures(a, b)
+            assert abs(area[i] - hull_area) < 1e-12
+            assert abs(per[i] - hull_per) < 1e-12
+            assert functionals.octagon_area_oracle(a, b) == hull_area
+
+
 class TestOctagonCoefficients:
     def test_degenerate_axis_pair(self):
         co = functionals.octagon_coefficients([1, 0, 0, 0], [0, 1, 0, 0])

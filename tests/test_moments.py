@@ -56,6 +56,19 @@ class TestClosedFormTables:
         with pytest.raises(moments.DimensionError):
             moments.extremes_table(1)
 
+    def test_one_dimension_error(self):
+        assert moments.DimensionError is geometry.DimensionError
+        assert issubclass(geometry.DimensionError, ValueError)
+        with pytest.raises(geometry.DimensionError):
+            functionals.segment_mw_coeff(1)
+        # the batch kernel works out c_{n-1} from the shape
+        with pytest.raises(geometry.DimensionError):
+            functionals.shadow_batch(np.array([[0.6, 0.8]]))
+        with pytest.raises(geometry.DimensionError):
+            moments.mc_estimate(2, 10, seed=1)
+        with pytest.raises(geometry.DimensionError):
+            moments.verify_report(2, 10, seed=1)
+
 
 class TestExtremes:
     def test_n4_table(self):
@@ -150,6 +163,26 @@ def hypot_kernel_reference(x, coeff):
     return {"vl": np.abs(x).sum(axis=1), "ar": 2.0 * ar, "mw": mw}
 
 
+def scalar_volume(u):
+    """sum_j |u_j|, one direction at a time."""
+    return float(np.sum(np.abs(u)))
+
+
+def scalar_area(u):
+    """2 sum_{j<k} hypot(u_j, u_k), one direction at a time."""
+    n = len(u)
+    return 2.0 * sum(math.hypot(u[j], u[k])
+                     for j in range(n) for k in range(j + 1, n))
+
+
+def scalar_mean_width(u):
+    """c_{n-1} sum_j sqrt of the sum of the other squares, as a matrix
+    product (1 - I) u^2."""
+    n = len(u)
+    return functionals.segment_mw_coeff(n - 1) * float(
+        np.sum(np.sqrt((1.0 - np.eye(n)) @ (u * u))))
+
+
 def special_directions(n):
     """Zeros, repeated coordinates and |u_j| -> 1, normalised."""
     rows = [np.eye(n)[0], np.ones(n), np.r_[1.0, 1.0, np.zeros(n - 2)],
@@ -165,38 +198,48 @@ def special_directions(n):
 class TestShadowKernel:
     @pytest.mark.parametrize("n", [3, 4, 6, 12])
     def test_matches_scalar_functionals(self, n):
+        # against the scalar loops the kernel replaced, kept as references
         rng = geometry.stream(17, n)
         x = np.vstack([geometry.sample_unit_vectors(n, 200, rng),
                        special_directions(n)])
-        coeff = functionals.segment_mw_coeff(n - 1)
         with np.errstate(all="raise"):
-            q = moments._shadow_quantities(x, coeff)
+            q = functionals.shadow_batch(x)
             for i, u in enumerate(x):
                 assert q["vl"][i] == pytest.approx(
-                    functionals.shadow_volume(u), rel=1e-14, abs=0.0)
+                    scalar_volume(u), rel=1e-14, abs=0.0)
                 assert q["ar"][i] == pytest.approx(
-                    functionals.shadow_area(u), rel=1e-14, abs=0.0)
+                    scalar_area(u), rel=1e-14, abs=0.0)
                 assert q["mw"][i] == pytest.approx(
-                    functionals.shadow_mean_width(u), rel=1e-14, abs=0.0)
+                    scalar_mean_width(u), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n", [3, 4, 12])
+    def test_scalar_is_batch_of_one(self, n):
+        x = np.vstack([geometry.sample_unit_vectors(n, 20, geometry.stream(18, n)),
+                       special_directions(n)])
+        q = functionals.shadow_batch(x)
+        for i, u in enumerate(x):
+            f = functionals.shadow_functionals(u)
+            assert (f.vl, f.ar, f.mw) == (q["vl"][i], q["ar"][i], q["mw"][i])
+            assert functionals.shadow_volume(u) == q["vl"][i]
+            assert functionals.shadow_area(u) == q["ar"][i]
+            assert functionals.shadow_mean_width(u) == q["mw"][i]
 
     def test_near_axis_mean_width(self):
         # At a tilt of 1e-8 from an axis, 1 - u_0^2 cancels to a few digits;
         # the sum of the other squares does not.
         u = np.array([1.0, 1e-8, 0.0, 0.0])
         x = (u / np.linalg.norm(u))[None, :]
-        coeff = functionals.segment_mw_coeff(3)
-        scalar = functionals.shadow_mean_width(x[0])
-        old = hypot_kernel_reference(x, coeff)["mw"][0]
-        assert abs(old - scalar) > 1e-12
-        assert moments._shadow_quantities(x, coeff)["mw"][0] == pytest.approx(
-            scalar, rel=1e-15, abs=0.0)
+        reference = scalar_mean_width(x[0])
+        old = hypot_kernel_reference(x, functionals.segment_mw_coeff(3))["mw"][0]
+        assert abs(old - reference) > 1e-12
+        assert functionals.shadow_batch(x)["mw"][0] == pytest.approx(
+            reference, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("n", [4, 12])
     def test_hypot_reference_agrees(self, n):
         x = geometry.sample_unit_vectors(n, 1000, geometry.stream(3, n))
-        coeff = functionals.segment_mw_coeff(n - 1)
-        new = moments._shadow_quantities(x, coeff)
-        old = hypot_kernel_reference(x, coeff)
+        new = functionals.shadow_batch(x)
+        old = hypot_kernel_reference(x, functionals.segment_mw_coeff(n - 1))
         assert np.array_equal(new["vl"], old["vl"])
         for q in ("ar", "mw"):
             np.testing.assert_allclose(new[q], old[q], rtol=1e-14, atol=0.0)
@@ -232,7 +275,38 @@ class TestAccumulate:
         assert sum(s["count"] for s in stats) == len(values)
 
 
+def octagon_chunk_reference(g, u):
+    """One chunk of mc_octagon as it was: v completed from g, the perimeter
+    from sqrt(clip(1 - u_j^2 - v_j^2)) and the area as a loop over the
+    minors."""
+    v = g - (g * u).sum(axis=1, keepdims=True) * u
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    per = 2.0 * np.sqrt(np.clip(1.0 - u * u - v * v, 0.0, None)).sum(axis=1)
+    area = np.zeros(len(u))
+    for j in range(4):
+        for k in range(j + 1, 4):
+            area += np.abs(u[:, j] * v[:, k] - u[:, k] * v[:, j])
+    return v, per, area
+
+
 class TestMcOctagon:
+    def test_matches_chunk_reference(self):
+        m = moments.CHUNK
+        rng = geometry.stream(9, 0)
+        u = geometry.sample_unit_vectors(4, m, rng)
+        g = rng.standard_normal((m, 4))
+        v_ref, per_ref, area_ref = octagon_chunk_reference(g, u)
+        v = geometry.complete_pairs(u, g)
+        assert np.array_equal(v, v_ref)
+        per, area = functionals.octagon_batch(u, v)
+        assert np.array_equal(area, area_ref)
+        # the clip form is off by about 2.2e-16 / sqrt(1 - u_j^2 - v_j^2),
+        # 1e-13 at this chunk's smallest value, 3e-6
+        np.testing.assert_allclose(per, per_ref, rtol=0.0, atol=1e-12)
+        mc = moments.mc_octagon(m, seed=9)
+        assert mc.extremes_observed["area"] == (area_ref.min(), area_ref.max())
+        assert mc.extremes_observed["perimeter"] == (per.min(), per.max())
+
     def test_determinism_across_threads(self):
         a = moments.mc_octagon(200_000, seed=9, threads=1)
         b = moments.mc_octagon(200_000, seed=9, threads=4)

@@ -1,0 +1,83 @@
+"""Property tests of the octagon kernel on degenerate and near-degenerate
+orthonormal pairs of the 4-cube's rank-2 shadow.
+
+Each drawn pair (u, v) is checked against the 2D hull of the projected
+vertices: `octagon_batch`'s perimeter and area must match the hull's, and
+both must lie in their ranges, [4, 4 sqrt(2)] and [1, 1 + sqrt(2)].
+
+v is a combination of the orthonormal basis of u's complement
+(-y, x, -w, z), (-z, w, x, -y), (-w, -z, y, x), so zeros and repeated
+magnitudes of u carry over to v, and a u tilted from an axis gives a v
+tilted from another axis.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubeshadow import functionals
+
+HULL_TOL = 1e-12
+RANGE_TOL = 1e-12
+
+magnitudes = st.floats(min_value=-16.0, max_value=0.0).map(lambda t: 10.0 ** t)
+
+
+def signed(n):
+    return st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)
+
+
+@st.composite
+def repeated(draw, n):
+    """n values from a pool of at most three magnitudes, zero included,
+    not all zero."""
+    pool = draw(st.lists(st.just(0.0) | magnitudes, min_size=1, max_size=3))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+                 .filter(lambda p: any(p)))
+    return np.array(picks) * np.array(draw(signed(n)))
+
+
+@st.composite
+def tilted_axis(draw, n):
+    """An axis e_j of R^n tilted by 10^-100 .. 10^-4."""
+    eps = 10.0 ** draw(st.floats(min_value=-100.0, max_value=-4.0))
+    tilt = draw(st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1))
+    u = np.insert(eps * np.array(tilt), draw(st.integers(0, n - 1)), 1.0)
+    return u * np.array(draw(signed(n)))
+
+
+def pair(u, weights):
+    u = u / np.linalg.norm(u)
+    x, y, z, w = u
+    basis = np.array([[-y, x, -w, z], [-z, w, x, -y], [-w, -z, y, x]])
+    return u, weights @ basis / np.linalg.norm(weights)
+
+
+def check_pair(u, v):
+    per, area = functionals.octagon_batch(u[None, :], v[None, :])
+    hull_area, hull_per = functionals.octagon_hull_measures(u, v)
+    assert abs(per[0] - hull_per) < HULL_TOL
+    assert abs(area[0] - hull_area) < HULL_TOL
+    assert 4.0 - RANGE_TOL <= per[0] <= 4.0 * math.sqrt(2.0) + RANGE_TOL
+    assert 1.0 - RANGE_TOL <= area[0] <= 1.0 + math.sqrt(2.0) + RANGE_TOL
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(repeated(4), repeated(3))
+def test_zeros_and_repeated_coordinates(u, weights):
+    check_pair(*pair(u, weights))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tilted_axis(4), repeated(3))
+def test_tilted_from_an_axis(u, weights):
+    check_pair(*pair(u, weights))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tilted_axis(4), tilted_axis(3))
+def test_both_tilted_from_axes(u, weights):
+    # v is one complement vector of u tilted towards the other two
+    check_pair(*pair(u, weights))
