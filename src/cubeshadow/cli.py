@@ -1,7 +1,13 @@
 """Command-line front end.
 
 Subcommands: moments, verify, constants, octagon, hull-dump.  Exit codes:
-0 success, 1 numeric verification failure, 2 usage error.
+0 success, 1 numeric verification failure, 2 usage error (--samples below 1
+included).
+
+Each command builds its result once, as three things: a JSON payload, a
+list of row dicts and text lines.  `_write` picks one by --format.  The CSV
+header is the keys of the first row; a string cell is written as it is and
+any other value by repr, so every float round-trips.
 """
 
 from __future__ import annotations
@@ -23,34 +29,48 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write(args, payload: dict, rows: list[dict], text: list[str],
+           note: str | None = None) -> None:
+    """Write a command's result in --format to --out or stdout.
+
+    `note` goes to stderr in json and csv, which carry no verdict line.
+    """
+    if args.format == "json":
+        out = moments.json_text(payload)
+    elif args.format == "csv":
+        out = "".join(",".join(c if isinstance(c, str) else repr(c)
+                               for c in cells) + "\n"
+                      for cells in [rows[0].keys(), *map(dict.values, rows)])
+    else:
+        out, note = "\n".join(text) + "\n", None
+    _emit(out, args.out)
+    if note:
+        print(note, file=sys.stderr)
+
+
+def _value_rows(values: dict) -> list[dict]:
+    return [{"name": k, "value": v} for k, v in values.items()
+            if isinstance(v, (int, float))]
+
+
+_VALUE_LINE = "  {name:12s} {value!r}"
+
+
 def cmd_moments(args) -> int:
     table = moments.closed_form_table(args.n)
     payload = {"spec_version": SPEC_VERSION, "moments": table.as_dict()}
+    rows = _value_rows(payload["moments"])
+    text = [f"closed-form moments, n={args.n}",
+            *map(_VALUE_LINE.format_map, rows),
+            f"  zeta source: {table.zeta_source}"]
+    text += [f"  {name} range   [{lo!r}, {hi!r}]"
+             for name, (lo, hi) in table.extremes.items()]
     if args.n == 4:
         payload["joint"] = moments.joint_moment_table().as_dict()
-    if args.format == "json":
-        _emit(moments.json_text(payload), args.out)
-    elif args.format == "csv":
-        lines = ["name,value"]
-        for key, value in table.as_dict().items():
-            if isinstance(value, (int, float)):
-                lines.append(f"{key},{value!r}")
-        if args.n == 4:
-            for key, value in moments.joint_moment_table().as_dict().items():
-                lines.append(f"{key},{value!r}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = [f"closed-form moments, n={args.n}"]
-        for key, value in table.as_dict().items():
-            if isinstance(value, (int, float)):
-                lines.append(f"  {key:12s} {value!r}")
-        lines.append(f"  zeta source: {table.zeta_source}")
-        for name, (lo, hi) in table.extremes.items():
-            lines.append(f"  {name} range   [{lo!r}, {hi!r}]")
-        if args.n == 4:
-            for key, value in moments.joint_moment_table().as_dict().items():
-                lines.append(f"  {key:12s} {value!r}")
-        _emit("\n".join(lines) + "\n", args.out)
+        joint = _value_rows(payload["joint"])
+        rows += joint
+        text += map(_VALUE_LINE.format_map, joint)
+    _write(args, payload, rows, text)
     return 0
 
 
@@ -61,27 +81,20 @@ def cmd_verify(args) -> int:
     else:
         report = moments.verify_report(args.n, args.samples, args.seed,
                                        threads=args.threads)
-    if args.format == "json":
-        _emit(report.to_json(), args.out)
-    elif args.format == "csv":
-        _emit(report.to_csv(), args.out)
-    else:
-        lines = [f"verify n={report.n} samples={report.samples} seed={report.seed}"]
-        for r in report.rows:
-            status = "PASS" if r.passed else "FAIL"
-            lines.append(f"  {r.name:12s} closed={r.closed_form:<20.15g} "
-                         f"est={r.estimate:<20.15g} z={r.z:+.2f} {status}")
-        if report.hull_pass_rate is not None:
-            lines.append(f"  hull cross-check pass rate {report.hull_pass_rate:.3f}"
-                         f" (max dev {report.hull_max_deviation:.3g})")
-        lines.append("PASS" if report.passed else "FAIL")
-        _emit("\n".join(lines) + "\n", args.out)
-    if not report.passed:
-        if args.format != "text":
-            failing = [r.name for r in report.rows if not r.passed]
-            print(f"FAIL rows: {failing}", file=sys.stderr)
-        return 1
-    return 0
+    payload = report.as_dict()
+    text = [f"verify n={report.n} samples={report.samples} seed={report.seed}"]
+    for r in report.rows:
+        text.append(f"  {r.name:12s} closed={r.closed_form:<20.15g} "
+                    f"est={r.estimate:<20.15g} z={r.z:+.2f} "
+                    f"{'PASS' if r.passed else 'FAIL'}")
+    if report.hull_pass_rate is not None:
+        text.append(f"  hull cross-check pass rate {report.hull_pass_rate:.3f}"
+                    f" (max dev {report.hull_max_deviation:.3g})")
+    text.append("PASS" if report.passed else "FAIL")
+    failing = [r.name for r in report.rows if not r.passed]
+    _write(args, payload, payload["rows"], text,
+           note=None if report.passed else f"FAIL rows: {failing}")
+    return 0 if report.passed else 1
 
 
 def _constants_entries(which: str) -> list[tuple[str, float, float]]:
@@ -111,34 +124,19 @@ def _constants_entries(which: str) -> list[tuple[str, float, float]]:
 
 
 def cmd_constants(args) -> int:
-    entries = _constants_entries(args.which)
     rows = []
-    ok = True
-    for name, computed, target in entries:
+    for name, computed, target in _constants_entries(args.which):
         disc = abs(computed - target)
-        passed = disc <= args.tol
-        ok = ok and passed
         rows.append({"name": name, "computed": computed, "target": target,
-                     "discrepancy": disc, "pass": passed})
-    if args.format == "json":
-        _emit(moments.json_text({"spec_version": SPEC_VERSION,
-                                 "tolerance": args.tol, "rows": rows,
-                                 "pass": ok}), args.out)
-    elif args.format == "csv":
-        lines = ["name,computed,target,discrepancy,pass"]
-        for r in rows:
-            lines.append(f"{r['name']},{r['computed']!r},{r['target']!r},"
-                         f"{r['discrepancy']!r},{r['pass']}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = []
-        for r in rows:
-            status = "PASS" if r["pass"] else "FAIL"
-            lines.append(f"  {r['name']:24s} computed={r['computed']:<22.16g}"
-                         f" target={r['target']:<22.16g}"
-                         f" disc={r['discrepancy']:.3g} {status}")
-        lines.append("PASS" if ok else "FAIL")
-        _emit("\n".join(lines) + "\n", args.out)
+                     "discrepancy": disc, "pass": disc <= args.tol})
+    ok = all(r["pass"] for r in rows)
+    text = [f"  {r['name']:24s} computed={r['computed']:<22.16g}"
+            f" target={r['target']:<22.16g}"
+            f" disc={r['discrepancy']:.3g} {'PASS' if r['pass'] else 'FAIL'}"
+            for r in rows]
+    text.append("PASS" if ok else "FAIL")
+    _write(args, {"spec_version": SPEC_VERSION, "tolerance": args.tol,
+                  "rows": rows, "pass": ok}, rows, text)
     return 0 if ok else 1
 
 
@@ -149,6 +147,16 @@ def cmd_hull_dump(args) -> int:
         geometry.project_vertices(geometry.build_frame(u)))
     _emit(hull.to_off(mesh), args.out)
     return 0
+
+
+def _sample_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:  # argparse's own wording for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="text")
         p.add_argument("--out", default=None, help="write output to a file")
         if samples:
-            p.add_argument("--samples", type=int, default=100_000)
+            p.add_argument("--samples", type=_sample_count, default=100_000)
             p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("moments", help="closed-form moment tables")
@@ -181,8 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("octagon", help="rank-2 octagon verification")
     common(p)
-    p.set_defaults(func=lambda a: cmd_verify(
-        argparse.Namespace(**{**vars(a), "octagon": True, "n": 4})))
+    p.set_defaults(func=cmd_verify, octagon=True, n=4)
 
     p = sub.add_parser("constants", help="analytic-constant quadrature suites")
     p.add_argument("--which",

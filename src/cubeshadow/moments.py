@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,19 +58,13 @@ class MomentTable:
     e_ar: float
     e_ar2: float
     e_mw: float
-    e_mw2: float | None
     zeta_used: float
     zeta_source: str
     extremes: dict
+    e_mw2: float | None  # last: the CLI's csv and text rows keep field order
 
     def as_dict(self) -> dict:
-        d = {"n": self.n, "e_vl": self.e_vl, "e_vl2": self.e_vl2,
-             "e_ar": self.e_ar, "e_ar2": self.e_ar2, "e_mw": self.e_mw,
-             "zeta_used": self.zeta_used, "zeta_source": self.zeta_source,
-             "extremes": self.extremes}
-        if self.e_mw2 is not None:
-            d["e_mw2"] = self.e_mw2
-        return d
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _gamma_ratio(n: int) -> float:
@@ -131,9 +125,7 @@ class JointMoments:
     corr_ar_mw: float
 
     def as_dict(self) -> dict:
-        return dict(e_vl_ar=self.e_vl_ar, e_vl_mw=self.e_vl_mw,
-                    e_ar_mw=self.e_ar_mw, corr_vl_ar=self.corr_vl_ar,
-                    corr_vl_mw=self.corr_vl_mw, corr_ar_mw=self.corr_ar_mw)
+        return asdict(self)
 
 
 def joint_moment_table() -> JointMoments:
@@ -222,6 +214,8 @@ def _accumulate(per_chunk: list[dict], samples: int, seed: int) -> McResult:
 
 
 def _run_chunked(worker, samples: int, seed: int, threads: int) -> McResult:
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     bounds = _chunk_bounds(samples)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -237,8 +231,6 @@ def mc_estimate(n: int, samples: int, seed: int, threads: int = 1) -> McResult:
     Estimates all nine first/second/joint moments with standard errors,
     plus observed extremes.  Deterministic for fixed (seed, samples).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
 
     def worker(bound):
         index, start, stop = bound
@@ -265,8 +257,6 @@ def mc_octagon(samples: int, seed: int, threads: int = 1) -> McResult:
     (cross-checked against the 2D hull oracle in `octagon_report` and the
     test suite).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
 
     def worker(bound):
         index, start, stop = bound
@@ -319,9 +309,7 @@ class VerifyReport:
             "n": self.n,
             "samples": self.samples,
             "seed": self.seed,
-            "rows": [{"name": r.name, "closed_form": r.closed_form,
-                      "estimate": r.estimate, "stderr": r.stderr, "z": r.z}
-                     for r in self.rows],
+            "rows": [asdict(r) for r in self.rows],
             "pass": self.passed,
         }
         if self.hull_pass_rate is not None:
@@ -332,30 +320,16 @@ class VerifyReport:
                                       in self.extremes_observed.items()}
         return d
 
-    def to_json(self) -> str:
-        return json_text(self.as_dict())
-
-    def to_csv(self) -> str:
-        lines = ["name,closed_form,estimate,stderr,z"]
-        for r in self.rows:
-            lines.append(f"{r.name},{r.closed_form!r},{r.estimate!r},"
-                         f"{r.stderr!r},{r.z!r}")
-        return "\n".join(lines) + "\n"
-
 
 def closed_form_targets(n: int) -> dict:
-    """Closed-form value for every MC quantity available at dimension n."""
-    table = closed_form_table(n)
-    targets = {"vl": table.e_vl, "vl2": table.e_vl2, "ar": table.e_ar,
-               "ar2": table.e_ar2, "mw": table.e_mw}
-    if table.e_mw2 is not None:
-        targets["mw2"] = table.e_mw2
+    """Closed-form value for every MC quantity available at dimension n.
+
+    The table field e_<name> is the target of the MC quantity <name>.
+    """
+    fields = closed_form_table(n).as_dict()
     if n == 4:
-        joints = joint_moment_table()
-        targets["vl_ar"] = joints.e_vl_ar
-        targets["vl_mw"] = joints.e_vl_mw
-        targets["ar_mw"] = joints.e_ar_mw
-    return targets
+        fields.update(joint_moment_table().as_dict())
+    return {k[2:]: v for k, v in fields.items() if k.startswith("e_")}
 
 
 def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:

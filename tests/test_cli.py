@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cubeshadow
-from cubeshadow import cli
+from cubeshadow import cli, moments
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +83,15 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--n", "2")
         assert code == 2
         assert "error" in err
+
+    def test_csv_shape(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--n", "3", "--samples",
+                               "70000", "--seed", "5", "--format", "csv")
+        rep = moments.verify_report(3, 70_000, seed=5, hull_samples=0)
+        lines = out.strip().split("\n")
+        assert code == 0
+        assert lines[0] == "name,closed_form,estimate,stderr,z"
+        assert len(lines) == 1 + len(rep.rows)
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--samples", "100000",
@@ -202,3 +212,213 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["verify", "--samples", "0"],
+                                      ["verify", "--samples", "-3"],
+                                      ["octagon", "--samples", "0"],
+                                      ["octagon", "--samples", "-3"]])
+    def test_samples_below_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "argument --samples: must be >= 1" in capsys.readouterr().err
+
+    def test_samples_not_an_int(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--samples", "1.5"])
+        assert exc.value.code == 2
+        assert ("argument --samples: invalid int value: '1.5'"
+                in capsys.readouterr().err)
+
+
+# ---------------------------------------------------------------------------
+# Reference renderers: the per-command json/csv/text bodies of the CLI, and
+# the report's as_dict/to_json/to_csv, as they were before every command
+# went through one writer.  Each takes the parsed arguments and the library
+# result and returns (exit code, stdout, stderr).
+
+def reference_json(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def reference_table_dict(t):
+    d = {"n": t.n, "e_vl": t.e_vl, "e_vl2": t.e_vl2,
+         "e_ar": t.e_ar, "e_ar2": t.e_ar2, "e_mw": t.e_mw,
+         "zeta_used": t.zeta_used, "zeta_source": t.zeta_source,
+         "extremes": t.extremes}
+    if t.e_mw2 is not None:
+        d["e_mw2"] = t.e_mw2
+    return d
+
+
+def reference_joint_dict(j):
+    return dict(e_vl_ar=j.e_vl_ar, e_vl_mw=j.e_vl_mw,
+                e_ar_mw=j.e_ar_mw, corr_vl_ar=j.corr_vl_ar,
+                corr_vl_mw=j.corr_vl_mw, corr_ar_mw=j.corr_ar_mw)
+
+
+def reference_moments(args, result):
+    table, joint = result
+    if args.format == "json":
+        payload = {"spec_version": cli.SPEC_VERSION,
+                   "moments": reference_table_dict(table)}
+        if args.n == 4:
+            payload["joint"] = reference_joint_dict(joint)
+        return 0, reference_json(payload), ""
+    elif args.format == "csv":
+        lines = ["name,value"]
+        for key, value in reference_table_dict(table).items():
+            if isinstance(value, (int, float)):
+                lines.append(f"{key},{value!r}")
+        if args.n == 4:
+            for key, value in reference_joint_dict(joint).items():
+                lines.append(f"{key},{value!r}")
+    else:
+        lines = [f"closed-form moments, n={args.n}"]
+        for key, value in reference_table_dict(table).items():
+            if isinstance(value, (int, float)):
+                lines.append(f"  {key:12s} {value!r}")
+        lines.append(f"  zeta source: {table.zeta_source}")
+        for name, (lo, hi) in table.extremes.items():
+            lines.append(f"  {name} range   [{lo!r}, {hi!r}]")
+        if args.n == 4:
+            for key, value in reference_joint_dict(joint).items():
+                lines.append(f"  {key:12s} {value!r}")
+    return 0, "\n".join(lines) + "\n", ""
+
+
+def reference_report_dict(report):
+    d = {
+        "spec_version": moments.SPEC_VERSION,
+        "n": report.n,
+        "samples": report.samples,
+        "seed": report.seed,
+        "rows": [{"name": r.name, "closed_form": r.closed_form,
+                  "estimate": r.estimate, "stderr": r.stderr, "z": r.z}
+                 for r in report.rows],
+        "pass": report.passed,
+    }
+    if report.hull_pass_rate is not None:
+        d["hull_pass_rate"] = report.hull_pass_rate
+        d["hull_max_deviation"] = report.hull_max_deviation
+    if report.extremes_observed:
+        d["extremes_observed"] = {k: list(v) for k, v
+                                  in report.extremes_observed.items()}
+    return d
+
+
+def reference_verify(args, report):
+    if args.format == "json":
+        out = reference_json(reference_report_dict(report))
+    elif args.format == "csv":
+        lines = ["name,closed_form,estimate,stderr,z"]
+        for r in report.rows:
+            lines.append(f"{r.name},{r.closed_form!r},{r.estimate!r},"
+                         f"{r.stderr!r},{r.z!r}")
+        out = "\n".join(lines) + "\n"
+    else:
+        lines = [f"verify n={report.n} samples={report.samples} "
+                 f"seed={report.seed}"]
+        for r in report.rows:
+            status = "PASS" if r.passed else "FAIL"
+            lines.append(f"  {r.name:12s} closed={r.closed_form:<20.15g} "
+                         f"est={r.estimate:<20.15g} z={r.z:+.2f} {status}")
+        if report.hull_pass_rate is not None:
+            lines.append(f"  hull cross-check pass rate "
+                         f"{report.hull_pass_rate:.3f}"
+                         f" (max dev {report.hull_max_deviation:.3g})")
+        lines.append("PASS" if report.passed else "FAIL")
+        out = "\n".join(lines) + "\n"
+    err = ""
+    if not report.passed:
+        if args.format != "text":
+            failing = [r.name for r in report.rows if not r.passed]
+            err = f"FAIL rows: {failing}\n"
+        return 1, out, err
+    return 0, out, err
+
+
+def reference_constants(args, entries):
+    rows = []
+    ok = True
+    for name, computed, target in entries:
+        disc = abs(computed - target)
+        passed = disc <= args.tol
+        ok = ok and passed
+        rows.append({"name": name, "computed": computed, "target": target,
+                     "discrepancy": disc, "pass": passed})
+    if args.format == "json":
+        out = reference_json({"spec_version": cli.SPEC_VERSION,
+                              "tolerance": args.tol, "rows": rows,
+                              "pass": ok})
+    elif args.format == "csv":
+        lines = ["name,computed,target,discrepancy,pass"]
+        for r in rows:
+            lines.append(f"{r['name']},{r['computed']!r},{r['target']!r},"
+                         f"{r['discrepancy']!r},{r['pass']}")
+        out = "\n".join(lines) + "\n"
+    else:
+        lines = []
+        for r in rows:
+            status = "PASS" if r["pass"] else "FAIL"
+            lines.append(f"  {r['name']:24s} computed={r['computed']:<22.16g}"
+                         f" target={r['target']:<22.16g}"
+                         f" disc={r['discrepancy']:.3g} {status}")
+        lines.append("PASS" if ok else "FAIL")
+        out = "\n".join(lines) + "\n"
+    return (0 if ok else 1), out, ""
+
+
+REFERENCES = {"moments": reference_moments, "verify": reference_verify,
+              "constants": reference_constants}
+
+
+@functools.lru_cache(maxsize=None)
+def library_result(argv):
+    """The library result a command renders; one per command line."""
+    args = cli.build_parser().parse_args(list(argv))
+    if args.command == "moments":
+        return (moments.closed_form_table(args.n),
+                moments.joint_moment_table() if args.n == 4 else None)
+    if args.command == "constants":
+        return cli._constants_entries(args.which)
+    if args.octagon:
+        return moments.octagon_report(args.samples, args.seed)
+    return moments.verify_report(args.n, args.samples, args.seed)
+
+
+def reference_output(argv):
+    args = cli.build_parser().parse_args(argv)
+    return REFERENCES[args.command](args, library_result(tuple(argv[:-2])))
+
+
+REFERENCE_CASES = [
+    ("moments", "--n", "3"),
+    ("moments", "--n", "4"),
+    ("moments", "--n", "5"),
+    ("moments", "--n", "6"),
+    ("constants", "--which", "zeta3"),
+    ("constants", "--which", "pi128"),
+    ("constants", "--which", "zeta4", "--tol", "1e-18"),  # FAIL, exit 1
+    ("verify", "--n", "3", "--samples", "20000", "--seed", "5"),
+    ("verify", "--n", "4", "--samples", "20000", "--seed", "5"),
+    ("verify", "--n", "3", "--samples", "1", "--seed", "5"),  # z = inf: FAIL
+    ("verify", "--octagon", "--samples", "20000", "--seed", "214"),
+]
+
+
+class TestReferenceRenderer:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("case", REFERENCE_CASES, ids=" ".join)
+    def test_same_bytes(self, capsys, case, fmt):
+        argv = [*case, "--format", fmt]
+        assert run_cli(capsys, *argv) == reference_output(argv)
+
+    def test_out_file(self, capsys, tmp_path):
+        path = tmp_path / "constants.csv"
+        case = ("constants", "--which", "zeta4", "--tol", "1e-18")
+        code, out, err = run_cli(capsys, *case, "--out", str(path),
+                                 "--format", "csv")
+        assert out == ""
+        assert (code, path.read_text(), err) == reference_output(
+            [*case, "--format", "csv"])
