@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: moments, verify, constants, octagon, hull-dump.  Exit codes:
-0 success, 1 numeric verification failure, 2 usage error (--samples below 1
-included).
+0 success, 1 numeric verification failure, 2 usage error (--samples or
+--threads below 1 included).  --seed is taken only by the commands it
+drives (verify, octagon, hull-dump), and --format only by those with more
+than one output format (all but hull-dump, which writes OFF text).
 
 Each command builds its result once, as three things: a JSON payload, a
 list of row dicts and text lines.  `_write` picks one by --format.  The CSV
@@ -117,9 +119,12 @@ def _constants_entries(which: str) -> list[tuple[str, float, float]]:
         entries.append(("pi128_third", suite.third.value, pi / 192.0))
         entries.append(("pi128_combination", suite.combination, pi / 128.0))
     if which in ("moments", "all"):
-        for entry in quad.moment_integral_suite():
-            entries.append((f"integral_{entry.name}", entry.numeric.value,
-                            entry.closed_form))
+        targets = moments.closed_form_targets(4)
+        targets.update(mw2_3cube=moments.closed_form_table(3).e_mw2,
+                       mw2_5cube=moments.closed_form_table(5).e_mw2)
+        for name, result in quad.moment_integral_suite().items():
+            entries.append((f"integral_{name}", result.value,
+                            targets[name.removeprefix("e_")]))
     return entries
 
 
@@ -149,7 +154,7 @@ def cmd_hull_dump(args) -> int:
     return 0
 
 
-def _sample_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:  # argparse's own wording for type=int
@@ -159,6 +164,16 @@ def _sample_count(text: str) -> int:
     return value
 
 
+_OPTIONS = {
+    "--seed": {"type": int, "default": 1},
+    "--format": {"choices": ["json", "csv", "text"], "default": "text"},
+    "--out": {"default": None, "help": "write output to a file"},
+    "--samples": {"type": _positive_int, "default": 100_000},
+    "--threads": {"type": _positive_int, "default": 1},
+}
+_MONTE_CARLO = ("--seed", "--format", "--out", "--samples", "--threads")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubeshadow",
@@ -166,29 +181,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "analytic constants and Monte Carlo verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples=True):
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--format", choices=["json", "csv", "text"],
-                       default="text")
-        p.add_argument("--out", default=None, help="write output to a file")
-        if samples:
-            p.add_argument("--samples", type=_sample_count, default=100_000)
-            p.add_argument("--threads", type=int, default=1)
+    def options(p, *names):
+        for name in names:
+            p.add_argument(name, **_OPTIONS[name])
 
     p = sub.add_parser("moments", help="closed-form moment tables")
     p.add_argument("--n", type=int, default=4)
-    common(p, samples=False)
+    options(p, "--format", "--out")
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("verify", help="Monte Carlo vs closed forms")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--octagon", action="store_true",
                    help="verify the rank-2 octagon instead")
-    common(p)
+    options(p, *_MONTE_CARLO)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("octagon", help="rank-2 octagon verification")
-    common(p)
+    options(p, *_MONTE_CARLO)
     p.set_defaults(func=cmd_verify, octagon=True, n=4)
 
     p = sub.add_parser("constants", help="analytic-constant quadrature suites")
@@ -196,11 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["zeta3", "zeta4", "zeta5", "pi128", "moments", "all"],
                    default="all")
     p.add_argument("--tol", type=float, default=1e-9)
-    common(p, samples=False)
+    options(p, "--format", "--out")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("hull-dump", help="dump one sampled shadow as OFF text")
-    common(p, samples=False)
+    options(p, "--seed", "--out")
     p.set_defaults(func=cmd_hull_dump)
 
     return parser

@@ -117,23 +117,33 @@ def _affine_rank(points: np.ndarray, tol: float = 1e-9) -> int:
     return int(np.sum(s > tol * scale))
 
 
+def _qhull(points, dim: int) -> tuple[np.ndarray, int, ConvexHull]:
+    """The deduplicated points, their affine rank and their Qhull hull.
+
+    Raises FlatInputError when the deduplicated points are not
+    full-dimensional in R^dim.  `ConvexHull` stays a module global looked
+    up at call time, so a tracer that rebinds `hull.ConvexHull` sees every
+    Qhull call.
+    """
+    pts = _dedup(np.asarray(points, dtype=float), DEDUP_TOL)
+    if len(pts) <= dim:
+        raise FlatInputError(_affine_rank(pts))
+    rank = _affine_rank(pts)
+    if rank < dim:
+        raise FlatInputError(rank)
+    try:
+        return pts, rank, ConvexHull(pts)
+    except QhullError as exc:  # pragma: no cover - rank check catches first
+        raise FlatInputError(rank, str(exc)) from exc
+
+
 def convex_hull_3d(points) -> PolyMesh:
     """Convex hull of a 3D point cloud as a coplanar-merged polygonal mesh.
 
     Raises FlatInputError when the deduplicated cloud is not
     full-dimensional (degenerate projection direction upstream).
     """
-    pts = np.asarray(points, dtype=float)
-    pts = _dedup(pts, DEDUP_TOL)
-    if len(pts) < 4:
-        raise FlatInputError(_affine_rank(pts))
-    rank = _affine_rank(pts)
-    if rank < 3:
-        raise FlatInputError(rank)
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:  # pragma: no cover - rank check catches first
-        raise FlatInputError(rank, str(exc)) from exc
+    pts, rank, hull = _qhull(points, 3)
 
     # A face is a set of equal rows of hull.equations (one Qhull facet),
     # numbered by its first simplex.
@@ -231,17 +241,7 @@ def mesh_measures(mesh: PolyMesh) -> MeshMeasures:
 
 def convex_hull_2d(points) -> Polygon2D:
     """Convex hull of a planar point cloud as a CCW polygon."""
-    pts = np.asarray(points, dtype=float)
-    pts = _dedup(pts, DEDUP_TOL)
-    if len(pts) < 3:
-        raise FlatInputError(_affine_rank(pts))
-    rank = _affine_rank(pts)
-    if rank < 2:
-        raise FlatInputError(rank)
-    try:
-        hull = ConvexHull(pts)
-    except QhullError as exc:  # pragma: no cover
-        raise FlatInputError(rank, str(exc)) from exc
+    pts, _, hull = _qhull(points, 2)
     return Polygon2D(vertices=pts[hull.vertices])  # already CCW
 
 

@@ -98,8 +98,7 @@ def closed_form_table(n: int) -> MomentTable:
     e_ar2 = (4.0 * (n - 1) + (n - 2) * (n - 1) * zeta
              + (n - 3) * (n - 2) * (n - 1) / 2.0 * PI)
     if n == 3:
-        f1 = hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 2.0)
-        e_mw2 = 2.0 / PI**2 * (4.0 + 3.0 * PI * f1)
+        e_mw2 = 2.0 / PI**2 * (4.0 + zeta)  # zeta = 3 pi 3F2(-1/2,1/2,3/2;1,2;1)
     elif n == 4:
         e_mw2 = 3.0 * (0.25 + PI / 8.0 + 1.0 / PI)
     elif n == 5:

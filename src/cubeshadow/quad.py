@@ -13,6 +13,10 @@ theta enters only through sqrt(a sin^2 theta + b), whose integral over
 (evaluated by the AGM), and an integrand free of theta (or of the 5-cube's
 phi_1) integrates to a constant factor.  Each triple integral becomes a
 double one over (phi, psi), and the quadruple one a double one.
+
+The moment suite returns integrals only and holds no closed forms: the
+values they are checked against are those of `moments.closed_form_table`
+and `moments.joint_moment_table`, which `moments` and `verify` print.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from dataclasses import dataclass
 
 from scipy import integrate
 
-from .specfun import (_agm_ke, catalan_const, elliptic_imag, gamma_fn,
-                      hyp3f2_unit)
+from .specfun import _agm_ke, elliptic_imag
 
 HALF_PI = 0.5 * math.pi
 PI = math.pi
@@ -272,77 +275,26 @@ def _ar_mw_reduced(ph: float, ps: float) -> float:
             * _area_terms_reduced(ph, ps) * _dens4(ph, ps))
 
 
-@dataclass(frozen=True)
-class SuiteEntry:
-    name: str
-    numeric: QuadResult
-    closed_form: float
-
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.numeric.value - self.closed_form)
-
-
 def _double(f) -> QuadResult:
     """Integral of f(phi, psi) over [0, pi/2]^2, phi innermost."""
     return _nested(f, [(0.0, HALF_PI)] * 2, (1e-12, 1e-11))
 
 
-def moment_integral_suite(zeta4: float | None = None) -> list[SuiteEntry]:
-    """Evaluate each displayed defining moment integral against its closed form.
+def moment_integral_suite() -> dict[str, QuadResult]:
+    """Evaluate each displayed defining moment integral.
 
     Entries cover E(vl), E(vl^2), E(ar), E(ar^2), E(mw), E(mw^2) for the
     4-cube, the joint moments, and the 2D/4D-analog E(mw^2) integrals
     (the latter via the quadruple I and J integrals).  The theta (and
     phi_1) integrations are done analytically; see the module docstring.
+    The closed forms these integrals equal live in `moments` only.
     """
-    if zeta4 is None:
-        zeta4 = zeta4_quadrature()
-    entries: list[SuiteEntry] = []
-
-    def add(name, result, closed_form):
-        entries.append(SuiteEntry(name=name, numeric=result,
-                                  closed_form=closed_form))
-
     def theta_free(f) -> QuadResult:
         """Triple integral of an integrand f(phi, psi) free of theta."""
         return _scaled(_double(f), HALF_PI)
 
     c = math.cos
     s = math.sin
-
-    add("e_vl",
-        theta_free(lambda ph, ps: 64.0 * c(ps) * _dens4(ph, ps)),
-        16.0 / (3.0 * PI))
-    add("e_vl2",
-        theta_free(lambda ph, ps: (64.0 * c(ps) ** 2
-                                   + 192.0 * c(ph) * s(ps) * c(ps))
-                   * _dens4(ph, ps)),
-        1.0 + 6.0 / PI)
-    add("e_ar",
-        theta_free(lambda ph, ps: 192.0
-                   * math.sqrt(c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
-                   * _dens4(ph, ps)),
-        8.0)
-    add("e_ar2", _double(_ar2_reduced), 12.0 + 6.0 * zeta4 + 3.0 * PI)
-    add("e_mw",
-        theta_free(lambda ph, ps: 32.0 * math.sqrt(1.0 - c(ps) ** 2)
-                   * _dens4(ph, ps)),
-        16.0 / (3.0 * PI))
-    add("e_mw2",
-        theta_free(lambda ph, ps: (16.0 * (1.0 - c(ps) ** 2)
-                                   + 48.0
-                                   * math.sqrt(1.0 - c(ph) ** 2 * s(ps) ** 2)
-                                   * math.sqrt(1.0 - c(ps) ** 2))
-                   * _dens4(ph, ps)),
-        3.0 * (0.25 + PI / 8.0 + 1.0 / PI))
-    add("e_vl_ar", _double(_vl_ar_reduced), 6.0 * (1.0 + 4.0 / PI))
-    add("e_vl_mw",
-        theta_free(lambda ph, ps: (32.0 * c(ps) + 96.0 * c(ph) * s(ps))
-                   * math.sqrt(1.0 - c(ps) ** 2) * _dens4(ph, ps)),
-        9.0 / 4.0 + 2.0 / PI)
-    add("e_ar_mw", _double(_ar_mw_reduced),
-        3.0 * (5.0 + 2.0 * catalan_const()) / PI + 9.0 * PI / 4.0)
 
     # 2D analog (shadow of the 3-cube onto a plane): E(mw^2), a double
     # integral over (theta, phi) whose theta-integral is
@@ -352,10 +304,6 @@ def moment_integral_suite(zeta4: float | None = None) -> list[SuiteEntry]:
         return (24.0 * (1.0 - c(ph) ** 2) * HALF_PI
                 + 48.0 * _theta_sqrt_integral(s(ph) ** 2, c(ph) ** 2)
                 * math.sqrt(1.0 - c(ph) ** 2)) * pref
-
-    f1 = hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 2.0)
-    add("e_mw2_3cube", integrate_1d(mw2_3cube, 0.0, HALF_PI, tol=1e-12),
-        2.0 / PI**2 * (4.0 + 3.0 * PI * f1))
 
     # 4D analog (shadow of the 5-cube): E(mw^2) = 32 (4/(3 pi))^2 (5I + 20J),
     # a quadruple integral over (theta, p1, p2, p3) whose integrand is free
@@ -367,30 +315,27 @@ def moment_integral_suite(zeta4: float | None = None) -> list[SuiteEntry]:
                          * math.sqrt(1.0 - c(p3) ** 2))
         return (i_part + j_part) * 3.0 / (8.0 * PI**2) * s(p2) ** 2 * s(p3) ** 3
 
-    ij = _double(ij_integrand)
-    f2 = hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 3.0)
-    g4 = gamma_fn(0.25)
-    mw2_5 = (4.0 / (81.0 * PI**4)
-             * (144.0 * PI**2 - 10.0 * g4**4
-                + 45.0 * PI**3 * (8.0 * f1 - f2)))
-    add("e_mw2_5cube", _scaled(ij, HALF_PI * 32.0 * (4.0 / (3.0 * PI)) ** 2),
-        mw2_5)
-
-    return entries
-
-
-@dataclass(frozen=True)
-class ZetaReport:
-    zeta3: float
-    zeta4: float
-    zeta5_ratio_check: float
-    discrepancy_34: float
-
-
-def zeta_report() -> ZetaReport:
-    """All three zeta quadratures plus their mutual discrepancies."""
-    z3 = zeta3_quadrature()
-    z4 = zeta4_quadrature()
-    z5 = zeta5_reduction_check()
-    return ZetaReport(zeta3=z3, zeta4=z4, zeta5_ratio_check=z5 / z4,
-                      discrepancy_34=abs(z3 - z4))
+    return {
+        "e_vl": theta_free(lambda ph, ps: 64.0 * c(ps) * _dens4(ph, ps)),
+        "e_vl2": theta_free(lambda ph, ps: (64.0 * c(ps) ** 2
+                                            + 192.0 * c(ph) * s(ps) * c(ps))
+                            * _dens4(ph, ps)),
+        "e_ar": theta_free(lambda ph, ps: 192.0
+                           * math.sqrt(c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
+                           * _dens4(ph, ps)),
+        "e_ar2": _double(_ar2_reduced),
+        "e_mw": theta_free(lambda ph, ps: 32.0 * math.sqrt(1.0 - c(ps) ** 2)
+                           * _dens4(ph, ps)),
+        "e_mw2": theta_free(lambda ph, ps: (
+            16.0 * (1.0 - c(ps) ** 2)
+            + 48.0 * math.sqrt(1.0 - c(ph) ** 2 * s(ps) ** 2)
+            * math.sqrt(1.0 - c(ps) ** 2)) * _dens4(ph, ps)),
+        "e_vl_ar": _double(_vl_ar_reduced),
+        "e_vl_mw": theta_free(lambda ph, ps: (32.0 * c(ps)
+                                              + 96.0 * c(ph) * s(ps))
+                              * math.sqrt(1.0 - c(ps) ** 2) * _dens4(ph, ps)),
+        "e_ar_mw": _double(_ar_mw_reduced),
+        "e_mw2_3cube": integrate_1d(mw2_3cube, 0.0, HALF_PI, tol=1e-12),
+        "e_mw2_5cube": _scaled(_double(ij_integrand),
+                               HALF_PI * 32.0 * (4.0 / (3.0 * PI)) ** 2),
+    }

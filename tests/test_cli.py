@@ -150,6 +150,19 @@ class TestConstants:
         assert len(payload["rows"]) == 11
         assert all(row["pass"] for row in payload["rows"])
 
+    def test_moment_targets_are_the_moments_closed_forms(self):
+        expected = {f"integral_e_{q}": v
+                    for q, v in moments.closed_form_targets(4).items()}
+        expected["integral_e_mw2_3cube"] = moments.closed_form_table(3).e_mw2
+        expected["integral_e_mw2_5cube"] = moments.closed_form_table(5).e_mw2
+        entries = library_result(("constants", "--which", "moments"))
+        assert [name for name, _, _ in entries] == [
+            "integral_e_vl", "integral_e_vl2", "integral_e_ar",
+            "integral_e_ar2", "integral_e_mw", "integral_e_mw2",
+            "integral_e_vl_ar", "integral_e_vl_mw", "integral_e_ar_mw",
+            "integral_e_mw2_3cube", "integral_e_mw2_5cube"]
+        assert {name: target for name, _, target in entries} == expected
+
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--which", "zeta4",
                                "--tol", "1e-18")
@@ -222,6 +235,25 @@ class TestParser:
             cli.main(argv)
         assert exc.value.code == 2
         assert "argument --samples: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["verify", "--threads", "0"],
+                                      ["octagon", "--threads", "-2"]])
+    def test_threads_below_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "argument --threads: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["moments", "--seed", "1"],
+                                      ["constants", "--seed", "1"],
+                                      ["hull-dump", "--format", "json"],
+                                      ["hull-dump", "--format", "csv"]])
+    def test_options_that_do_nothing_are_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in (
+            capsys.readouterr().err)
 
     def test_samples_not_an_int(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -399,6 +431,7 @@ REFERENCE_CASES = [
     ("moments", "--n", "6"),
     ("constants", "--which", "zeta3"),
     ("constants", "--which", "pi128"),
+    ("constants", "--which", "moments"),
     ("constants", "--which", "zeta4", "--tol", "1e-18"),  # FAIL, exit 1
     ("verify", "--n", "3", "--samples", "20000", "--seed", "5"),
     ("verify", "--n", "4", "--samples", "20000", "--seed", "5"),

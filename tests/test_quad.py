@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
-from cubeshadow import quad, specfun
+from cubeshadow import moments, quad, specfun
 
 
 class TestIntegrator:
@@ -158,7 +158,9 @@ class TestZetaQuadratures:
         assert z3 / (3 * math.pi) == pytest.approx(f, abs=1e-10)
 
     def test_zeta5_reduction(self, zeta4):
-        assert quad.zeta5_reduction_check() == pytest.approx(zeta4, abs=1e-9)
+        z5 = quad.zeta5_reduction_check()
+        assert z5 == pytest.approx(zeta4, abs=1e-9)
+        assert z5 / zeta4 == pytest.approx(1.0, rel=1e-10)
 
     @pytest.mark.parametrize("u", [0.3, 1.0, 3.0])
     def test_zeta5_inner_v_identity(self, u):
@@ -171,22 +173,20 @@ class TestZetaQuadratures:
         _, rhs = quad.zeta5_inner_v_identity(u)
         assert rhs * 240.0 * u**14 == pytest.approx(1.0, abs=1e-3)
 
-    def test_zeta_report(self, zeta4):
-        rep = quad.zeta_report()
-        assert rep.zeta4 == pytest.approx(zeta4, abs=1e-12)
-        assert rep.zeta5_ratio_check == pytest.approx(1.0, abs=1e-10)
-        assert rep.discrepancy_34 < 1e-9
-
 
 class TestMomentIntegralSuite:
     def test_every_entry_matches_closed_form(self, moment_suite):
-        for entry in moment_suite:
-            assert entry.discrepancy < max(10 * entry.numeric.error_estimate, 1e-9), entry.name
+        closed = {f"e_{q}": v for q, v in moments.closed_form_targets(4).items()}
+        closed["e_mw2_3cube"] = moments.closed_form_table(3).e_mw2
+        closed["e_mw2_5cube"] = moments.closed_form_table(5).e_mw2
+        assert set(moment_suite) == set(closed)
+        for name, result in moment_suite.items():
+            assert abs(result.value - closed[name]) < max(
+                10 * result.error_estimate, 1e-9), name
 
     def test_key_values(self, moment_suite):
-        by_name = {e.name: e for e in moment_suite}
-        assert by_name["e_vl"].numeric.value == pytest.approx(
+        assert moment_suite["e_vl"].value == pytest.approx(
             1.697652726313550, abs=1e-9)
-        assert by_name["e_ar"].numeric.value == pytest.approx(8.0, abs=1e-9)
-        assert by_name["e_mw2_5cube"].numeric.value == pytest.approx(
+        assert moment_suite["e_ar"].value == pytest.approx(8.0, abs=1e-9)
+        assert moment_suite["e_mw2_5cube"].value == pytest.approx(
             3.516040901689803, abs=1e-9)
