@@ -18,7 +18,7 @@ import argparse
 import math
 import sys
 
-from . import geometry, hull, moments, quad
+from . import geometry, hull, moments, quad, specfun
 
 SPEC_VERSION = moments.SPEC_VERSION
 
@@ -94,24 +94,28 @@ def cmd_verify(args) -> int:
                     f" (max dev {report.hull_max_deviation:.3g})")
     text.append("PASS" if report.passed else "FAIL")
     failing = [r.name for r in report.rows if not r.passed]
-    _write(args, payload, payload["rows"], text,
+    # csv writes z as a float (inf at stderr 0), json as null
+    _write(args, payload, list(map(vars, report.rows)), text,
            note=None if report.passed else f"FAIL rows: {failing}")
     return 0 if report.passed else 1
 
 
 def _constants_entries(which: str) -> list[tuple[str, float, float]]:
-    """(name, computed, target) triples for the requested constant suite."""
+    """(name, computed, target) triples for the requested constant suite.
+
+    Every zeta route is compared with the closed form `moments.ZETA`.
+    """
     entries: list[tuple[str, float, float]] = []
     pi = math.pi
     if which in ("zeta4", "all"):
-        entries.append(("zeta4", quad.zeta4_quadrature(), 7.118558716719735))
+        entries.append(("zeta4", quad.zeta4_quadrature(), moments.ZETA))
     if which in ("zeta3", "all"):
-        z3 = quad.zeta3_quadrature()
-        entries.append(("zeta3_integral", z3, quad.zeta4_quadrature()))
-        entries.append(("zeta3_3f2", moments.zeta_n(3)[0], z3))
+        entries.append(("zeta3_integral", quad.zeta3_quadrature(), moments.ZETA))
+        entries.append(("zeta3_3f2", 3.0 * pi * specfun.hyp3f2_unit(
+            -0.5, 0.5, 1.5, 1.0, 2.0), moments.ZETA))
     if which in ("zeta5", "all"):
         entries.append(("zeta5_reduction", quad.zeta5_reduction_check(),
-                        quad.zeta4_quadrature()))
+                        moments.ZETA))
     if which in ("pi128", "all"):
         suite = quad.pi_over_128_suite()
         entries.append(("pi128_first", suite.first.value, pi / 96.0))

@@ -1,7 +1,8 @@
 """Closed-form moment tables and seeded Monte Carlo confrontation.
 
-Every analytic moment is paired with a simulation estimate; the verify
-report compares them with a |z| < 4 accept rule.  Monte Carlo is chunked
+Every analytic moment is paired with a simulation estimate; both verify
+reports go through one accept rule, `_report`: |z| < 4 on every row, and
+every observed extreme inside its analytic range.  Monte Carlo is chunked
 with one counter-based stream per chunk, so results are bit-identical for
 a fixed (seed, samples) regardless of thread count.
 
@@ -26,28 +27,30 @@ import numpy as np
 
 from . import functionals, geometry, hull
 from .geometry import DimensionError
-from .quad import zeta4_quadrature
 from .specfun import catalan_const, gamma_fn, hyp3f2_unit
 
 PI = math.pi
 CHUNK = 1 << 16
-SPEC_VERSION = "1.0"
+SPEC_VERSION = "1.1"
 
 MOMENT_NAMES = ("vl", "ar", "mw", "vl2", "ar2", "mw2",
                 "vl_ar", "vl_mw", "ar_mw")
 
-
-def zeta_n(n: int) -> tuple[float, str]:
-    """The constant in E(ar^2) for cube dimension n, with its provenance.
-
-    n = 3 has the hypergeometric closed form; n >= 4 uses the zeta_4
-    quadrature value.  Equality for n not in {4, 5} is numerically
-    supported but conjectural.
-    """
-    if n == 3:
-        return 3.0 * PI * hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 2.0), "3*pi*3F2 closed form"
-    source = "zeta4 quadrature" if n in (4, 5) else "zeta4 quadrature (conjectured equality)"
-    return zeta4_quadrature(), source
+# The constant zeta in E(ar^2) is the same for every n >= 3 (proved).
+# Expanding E(ar^2) at dimension n gives
+# zeta = 4n E[sqrt(u1^2 + u2^2) sqrt(u1^2 + u3^2)].  The marginal of
+# (u1, u2, u3) is R w, with w uniform on S^2 and independent of R, and
+# E[R^2] = 3/n; the integrand is homogeneous of degree 2, so zeta is 12
+# times the S^2-average of sqrt(x^2 + y^2) sqrt(x^2 + z^2), free of n.
+# At n = 3 it is 3 pi 3F2(-1/2, 1/2, 3/2; 1, 2; 1).
+# That 3F2 equals Gamma(1/4)^4/(12 pi^3) + 16 pi/Gamma(1/4)^4 in all of
+# 100 digits (identified by PSLQ, not proved), so
+# zeta = Gamma(1/4)^4/(4 pi^2) + 48 pi^2/Gamma(1/4)^4 = 4K^2/pi + 3 pi/K^2
+# with the singular value K(1/sqrt 2) = Gamma(1/4)^2/(4 sqrt pi) (Borwein
+# and Borwein, Pi and the AGM, 1987).  Written as X/4 + 48/X it rounds
+# correctly; the form above is 1 ulp high.
+_X = (gamma_fn(0.25) ** 2 / PI) ** 2
+ZETA = _X / 4.0 + 48.0 / _X
 
 
 @dataclass(frozen=True)
@@ -91,14 +94,13 @@ def closed_form_table(n: int) -> MomentTable:
     """
     if n < 3:
         raise DimensionError(f"need n >= 3, got {n}")
-    zeta, zeta_source = zeta_n(n)
     e_vl = n / math.sqrt(PI) * _gamma_ratio(n)
     e_vl2 = 1.0 + 2.0 * (n - 1) / PI
     e_ar = math.sqrt(PI) * (n - 1) * n / 2.0 * _gamma_ratio(n)
-    e_ar2 = (4.0 * (n - 1) + (n - 2) * (n - 1) * zeta
+    e_ar2 = (4.0 * (n - 1) + (n - 2) * (n - 1) * ZETA
              + (n - 3) * (n - 2) * (n - 1) / 2.0 * PI)
     if n == 3:
-        e_mw2 = 2.0 / PI**2 * (4.0 + zeta)  # zeta = 3 pi 3F2(-1/2,1/2,3/2;1,2;1)
+        e_mw2 = 2.0 / PI**2 * (4.0 + ZETA)  # ZETA = 3 pi 3F2(-1/2,1/2,3/2;1,2;1)
     elif n == 4:
         e_mw2 = 3.0 * (0.25 + PI / 8.0 + 1.0 / PI)
     elif n == 5:
@@ -110,8 +112,9 @@ def closed_form_table(n: int) -> MomentTable:
     else:
         e_mw2 = None
     return MomentTable(n=n, e_vl=e_vl, e_vl2=e_vl2, e_ar=e_ar, e_ar2=e_ar2,
-                       e_mw=e_vl, e_mw2=e_mw2, zeta_used=zeta,
-                       zeta_source=zeta_source, extremes=extremes_table(n))
+                       e_mw=e_vl, e_mw2=e_mw2, zeta_used=ZETA,
+                       zeta_source="identified to 100 digits",
+                       extremes=extremes_table(n))
 
 
 @dataclass(frozen=True)
@@ -274,8 +277,9 @@ def mc_octagon(samples: int, seed: int, threads: int = 1) -> McResult:
 # verification report
 
 def json_text(obj) -> str:
-    """The byte-stable JSON of every payload: sorted keys, indent 2."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The byte-stable JSON of every payload: sorted keys, indent 2, and
+    strict (a non-finite float raises instead of writing Infinity)."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 @dataclass(frozen=True)
@@ -308,7 +312,9 @@ class VerifyReport:
             "n": self.n,
             "samples": self.samples,
             "seed": self.seed,
-            "rows": [asdict(r) for r in self.rows],
+            # z is infinite when stderr is 0 (one sample); JSON has null
+            "rows": [{**asdict(r), "z": r.z if math.isfinite(r.z) else None}
+                     for r in self.rows],
             "pass": self.passed,
         }
         if self.hull_pass_rate is not None:
@@ -321,14 +327,15 @@ class VerifyReport:
 
 
 def closed_form_targets(n: int) -> dict:
-    """Closed-form value for every MC quantity available at dimension n.
+    """Closed-form value for every MC quantity available at dimension n,
+    in `MOMENT_NAMES` order.
 
     The table field e_<name> is the target of the MC quantity <name>.
     """
     fields = closed_form_table(n).as_dict()
     if n == 4:
         fields.update(joint_moment_table().as_dict())
-    return {k[2:]: v for k, v in fields.items() if k.startswith("e_")}
+    return {q: fields["e_" + q] for q in MOMENT_NAMES if "e_" + q in fields}
 
 
 def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
@@ -360,47 +367,66 @@ def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
     return max_dev, good / samples
 
 
+def _report(n: int, mc: McResult, targets: dict, ranges: dict,
+            hull_check: tuple[float, float] | None) -> VerifyReport:
+    """The one accept rule of `verify`.
+
+    Every target gets a row with z = (estimate - target) / stderr, which
+    passes when |z| < 4; every observed extreme must lie in its analytic
+    range (within 1e-9); and the hull cross-check, when run, must pass on
+    every direction.
+    """
+    rows = []
+    for name, target in targets.items():
+        mean, stderr = mc.estimates[name]
+        z = (mean - target) / stderr if stderr > 0 else math.inf
+        rows.append(ReportRow(name=name, closed_form=target,
+                              estimate=mean, stderr=stderr, z=z))
+    hull_dev, hull_rate = hull_check or (None, None)
+    in_range = all(lo - 1e-9 <= mc.extremes_observed[q][0]
+                   and mc.extremes_observed[q][1] <= hi + 1e-9
+                   for q, (lo, hi) in ranges.items())
+    passed = (all(r.passed for r in rows) and in_range
+              and hull_rate in (None, 1.0))
+    return VerifyReport(n=n, samples=mc.samples, seed=mc.seed, rows=rows,
+                        hull_max_deviation=hull_dev, hull_pass_rate=hull_rate,
+                        passed=passed, extremes_observed=mc.extremes_observed)
+
+
 def verify_report(n: int, samples: int, seed: int, threads: int = 1,
                   hull_samples: int = 1000) -> VerifyReport:
-    """Confront every closed-form moment with Monte Carlo; |z| < 4 rule.
+    """Confront every closed-form moment and extreme with Monte Carlo.
 
     For n = 4 additionally cross-checks hull-derived measures against the
     functionals on `hull_samples` seeded directions.
     """
     targets = closed_form_targets(n)
     mc = mc_estimate(n, samples, seed, threads=threads)
-    rows = []
-    for name in MOMENT_NAMES:
-        if name not in targets:
-            continue
-        mean, stderr = mc.estimates[name]
-        z = (mean - targets[name]) / stderr if stderr > 0 else math.inf
-        rows.append(ReportRow(name=name, closed_form=targets[name],
-                              estimate=mean, stderr=stderr, z=z))
-    hull_dev = hull_rate = None
+    hull_check = None
     if n == 4 and hull_samples > 0:
-        hull_dev, hull_rate = hull_cross_check(hull_samples, seed)
-    passed = all(r.passed for r in rows) and (hull_rate is None or hull_rate == 1.0)
-    return VerifyReport(n=n, samples=samples, seed=seed, rows=rows,
-                        hull_max_deviation=hull_dev, hull_pass_rate=hull_rate,
-                        passed=passed, extremes_observed=mc.extremes_observed)
+        hull_check = hull_cross_check(hull_samples, seed)
+    return _report(n, mc, targets, extremes_table(n), hull_check)
+
+
+# The octagon's moments.  Write t_j = 1 - u_j^2 - v_j^2, so that the
+# perimeter is 2 sum_j sqrt(t_j).  t_j = |Q e_j|^2 with Q the projection on
+# the orthogonal 2-plane, so t_j ~ Beta(1, 1) and E(per) = 8 * 2/3 = 16/3.
+# G(2, 4) is (S^2 x S^2)/+-1 with Plucker coordinates p_12 = (x_1 + y_1)/2,
+# p_34 = (x_1 - y_1)/2, ...; by Archimedes x_1, y_1 are i.i.d. U[-1, 1], so
+# E|p_jk| = 1/3 and E(area) = 6/3 = 2.  E(per^2) = 23 + 6G (G Catalan's
+# constant) is identified to 35 digits from the (c, d) elliptic integral
+# 8 + 48 (1/4 pi) int int_[-1,1]^2 (1 - cd) E(k) dc dd, not proved.
+OCTAGON_RANGES = {"perimeter": (4.0, 4.0 * math.sqrt(2.0)),
+                  "area": (1.0, 1.0 + math.sqrt(2.0))}
 
 
 def octagon_report(samples: int, seed: int, threads: int = 1,
                    hull_samples: int = 1000) -> VerifyReport:
-    """Rank-2 octagon verification: perimeter^2 reference plus hull checks.
-
-    The printed second-moment reference 28.495 is truncated to three
-    decimals; the accept band is [28.495, 28.496] widened by 4 stderr.
-    """
+    """Rank-2 octagon verification: perimeter^2, perimeter and area against
+    their closed forms, the extremes against their ranges, plus the 2D hull
+    cross-check on `hull_samples` seeded pairs."""
     mc = mc_octagon(samples, seed, threads=threads)
-    mean, stderr = mc.estimates["perimeter2"]
-    lo, hi = 28.495, 28.496
-    dist = 0.0 if lo <= mean <= hi else min(abs(mean - lo), abs(mean - hi))
-    z = dist / stderr if stderr > 0 else math.inf
-    rows = [ReportRow(name="perimeter2", closed_form=28.4955,
-                      estimate=mean, stderr=stderr, z=z)]
-    hull_dev = hull_rate = None
+    hull_check = None
     if hull_samples > 0:
         rng = geometry.stream(seed, index=2**32 + 1)
         # the stream interleaves the pairs: u is every even draw, g every odd
@@ -413,14 +439,7 @@ def octagon_report(samples: int, seed: int, threads: int = 1,
                              for a, b in zip(u, v)])
         dev = np.maximum(np.abs(measured[:, 1] - per),
                          np.abs(measured[:, 0] - area))
-        hull_dev, hull_rate = float(dev.max()), float((dev < 1e-9).mean())
-    ext = mc.extremes_observed
-    bounds_ok = (ext["perimeter"][0] >= 4.0 - 1e-9
-                 and ext["perimeter"][1] <= 4.0 * math.sqrt(2.0) + 1e-9
-                 and ext["area"][0] >= 1.0 - 1e-9
-                 and ext["area"][1] <= 1.0 + math.sqrt(2.0) + 1e-9)
-    passed = (all(r.passed for r in rows) and bounds_ok
-              and (hull_rate is None or hull_rate == 1.0))
-    return VerifyReport(n=4, samples=samples, seed=seed, rows=rows,
-                        hull_max_deviation=hull_dev, hull_pass_rate=hull_rate,
-                        passed=passed, extremes_observed=ext)
+        hull_check = float(dev.max()), float((dev < 1e-9).mean())
+    targets = {"perimeter2": 23.0 + 6.0 * catalan_const(),
+               "perimeter": 16.0 / 3.0, "area": 2.0}
+    return _report(4, mc, targets, OCTAGON_RANGES, hull_check)

@@ -35,7 +35,7 @@ def test_criterion_01_closed_form_table_n4():
 
 def test_criterion_02_zeta4_quadrature():
     start = time.perf_counter()
-    value = quad.zeta4_quadrature.__wrapped__()
+    value = quad.zeta4_quadrature()
     elapsed = time.perf_counter() - start
     ok = abs(value - 7.118558716719735) < 1e-9 and elapsed < 5.0
     report(2, ok, f"zeta4 = {value:.15f} in {elapsed:.2f}s")

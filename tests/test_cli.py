@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -99,6 +100,19 @@ class TestVerify:
         assert code == 0
         assert out.strip().endswith("PASS")
         assert "hull cross-check pass rate 1.000" in out
+
+    def test_one_sample_json_is_strict(self, capsys):
+        # stderr is 0 at one sample, so z is infinite: null in JSON
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        code, out, err = run_cli(capsys, "verify", "--n", "4", "--samples",
+                                 "1", "--seed", "5", "--format", "json")
+        payload = json.loads(out, parse_constant=reject)
+        assert code == 1
+        assert payload["pass"] is False
+        assert [r["z"] for r in payload["rows"]] == [None] * 9
+        assert "FAIL rows" in err
 
     def test_octagon_flag(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--octagon",
@@ -270,7 +284,7 @@ class TestParser:
 # result and returns (exit code, stdout, stderr).
 
 def reference_json(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def reference_table_dict(t):
@@ -326,7 +340,8 @@ def reference_report_dict(report):
         "samples": report.samples,
         "seed": report.seed,
         "rows": [{"name": r.name, "closed_form": r.closed_form,
-                  "estimate": r.estimate, "stderr": r.stderr, "z": r.z}
+                  "estimate": r.estimate, "stderr": r.stderr,
+                  "z": r.z if math.isfinite(r.z) else None}
                  for r in report.rows],
         "pass": report.passed,
     }
@@ -435,7 +450,7 @@ REFERENCE_CASES = [
     ("constants", "--which", "zeta4", "--tol", "1e-18"),  # FAIL, exit 1
     ("verify", "--n", "3", "--samples", "20000", "--seed", "5"),
     ("verify", "--n", "4", "--samples", "20000", "--seed", "5"),
-    ("verify", "--n", "3", "--samples", "1", "--seed", "5"),  # z = inf: FAIL
+    ("verify", "--n", "3", "--samples", "1", "--seed", "5"),  # z = inf, json null: FAIL
     ("verify", "--octagon", "--samples", "20000", "--seed", "214"),
 ]
 

@@ -1,10 +1,12 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
 
-from cubeshadow import functionals, geometry, moments
+from cubeshadow import functionals, geometry, moments, quad, specfun
 
 
 class TestClosedFormTables:
@@ -41,14 +43,12 @@ class TestClosedFormTables:
         t = moments.closed_form_table(n)
         assert t.e_mw == t.e_vl
 
-    def test_zeta_sources(self, zeta4):
-        z3, src3 = moments.zeta_n(3)
-        assert z3 == pytest.approx(zeta4, abs=1e-9)
-        assert "3F2" in src3
-        _, src4 = moments.zeta_n(4)
-        _, src6 = moments.zeta_n(6)
-        assert "conjectured" not in src4
-        assert "conjectured" in src6
+    def test_zeta_sources(self):
+        # one zeta for every n, proved; its closed form is identified
+        for n in (3, 4, 5, 6, 12):
+            t = moments.closed_form_table(n)
+            assert t.zeta_used == moments.ZETA
+            assert "conjectured" not in t.zeta_source
 
     def test_dimension_guard(self):
         with pytest.raises(moments.DimensionError):
@@ -68,6 +68,47 @@ class TestClosedFormTables:
             moments.mc_estimate(2, 10, seed=1)
         with pytest.raises(geometry.DimensionError):
             moments.verify_report(2, 10, seed=1)
+
+
+class TestZeta:
+    """The closed form ZETA = Gamma(1/4)^4/(4 pi^2) + 48 pi^2/Gamma(1/4)^4
+    against every other route to the paper's constant."""
+
+    def test_correctly_rounded(self):
+        assert moments.ZETA == 7.118558716719735
+
+    @pytest.mark.parametrize("route", [
+        lambda: 3.0 * math.pi * specfun.hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 2.0),
+        quad.zeta3_quadrature,
+        quad.zeta4_quadrature,
+        quad.zeta4_quadrature_psi_form,
+        quad.zeta5_reduction_check,
+    ], ids=["3f2", "zeta3", "zeta4", "zeta4_psi", "zeta5"])
+    def test_routes(self, route):
+        assert route() == pytest.approx(moments.ZETA, rel=1e-14, abs=0.0)
+
+    def test_gamma_form_equals_3f2_to_100_digits(self):
+        # The 3F2 series converges like k^(-5/2); Levin's transformation
+        # sums it to working precision.
+        def term(k):
+            k = int(k)
+            return (mpmath.rf(-0.5, k) * mpmath.rf(0.5, k) * mpmath.rf(1.5, k)
+                    / (mpmath.rf(1, k) * mpmath.rf(2, k) * mpmath.factorial(k)))
+
+        with mpmath.workdps(110):
+            g4 = mpmath.gamma(mpmath.mpf(1) / 4) ** 4
+            pi = mpmath.pi
+            gamma_form = g4 / (4 * pi**2) + 48 * pi**2 / g4
+            series = 3 * pi * mpmath.nsum(term, [0, mpmath.inf], method="levin")
+            assert abs(gamma_form - series) < mpmath.mpf(10) ** -100
+            assert float(gamma_form) == moments.ZETA
+
+    def test_n4_correlations_to_30_digits(self):
+        # Var(ar) = E(ar^2) - 64 cancels, so a zeta off in the last bits
+        # shows up here (the quadrature value gave 5e-13).
+        j = moments.joint_moment_table()
+        assert j.corr_vl_ar == pytest.approx(0.94573393098931309, rel=1e-13)
+        assert j.corr_ar_mw == pytest.approx(0.97392972997608259, rel=1e-13)
 
 
 class TestExtremes:
@@ -309,6 +350,22 @@ class TestMcOctagon:
         assert mc.extremes_observed["area"] == (area_ref.min(), area_ref.max())
         assert mc.extremes_observed["perimeter"] == (per.min(), per.max())
 
+    def test_perimeter2_second_route(self):
+        # E(per^2) = 8 + 48 E sqrt(t_1 t_2), and E sqrt(t_1 t_2) is
+        # (1/4 pi) int int_[-1,1]^2 (1 - cd) E(k) dc dd with
+        # k^2 = (1 - c^2)(1 - d^2)/(1 - cd)^2.  The integrand is symmetric
+        # in (c, d) and k = 1 on the diagonal, so one triangle is
+        # integrated, with the diagonal as its edge.
+        def integrand(d, c):
+            k = math.sqrt((1.0 - c * c) * (1.0 - d * d)) / (1.0 - c * d)
+            return (1.0 - c * d) * specfun.elliptic_e(min(k, 1.0))
+
+        half, _ = integrate.dblquad(integrand, -1.0, 1.0, -1.0, lambda c: c,
+                                    epsabs=1e-10, epsrel=1e-10)
+        value = 8.0 + 48.0 * 2.0 * half / (4.0 * math.pi)
+        assert value == pytest.approx(23.0 + 6.0 * specfun.catalan_const(),
+                                      rel=0.0, abs=1e-11)
+
     def test_determinism_across_threads(self):
         a = moments.mc_octagon(200_000, seed=9, threads=1)
         b = moments.mc_octagon(200_000, seed=9, threads=4)
@@ -330,6 +387,11 @@ class TestHullCrossCheck:
         max_dev, rate = hull_check_1e3
         assert max_dev < 1e-9
         assert rate == 1.0
+
+
+# E(per^2) = 23 + 6G (identified), E(per) = 16/3 and E(area) = 2 (proved)
+OCTAGON_TARGETS = {"perimeter2": 23.0 + 6.0 * specfun.catalan_const(),
+                   "perimeter": 16.0 / 3.0, "area": 2.0}
 
 
 class TestVerifyReport:
@@ -365,4 +427,33 @@ class TestVerifyReport:
         rep = moments.octagon_report(200_000, seed=214, hull_samples=50)
         assert rep.passed is True
         assert rep.hull_pass_rate == 1.0
+        assert {r.name: r.closed_form for r in rep.rows} == OCTAGON_TARGETS
         assert rep.rows[0].name == "perimeter2"
+
+    @pytest.mark.parametrize("octagon", [False, True])
+    @pytest.mark.parametrize("outside", [False, True])
+    def test_extreme_outside_its_range_fails(self, monkeypatch, octagon,
+                                             outside):
+        # Every estimate on its target with stderr 1 (z = 0); only the
+        # observed extremes decide.
+        if octagon:
+            targets, ranges = OCTAGON_TARGETS, moments.OCTAGON_RANGES
+        else:
+            targets = moments.closed_form_targets(5)
+            ranges = moments.extremes_table(5)
+        extremes = dict(ranges)
+        if outside:
+            q, (lo, hi) = next(iter(ranges.items()))
+            extremes[q] = (lo, hi + 1e-6)
+        stub = moments.McResult(
+            samples=10, seed=1,
+            estimates={q: (t, 1.0) for q, t in targets.items()},
+            extremes_observed=extremes)
+        monkeypatch.setattr(moments, "mc_octagon" if octagon else "mc_estimate",
+                            lambda *args, **kwargs: stub)
+        if octagon:
+            rep = moments.octagon_report(10, seed=1, hull_samples=0)
+        else:
+            rep = moments.verify_report(5, 10, seed=1)
+        assert all(r.z == 0.0 and r.passed for r in rep.rows)
+        assert rep.passed is not outside
