@@ -68,7 +68,7 @@ def cmd_moments(args) -> int:
     text += [f"  {name} range   [{lo!r}, {hi!r}]"
              for name, (lo, hi) in table.extremes.items()]
     if args.n == 4:
-        payload["joint"] = moments.joint_moment_table().as_dict()
+        payload["joint"] = moments._joint_moments(table).as_dict()
         joint = _value_rows(payload["joint"])
         rows += joint
         text += map(_VALUE_LINE.format_map, joint)

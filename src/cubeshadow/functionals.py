@@ -22,7 +22,17 @@ directions; the scalar functions are batches of one.
 2 sum_{j<k} sqrt(s_j + s_k), one add and one sqrt per pair into a
 preallocated buffer; the mean width takes 1 - u_j^2 as prefix plus suffix
 sums of s (the other squares), which, unlike 1 - s_j, does not cancel as
-|u_j| -> 1.  A call holds two (n, m) arrays, s and the suffix sums.
+|u_j| -> 1.
+
+Both batch kernels take `out`: None, or the arrays the call would
+allocate, so that a caller can reuse one set for every batch and allocate
+nothing.  The same in-place code runs either way, and gives the same
+bytes.  For `shadow_batch` it is (rows, s, rest): rows (5, m) receives
+vl, ar and mw, and its last two rows are scratch; s and rest, (n, m),
+hold the squares and their suffix sums.  |x| is formed in s, read as
+(m, n), before s = x.T**2.  x is last read then, so rest may share its
+memory.  For `octagon_batch` it is (p, rows): p (6, m) holds the minors,
+and rows (3, m) receives perimeter and area, with one scratch row.
 
 Error of sqrt(s_j + s_k) against sqrt(u_j^2 + u_k^2): for unit vectors
 s_j <= 1, so nothing overflows.  When both squares are normal numbers, the
@@ -82,19 +92,22 @@ class OctagonCoeffs:
     c: float
 
 
-def shadow_batch(x: np.ndarray) -> dict:
+def shadow_batch(x: np.ndarray, out=None) -> dict:
     """Per-row vl, ar, mw arrays for a batch of unit directions x (m, n).
 
     c_{n-1} comes from the shape, so n >= 3 (`DimensionError` otherwise).
-    Layout and error bound are in the module docstring.
+    Layout, buffers and error bound are in the module docstring.
     """
     m, n = x.shape
     coeff = segment_mw_coeff(n - 1)
-    vl = np.abs(x).sum(axis=1)
-    s = np.empty((n, m))
+    if out is None:
+        rows, s, rest = np.empty((5, m)), np.empty((n, m)), np.empty((n, m))
+    else:
+        rows, s, rest = out
+    vl, ar, mw, t, prefix = rows
+    np.add.reduce(np.abs(x, out=s.reshape(m, n)), axis=1, out=vl)
     np.square(x.T, out=s)
-    t = np.empty(m)
-    ar = np.zeros(m)
+    ar[...] = 0.0
     for j in range(n):
         for k in range(j + 1, n):
             np.add(s[j], s[k], out=t)
@@ -103,12 +116,11 @@ def shadow_batch(x: np.ndarray) -> dict:
     ar *= 2.0
     # 1 - u_j^2 as the sum of the other squares: prefix (running) plus
     # suffix (rest[j] = s[j+1] + ... + s[n-1]), with no cancellation.
-    rest = np.empty((n, m))
     rest[n - 1] = 0.0
     for j in range(n - 2, -1, -1):
         np.add(rest[j + 1], s[j + 1], out=rest[j])
-    prefix = np.zeros(m)
-    mw = np.zeros(m)
+    prefix[...] = 0.0
+    mw[...] = 0.0
     for j in range(n):
         np.add(prefix, rest[j], out=t)
         np.sqrt(t, out=t)
@@ -165,22 +177,24 @@ def _checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def octagon_batch(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def octagon_batch(u: np.ndarray, v: np.ndarray,
+                  out=None) -> tuple[np.ndarray, np.ndarray]:
     """Per-row (perimeter, area) of the octagon for orthonormal pairs (m, 4).
 
-    Both come from the minors p_jk = u_j v_k - u_k v_j (module docstring).
+    Both come from the minors p_jk = u_j v_k - u_k v_j; the buffers are in
+    the module docstring.
     """
     m = len(u)
-    p = np.empty((6, m))
-    t = np.empty(m)
-    area = np.zeros(m)
+    p, rows = (np.empty((6, m)), np.empty((3, m))) if out is None else out
+    per, area, t = rows
+    area[...] = 0.0
     for i, (j, k) in enumerate(PAIRS):
         np.multiply(u[:, j], v[:, k], out=p[i])
         np.multiply(u[:, k], v[:, j], out=t)
         p[i] -= t
         area += np.abs(p[i], out=t)
     np.square(p, out=p)
-    per = np.zeros(m)
+    per[...] = 0.0
     for j in range(4):
         a, b, c = (i for i, pair in enumerate(PAIRS) if j not in pair)
         np.add(p[a], p[b], out=t)

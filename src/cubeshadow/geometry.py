@@ -50,30 +50,54 @@ def sample_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
             return v / norm
 
 
-def sample_unit_vectors(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+def _row_norms(v: np.ndarray, sq: np.ndarray, norms: np.ndarray) -> None:
+    """The norms of the rows of v, into `norms`; sq, the shape of v, is
+    scratch.  The steps are those of np.linalg.norm(v, axis=1), so the
+    bits are too."""
+    np.multiply(v, v, out=sq)
+    np.add.reduce(sq, axis=1, out=norms)
+    np.sqrt(norms, out=norms)
+
+
+def sample_unit_vectors(n: int, count: int, rng: np.random.Generator,
+                        out=None) -> np.ndarray:
     """Batch of `count` uniform directions, shape (count, n).
 
     A row whose norm is at most 1e-100 is redrawn, after the batch, by
     `sample_unit_vector`; every other row is its Gaussian draw normalized.
+
+    `out` is None or the arrays the call would allocate, (v, sq, norms) of
+    shapes (count, n), (count, n) and (count,): the directions are drawn
+    into v and returned in it; sq and norms are scratch.  The bytes are the
+    same either way.
     """
     if n < 2:
         raise DimensionError(f"need n >= 2, got {n}")
-    v = rng.standard_normal((count, n))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    for i in np.flatnonzero(norms[:, 0] <= 1e-100):
+    if out is None:
+        v = rng.standard_normal((count, n))
+        sq, norms = np.empty((count, n)), np.empty(count)
+    else:
+        v, sq, norms = out
+        rng.standard_normal(out=v)
+    _row_norms(v, sq, norms)
+    for i in np.flatnonzero(norms <= 1e-100):
         v[i], norms[i] = sample_unit_vector(n, rng), 1.0
-    return v / norms
+    return np.divide(v, norms[:, None], out=v)
 
 
-def complete_pairs(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+def complete_pairs(u: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
     """Row-wise unit v orthogonal to u: g less its component along u, normalized.
 
     Computed in place in g, which is returned.  For unit rows u and
     independent uniform rows g, (u, v) is a uniformly random orthonormal pair.
+    `out` is None or the scratch the call would allocate, (work, col): an
+    array the shape of g and one of length len(g).
     """
-    g -= (g * u).sum(axis=1, keepdims=True) * u
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return g
+    work, col = (np.empty(g.shape), np.empty(len(g))) if out is None else out
+    np.add.reduce(np.multiply(g, u, out=work), axis=1, out=col)
+    g -= np.multiply(col[:, None], u, out=work)
+    _row_norms(g, work, col)
+    return np.divide(g, col[:, None], out=g)
 
 
 def spherical_to_cartesian4(theta: float, phi: float, psi: float) -> np.ndarray:

@@ -9,6 +9,14 @@ a fixed (seed, samples) regardless of thread count.
 The per-sample functionals come from the batch kernels of `functionals`:
 `shadow_batch` for vl, ar, mw and `octagon_batch` for the octagon.
 
+Each worker thread has one workspace, made on its first chunk and reused
+for every later one, so the steady state allocates nothing.  The kernels
+of `geometry` and `functionals` write into it through their `out`
+arguments.  Buffers whose lifetimes do not overlap share memory.  For
+`mc_estimate` that is two (n, CHUNK) arrays and five CHUNK rows: the draw
+becomes the suffix sums, its squares become s, and the nine quantities
+pass one at a time through one scratch row.
+
 Each chunk returns its count, per quantity its sum and its
 M2 = sum (v - chunk mean)^2, and the extremes of the bounded quantities
 (vl, ar, mw; perimeter, area).  `_accumulate` merges them in chunk-index
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -132,7 +141,11 @@ class JointMoments:
 
 def joint_moment_table() -> JointMoments:
     """Closed-form joint moments and correlations for the 4-cube."""
-    t = closed_form_table(4)
+    return _joint_moments(closed_form_table(4))
+
+
+def _joint_moments(t: MomentTable) -> JointMoments:
+    """`joint_moment_table` from the n = 4 table a caller already holds."""
     e_vl_ar = 6.0 * (1.0 + 4.0 / PI)
     e_vl_mw = 9.0 / 4.0 + 2.0 / PI
     e_ar_mw = 3.0 * (5.0 + 2.0 * catalan_const()) / PI + 9.0 * PI / 4.0
@@ -158,23 +171,44 @@ class McResult:
     extremes_observed: dict  # name -> (min, max)
 
 
+# The products whose means are the second and joint moments.
+SHADOW_PRODUCTS = {"vl2": ("vl", "vl"), "ar2": ("ar", "ar"),
+                   "mw2": ("mw", "mw"), "vl_ar": ("vl", "ar"),
+                   "vl_mw": ("vl", "mw"), "ar_mw": ("ar", "mw")}
+
+
 def _chunk_bounds(samples: int) -> list[tuple[int, int, int]]:
     return [(i, start, min(start + CHUNK, samples))
             for i, start in enumerate(range(0, samples, CHUNK))]
 
 
-def _chunk_stats(values: dict, ranged: tuple) -> dict:
+def _chunk_stats(values: dict, ranged: tuple, products: dict | None = None,
+                work: np.ndarray | None = None) -> dict:
     """One chunk's count, and per quantity its sum and M2 = sum (v - mean)^2.
 
-    `ranged` names the quantities whose min and max are also kept.
+    `values` maps names to arrays of one length.  `products` maps further
+    names to pairs of those names; each product is formed in work[0] when
+    its turn comes, so one row serves them all.  work[1] holds v - mean.
+    `work`, two rows of that length, is allocated when None.  `ranged`
+    names the quantities whose min and max are also kept.
     """
     count = len(values[ranged[0]])
-    sums = {k: float(v.sum()) for k, v in values.items()}
+    product, deviation = np.empty((2, count)) if work is None else work
+    sums, m2 = {}, {}
+
+    def add(name, v):
+        sums[name] = float(v.sum())
+        np.subtract(v, sums[name] / count, out=deviation)
+        m2[name] = float(np.square(deviation, out=deviation).sum())
+
+    for name, v in values.items():
+        add(name, v)
+    for name, (a, b) in (products or {}).items():
+        add(name, np.multiply(values[a], values[b], out=product))
     return {
         "count": count,
         "sums": sums,
-        "m2": {k: float(np.square(v - sums[k] / count).sum())
-               for k, v in values.items()},
+        "m2": m2,
         "mins": {k: float(values[k].min()) for k in ranged},
         "maxs": {k: float(values[k].max()) for k in ranged},
     }
@@ -215,6 +249,24 @@ def _accumulate(per_chunk: list[dict], samples: int, seed: int) -> McResult:
                     extremes_observed=extremes)
 
 
+def _per_thread(make):
+    """A function that returns the calling thread's make(), made on its
+    first call: one workspace per pool thread, kept for all its chunks."""
+    local = threading.local()
+
+    def get():
+        if not hasattr(local, "value"):
+            local.value = make()
+        return local.value
+
+    return get
+
+
+def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading elements of the flat buffer `buf` as a C-contiguous array."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
 def _run_chunked(worker, samples: int, seed: int, threads: int) -> McResult:
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -233,19 +285,23 @@ def mc_estimate(n: int, samples: int, seed: int, threads: int = 1) -> McResult:
     Estimates all nine first/second/joint moments with standard errors,
     plus observed extremes.  Deterministic for fixed (seed, samples).
     """
+    size = min(CHUNK, samples)
+    workspace = _per_thread(lambda: (np.empty(n * size), np.empty(n * size),
+                                     np.empty(5 * size)))
 
     def worker(bound):
         index, start, stop = bound
-        rng = geometry.stream(seed, index)
-        x = geometry.sample_unit_vectors(n, stop - start, rng)
-        q = functionals.shadow_batch(x)
-        values = {
-            "vl": q["vl"], "ar": q["ar"], "mw": q["mw"],
-            "vl2": q["vl"] ** 2, "ar2": q["ar"] ** 2, "mw2": q["mw"] ** 2,
-            "vl_ar": q["vl"] * q["ar"], "vl_mw": q["vl"] * q["mw"],
-            "ar_mw": q["ar"] * q["mw"],
-        }
-        return _chunk_stats(values, ("vl", "ar", "mw"))
+        m = stop - start
+        a, b, r = workspace()
+        rows = _view(r, 5, m)
+        # a holds the draw, then x, then the suffix sums; b the squares of
+        # the draw, then |x|, then s; rows[0] the norms, then vl
+        x = geometry.sample_unit_vectors(
+            n, m, geometry.stream(seed, index),
+            out=(_view(a, m, n), _view(b, m, n), rows[0]))
+        q = functionals.shadow_batch(x, out=(rows, _view(b, n, m),
+                                             _view(a, n, m)))
+        return _chunk_stats(q, ("vl", "ar", "mw"), SHADOW_PRODUCTS, rows[3:])
 
     return _run_chunked(worker, samples, seed, threads)
 
@@ -259,16 +315,29 @@ def mc_octagon(samples: int, seed: int, threads: int = 1) -> McResult:
     (cross-checked against the 2D hull oracle in `octagon_report` and the
     test suite).
     """
+    size = min(CHUNK, samples)
+    workspace = _per_thread(lambda: (np.empty(4 * size), np.empty(4 * size),
+                                     np.empty(6 * size), np.empty(3 * size)))
 
     def worker(bound):
         index, start, stop = bound
         m = stop - start
+        a, b, p, r = workspace()
         rng = geometry.stream(seed, index)
-        u = geometry.sample_unit_vectors(4, m, rng)
-        v = geometry.complete_pairs(u, rng.standard_normal((m, 4)))
-        per, area = functionals.octagon_batch(u, v)
-        values = {"perimeter": per, "perimeter2": per**2, "area": area}
-        return _chunk_stats(values, ("perimeter", "area"))
+        # p is the scratch of sampling and completion before it holds the
+        # minors, and the scratch of the statistics after
+        scratch = (_view(p, m, 4), p[4 * m:5 * m])
+        u = geometry.sample_unit_vectors(4, m, rng,
+                                         out=(_view(a, m, 4), *scratch))
+        g = _view(b, m, 4)
+        rng.standard_normal(out=g)
+        v = geometry.complete_pairs(u, g, out=scratch)
+        per, area = functionals.octagon_batch(u, v, out=(_view(p, 6, m),
+                                                         _view(r, 3, m)))
+        return _chunk_stats({"perimeter": per, "area": area},
+                            ("perimeter", "area"),
+                            {"perimeter2": ("perimeter", "perimeter")},
+                            _view(p, 2, m))
 
     return _run_chunked(worker, samples, seed, threads)
 
@@ -332,9 +401,10 @@ def closed_form_targets(n: int) -> dict:
 
     The table field e_<name> is the target of the MC quantity <name>.
     """
-    fields = closed_form_table(n).as_dict()
+    table = closed_form_table(n)
+    fields = table.as_dict()
     if n == 4:
-        fields.update(joint_moment_table().as_dict())
+        fields.update(_joint_moments(table).as_dict())
     return {q: fields["e_" + q] for q in MOMENT_NAMES if "e_" + q in fields}
 
 

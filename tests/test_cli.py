@@ -70,12 +70,19 @@ class TestVerify:
         assert payload["pass"] is True
         assert payload["spec_version"] == cli.SPEC_VERSION
 
-    def test_byte_identical_across_runs_and_threads(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv,threads", [
+        (("--samples", "200000"), ("1", "1", "4")),
+        (("--octagon", "--samples", "200000"), ("1", "1", "3")),
+        # 3 CHUNK + 17: the last chunk is partial
+        (("--n", "12", "--samples", "196625"), ("1", "1", "3")),
+    ], ids=["n4", "octagon", "n12"])
+    def test_byte_identical_across_runs_and_threads(self, capsys, tmp_path,
+                                                    argv, threads):
         paths = [tmp_path / f"r{i}.json" for i in range(3)]
-        for path, threads in zip(paths, ("1", "1", "4")):
-            code, _, _ = run_cli(capsys, "verify", "--samples", "200000",
-                                 "--seed", "25", "--threads", threads,
-                                 "--format", "json", "--out", str(path))
+        for path, count in zip(paths, threads):
+            code, _, _ = run_cli(capsys, "verify", *argv, "--seed", "25",
+                                 "--threads", count, "--format", "json",
+                                 "--out", str(path))
             assert code == 0
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1] == blobs[2]

@@ -68,6 +68,52 @@ def test_batch_redraws_zero_norm_rows_only():
     assert np.array_equal(x[0], np.arange(1.0, 5.0) / math.sqrt(30.0))
 
 
+class _ZeroRowOutGenerator(_ZeroRowGenerator):
+    """The same draws, written into `out` when one is given."""
+
+    def standard_normal(self, size=None, out=None):
+        draw = super().standard_normal(out.shape if out is not None else size)
+        if out is None:
+            return draw
+        out[...] = draw
+        return out
+
+
+def test_batch_redraws_zero_norm_rows_only_into_out():
+    rng = _ZeroRowOutGenerator()
+    buffers = (np.empty((3, 4)), np.empty((3, 4)), np.empty(3))
+    x = geometry.sample_unit_vectors(4, 3, rng, out=buffers)
+    assert x is buffers[0]
+    assert rng.sizes == [(3, 4), 4]
+    assert np.array_equal(x[1], [-0.5, -0.5, -0.5, -0.5])
+    assert np.array_equal(x[0], np.arange(1.0, 5.0) / math.sqrt(30.0))
+    reference = geometry.sample_unit_vectors(4, 3, _ZeroRowGenerator())
+    assert x.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 12])
+def test_batch_into_out_is_the_same_bytes(n):
+    expected = geometry.sample_unit_vectors(n, 1000, geometry.stream(5, n))
+    # scratch that is not zero, and an out that is a view of a larger buffer
+    flat = np.full(3000 * n, np.nan)
+    out = (flat[:1000 * n].reshape(1000, n),
+           flat[1000 * n:2000 * n].reshape(1000, n), np.full(1000, np.inf))
+    got = geometry.sample_unit_vectors(n, 1000, geometry.stream(5, n), out=out)
+    assert got is out[0]
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_complete_pairs_into_out_is_the_same_bytes():
+    rng = geometry.stream(6)
+    u = geometry.sample_unit_vectors(4, 1000, rng)
+    g = rng.standard_normal((1000, 4))
+    expected = geometry.complete_pairs(u, g.copy())
+    out = (np.full((1000, 4), np.nan), np.full(1000, np.nan))
+    got = geometry.complete_pairs(u, g, out=out)
+    assert got is g
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_spherical_to_cartesian4_special_points():
     assert np.allclose(geometry.spherical_to_cartesian4(math.pi / 2, math.pi / 2, math.pi / 2),
                        [0, 1, 0, 0], atol=1e-15)

@@ -1,11 +1,17 @@
+import functools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
+import cubeshadow
 from cubeshadow import functionals, geometry, moments, quad, specfun
 
 
@@ -380,6 +386,107 @@ class TestMcOctagon:
         ar_lo, ar_hi = octagon_1e6.extremes_observed["area"]
         assert 4.0 - 1e-9 <= per_lo <= per_hi <= 4.0 * math.sqrt(2.0) + 1e-9
         assert 1.0 - 1e-9 <= ar_lo <= ar_hi <= 1.0 + math.sqrt(2.0) + 1e-9
+
+
+def chunk_stats_reference(values, ranged):
+    """`_chunk_stats` as it was: every quantity an array of its own, and M2
+    from a fresh array v - mean."""
+    count = len(values[ranged[0]])
+    sums = {k: float(v.sum()) for k, v in values.items()}
+    return {
+        "count": count,
+        "sums": sums,
+        "m2": {k: float(np.square(v - sums[k] / count).sum())
+               for k, v in values.items()},
+        "mins": {k: float(values[k].min()) for k in ranged},
+        "maxs": {k: float(values[k].max()) for k in ranged},
+    }
+
+
+def sample_reference(n, m, rng):
+    """`sample_unit_vectors` as it was, without the redraw of rows of norm
+    <= 1e-100 (never met with these seeds)."""
+    v = rng.standard_normal((m, n))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def shadow_chunk_reference(n, seed, index, m):
+    """One chunk of mc_estimate as it was: fresh arrays for the draw, the
+    kernel and each of the nine quantities."""
+    x = sample_reference(n, m, geometry.stream(seed, index))
+    q = functionals.shadow_batch(x)
+    values = {
+        "vl": q["vl"], "ar": q["ar"], "mw": q["mw"],
+        "vl2": q["vl"] ** 2, "ar2": q["ar"] ** 2, "mw2": q["mw"] ** 2,
+        "vl_ar": q["vl"] * q["ar"], "vl_mw": q["vl"] * q["mw"],
+        "ar_mw": q["ar"] * q["mw"],
+    }
+    return chunk_stats_reference(values, ("vl", "ar", "mw"))
+
+
+def octagon_worker_reference(seed, index, m):
+    """One chunk of mc_octagon as it was, with fresh arrays throughout."""
+    rng = geometry.stream(seed, index)
+    u = sample_reference(4, m, rng)
+    v = octagon_chunk_reference(rng.standard_normal((m, 4)), u)[0]
+    per, area = functionals.octagon_batch(u, v)
+    values = {"perimeter": per, "perimeter2": per**2, "area": area}
+    return chunk_stats_reference(values, ("perimeter", "area"))
+
+
+@functools.lru_cache(maxsize=None)
+def mc_reference(n, samples, seed):
+    """The allocating pipeline, chunk by chunk on one thread; n None is the
+    octagon."""
+    per_chunk = [shadow_chunk_reference(n, seed, i, stop - start) if n
+                 else octagon_worker_reference(seed, i, stop - start)
+                 for i, start, stop in moments._chunk_bounds(samples)]
+    return moments._accumulate(per_chunk, samples, seed)
+
+
+WORKSPACE_SAMPLES = [1, 2, moments.CHUNK, 3 * moments.CHUNK + 17]
+
+
+class TestChunkWorkspace:
+    """The per-thread reused buffers give the bytes of fresh arrays."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("samples", WORKSPACE_SAMPLES)
+    @pytest.mark.parametrize("n", [3, 4, 6, 12])
+    def test_mc_estimate_equals_reference(self, n, samples, threads):
+        got = moments.mc_estimate(n, samples, seed=5, threads=threads)
+        assert got == mc_reference(n, samples, 5)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("samples", WORKSPACE_SAMPLES)
+    def test_mc_octagon_equals_reference(self, samples, threads):
+        got = moments.mc_octagon(samples, seed=5, threads=threads)
+        assert got == mc_reference(None, samples, 5)
+
+    @pytest.mark.parametrize("call", ["mc_estimate(6, {samples}, 1)",
+                                      "mc_octagon({samples}, 1)"])
+    def test_minor_faults_do_not_grow_with_chunks(self, call):
+        # A chunk that allocates its arrays afresh faults each page of
+        # them in again (2,554 faults per chunk at n = 6); reused buffers
+        # fault once, on the first chunk, so only a fixed cost remains,
+        # which the difference of two calls cancels.
+        pytest.importorskip("resource")
+        script = (
+            "import resource\n"
+            "from cubeshadow.moments import CHUNK, mc_estimate, mc_octagon\n"
+            "def faults(chunks):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            f"    {call.format(samples='chunks * CHUNK')}\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+            " - before\n"
+            "faults(2)\n"
+            "print((faults(18) - faults(2)) / 16)\n")
+        src = str(Path(cubeshadow.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run([sys.executable, "-c", script], timeout=120,
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, check=True)
+        assert float(proc.stdout) < 100
 
 
 class TestHullCrossCheck:
