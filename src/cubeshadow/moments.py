@@ -285,6 +285,8 @@ def mc_estimate(n: int, samples: int, seed: int, threads: int = 1) -> McResult:
     Estimates all nine first/second/joint moments with standard errors,
     plus observed extremes.  Deterministic for fixed (seed, samples).
     """
+    if n < 3:  # before the workspace is sized by n
+        raise DimensionError(f"need n >= 3, got {n}")
     size = min(CHUNK, samples)
     workspace = _per_thread(lambda: (np.empty(n * size), np.empty(n * size),
                                      np.empty(5 * size)))

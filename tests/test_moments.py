@@ -70,8 +70,9 @@ class TestClosedFormTables:
         # the batch kernel works out c_{n-1} from the shape
         with pytest.raises(geometry.DimensionError):
             functionals.shadow_batch(np.array([[0.6, 0.8]]))
-        with pytest.raises(geometry.DimensionError):
-            moments.mc_estimate(2, 10, seed=1)
+        for n in (2, -1):
+            with pytest.raises(geometry.DimensionError):
+                moments.mc_estimate(n, 10, seed=1)
         with pytest.raises(geometry.DimensionError):
             moments.verify_report(2, 10, seed=1)
 
@@ -446,6 +447,21 @@ def mc_reference(n, samples, seed):
 
 WORKSPACE_SAMPLES = [1, 2, moments.CHUNK, 3 * moments.CHUNK + 17]
 
+# Run in a fresh interpreter: minor faults per chunk beyond the second,
+# after one warm-up call.
+FAULTS_PER_CHUNK = """
+import resource
+from cubeshadow.moments import CHUNK, mc_estimate, mc_octagon
+
+def faults(chunks):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    {call}
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults(2)
+print((faults(18) - faults(2)) / 16)
+"""
+
 
 class TestChunkWorkspace:
     """The per-thread reused buffers give the bytes of fresh arrays."""
@@ -463,29 +479,20 @@ class TestChunkWorkspace:
         got = moments.mc_octagon(samples, seed=5, threads=threads)
         assert got == mc_reference(None, samples, 5)
 
-    @pytest.mark.parametrize("call", ["mc_estimate(6, {samples}, 1)",
-                                      "mc_octagon({samples}, 1)"])
+    @pytest.mark.parametrize("call", ["mc_estimate(6, chunks * CHUNK, 1)",
+                                      "mc_octagon(chunks * CHUNK, 1)"])
     def test_minor_faults_do_not_grow_with_chunks(self, call):
         # A chunk that allocates its arrays afresh faults each page of
         # them in again (2,554 faults per chunk at n = 6); reused buffers
         # fault once, on the first chunk, so only a fixed cost remains,
         # which the difference of two calls cancels.
         pytest.importorskip("resource")
-        script = (
-            "import resource\n"
-            "from cubeshadow.moments import CHUNK, mc_estimate, mc_octagon\n"
-            "def faults(chunks):\n"
-            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            f"    {call.format(samples='chunks * CHUNK')}\n"
-            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
-            " - before\n"
-            "faults(2)\n"
-            "print((faults(18) - faults(2)) / 16)\n")
         src = str(Path(cubeshadow.__file__).resolve().parents[1])
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        proc = subprocess.run([sys.executable, "-c", script], timeout=120,
-                              env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, check=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", FAULTS_PER_CHUNK.format(call=call)],
+            timeout=120, env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True)
         assert float(proc.stdout) < 100
 
 
