@@ -166,10 +166,13 @@ def shadow_mean_width(u) -> float:
 
 
 def _checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """u and v as float arrays, (4,) or (m, 4), each row pair orthogonal."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    dot = abs(float(np.dot(u, v)))
-    if dot > ORTHO_TOL:
-        raise OrthogonalityError(f"|u.v| = {dot} exceeds {ORTHO_TOL}")
+    dots = np.abs(u[..., None, :] @ v[..., :, None]).ravel()
+    bad = np.flatnonzero(dots > ORTHO_TOL)
+    if len(bad):
+        raise OrthogonalityError(
+            f"|u.v| = {float(dots[bad[0]])} exceeds {ORTHO_TOL}")
     return u, v
 
 
@@ -268,37 +271,56 @@ def octagon_area_branch(branch: int, co: OctagonCoeffs) -> float:
     raise ValueError(f"branch index must be 1..6, got {branch}")
 
 
-def shadow_plane_basis(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis (e, f) of the plane orthogonal to both u and v.
+def shadow_plane_bases(u: np.ndarray,
+                       v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (e, f), each (m, 4), of the planes orthogonal to
+    both u and v, for rows of (m, 4).
 
     Gram-Schmidt of the coordinate axes against {u, v}, keeping the two
     axes with the largest residual norms.  Any basis of the same plane
     yields identical shadow measures.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    resid = np.eye(4) - np.outer(u, u) - np.outer(v, v)
-    norms = np.linalg.norm(resid, axis=0)
-    j1 = int(norms.argmax())
-    e = resid[:, j1] / norms[j1]
-    resid2 = resid - np.outer(e, e @ resid)
-    norms2 = np.linalg.norm(resid2, axis=0)
-    j2 = int(norms2.argmax())
-    f = resid2[:, j2] / norms2[j2]
+    rows = np.arange(len(u))
+    resid = (np.eye(4) - u[:, :, None] * u[:, None, :]
+             - v[:, :, None] * v[:, None, :])
+    norms = np.linalg.norm(resid, axis=1)
+    j1 = norms.argmax(axis=1)
+    e = resid[rows, :, j1] / norms[rows, j1, None]
+    resid2 = resid - e[:, :, None] * (e[:, None, :] @ resid)
+    norms2 = np.linalg.norm(resid2, axis=1)
+    j2 = norms2.argmax(axis=1)
+    f = resid2[rows, :, j2] / norms2[rows, j2, None]
     return e, f
 
 
-def octagon_hull_measures(u, v) -> tuple[float, float]:
-    """(area, perimeter) of the rank-2 shadow by projection and a 2D hull.
+def shadow_plane_basis(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis (e, f) of the plane orthogonal to both u and v,
+    a batch of one of `shadow_plane_bases`."""
+    e, f = shadow_plane_bases(np.asarray(u, dtype=float)[None],
+                              np.asarray(v, dtype=float)[None])
+    return e[0], f[0]
+
+
+def octagon_hull_batch(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Per row (area, perimeter) of the rank-2 shadows of orthonormal pairs
+    (m, 4), by projection and a 2D hull.
 
     Projects the 16 cube vertices onto an orthonormal basis of the plane
     orthogonal to span{u, v} and measures their hull; the branch-free
     reference for the closed forms.
     """
     u, v = _checked_pair(u, v)
-    e, f = shadow_plane_basis(u, v)
-    pts = cube_vertices(4) @ np.column_stack([e, f])
-    return hull.polygon_measures(hull.convex_hull_2d(pts))
+    e, f = shadow_plane_bases(u, v)
+    pts = cube_vertices(4) @ np.stack([e, f], axis=-1)
+    return hull.convex_hulls_2d(pts).measures()
+
+
+def octagon_hull_measures(u, v) -> tuple[float, float]:
+    """(area, perimeter) of the rank-2 shadow by projection and a 2D hull,
+    a batch of one of `octagon_hull_batch`."""
+    area, perimeter = octagon_hull_batch(np.asarray(u, dtype=float)[None],
+                                         np.asarray(v, dtype=float)[None])
+    return float(area[0]), float(perimeter[0])
 
 
 def octagon_area_oracle(u, v) -> float:

@@ -148,25 +148,48 @@ class ProjectionFrame:
 
 
 def _corank1_rows_4d(u: np.ndarray) -> np.ndarray:
-    """The explicit 3 x 4 frame for a non-degenerate direction u = (x,y,z,w)."""
-    x, y, z, w = u
-    s1 = math.sqrt(1.0 - x * x)
-    szw = math.sqrt(z * z + w * w)
-    return np.array([
+    """The explicit 3 x 4 frames, (m, 3, 4), for non-degenerate rows
+    u = (x, y, z, w) of (m, 4)."""
+    x, y, z, w = u.T
+    s1 = np.sqrt(1.0 - x * x)
+    szw = np.sqrt(z * z + w * w)
+    zero = np.zeros(len(u))
+    return np.stack([
         [s1, -x * y / s1, -x * z / s1, -x * w / s1],
-        [0.0, szw / s1, -y * z / (s1 * szw), -y * w / (s1 * szw)],
-        [0.0, 0.0, w / szw, -z / szw],
-    ])
+        [zero, szw / s1, -y * z / (s1 * szw), -y * w / (s1 * szw)],
+        [zero, zero, w / szw, -z / szw],
+    ]).transpose(2, 0, 1)
+
+
+def build_frames(u: np.ndarray) -> np.ndarray:
+    """The rows, (m, 3, 4), of the frames of unit directions u, (m, 4).
+
+    Generic rows get the explicit closed-form frame.  Degenerate directions
+    (1 - x^2 or z^2 + w^2 near zero) get the frame of a coordinate
+    permutation of u, with its columns permuted back; intrinsic shadow
+    measures are unaffected.
+    """
+    x, z, w = u[:, 0], u[:, 2], u[:, 3]
+    generic = ((1.0 - x * x >= CANCELLATION_TOL)
+               & (z * z + w * w >= DEGENERACY_TOL))
+    rows = np.empty((len(u), 3, 4))
+    rows[generic] = _corank1_rows_4d(u[generic])
+    odd = u[~generic]
+    perm = np.argsort(np.abs(odd), axis=1)  # smallest |coord| first
+    permuted = _corank1_rows_4d(np.take_along_axis(odd, perm, axis=1))
+    # column perm[c] of a frame is column c of its permuted frame
+    back = np.empty_like(permuted)
+    back.transpose(0, 2, 1)[np.arange(len(odd))[:, None], perm] = \
+        permuted.transpose(0, 2, 1)
+    rows[~generic] = back
+    return rows
 
 
 def build_frame(u: np.ndarray) -> ProjectionFrame:
     """Orthonormal frame of the hyperplane orthogonal to unit vector u.
 
-    For n = 4 and generic u the rows are the explicit closed-form frame.
-    Degenerate directions (1 - x^2 or z^2 + w^2 near zero) are handled by
-    building the frame for a coordinate permutation of u and permuting the
-    columns back; intrinsic shadow measures are unaffected.  Other n fall
-    back to a QR completion of u.
+    For n = 4 this is a batch of one of `build_frames`.  Other n fall back
+    to a QR completion of u.
     """
     u = np.asarray(u, dtype=float)
     n = u.shape[0]
@@ -176,14 +199,7 @@ def build_frame(u: np.ndarray) -> ProjectionFrame:
         q, _ = np.linalg.qr(np.column_stack([u, np.eye(n)]))
         # first column of q is +-u; the remaining n-1 span the complement
         return ProjectionFrame(rows=q[:, 1:n].T, normal=u)
-    x = u[0]
-    if 1.0 - x * x >= CANCELLATION_TOL and u[2] ** 2 + u[3] ** 2 >= DEGENERACY_TOL:
-        return ProjectionFrame(rows=_corank1_rows_4d(u), normal=u)
-    perm = np.argsort(np.abs(u))  # smallest |coord| first; two largest last
-    rows_p = _corank1_rows_4d(u[perm])
-    rows = np.zeros((3, 4))
-    rows[:, perm] = rows_p
-    return ProjectionFrame(rows=rows, normal=u)
+    return ProjectionFrame(rows=build_frames(u[None])[0], normal=u)
 
 
 def cube_vertices(n: int) -> np.ndarray:
@@ -195,10 +211,15 @@ def cube_vertices(n: int) -> np.ndarray:
     return bits - 0.5
 
 
+def project_rows(rows: np.ndarray) -> np.ndarray:
+    """Images of all cube vertices under frame rows (..., n - 1, n), shape
+    (..., 2^n, n - 1); stacked frames give one matrix product each."""
+    return cube_vertices(rows.shape[-1]) @ np.swapaxes(rows, -1, -2)
+
+
 def project_vertices(frame: ProjectionFrame) -> np.ndarray:
     """Images of all cube vertices under the frame, shape (2^n, n-1)."""
-    n = frame.n
-    return cube_vertices(n) @ frame.rows.T
+    return project_rows(frame.rows)
 
 
 def build_rank2_pair(u: np.ndarray, kappa: float, lam: float) -> np.ndarray:

@@ -5,42 +5,59 @@ merged back into polygonal faces (shadows of the 4-cube are zonotopes, so
 generic faces are parallelograms), edges are recovered with their two
 adjacent faces, and volume / surface area / mean width are extracted.
 
-The post-processing is array code over one mesh at a time:
+Hulls come in batches: the clouds of a batch are stacked, (m, k, dim).
+Qhull runs once per cloud; every other step runs once over the whole
+batch, on arrays that concatenate all clouds, meshes or polygons and are
+keyed by hull index.  The functions for one cloud or one mesh are batches
+of one.
 
-- Deduplication reads one pairwise-distance matrix: a point is dropped
-  when it lies within DEDUP_TOL of an earlier kept point.
-- Coplanar grouping reads one matrix of pairwise equality of Qhull's plane
-  equations.  Qhull merges coplanar facets (its default pre-merge, C-0)
-  and splits each merged facet into simplices that carry the facet's
-  equation unchanged, so equal rows are exactly the faces.  A face is
+- Deduplication reads one pairwise-distance array: a point is dropped
+  when it lies within DEDUP_TOL of an earlier kept point of its cloud.
+  The affine rank of each deduplicated cloud is one stacked SVD over the
+  clouds that kept the same number of points.
+- Coplanar grouping is one lexsort of Qhull's plane equations keyed by
+  hull.  Qhull merges coplanar facets (its default pre-merge, C-0) and
+  splits each merged facet into simplices that carry the facet's equation
+  unchanged, so equal rows of one hull are exactly its faces.  A face is
   numbered by its first simplex, in Qhull's order.  A tolerance on normals
   and offsets would merge Qhull facets only in part for directions within
   about 1e-9 of a coordinate hyperplane.
 - Each face's vertices are ordered by one lexsort over (face, angle about
   the face centre) incidences; edges are the loop edges keyed by their
   sorted ends, and np.unique must count every key exactly twice.
-- Volume, area and mean width are sums over all fan triangles and all
-  edges at once.
+- Volume, area and mean width come from all fan triangles and all edges
+  at once; the terms of the hulls with one count are summed together along
+  their own axis, which adds in the order of the sum over one mesh.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import cdist
 
 DEDUP_TOL = 1e-12
 
 
 class FlatInputError(ValueError):
-    """Input point cloud is not full-dimensional."""
+    """Input point cloud is not full-dimensional.
 
-    def __init__(self, affine_rank: int, message: str | None = None):
+    `index` is the position of the failing cloud in its batch.
+    """
+
+    def __init__(self, affine_rank: int, message: str | None = None,
+                 index: int | None = None):
         self.affine_rank = affine_rank
+        self.index = index
         super().__init__(message or f"flat input, affine rank {affine_rank}")
+
+    def with_handle(self, handle: str) -> FlatInputError:
+        """This error with `handle`, what replays the failing cloud, added."""
+        return FlatInputError(self.affine_rank, f"{self}, {handle}",
+                              self.index)
 
 
 @dataclass(frozen=True)
@@ -90,168 +107,359 @@ class Polygon2D:
     vertices: np.ndarray
 
 
-def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
-    """Drop each point within tol of an earlier kept point."""
-    close = cdist(points, points) <= tol
-    first = np.argmax(close, axis=0)  # earliest point within tol of each
-    keep = first == np.arange(len(points))
+def _starts(counts) -> np.ndarray:
+    """Offsets of consecutive segments of the given lengths, with the end."""
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
+def _segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The sum along axis 0 of each segment values[starts[h]:starts[h + 1]].
+
+    Segments of one length are stacked and summed along their own axis,
+    which adds in the order of np.sum over the segment alone: pairwise from
+    eight terms on, where np.add.reduceat would add in another order.
+    """
+    lengths = np.diff(starts)
+    out = np.zeros((len(lengths), *values.shape[1:]))
+    for n in np.unique(lengths).tolist():
+        group = np.flatnonzero(lengths == n)
+        out[group] = values[starts[group, None] + np.arange(n)].sum(axis=1)
+    return out
+
+
+@dataclass(frozen=True)
+class MeshBatch:
+    """Polygonal meshes of several hulls in concatenated arrays.
+
+    Hull h has vertices[vertex_start[h]:vertex_start[h + 1]], faces
+    face_start[h]..face_start[h + 1] - 1 and edges likewise.  Face f is the
+    vertex loop loops[loop_start[f]:loop_start[f + 1]] with unit outward
+    normal normals[f]; edges rows are (v0, v1, face_a, face_b).  Indices
+    into vertices and faces are global, over the whole batch.
+    """
+
+    vertices: np.ndarray
+    normals: np.ndarray
+    loops: np.ndarray
+    loop_start: np.ndarray
+    edges: np.ndarray
+    vertex_start: np.ndarray
+    face_start: np.ndarray
+    edge_start: np.ndarray
+
+    @classmethod
+    def of(cls, mesh: PolyMesh) -> MeshBatch:
+        """A batch of one mesh."""
+        return cls(vertices=mesh.vertices, normals=mesh.face_normals,
+                   loops=np.array([i for face in mesh.faces for i in face]),
+                   loop_start=_starts([len(face) for face in mesh.faces]),
+                   edges=np.array(mesh.edges).reshape(-1, 4),
+                   vertex_start=_starts([mesh.vertex_count]),
+                   face_start=_starts([mesh.face_count]),
+                   edge_start=_starts([mesh.edge_count]))
+
+    def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per hull (vertex count, edge count, face count)."""
+        return (np.diff(self.vertex_start), np.diff(self.edge_start),
+                np.diff(self.face_start))
+
+    def mesh(self, h: int) -> PolyMesh:
+        """Hull h as a PolyMesh with its own vertex and face numbering."""
+        v0, v1 = self.vertex_start[h:h + 2]
+        f0, f1 = self.face_start[h:h + 2]
+        e0, e1 = self.edge_start[h:h + 2]
+        starts = (self.loop_start[f0:f1 + 1] - self.loop_start[f0]).tolist()
+        flat = (self.loops[self.loop_start[f0]:self.loop_start[f1]]
+                - v0).tolist()
+        faces = [flat[a:b] for a, b in zip(starts, starts[1:])]
+        edges = [tuple(e) for e in
+                 (self.edges[e0:e1] - [v0, v0, f0, f0]).tolist()]
+        return PolyMesh(vertices=self.vertices[v0:v1], faces=faces,
+                        edges=edges, face_normals=self.normals[f0:f1])
+
+    def measures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per hull (volume, area, mean width); see `mesh_measures`.  The
+        fan and the edge terms of all hulls are formed by two methods, so
+        that the temporaries of one are freed before the other runs."""
+        return (*self._fan_measures(), self._mean_widths())
+
+    def _fan_measures(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per hull (volume, area) from the fan triangles (f[0], f[i],
+        f[i+1]) of every face, face by face."""
+        verts, loops, loop_start = self.vertices, self.loops, self.loop_start
+        nv = np.diff(self.vertex_start)
+        centroid = _segment_sums(verts, self.vertex_start) / nv[:, None]
+        face_hull = np.repeat(np.arange(len(nv)), np.diff(self.face_start))
+        fans = np.diff(loop_start) - 2
+        fan_face = np.repeat(np.arange(len(fans)), fans)
+        fan_start = _starts(fans)
+        corner = loop_start[fan_face] + np.arange(fan_start[-1])
+        corner -= fan_start[fan_face]
+        p0 = verts[loops[loop_start[fan_face]]]
+        cross = _cross(verts[loops[corner + 1]] - p0,
+                       verts[loops[corner + 2]] - p0)
+        # each hull's fan triangles are those of its faces
+        hull_fans = fan_start[self.face_start]
+        area = 0.5 * _segment_sums(np.linalg.norm(cross, axis=1), hull_fans)
+        # det(p0 - c, a - c, b - c) = (p0 - c) . ((a - p0) x (b - p0))
+        p0 -= centroid[face_hull[fan_face]]
+        dets = np.sum(np.multiply(cross, p0, out=cross), axis=1)
+        return _segment_sums(np.abs(dets), hull_fans) / 6.0, area
+
+    def _mean_widths(self) -> np.ndarray:
+        """Per hull the sum over edges of length times the angle between
+        the adjacent outward face normals, over 4 pi."""
+        e, verts = self.edges, self.vertices
+        lengths = np.linalg.norm(verts[e[:, 0]] - verts[e[:, 1]], axis=1)
+        na, nb = self.normals[e[:, 2]], self.normals[e[:, 3]]
+        # The angle between unit normals as 2 atan2(|na - nb|, |na + nb|)
+        # stays accurate where arccos(na . nb) loses digits, between nearly
+        # coplanar faces.
+        gap = np.linalg.norm(na - nb, axis=1)
+        angles = 2.0 * np.arctan2(
+            gap, np.linalg.norm(np.add(na, nb, out=nb), axis=1))
+        return _segment_sums(lengths * angles, self.edge_start) / (4.0 * math.pi)
+
+
+@dataclass(frozen=True)
+class PolygonBatch:
+    """Convex polygons in one array: polygon h is
+    vertices[start[h]:start[h + 1]], counterclockwise."""
+
+    vertices: np.ndarray
+    start: np.ndarray
+
+    def measures(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per polygon (area, perimeter) by shoelace and edge sum."""
+        v = self.vertices
+        nxt = np.arange(1, len(v) + 1)
+        nxt[self.start[1:] - 1] = self.start[:-1]
+        nxt = v[nxt]
+        area = 0.5 * np.abs(_segment_sums(
+            v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1], self.start))
+        perimeter = _segment_sums(np.linalg.norm(nxt - v, axis=1), self.start)
+        return area, perimeter
+
+
+def _dedup_mask(clouds: np.ndarray, tol: float) -> np.ndarray:
+    """(m, k) mask of the points of stacked clouds (m, k, d) that are kept
+    when each point within tol of an earlier kept point is dropped."""
+    m, k, d = clouds.shape
+    dist, diff = np.zeros((m, k, k)), np.empty((m, k, k))
+    for j in range(d):  # coordinate by coordinate, as scipy's cdist adds
+        np.subtract(clouds[:, :, None, j], clouds[:, None, :, j], out=diff)
+        dist += np.square(diff, out=diff)
+    close = np.sqrt(dist, out=dist) <= tol
+    first = np.argmax(close, axis=1)  # earliest point within tol of each
+    keep = first == np.arange(k)
     # A point is dropped when its earliest close point is kept.  When that
     # point was dropped itself (a chain a~b~c with a and c apart), the
     # greedy rule is applied in index order.
-    for j in np.flatnonzero(~keep[first]):
-        keep[j] = not np.any(close[:j, j] & keep[:j])
-    return points[keep]
+    for c, j in zip(*np.nonzero(~np.take_along_axis(keep, first, axis=1))):
+        keep[c, j] = not np.any(close[c, :j, j] & keep[c, :j])
+    return keep
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise cross product of (m, 3) arrays, bit-identical to np.cross,
-    whose axis handling costs more than the product for one mesh's rows."""
-    i, j = [1, 2, 0], [2, 0, 1]
-    return a[:, i] * b[:, j] - a[:, j] * b[:, i]
+    whose axis handling costs more than the product for one mesh's rows.
+    Component by component, so that temporaries are single columns."""
+    out = np.empty(a.shape)
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.subtract(a[:, i] * b[:, j], a[:, j] * b[:, i], out=out[:, k])
+    return out
 
 
-def _affine_rank(points: np.ndarray, tol: float = 1e-9) -> int:
-    centered = points - points.mean(axis=0)
+def _affine_ranks(clouds: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Affine rank of each of the stacked clouds (g, k, d)."""
+    centered = clouds - clouds.mean(axis=1, keepdims=True)
     s = np.linalg.svd(centered, compute_uv=False)
-    scale = s[0] if len(s) and s[0] > 0 else 1.0
-    return int(np.sum(s > tol * scale))
+    scale = np.where(s[:, 0] > 0, s[:, 0], 1.0)
+    return np.sum(s > tol * scale[:, None], axis=1)
 
 
-def _qhull(points, dim: int) -> tuple[np.ndarray, int, ConvexHull]:
-    """The deduplicated points, their affine rank and their Qhull hull.
+def _qhull(clouds, dim: int) -> tuple[list, np.ndarray, Iterator]:
+    """Per cloud of the stack (m, k, dim): the deduplicated points, their
+    affine rank and their Qhull hull.
 
-    Raises FlatInputError when the deduplicated points are not
+    The hulls come from an iterator, one at a time, so that a caller keeps
+    only the arrays it reads of each.  Raises FlatInputError, with the
+    index of the first such cloud, when a deduplicated cloud is not
     full-dimensional in R^dim.  `ConvexHull` stays a module global looked
     up at call time, so a tracer that rebinds `hull.ConvexHull` sees every
     Qhull call.
     """
-    pts = _dedup(np.asarray(points, dtype=float), DEDUP_TOL)
-    if len(pts) <= dim:
-        raise FlatInputError(_affine_rank(pts))
-    rank = _affine_rank(pts)
-    if rank < dim:
-        raise FlatInputError(rank)
-    try:
-        return pts, rank, ConvexHull(pts)
-    except QhullError as exc:  # pragma: no cover - rank check catches first
-        raise FlatInputError(rank, str(exc)) from exc
+    clouds = np.asarray(clouds, dtype=float)
+    keep = _dedup_mask(clouds, DEDUP_TOL)
+    kept = keep.sum(axis=1)
+    ranks = np.empty(len(clouds), dtype=int)
+    for count in np.unique(kept).tolist():
+        group = np.flatnonzero(kept == count)
+        ranks[group] = _affine_ranks(
+            clouds[group][keep[group]].reshape(len(group), count, -1))
+    flat = np.flatnonzero(ranks < dim)
+    if len(flat):
+        h, rank = int(flat[0]), int(ranks[flat[0]])
+        raise FlatInputError(
+            rank, f"flat input, affine rank {rank} in hull {h}", index=h)
+    pts = [cloud[mask] for cloud, mask in zip(clouds, keep)]
+
+    def hulls():
+        for h, p in enumerate(pts):
+            try:
+                yield ConvexHull(p)
+            except QhullError as exc:  # pragma: no cover - rank check first
+                raise FlatInputError(int(ranks[h]), f"{exc} in hull {h}",
+                                     index=h) from exc
+
+    return pts, ranks, hulls()
+
+
+def _face_groups(eq: np.ndarray, simplex_hull: np.ndarray) -> tuple:
+    """(first simplex of each face, face of each simplex): a face is a set
+    of equal rows of one hull's equations (one Qhull facet), numbered by
+    its first simplex."""
+    order = np.lexsort((*eq.T[::-1], simplex_hull))
+    rows = np.column_stack((simplex_hull, eq))[order]
+    new = np.ones(len(eq), dtype=bool)
+    new[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    first = np.empty(len(eq), dtype=int)
+    first[order] = order[new][np.cumsum(new) - 1]
+    is_first = first == np.arange(len(eq))
+    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[first]
+
+
+def _face_loops(vertices, normals, inc_face, inc_vert, counts) -> np.ndarray:
+    """The incidences, sorted by face, reordered into vertex loops.
+
+    Each face's vertices are ordered by the angle of (vertex - centre) from
+    b1, the direction of its first two vertices, towards n x b1.
+    """
+    starts = np.cumsum(counts) - counts
+    rel = vertices[inc_vert]
+    center = np.add.reduceat(rel, starts, axis=0) / counts[:, None]
+    b1 = rel[starts + 1] - rel[starts]
+    b2 = _cross(normals, b1)
+    # Row gathers go into one (n, 3) buffer; mode="clip" (the indices are
+    # in range) lets np.take write into it without a buffer of its own.
+    per_row = np.take(center, inc_face, axis=0)
+    rel -= per_row
+    np.take(b2, inc_face, axis=0, out=per_row, mode="clip")
+    sin = np.sum(np.multiply(rel, per_row, out=per_row), axis=1)
+    np.take(b1, inc_face, axis=0, out=per_row, mode="clip")
+    cos = np.sum(np.multiply(rel, per_row, out=per_row), axis=1)
+    del rel, per_row
+    return inc_vert[np.lexsort((np.arctan2(sin, cos), inc_face))]
+
+
+def convex_hulls_3d(clouds) -> MeshBatch:
+    """Convex hulls of stacked 3D clouds (m, k, 3) as coplanar-merged
+    polygonal meshes.
+
+    Raises FlatInputError, whose `index` is the failing cloud, when a
+    deduplicated cloud is not full-dimensional (degenerate projection
+    direction upstream) or its facets do not close up.
+    """
+    pts, ranks, hulls = _qhull(clouds, 3)
+    eq, simplices = zip(*[(h.equations, h.simplices) for h in hulls])
+    m = len(pts)
+    simplex_hull = np.repeat(np.arange(m), [len(s) for s in simplices])
+    eq, simplices = np.concatenate(eq), np.concatenate(simplices)
+    simplices += _starts([len(p) for p in pts])[simplex_hull][:, None]
+    leaders, simplex_face = _face_groups(eq, simplex_hull)
+    normals = eq[leaders, :3]
+    normals = normals / np.linalg.norm(normals, axis=1)[:, None]
+    face_hull = simplex_hull[leaders]
+    # Each step frees what later steps do not read, as these arrays hold
+    # every hull of the batch.
+    del eq, simplex_hull
+
+    points = np.concatenate(pts)
+    on_hull = np.zeros(len(points), dtype=bool)
+    on_hull[simplices] = True
+    vertices = points[on_hull]
+    vertex_hull = np.repeat(np.arange(m), [len(p) for p in pts])[on_hull]
+    nv = len(vertices)
+    # Face-vertex incidences, sorted by face and then by vertex.
+    inc_face, inc_vert = np.divmod(np.unique(
+        simplex_face[:, None] * nv + (np.cumsum(on_hull) - 1)[simplices]), nv)
+    del pts, points, on_hull, simplices, simplex_face
+    counts = np.bincount(inc_face, minlength=len(leaders))
+    loops = _face_loops(vertices, normals, inc_face, inc_vert, counts)
+
+    # Each loop edge (v, next v) is keyed by its sorted ends; a closed
+    # surface has every key exactly twice, once per adjacent face.
+    ends = _starts(counts)
+    nxt = np.arange(1, len(loops) + 1)
+    nxt[ends[1:] - 1] = ends[:-1]
+    key = np.minimum(loops, loops[nxt]) * nv + np.maximum(loops, loops[nxt])
+    order = np.lexsort((inc_face, key))
+    keys, key_counts = np.unique(key[order], return_counts=True)
+    vertex_start = _starts(np.bincount(vertex_hull, minlength=m))
+    bad = np.flatnonzero(key_counts != 2)
+    if len(bad):
+        a, b = divmod(int(keys[bad[0]]), nv)
+        h = int(vertex_hull[a])
+        a, b = a - vertex_start[h], b - vertex_start[h]
+        raise FlatInputError(int(ranks[h]), f"edge ({a},{b}) borders "
+                             f"{key_counts[bad[0]]} faces in hull {h}", index=h)
+    v0, v1 = np.divmod(keys, nv)
+    return MeshBatch(
+        vertices=vertices, normals=normals, loops=loops, loop_start=ends,
+        edges=np.column_stack((v0, v1, inc_face[order].reshape(-1, 2))),
+        vertex_start=vertex_start,
+        face_start=_starts(np.bincount(face_hull, minlength=m)),
+        edge_start=_starts(np.bincount(vertex_hull[v0], minlength=m)))
 
 
 def convex_hull_3d(points) -> PolyMesh:
-    """Convex hull of a 3D point cloud as a coplanar-merged polygonal mesh.
+    """Convex hull of a 3D point cloud as a coplanar-merged polygonal mesh,
+    a batch of one of `convex_hulls_3d`.
 
     Raises FlatInputError when the deduplicated cloud is not
     full-dimensional (degenerate projection direction upstream).
     """
-    pts, rank, hull = _qhull(points, 3)
-
-    # A face is a set of equal rows of hull.equations (one Qhull facet),
-    # numbered by its first simplex.
-    eq = hull.equations
-    first = np.argmax(cdist(eq, eq, "chebyshev") == 0.0, axis=0)
-    is_first = first == np.arange(len(eq))
-    leaders = np.flatnonzero(is_first)
-    simplex_face = (np.cumsum(is_first) - 1)[first]
-
-    on_hull = np.zeros(len(pts), dtype=bool)
-    on_hull[hull.simplices] = True
-    vertices = pts[on_hull]
-    nv = len(vertices)
-
-    # Face-vertex incidences, read out sorted by face and then by vertex.
-    incidence = np.zeros((len(leaders), nv), dtype=bool)
-    incidence[simplex_face[:, None],
-              (np.cumsum(on_hull) - 1)[hull.simplices]] = True
-    inc_face, inc_vert = np.nonzero(incidence)
-    counts = incidence.sum(axis=1)
-    starts = np.cumsum(counts) - counts
-
-    # Order each face's vertices by the angle of (vertex - centre) from b1,
-    # the direction of its first two vertices, towards n x b1.
-    normals = eq[leaders, :3]
-    normals = normals / np.linalg.norm(normals, axis=1)[:, None]
-    face_pts = vertices[inc_vert]
-    center = np.add.reduceat(face_pts, starts, axis=0) / counts[:, None]
-    b1 = face_pts[starts + 1] - face_pts[starts]
-    b2 = _cross(normals, b1)
-    rel = face_pts - center[inc_face]
-    ang = np.arctan2(np.sum(rel * b2[inc_face], axis=1),
-                     np.sum(rel * b1[inc_face], axis=1))
-    loops = inc_vert[np.lexsort((ang, inc_face))]
-    flat = loops.tolist()
-    faces = [flat[s:s + c] for s, c in zip(starts.tolist(), counts.tolist())]
-
-    # Each loop edge (v, next v) is keyed by its sorted ends; a closed
-    # surface has every key exactly twice, once per adjacent face.
-    nxt = np.arange(1, len(loops) + 1)
-    nxt[starts + counts - 1] = starts
-    key = np.minimum(loops, loops[nxt]) * nv + np.maximum(loops, loops[nxt])
-    order = np.lexsort((inc_face, key))
-    keys, key_counts = np.unique(key[order], return_counts=True)
-    bad = np.flatnonzero(key_counts != 2)
-    if len(bad):
-        a, b = divmod(int(keys[bad[0]]), nv)
-        raise FlatInputError(
-            rank, f"edge ({a},{b}) borders {key_counts[bad[0]]} faces")
-    edge_faces = inc_face[order].reshape(-1, 2).T
-    edges = list(zip((keys // nv).tolist(), (keys % nv).tolist(),
-                     edge_faces[0].tolist(), edge_faces[1].tolist()))
-
-    return PolyMesh(vertices=vertices, faces=faces, edges=edges,
-                    face_normals=normals)
+    return convex_hulls_3d(np.asarray(points, dtype=float)[None]).mesh(0)
 
 
 def mesh_measures(mesh: PolyMesh) -> MeshMeasures:
-    """Volume, surface area and mean width of a convex PolyMesh.
+    """Volume, surface area and mean width of a convex PolyMesh, a batch of
+    one of `MeshBatch.measures`.
 
     Volume: signed tetrahedra fanned from the centroid.  Area: summed
     polygon areas.  Mean width: sum over edges of length times the angle
     between the adjacent outward face normals, divided by 4*pi (exact for
     convex polytopes; the unit cube gives 3/2).
     """
-    verts = mesh.vertices
-    centroid = verts.sum(axis=0) / len(verts)
-
-    # Fan triangles (f[0], f[i], f[i+1]) of every face.
-    fan = np.array([(face[0], a, b) for face in mesh.faces
-                    for a, b in zip(face[1:-1], face[2:])])
-    p0 = verts[fan[:, 0]]
-    cross = _cross(verts[fan[:, 1]] - p0, verts[fan[:, 2]] - p0)
-    area = 0.5 * float(np.sum(np.linalg.norm(cross, axis=1)))
-    # det(p0 - c, a - c, b - c) = (p0 - c) . ((a - p0) x (b - p0))
-    dets = np.sum(cross * (p0 - centroid), axis=1)
-    volume = float(np.sum(np.abs(dets))) / 6.0
-
-    edges = np.array(mesh.edges)
-    lengths = np.linalg.norm(verts[edges[:, 0]] - verts[edges[:, 1]], axis=1)
-    na = mesh.face_normals[edges[:, 2]]
-    nb = mesh.face_normals[edges[:, 3]]
-    # The angle between unit normals as 2 atan2(|na - nb|, |na + nb|) stays
-    # accurate where arccos(na . nb) loses digits, between nearly coplanar
-    # faces.
-    angles = 2.0 * np.arctan2(np.linalg.norm(na - nb, axis=1),
-                              np.linalg.norm(na + nb, axis=1))
-    mw = float(np.sum(lengths * angles)) / (4.0 * math.pi)
-
-    return MeshMeasures(volume=volume, area=area, mean_width=mw,
+    volume, area, mw = MeshBatch.of(mesh).measures()
+    return MeshMeasures(volume=float(volume[0]), area=float(area[0]),
+                        mean_width=float(mw[0]),
                         vertex_count=mesh.vertex_count,
                         edge_count=mesh.edge_count,
                         face_count=mesh.face_count)
 
 
+def convex_hulls_2d(clouds) -> PolygonBatch:
+    """Convex hulls of stacked planar clouds (m, k, 2) as CCW polygons."""
+    pts, _, hulls = _qhull(clouds, 2)
+    polygons = [p[h.vertices] for p, h in zip(pts, hulls)]  # already CCW
+    return PolygonBatch(vertices=np.concatenate(polygons),
+                        start=_starts([len(p) for p in polygons]))
+
+
 def convex_hull_2d(points) -> Polygon2D:
-    """Convex hull of a planar point cloud as a CCW polygon."""
-    pts, _, hull = _qhull(points, 2)
-    return Polygon2D(vertices=pts[hull.vertices])  # already CCW
+    """Convex hull of a planar point cloud as a CCW polygon, a batch of one
+    of `convex_hulls_2d`."""
+    polys = convex_hulls_2d(np.asarray(points, dtype=float)[None])
+    return Polygon2D(vertices=polys.vertices)
 
 
 def polygon_measures(poly: Polygon2D) -> tuple[float, float]:
-    """(area, perimeter) of a convex polygon by shoelace and edge sum."""
-    v = poly.vertices
-    nxt = np.roll(v, -1, axis=0)
-    area = 0.5 * abs(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
-    perimeter = float(np.sum(np.linalg.norm(nxt - v, axis=1)))
-    return float(area), perimeter
+    """(area, perimeter) of a convex polygon, a batch of one of
+    `PolygonBatch.measures`."""
+    area, perimeter = PolygonBatch(poly.vertices,
+                                   _starts([len(poly.vertices)])).measures()
+    return float(area[0]), float(perimeter[0])
 
 
 def to_off(mesh: PolyMesh) -> str:

@@ -113,7 +113,7 @@ def closed_form_table(n: int) -> MomentTable:
     elif n == 4:
         e_mw2 = 3.0 * (0.25 + PI / 8.0 + 1.0 / PI)
     elif n == 5:
-        f1 = hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 2.0)
+        f1 = ZETA / (3.0 * PI)  # 3F2(-1/2, 1/2, 3/2; 1, 2; 1)
         f2 = hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 3.0)
         e_mw2 = (4.0 / (81.0 * PI**4)
                  * (144.0 * PI**2 - 10.0 * gamma_fn(0.25) ** 4
@@ -413,8 +413,10 @@ def closed_form_targets(n: int) -> dict:
 def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
     """Compare hull-derived measures with the closed-form functionals.
 
-    The directions are drawn one by one from their own stream; the closed
-    forms for all of them come from one call to the batch kernel.
+    The directions are drawn one by one from their own stream; their
+    frames, projections, hulls and measures and the closed forms each come
+    from one batch call.  A hull that fails raises FlatInputError naming
+    its index and direction.
 
     Returns (max absolute deviation over volume/area/mean width,
     fraction of samples with the generic 14/24/12 combinatorics and
@@ -423,20 +425,18 @@ def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
     rng = geometry.stream(seed, index=2**32)  # separate from MC chunks
     dirs = np.array([geometry.sample_unit_vector(4, rng) for _ in range(samples)])
     q = functionals.shadow_batch(dirs)
-    vl, ar, mw = (q[k].tolist() for k in ("vl", "ar", "mw"))
-    max_dev = 0.0
-    good = 0
-    for i, u in enumerate(dirs):
-        mesh = hull.convex_hull_3d(geometry.project_vertices(geometry.build_frame(u)))
-        meas = hull.mesh_measures(mesh)
-        dev = max(abs(meas.volume - vl[i]), abs(meas.area - ar[i]),
-                  abs(meas.mean_width - mw[i]))
-        max_dev = max(max_dev, dev)
-        if (dev < 1e-9 and meas.vertex_count == 14 and meas.edge_count == 24
-                and meas.face_count == 12
-                and mesh.euler_characteristic == 2):
-            good += 1
-    return max_dev, good / samples
+    try:
+        meshes = hull.convex_hulls_3d(
+            geometry.project_rows(geometry.build_frames(dirs)))
+    except hull.FlatInputError as exc:
+        raise exc.with_handle(
+            f"direction u = {dirs[exc.index].tolist()}") from exc
+    volume, area, mw = meshes.measures()
+    dev = np.maximum(np.maximum(np.abs(volume - q["vl"]),
+                                np.abs(area - q["ar"])), np.abs(mw - q["mw"]))
+    v, e, f = meshes.counts()
+    good = (dev < 1e-9) & (v == 14) & (e == 24) & (f == 12) & (v - e + f == 2)
+    return float(dev.max()), int(good.sum()) / samples
 
 
 def _report(n: int, mc: McResult, targets: dict, ranges: dict,
@@ -507,10 +507,13 @@ def octagon_report(samples: int, seed: int, threads: int = 1,
         u = draws[0::2]
         v = geometry.complete_pairs(u, draws[1::2])
         per, area = functionals.octagon_batch(u, v)
-        measured = np.array([functionals.octagon_hull_measures(a, b)
-                             for a, b in zip(u, v)])
-        dev = np.maximum(np.abs(measured[:, 1] - per),
-                         np.abs(measured[:, 0] - area))
+        try:
+            hull_area, hull_per = functionals.octagon_hull_batch(u, v)
+        except hull.FlatInputError as exc:
+            i = exc.index
+            raise exc.with_handle(f"pair u = {u[i].tolist()}, "
+                                  f"v = {v[i].tolist()}") from exc
+        dev = np.maximum(np.abs(hull_per - per), np.abs(hull_area - area))
         hull_check = float(dev.max()), float((dev < 1e-9).mean())
     targets = {"perimeter2": 23.0 + 6.0 * catalan_const(),
                "perimeter": 16.0 / 3.0, "area": 2.0}

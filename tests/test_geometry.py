@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import hull_reference
 from cubeshadow import geometry
 
 
@@ -176,6 +177,27 @@ def test_build_frame_general_n():
         assert f.rows.shape == (n - 1, n)
         assert np.abs(f.rows @ f.rows.T - np.eye(n - 1)).max() < 1e-10
         assert np.abs(f.rows @ u).max() < 1e-12
+
+
+def test_build_frames_equal_per_direction_reference():
+    # The batch against the per-direction frame it replaced, bit for bit:
+    # generic rows, the permuted branch on both sides of its two bounds,
+    # and stacked projections against one matrix product per frame.
+    rng = geometry.stream(6)
+    dirs = [geometry.sample_unit_vector(4, rng) for _ in range(500)]
+    for eps in (0.0, 1e-300, 1e-13, 1e-6, 0.0316, 0.05):
+        for j in range(4):
+            axis = np.eye(4)[j]
+            dirs += [axis + eps, axis + eps * np.eye(4)[(j + 1) % 4],
+                     np.array([0.3, 0.5, eps, -eps])]
+    dirs = np.array([u / np.linalg.norm(u) for u in dirs])
+    rows = geometry.build_frames(dirs)
+    clouds = geometry.project_rows(rows)
+    for u, r, cloud in zip(dirs, rows, clouds):
+        want = hull_reference.frame_rows(u)
+        assert np.array_equal(r, want)
+        assert np.array_equal(geometry.build_frame(u).rows, want)
+        assert np.array_equal(cloud, geometry.cube_vertices(4) @ want.T)
 
 
 def test_project_vertices_axis_direction():

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+import hull_reference
 from cubeshadow import functionals, geometry, hull
 
 
@@ -170,7 +172,8 @@ def test_dedup_chain_keeps_far_end():
     # is kept because the only point near it (b) was dropped.
     tol = 1.0
     pts = np.array([[0.0, 0.0], [0.6, 0.0], [1.2, 0.0], [0.1, 0.0]])
-    assert np.array_equal(hull._dedup(pts, tol), pts[[0, 2]])
+    keep = hull._dedup_mask(pts[None], tol)[0]
+    assert np.array_equal(pts[keep], pts[[0, 2]])
 
 
 # The per-simplex and per-face loops that the array code replaced, kept as
@@ -261,3 +264,118 @@ def test_matches_loop_reference():
         for got, want in zip((m.volume, m.area, m.mean_width),
                              _reference_measures(mesh)):
             assert got == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+
+# The batch against the per-mesh array code it replaced (hull_reference):
+# the same bytes, cloud by cloud, wherever a cloud sits in its batch.
+
+def sampled_clouds(count, seed=18):
+    rng = geometry.stream(seed)
+    return np.array([geometry.project_vertices(geometry.build_frame(
+        geometry.sample_unit_vector(4, rng))) for _ in range(count)])
+
+
+def special_clouds():
+    """Axis-aligned (the unit cube, half the points repeated), prism, box,
+    equal-magnitude and near-axis directions."""
+    dirs = [[1, 0, 0, 0], [0, 0, 0, -1], [1, 1, 0, 0], [1, 2, 3, 0],
+            [1, 1, 1, 1], [1, -1, 1e-9, 0], [1, 1e-12, 0, 0],
+            [1, 1e-6, 2e-6, -3e-6], [0.3, 0.5, 1e-7, -1e-7]]
+    return np.array([geometry.project_vertices(geometry.build_frame(
+        np.array(u, float) / np.linalg.norm(u))) for u in dirs])
+
+
+class TestBatch:
+    def check(self, clouds):
+        batch = hull.convex_hulls_3d(clouds)
+        volume, area, mw = batch.measures()
+        v, e, f = batch.counts()
+        for i, pts in enumerate(clouds):
+            want = hull_reference.convex_hull_3d(pts)
+            hull_reference.assert_same_mesh(batch.mesh(i), want)
+            hull_reference.assert_same_mesh(hull.convex_hull_3d(pts), want)
+            m = hull_reference.mesh_measures(want)
+            assert (volume[i], area[i], mw[i]) == (m.volume, m.area,
+                                                   m.mean_width)
+            assert (v[i], e[i], f[i]) == (m.vertex_count, m.edge_count,
+                                          m.face_count)
+            assert hull.mesh_measures(batch.mesh(i)) == m
+        return batch
+
+    def test_equals_mesh_reference(self):
+        self.check(sampled_clouds(200))
+        self.check(special_clouds())
+        self.check(geometry.cube_vertices(3)[None])
+        self.check(np.array([[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+                            float))
+
+    def test_result_independent_of_neighbours_and_position(self):
+        clouds = np.concatenate([sampled_clouds(40, seed=19), special_clouds()])
+        batch = self.check(clouds)
+        order = np.random.default_rng(3).permutation(len(clouds))
+        shuffled = hull.convex_hulls_3d(clouds[order])
+        for got, want in zip(np.array(shuffled.measures()).T,
+                             np.array(batch.measures()).T[order]):
+            assert tuple(got) == tuple(want)
+        for i, j in enumerate(order):
+            hull_reference.assert_same_mesh(shuffled.mesh(i), batch.mesh(j))
+
+    def test_polygons_equal_reference(self):
+        rng = geometry.stream(20)
+        clouds = []
+        for _ in range(200):
+            u = geometry.sample_unit_vector(4, rng)
+            v = geometry.complete_pairs(u[None], geometry.sample_unit_vector(
+                4, rng)[None])[0]
+            e, f = functionals.shadow_plane_basis(u, v)
+            clouds.append(geometry.cube_vertices(4) @ np.column_stack([e, f]))
+        clouds.append(geometry.cube_vertices(4)[:, :2])  # the unit square
+        clouds = np.array(clouds)
+        order = np.random.default_rng(4).permutation(len(clouds))
+        for batch in (clouds, clouds[order]):
+            polys = hull.convex_hulls_2d(batch)
+            area, perimeter = polys.measures()
+            for i, pts in enumerate(batch):
+                want = hull_reference.convex_hull_2d(pts)
+                got = polys.vertices[polys.start[i]:polys.start[i + 1]]
+                assert np.array_equal(got, want.vertices)
+                assert np.array_equal(hull.convex_hull_2d(pts).vertices,
+                                      want.vertices)
+                measures = hull_reference.polygon_measures(want)
+                assert (area[i], perimeter[i]) == measures
+                assert hull.polygon_measures(want) == measures
+
+    def test_flat_cloud_names_its_hull(self):
+        clouds = sampled_clouds(6)
+        clouds[3, :, 2] = 0.0
+        with pytest.raises(hull.FlatInputError) as exc:
+            hull.convex_hulls_3d(clouds)
+        assert (exc.value.index, exc.value.affine_rank) == (3, 2)
+        assert str(exc.value) == "flat input, affine rank 2 in hull 3"
+        planar = clouds[:, :, :2].copy()
+        planar[5] = planar[5, :, :1] * [1.0, 2.0]  # on a line
+        with pytest.raises(hull.FlatInputError) as exc:
+            hull.convex_hulls_2d(planar)
+        assert (exc.value.index, exc.value.affine_rank) == (5, 1)
+
+    def test_open_surface_names_its_hull(self, monkeypatch):
+        # Qhull's third hull loses a simplex: three of its edges then
+        # border one face.
+        calls = []
+
+        class Dropped:
+            def __init__(self, points):
+                qh = hull_reference.ConvexHull(points)
+                calls.append(1)
+                keep = slice(0, -1) if len(calls) == 3 else slice(None)
+                self.equations = qh.equations[keep]
+                self.simplices = qh.simplices[keep]
+
+        monkeypatch.setattr(hull, "ConvexHull", Dropped)
+        with pytest.raises(hull.FlatInputError, match=r"^edge \((\d+),(\d+)\) "
+                           r"borders 1 faces in hull 2$") as exc:
+            hull.convex_hulls_3d(sampled_clouds(5))
+        assert (exc.value.index, exc.value.affine_rank) == (2, 3)
+        # the ends are numbered within hull 2, which has 14 vertices
+        ends = re.match(r"edge \((\d+),(\d+)\)", str(exc.value)).groups()
+        assert all(0 <= int(end) < 14 for end in ends)

@@ -1,16 +1,19 @@
 """Property tests of the hull oracle on degenerate and near-degenerate
 directions of the 4-cube's corank-1 shadow.
 
-Each drawn direction is checked three ways: the projection frame is
+Each drawn direction is checked four ways: the projection frame is
 orthonormal and annihilates u, the mesh measures match the closed forms of
-`functionals`, and the mesh volume and area match Qhull's own
-`ConvexHull.volume` / `.area` of the undeduplicated cloud.
+`functionals`, the mesh volume and area match Qhull's own
+`ConvexHull.volume` / `.area` of the undeduplicated cloud, and frame, mesh
+and measures are those of the per-mesh reference code, bit for bit, both
+alone and second in a batch.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hull_reference
 from cubeshadow import functionals, geometry, hull
 
 # CLOSED_FORM_TOL is the criterion of `moments.hull_cross_check`.  The mesh
@@ -25,6 +28,9 @@ FRAME_TOL = 1e-12
 # unit 3-cube itself (axis-aligned).
 COMBINATORICS = {0: (14, 24, 12), 1: (12, 18, 8), 2: (8, 12, 6), 3: (8, 12, 6)}
 RESOLVED = 1e-9
+# A generic shadow that precedes each drawn cloud in a batch of two.
+NEIGHBOUR = geometry.project_vertices(geometry.build_frame(
+    geometry.sample_unit_vector(4, geometry.stream(21))))
 
 magnitudes = st.floats(min_value=-16.0, max_value=0.0).map(lambda t: 10.0 ** t)
 signs = st.lists(st.sampled_from([-1.0, 1.0]), min_size=4, max_size=4)
@@ -67,6 +73,16 @@ def check_direction(u):
     qhull = hull.ConvexHull(pts)
     assert abs(m.volume - qhull.volume) < QHULL_TOL
     assert abs(m.area - qhull.area) < QHULL_TOL
+
+    # the same bytes as the per-mesh code, alone and behind a neighbour
+    assert np.array_equal(frame.rows, hull_reference.frame_rows(u))
+    want = hull_reference.convex_hull_3d(pts)
+    hull_reference.assert_same_mesh(mesh, want)
+    assert m == hull_reference.mesh_measures(want)
+    batch = hull.convex_hulls_3d(np.stack([NEIGHBOUR, pts]))
+    hull_reference.assert_same_mesh(batch.mesh(1), want)
+    assert tuple(np.array(batch.measures())[:, 1]) == (m.volume, m.area,
+                                                      m.mean_width)
     return mesh
 
 

@@ -12,7 +12,8 @@ import pytest
 from scipy import integrate
 
 import cubeshadow
-from cubeshadow import functionals, geometry, moments, quad, specfun
+import hull_reference
+from cubeshadow import functionals, geometry, hull, moments, quad, specfun
 
 
 class TestClosedFormTables:
@@ -38,6 +39,15 @@ class TestClosedFormTables:
     def test_n5_values(self):
         t = moments.closed_form_table(5)
         assert t.e_mw2 == pytest.approx(3.516040901689803, abs=1e-12)
+
+    def test_n5_uses_zeta_for_its_first_3f2(self):
+        # The table takes 3F2(-1/2, 1/2, 3/2; 1, 2; 1) as ZETA/(3 pi); the
+        # quadrature of specfun is the reference, and both round to the
+        # same double, so E(mw^2) at n = 5 keeps its bytes.
+        f1 = specfun.hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 2.0)
+        assert f1 == pytest.approx(moments.ZETA / (3.0 * math.pi),
+                                   rel=1e-15, abs=0.0)
+        assert moments.closed_form_table(5).e_mw2 == 3.5160409016898035
 
     def test_e_mw2_absent_above_5(self):
         t = moments.closed_form_table(6)
@@ -496,11 +506,103 @@ class TestChunkWorkspace:
         assert float(proc.stdout) < 100
 
 
+# E[sqrt(u1^2 + u2^2) sqrt(u3^2 + u4^2)] = pi/(2n): the marginal of
+# (u1, .., u4) is R w, w uniform on S^3 and independent of R, E[R^2] = 4/n,
+# and the S^3-average of the degree-2 integrand is pi/8.  The seed was
+# fixed before the test was first run.
+DISJOINT_SEED = 8
+
+
+@pytest.mark.parametrize("n", [4, 6, 12])
+def test_disjoint_pair_term_monte_carlo(n):
+    values = []
+    for index in range(4):  # 4 * 10^5 samples in four streams
+        x = geometry.sample_unit_vectors(n, 100_000,
+                                         geometry.stream(DISJOINT_SEED, index))
+        values.append(np.hypot(x[:, 0], x[:, 1]) * np.hypot(x[:, 2], x[:, 3]))
+    values = np.concatenate(values)
+    stderr = values.std() / math.sqrt(len(values))
+    assert abs(values.mean() - math.pi / (2 * n)) / stderr < 4.0
+
+
+def hull_cross_check_reference(samples, seed):
+    """`hull_cross_check` as it was: one frame, projection, hull and
+    measurement per direction."""
+    rng = geometry.stream(seed, index=2**32)
+    dirs = np.array([geometry.sample_unit_vector(4, rng)
+                     for _ in range(samples)])
+    q = functionals.shadow_batch(dirs)
+    max_dev, good = 0.0, 0
+    for i, u in enumerate(dirs):
+        mesh = hull_reference.convex_hull_3d(
+            geometry.cube_vertices(4) @ hull_reference.frame_rows(u).T)
+        meas = hull_reference.mesh_measures(mesh)
+        dev = max(abs(meas.volume - q["vl"][i]), abs(meas.area - q["ar"][i]),
+                  abs(meas.mean_width - q["mw"][i]))
+        max_dev = max(max_dev, dev)
+        good += bool(dev < 1e-9 and (meas.vertex_count, meas.edge_count,
+                                     meas.face_count) == (14, 24, 12)
+                     and mesh.euler_characteristic == 2)
+    return max_dev, good / samples
+
+
+def octagon_pairs(samples, seed):
+    """The pairs of `octagon_report`'s hull cross-check."""
+    rng = geometry.stream(seed, index=2**32 + 1)
+    draws = np.array([geometry.sample_unit_vector(4, rng)
+                      for _ in range(2 * samples)])
+    return draws[0::2], geometry.complete_pairs(draws[0::2], draws[1::2])
+
+
 class TestHullCrossCheck:
     def test_thousand_directions(self, hull_check_1e3):
         max_dev, rate = hull_check_1e3
         assert max_dev < 1e-9
         assert rate == 1.0
+
+    def test_equals_per_direction_reference(self, hull_check_1e3):
+        assert hull_check_1e3 == hull_cross_check_reference(1000, seed=11)
+
+    def test_octagon_hulls_equal_per_pair_reference(self):
+        u, v = octagon_pairs(300, seed=214)
+        area, perimeter = functionals.octagon_hull_batch(u, v)
+        for i in range(len(u)):
+            assert (area[i], perimeter[i]) == \
+                hull_reference.octagon_hull_measures(u[i], v[i])
+
+    def test_failure_names_its_direction(self, monkeypatch):
+        project = geometry.project_rows
+
+        def flatten_eighth(rows):
+            clouds = project(rows)
+            clouds[7, :, 2] = 0.0
+            return clouds
+
+        monkeypatch.setattr(geometry, "project_rows", flatten_eighth)
+        with pytest.raises(hull.FlatInputError) as exc:
+            moments.hull_cross_check(10, seed=3)
+        rng = geometry.stream(3, index=2**32)
+        u = [geometry.sample_unit_vector(4, rng) for _ in range(8)][7]
+        assert exc.value.index == 7
+        assert str(exc.value) == ("flat input, affine rank 2 in hull 7, "
+                                  f"direction u = {u.tolist()}")
+
+    def test_octagon_failure_names_its_pair(self, monkeypatch):
+        bases = functionals.shadow_plane_bases
+
+        def collapse_fifth(u, v):
+            e, f = bases(u, v)
+            f[4] = e[4]  # the fifth plane's vertices fall on a line
+            return e, f
+
+        monkeypatch.setattr(functionals, "shadow_plane_bases", collapse_fifth)
+        with pytest.raises(hull.FlatInputError) as exc:
+            moments.octagon_report(1, seed=3, hull_samples=6)
+        u, v = octagon_pairs(6, seed=3)
+        assert exc.value.index == 4
+        assert str(exc.value) == (
+            "flat input, affine rank 1 in hull 4, "
+            f"pair u = {u[4].tolist()}, v = {v[4].tolist()}")
 
 
 # E(per^2) = 23 + 6G (identified), E(per) = 16/3 and E(area) = 2 (proved)

@@ -3,7 +3,9 @@ orthonormal pairs of the 4-cube's rank-2 shadow.
 
 Each drawn pair (u, v) is checked against the 2D hull of the projected
 vertices: `octagon_batch`'s perimeter and area must match the hull's, and
-both must lie in their ranges, [4, 4 sqrt(2)] and [1, 1 + sqrt(2)].
+both must lie in their ranges, [4, 4 sqrt(2)] and [1, 1 + sqrt(2)].  The
+hull's measures and plane basis must be those of the per-pair reference
+code, bit for bit, both alone and second in a batch.
 
 v is a combination of the orthonormal basis of u's complement
 (-y, x, -w, z), (-z, w, x, -y), (-w, -z, y, x), so zeros and repeated
@@ -17,6 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hull_reference
 from cubeshadow import functionals
 
 HULL_TOL = 1e-12
@@ -55,9 +58,22 @@ def pair(u, weights):
     return u, weights @ basis / np.linalg.norm(weights)
 
 
+# A generic pair that precedes each drawn pair in a batch of two.
+NEIGHBOUR = pair(np.array([0.1, -0.4, 0.7, 0.2]), np.array([0.3, 0.5, -0.6]))
+
+
 def check_pair(u, v):
     per, area = functionals.octagon_batch(u[None, :], v[None, :])
     hull_area, hull_per = functionals.octagon_hull_measures(u, v)
+    # the same bytes as the per-pair code, alone and behind a neighbour
+    want = hull_reference.octagon_hull_measures(u, v)
+    assert (hull_area, hull_per) == want
+    e, f = functionals.shadow_plane_basis(u, v)
+    want_e, want_f = hull_reference.shadow_plane_basis(u, v)
+    assert np.array_equal(e, want_e) and np.array_equal(f, want_f)
+    batch = functionals.octagon_hull_batch(np.stack([NEIGHBOUR[0], u]),
+                                           np.stack([NEIGHBOUR[1], v]))
+    assert (batch[0][1], batch[1][1]) == want
     assert abs(per[0] - hull_per) < HULL_TOL
     assert abs(area[0] - hull_area) < HULL_TOL
     assert 4.0 - RANGE_TOL <= per[0] <= 4.0 * math.sqrt(2.0) + RANGE_TOL
