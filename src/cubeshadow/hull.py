@@ -45,19 +45,26 @@ DEDUP_TOL = 1e-12
 class FlatInputError(ValueError):
     """Input point cloud is not full-dimensional.
 
-    `index` is the position of the failing cloud in its batch.
+    `reason` says what failed and `index` is the position of the failing
+    cloud in its batch.  The message is `reason`, then "in hull <index>"
+    when the batch holds more than one cloud (`named`), then `handle`,
+    what replays the failing cloud, when one is given.
     """
 
-    def __init__(self, affine_rank: int, message: str | None = None,
-                 index: int | None = None):
+    def __init__(self, affine_rank: int, reason: str | None = None,
+                 index: int | None = None, named: bool = False,
+                 handle: str = ""):
         self.affine_rank = affine_rank
+        self.reason = reason or f"flat input, affine rank {affine_rank}"
         self.index = index
-        super().__init__(message or f"flat input, affine rank {affine_rank}")
+        message = self.reason + (f" in hull {index}" if named else "")
+        super().__init__(f"{message}, {handle}" if handle else message)
 
-    def with_handle(self, handle: str) -> FlatInputError:
-        """This error with `handle`, what replays the failing cloud, added."""
-        return FlatInputError(self.affine_rank, f"{self}, {handle}",
-                              self.index)
+    def in_batch(self, start: int, handle: str) -> FlatInputError:
+        """This error of a block that starts at cloud `start` of a larger
+        batch: its index there, named, and `handle` added."""
+        return FlatInputError(self.affine_rank, self.reason,
+                              start + self.index, True, handle)
 
 
 @dataclass(frozen=True)
@@ -299,9 +306,8 @@ def _qhull(clouds, dim: int) -> tuple[list, np.ndarray, Iterator]:
             clouds[group][keep[group]].reshape(len(group), count, -1))
     flat = np.flatnonzero(ranks < dim)
     if len(flat):
-        h, rank = int(flat[0]), int(ranks[flat[0]])
-        raise FlatInputError(
-            rank, f"flat input, affine rank {rank} in hull {h}", index=h)
+        h = int(flat[0])
+        raise FlatInputError(int(ranks[h]), index=h, named=len(clouds) > 1)
     pts = [cloud[mask] for cloud, mask in zip(clouds, keep)]
 
     def hulls():
@@ -309,8 +315,8 @@ def _qhull(clouds, dim: int) -> tuple[list, np.ndarray, Iterator]:
             try:
                 yield ConvexHull(p)
             except QhullError as exc:  # pragma: no cover - rank check first
-                raise FlatInputError(int(ranks[h]), f"{exc} in hull {h}",
-                                     index=h) from exc
+                raise FlatInputError(int(ranks[h]), str(exc), h,
+                                     len(pts) > 1) from exc
 
     return pts, ranks, hulls()
 
@@ -402,7 +408,7 @@ def convex_hulls_3d(clouds) -> MeshBatch:
         h = int(vertex_hull[a])
         a, b = a - vertex_start[h], b - vertex_start[h]
         raise FlatInputError(int(ranks[h]), f"edge ({a},{b}) borders "
-                             f"{key_counts[bad[0]]} faces in hull {h}", index=h)
+                             f"{key_counts[bad[0]]} faces", h, m > 1)
     v0, v1 = np.divmod(keys, nv)
     return MeshBatch(
         vertices=vertices, normals=normals, loops=loops, loop_start=ends,

@@ -410,13 +410,19 @@ def closed_form_targets(n: int) -> dict:
     return {q: fields["e_" + q] for q in MOMENT_NAMES if "e_" + q in fields}
 
 
+# Hulls per batch call of the cross-checks.  A batch holds every array of
+# its hulls at once (about 7 MB per 1000 3D hulls); blocks keep that fixed.
+HULL_BLOCK = 1000
+
+
 def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
     """Compare hull-derived measures with the closed-form functionals.
 
-    The directions are drawn one by one from their own stream; their
-    frames, projections, hulls and measures and the closed forms each come
-    from one batch call.  A hull that fails raises FlatInputError naming
-    its index and direction.
+    The directions are drawn one by one from their own stream, and the
+    closed forms come from one batch call.  Their frames, projections,
+    hulls and measures come from one batch call per HULL_BLOCK directions,
+    so that memory does not grow with `samples`.  A hull that fails raises
+    FlatInputError naming its index and direction.
 
     Returns (max absolute deviation over volume/area/mean width,
     fraction of samples with the generic 14/24/12 combinatorics and
@@ -425,16 +431,21 @@ def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
     rng = geometry.stream(seed, index=2**32)  # separate from MC chunks
     dirs = np.array([geometry.sample_unit_vector(4, rng) for _ in range(samples)])
     q = functionals.shadow_batch(dirs)
-    try:
-        meshes = hull.convex_hulls_3d(
-            geometry.project_rows(geometry.build_frames(dirs)))
-    except hull.FlatInputError as exc:
-        raise exc.with_handle(
-            f"direction u = {dirs[exc.index].tolist()}") from exc
-    volume, area, mw = meshes.measures()
+    measures, counts = [], []
+    for start in range(0, samples, HULL_BLOCK):
+        block = dirs[start:start + HULL_BLOCK]
+        try:
+            meshes = hull.convex_hulls_3d(
+                geometry.project_rows(geometry.build_frames(block)))
+        except hull.FlatInputError as exc:
+            raise exc.in_batch(start, f"direction u = "
+                               f"{block[exc.index].tolist()}") from exc
+        measures.append(meshes.measures())
+        counts.append(meshes.counts())
+    volume, area, mw = np.concatenate(measures, axis=1)
     dev = np.maximum(np.maximum(np.abs(volume - q["vl"]),
                                 np.abs(area - q["ar"])), np.abs(mw - q["mw"]))
-    v, e, f = meshes.counts()
+    v, e, f = np.concatenate(counts, axis=1)
     good = (dev < 1e-9) & (v == 14) & (e == 24) & (f == 12) & (v - e + f == 2)
     return float(dev.max()), int(good.sum()) / samples
 
@@ -496,7 +507,8 @@ def octagon_report(samples: int, seed: int, threads: int = 1,
                    hull_samples: int = 1000) -> VerifyReport:
     """Rank-2 octagon verification: perimeter^2, perimeter and area against
     their closed forms, the extremes against their ranges, plus the 2D hull
-    cross-check on `hull_samples` seeded pairs."""
+    cross-check on `hull_samples` seeded pairs, HULL_BLOCK pairs per batch
+    call."""
     mc = mc_octagon(samples, seed, threads=threads)
     hull_check = None
     if hull_samples > 0:
@@ -507,12 +519,17 @@ def octagon_report(samples: int, seed: int, threads: int = 1,
         u = draws[0::2]
         v = geometry.complete_pairs(u, draws[1::2])
         per, area = functionals.octagon_batch(u, v)
-        try:
-            hull_area, hull_per = functionals.octagon_hull_batch(u, v)
-        except hull.FlatInputError as exc:
-            i = exc.index
-            raise exc.with_handle(f"pair u = {u[i].tolist()}, "
-                                  f"v = {v[i].tolist()}") from exc
+        measures = []
+        for start in range(0, hull_samples, HULL_BLOCK):
+            stop = start + HULL_BLOCK
+            try:
+                measures.append(functionals.octagon_hull_batch(
+                    u[start:stop], v[start:stop]))
+            except hull.FlatInputError as exc:
+                i = start + exc.index
+                raise exc.in_batch(start, f"pair u = {u[i].tolist()}, "
+                                   f"v = {v[i].tolist()}") from exc
+        hull_area, hull_per = np.concatenate(measures, axis=1)
         dev = np.maximum(np.abs(hull_per - per), np.abs(hull_area - area))
         hull_check = float(dev.max()), float((dev < 1e-9).mean())
     targets = {"perimeter2": 23.0 + 6.0 * catalan_const(),

@@ -1,4 +1,7 @@
-"""`tools/bench_pairs.py --check` on the recorded benchmark trajectory."""
+"""`tools/bench_pairs.py --check` finds each fault of a benchmark record.
+
+The recorded BENCH_*.json files themselves are checked by a CI step.
+"""
 
 import copy
 import importlib.util
@@ -17,12 +20,6 @@ def bench_pairs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")),
-                         ids=lambda p: p.name)
-def test_recorded_files_pass(bench_pairs, path):
-    assert bench_pairs.check(path) == []
 
 
 def broken(record, where):

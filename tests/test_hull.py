@@ -115,6 +115,8 @@ def test_flat_input_raises():
     with pytest.raises(hull.FlatInputError) as exc:
         hull.convex_hull_3d(flat)
     assert exc.value.affine_rank == 2
+    # a batch of one does not name its hull
+    assert str(exc.value) == "flat input, affine rank 2"
 
 
 def test_off_dump_format():

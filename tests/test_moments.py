@@ -604,6 +604,38 @@ class TestHullCrossCheck:
             "flat input, affine rank 1 in hull 4, "
             f"pair u = {u[4].tolist()}, v = {v[4].tolist()}")
 
+    def test_blocks_equal_one_batch(self, monkeypatch):
+        # 23 hulls in blocks of 5 (the last one short) measure as one batch
+        whole = moments.hull_cross_check(23, seed=8)
+        octagon = moments.octagon_report(1, seed=8, hull_samples=23)
+        monkeypatch.setattr(moments, "HULL_BLOCK", 5)
+        assert moments.hull_cross_check(23, seed=8) == whole
+        blocked = moments.octagon_report(1, seed=8, hull_samples=23)
+        assert (blocked.hull_max_deviation, blocked.hull_pass_rate) == \
+            (octagon.hull_max_deviation, octagon.hull_pass_rate)
+
+    def test_failure_in_a_later_block_names_its_direction(self, monkeypatch):
+        project = geometry.project_rows
+        calls = []
+
+        def flatten_second_of_third_block(rows):
+            clouds = project(rows)
+            calls.append(1)
+            if len(calls) == 3:
+                clouds[1, :, 2] = 0.0
+            return clouds
+
+        monkeypatch.setattr(moments, "HULL_BLOCK", 4)
+        monkeypatch.setattr(geometry, "project_rows",
+                            flatten_second_of_third_block)
+        with pytest.raises(hull.FlatInputError) as exc:
+            moments.hull_cross_check(10, seed=3)
+        rng = geometry.stream(3, index=2**32)
+        u = [geometry.sample_unit_vector(4, rng) for _ in range(10)][9]
+        assert exc.value.index == 9
+        assert str(exc.value) == ("flat input, affine rank 2 in hull 9, "
+                                  f"direction u = {u.tolist()}")
+
 
 # E(per^2) = 23 + 6G (identified), E(per) = 16/3 and E(area) = 2 (proved)
 OCTAGON_TARGETS = {"perimeter2": 23.0 + 6.0 * specfun.catalan_const(),

@@ -1,14 +1,15 @@
 """Alternating parent/change pairs of the benchmark, written as BENCH_<label>.json.
 
     python3 tools/bench_pairs.py --label LABEL --parent REV [--change REV] \
-        --workload NAME=PAIRS [--workload NAME=PAIRS ...] [--seconds 10] \
+        --workload NAME=PAIRS [--workload NAME=PAIRS ...] \
         [--describe TEXT] [--note TEXT]
     python3 tools/bench_pairs.py --check BENCH_*.json
 
 Run from the root of a checkout.  The committed files of both revisions are
 extracted with `git archive` into fresh temporary directories (so that an
 interrupted run leaves nothing behind in the repository), and each runs its
-own `perfbench/run.py --workload NAME --seed S --seconds SECONDS` there.
+own `perfbench/run.py --workload NAME --seed S --seconds 10` there; every
+record uses that one run length.
 Pair i of the j-th workload uses seed 101 + 100 j + i on both sides; it runs
 the parent first when i is even and the change first when i is odd.  The
 end-to-end metrics, and whether each is better lower or higher, come from
@@ -32,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SECONDS = 10  # run length of every run.py call
 
 
 def git(*args: str) -> bytes:
@@ -47,11 +49,11 @@ def extract(rev: str, into: Path) -> str:
     return full
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
+def run_side(tree: Path, workload: str, seed: int) -> tuple:
     """(environment, result) of one run.py call in `tree`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(SECONDS)],
         cwd=tree, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     return json.loads(lines[0])["environment"], json.loads(lines[-1])
@@ -83,7 +85,7 @@ def measure(args) -> dict:
     workloads = [w.split("=") for w in args.workload]
     out = {"label": args.label, "change": args.describe,
            "command": "python3 perfbench/run.py --workload W --seed S "
-                      f"--seconds {args.seconds:g}",
+                      f"--seconds {SECONDS}",
            "pairs_order": "pair i runs the parent first when i is even, "
                           "the change first when i is odd",
            "revs": {}, "workloads": {}, "environment": {}}
@@ -101,8 +103,7 @@ def measure(args) -> dict:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 runs = {}
                 for side in order:
-                    env, runs[side] = run_side(trees[side], workload, seed,
-                                               args.seconds)
+                    env, runs[side] = run_side(trees[side], workload, seed)
                     digests[side] = env["src_sha256"]
                     out["environment"].update(
                         {k: env[k] for k in ("nproc", "python", "numpy",
@@ -156,7 +157,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default="HEAD")
     parser.add_argument("--workload", action="append", default=[],
                         metavar="NAME=PAIRS")
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--describe", default="")
     parser.add_argument("--note", default="")
     args = parser.parse_args(argv)
