@@ -79,14 +79,23 @@ class MomentTable:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
+# The closed forms of vl, ar and mw take Gamma((n + 1)/2), which overflows
+# a double for n > 342 (Gamma(x) does for x > 171.62).
+MAX_N = 342
+
+
+def _check_n(n: int) -> None:
+    if not 3 <= n <= MAX_N:
+        raise DimensionError(f"need 3 <= n <= {MAX_N}, got {n}")
+
+
 def _gamma_ratio(n: int) -> float:
     return gamma_fn(n / 2.0) / gamma_fn((n + 1) / 2.0)
 
 
 def extremes_table(n: int) -> dict:
     """Analytic min/max of vl, ar, mw for cube dimension n."""
-    if n < 3:
-        raise DimensionError(f"need n >= 3, got {n}")
+    _check_n(n)
     coeff = functionals.segment_mw_coeff(n - 1)
     return {
         "vl": (1.0, math.sqrt(n)),
@@ -99,10 +108,9 @@ def closed_form_table(n: int) -> MomentTable:
     """All closed-form moments of the corank-1 shadow of the n-cube.
 
     E(mw^2) is present only for n in {3, 4, 5}; no general formula is
-    known.
+    known.  Takes 3 <= n <= MAX_N, as do `extremes_table` and `mc_estimate`.
     """
-    if n < 3:
-        raise DimensionError(f"need n >= 3, got {n}")
+    _check_n(n)
     e_vl = n / math.sqrt(PI) * _gamma_ratio(n)
     e_vl2 = 1.0 + 2.0 * (n - 1) / PI
     e_ar = math.sqrt(PI) * (n - 1) * n / 2.0 * _gamma_ratio(n)
@@ -285,8 +293,7 @@ def mc_estimate(n: int, samples: int, seed: int, threads: int = 1) -> McResult:
     Estimates all nine first/second/joint moments with standard errors,
     plus observed extremes.  Deterministic for fixed (seed, samples).
     """
-    if n < 3:  # before the workspace is sized by n
-        raise DimensionError(f"need n >= 3, got {n}")
+    _check_n(n)  # before the workspace is sized by n
     size = min(CHUNK, samples)
     workspace = _per_thread(lambda: (np.empty(n * size), np.empty(n * size),
                                      np.empty(5 * size)))

@@ -40,6 +40,14 @@ class TestMoments:
         assert code == 2
         assert "error" in err
 
+    def test_largest_n(self, capsys):
+        # Gamma((n+1)/2) overflows beyond MAX_N = 342
+        code, _, _ = run_cli(capsys, "moments", "--n", str(moments.MAX_N))
+        assert code == 0
+        code, out, err = run_cli(capsys, "moments", "--n", "343")
+        assert (code, out) == (2, "")
+        assert err == "error: need 3 <= n <= 342, got 343\n"
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli(capsys, "moments", "--n", "4")
         assert code == 0
@@ -91,6 +99,12 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--n", "2")
         assert code == 2
         assert "error" in err
+
+    def test_n343_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n", "343",
+                                 "--samples", "10")
+        assert (code, out) == (2, "")
+        assert err == "error: need 3 <= n <= 342, got 343\n"
 
     def test_csv_shape(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n", "3", "--samples",
@@ -185,7 +199,8 @@ class TestConstants:
         assert {name: target for name, _, target in entries} == expected
 
     def test_impossible_tolerance_fails(self, capsys):
-        code, out, _ = run_cli(capsys, "constants", "--which", "zeta4",
+        # the moment integrals miss their closed forms by 2e-16 to 1e-13
+        code, out, _ = run_cli(capsys, "constants", "--which", "moments",
                                "--tol", "1e-18")
         assert code == 1
         assert out.strip().endswith("FAIL")
@@ -454,7 +469,8 @@ REFERENCE_CASES = [
     ("constants", "--which", "zeta3"),
     ("constants", "--which", "pi128"),
     ("constants", "--which", "moments"),
-    ("constants", "--which", "zeta4", "--tol", "1e-18"),  # FAIL, exit 1
+    ("constants", "--which", "zeta4", "--tol", "1e-18"),  # disc 0: PASS
+    ("constants", "--which", "pi128", "--tol", "1e-20"),  # FAIL, exit 1
     ("verify", "--n", "3", "--samples", "20000", "--seed", "5"),
     ("verify", "--n", "4", "--samples", "20000", "--seed", "5"),
     ("verify", "--n", "3", "--samples", "1", "--seed", "5"),  # z = inf, json null: FAIL
