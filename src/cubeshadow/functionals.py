@@ -14,25 +14,28 @@ minors p_jk = u_j v_k - u_k v_j of the orthonormal pair (u, v), and the
 area is also given locally by six rational branch formulas in seven
 scalars built from (u, v).
 
-Each formula has one implementation, a batch kernel over rows of
-directions; the scalar functions are batches of one.
+Each formula has one implementation, a batch kernel; the scalar
+functions are batches of one.  A batch of m directions is coordinate-major,
+(n, m), one direction per column, so that each coordinate is one contiguous
+row and every operation runs along m contiguous elements.  A sum over the
+coordinates is `geometry.coordinate_sum`, which adds the rows in the order
+np.add.reduce uses along a row: the same bits as the row-major sums.
 
-`shadow_batch` squares the directions once, into s = x.T**2 laid out
-(n, m), so that each coordinate is one contiguous row.  The area is
-2 sum_{j<k} sqrt(s_j + s_k), one add and one sqrt per pair into a
-preallocated buffer; the mean width takes 1 - u_j^2 as prefix plus suffix
-sums of s (the other squares), which, unlike 1 - s_j, does not cancel as
-|u_j| -> 1.
+`shadow_batch` takes vl as the coordinate sum of |x| and squares the
+directions once, into s = x**2.  The area is 2 sum_{j<k} sqrt(s_j + s_k),
+one add and one sqrt per pair into a preallocated buffer; the mean width
+takes 1 - u_j^2 as prefix plus suffix sums of s (the other squares), which,
+unlike 1 - s_j, does not cancel as |u_j| -> 1.
 
 Both batch kernels take `out`: None, or the arrays the call would
 allocate, so that a caller can reuse one set for every batch and allocate
 nothing.  The same in-place code runs either way, and gives the same
 bytes.  For `shadow_batch` it is (rows, s, rest): rows (5, m) receives
 vl, ar and mw, and its last two rows are scratch; s and rest, (n, m),
-hold the squares and their suffix sums.  |x| is formed in s, read as
-(m, n), before s = x.T**2.  x is last read then, so rest may share its
-memory.  For `octagon_batch` it is (p, rows): p (6, m) holds the minors,
-and rows (3, m) receives perimeter and area, with one scratch row.
+hold the squares and their suffix sums.  |x| is formed and summed in s
+before s = x**2.  x is last read then, so rest may share its memory.  For
+`octagon_batch` it is (p, rows): p (6, m) holds the minors, and rows
+(3, m) receives perimeter and area, with one scratch row.
 
 Error of sqrt(s_j + s_k) against sqrt(u_j^2 + u_k^2): for unit vectors
 s_j <= 1, so nothing overflows.  When both squares are normal numbers, the
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hull
-from .geometry import DimensionError, cube_vertices
+from .geometry import DimensionError, coordinate_sum, cube_vertices
 from .specfun import gamma_fn
 
 ORTHO_TOL = 1e-10
@@ -93,20 +96,21 @@ class OctagonCoeffs:
 
 
 def shadow_batch(x: np.ndarray, out=None) -> dict:
-    """Per-row vl, ar, mw arrays for a batch of unit directions x (m, n).
+    """Per-direction vl, ar, mw arrays for a batch of unit directions x
+    (n, m), one per column.
 
     c_{n-1} comes from the shape, so n >= 3 (`DimensionError` otherwise).
     Layout, buffers and error bound are in the module docstring.
     """
-    m, n = x.shape
+    n, m = x.shape
     coeff = segment_mw_coeff(n - 1)
     if out is None:
         rows, s, rest = np.empty((5, m)), np.empty((n, m)), np.empty((n, m))
     else:
         rows, s, rest = out
     vl, ar, mw, t, prefix = rows
-    np.add.reduce(np.abs(x, out=s.reshape(m, n)), axis=1, out=vl)
-    np.square(x.T, out=s)
+    coordinate_sum(np.abs(x, out=s), vl)
+    np.square(x, out=s)
     ar[...] = 0.0
     for j in range(n):
         for k in range(j + 1, n):
@@ -145,7 +149,7 @@ def segment_mw_coeff(d: int) -> float:
 
 def shadow_functionals(u) -> ShadowFunctionals:
     """All three corank-1 functionals at direction u, a batch of one."""
-    q = shadow_batch(np.asarray(u, dtype=float)[None, :])
+    q = shadow_batch(np.asarray(u, dtype=float)[:, None])
     return ShadowFunctionals(vl=float(q["vl"][0]), ar=float(q["ar"][0]),
                              mw=float(q["mw"][0]))
 
@@ -182,18 +186,19 @@ PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 def octagon_batch(u: np.ndarray, v: np.ndarray,
                   out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row (perimeter, area) of the octagon for orthonormal pairs (m, 4).
+    """Per-pair (perimeter, area) of the octagon for orthonormal pairs
+    u, v (4, m), one pair per column.
 
     Both come from the minors p_jk = u_j v_k - u_k v_j; the buffers are in
     the module docstring.
     """
-    m = len(u)
+    m = u.shape[1]
     p, rows = (np.empty((6, m)), np.empty((3, m))) if out is None else out
     per, area, t = rows
     area[...] = 0.0
     for i, (j, k) in enumerate(PAIRS):
-        np.multiply(u[:, j], v[:, k], out=p[i])
-        np.multiply(u[:, k], v[:, j], out=t)
+        np.multiply(u[j], v[k], out=p[i])
+        np.multiply(u[k], v[j], out=t)
         p[i] -= t
         area += np.abs(p[i], out=t)
     np.square(p, out=p)
@@ -214,7 +219,7 @@ def octagon_perimeter(u, v) -> float:
     of `octagon_batch`; ranges over [4, 4*sqrt(2)].
     """
     u, v = _checked_pair(u, v)
-    return float(octagon_batch(u[None, :], v[None, :])[0][0])
+    return float(octagon_batch(u[:, None], v[:, None])[0][0])
 
 
 def octagon_coefficients(u, v) -> OctagonCoeffs:

@@ -12,10 +12,17 @@ The per-sample functionals come from the batch kernels of `functionals`:
 Each worker thread has one workspace, made on its first chunk and reused
 for every later one, so the steady state allocates nothing.  The kernels
 of `geometry` and `functionals` write into it through their `out`
-arguments.  Buffers whose lifetimes do not overlap share memory.  For
-`mc_estimate` that is two (n, CHUNK) arrays and five CHUNK rows: the draw
-becomes the suffix sums, its squares become s, and the nine quantities
-pass one at a time through one scratch row.
+arguments.  Every batch of directions is coordinate-major, (n, m), one
+direction per column, from the sampler to the statistics.  Buffers whose
+lifetimes do not overlap share memory.  For `mc_estimate` that is two
+(n, CHUNK) arrays and five CHUNK rows: the first takes the (m, n) draw,
+then, once the draw is transposed into the second, the squares of the
+norms, then |x| and s = x**2; the second holds x, then, once x is squared,
+the suffix sums.  The first row takes the norms, then vl, and the nine
+quantities pass one at a time through one scratch row.  For `mc_octagon`
+it is 4 + 4 + 6 + 3 CHUNK rows: u; g; the scratch of sampling, the (m, 4)
+draw of g and the scratch of completion, then the minors, then the
+scratch of the statistics; and perimeter, area and one scratch row.
 
 Each chunk returns its count, per quantity its sum and its
 M2 = sum (v - chunk mean)^2, and the extremes of the bounded quantities
@@ -303,13 +310,11 @@ def mc_estimate(n: int, samples: int, seed: int, threads: int = 1) -> McResult:
         m = stop - start
         a, b, r = workspace()
         rows = _view(r, 5, m)
-        # a holds the draw, then x, then the suffix sums; b the squares of
-        # the draw, then |x|, then s; rows[0] the norms, then vl
+        # the module docstring has the buffer map
         x = geometry.sample_unit_vectors(
             n, m, geometry.stream(seed, index),
-            out=(_view(a, m, n), _view(b, m, n), rows[0]))
-        q = functionals.shadow_batch(x, out=(rows, _view(b, n, m),
-                                             _view(a, n, m)))
+            out=(_view(b, n, m), _view(a, n, m), rows[0]))
+        q = functionals.shadow_batch(x, out=(rows, _view(a, n, m), x))
         return _chunk_stats(q, ("vl", "ar", "mw"), SHADOW_PRODUCTS, rows[3:])
 
     return _run_chunked(worker, samples, seed, threads)
@@ -335,11 +340,11 @@ def mc_octagon(samples: int, seed: int, threads: int = 1) -> McResult:
         rng = geometry.stream(seed, index)
         # p is the scratch of sampling and completion before it holds the
         # minors, and the scratch of the statistics after
-        scratch = (_view(p, m, 4), p[4 * m:5 * m])
+        scratch = (_view(p, 4, m), p[4 * m:5 * m])
         u = geometry.sample_unit_vectors(4, m, rng,
-                                         out=(_view(a, m, 4), *scratch))
-        g = _view(b, m, 4)
-        rng.standard_normal(out=g)
+                                         out=(_view(a, 4, m), *scratch))
+        g = geometry.to_columns(rng.standard_normal(out=_view(p, m, 4)),
+                                _view(b, 4, m))
         v = geometry.complete_pairs(u, g, out=scratch)
         per, area = functionals.octagon_batch(u, v, out=(_view(p, 6, m),
                                                          _view(r, 3, m)))
@@ -437,7 +442,7 @@ def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
     """
     rng = geometry.stream(seed, index=2**32)  # separate from MC chunks
     dirs = np.array([geometry.sample_unit_vector(4, rng) for _ in range(samples)])
-    q = functionals.shadow_batch(dirs)
+    q = functionals.shadow_batch(dirs.T)
     measures, counts = [], []
     for start in range(0, samples, HULL_BLOCK):
         block = dirs[start:start + HULL_BLOCK]
@@ -523,9 +528,10 @@ def octagon_report(samples: int, seed: int, threads: int = 1,
         # the stream interleaves the pairs: u is every even draw, g every odd
         draws = np.array([geometry.sample_unit_vector(4, rng)
                           for _ in range(2 * hull_samples)])
-        u = draws[0::2]
-        v = geometry.complete_pairs(u, draws[1::2])
+        u = draws[0::2].T
+        v = geometry.complete_pairs(u, draws[1::2].T)
         per, area = functionals.octagon_batch(u, v)
+        u, v = u.T, v.T  # one pair per row, for the hulls and the messages
         measures = []
         for start in range(0, hull_samples, HULL_BLOCK):
             stop = start + HULL_BLOCK

@@ -78,14 +78,22 @@ class TestVerify:
         assert payload["pass"] is True
         assert payload["spec_version"] == cli.SPEC_VERSION
 
-    @pytest.mark.parametrize("argv,threads", [
-        (("--samples", "200000"), ("1", "1", "4")),
-        (("--octagon", "--samples", "200000"), ("1", "1", "3")),
+    @pytest.mark.parametrize("argv,threads,chunk", [
+        (("--samples", "200000"), ("1", "1", "4"), None),
+        (("--octagon", "--samples", "200000"), ("1", "1", "3"), None),
         # 3 CHUNK + 17: the last chunk is partial
-        (("--n", "12", "--samples", "196625"), ("1", "1", "3")),
-    ], ids=["n4", "octagon", "n12"])
+        (("--n", "12", "--samples", "196625"), ("1", "1", "3"), None),
+        # the first n whose coordinate sums take numpy's blocks of 8
+        (("--n", "9", "--samples", "196625"), ("1", "1", "3"), None),
+        # the first n whose coordinate sums split; chunks of 512, the last
+        # one short, keep the 8256 pairs cheap
+        (("--n", "129", "--samples", "2000"), ("1", "1", "3"), 512),
+    ], ids=["n4", "octagon", "n12", "n9", "n129"])
     def test_byte_identical_across_runs_and_threads(self, capsys, tmp_path,
-                                                    argv, threads):
+                                                    monkeypatch, argv,
+                                                    threads, chunk):
+        if chunk:
+            monkeypatch.setattr(moments, "CHUNK", chunk)
         paths = [tmp_path / f"r{i}.json" for i in range(3)]
         for path, count in zip(paths, threads):
             code, _, _ = run_cli(capsys, "verify", *argv, "--seed", "25",

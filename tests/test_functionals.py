@@ -52,15 +52,15 @@ class TestCorank1Functionals:
 
     def test_bounds_on_random_sample(self):
         x = geometry.sample_unit_vectors(4, 100_000, geometry.stream(32))
-        vl = np.abs(x).sum(axis=1)
+        vl = np.abs(x).sum(axis=0)
         assert vl.min() >= 1.0 - 1e-12 and vl.max() <= 2.0 + 1e-12
-        mw = 0.5 * np.sqrt(np.clip(1 - x * x, 0, None)).sum(axis=1)
+        mw = 0.5 * np.sqrt(np.clip(1 - x * x, 0, None)).sum(axis=0)
         assert mw.min() >= 1.5 - 1e-12 and mw.max() <= math.sqrt(3) + 1e-12
 
     def test_volume_mean_matches_width_duality(self):
         # mean shadow volume equals the mean width of the cube itself
         x = geometry.sample_unit_vectors(4, 200_000, geometry.stream(33))
-        vl = np.abs(x).sum(axis=1)
+        vl = np.abs(x).sum(axis=0)
         stderr = vl.std() / math.sqrt(len(vl))
         assert abs(vl.mean() - 16 / (3 * math.pi)) < 4 * stderr
 
@@ -104,7 +104,7 @@ class TestOctagonBatch:
         u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
         _, hull_per = functionals.octagon_hull_measures(u, v)
         assert abs(clip_perimeter(u, v) - hull_per) > 1e-9
-        per, _ = functionals.octagon_batch(u[None, :], v[None, :])
+        per, _ = functionals.octagon_batch(u[:, None], v[:, None])
         assert abs(per[0] - hull_per) <= 1e-14
         assert abs(functionals.octagon_perimeter(u, v) - hull_per) <= 1e-14
 
@@ -113,7 +113,7 @@ class TestOctagonBatch:
         pairs = [random_pair(rng) for _ in range(50)]
         u = np.array([a for a, _ in pairs])
         v = np.array([b for _, b in pairs])
-        per, area = functionals.octagon_batch(u, v)
+        per, area = functionals.octagon_batch(u.T, v.T)
         for i, (a, b) in enumerate(pairs):
             assert functionals.octagon_perimeter(a, b) == per[i]
             hull_area, hull_per = functionals.octagon_hull_measures(a, b)

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 import hull_reference
+import mc_reference
 from cubeshadow import geometry
 
 
@@ -24,7 +25,7 @@ def test_sample_rejects_bad_dimension():
 def test_coordinate_second_moment():
     # symmetry forces E(x_j^2) = 1/4 on S^3
     x = geometry.sample_unit_vectors(4, 1_000_000, geometry.stream(1))
-    w2 = x[:, 3] ** 2
+    w2 = x[3] ** 2
     stderr = w2.std() / math.sqrt(len(w2))
     assert abs(w2.mean() - 0.25) < 3 * stderr
 
@@ -41,7 +42,8 @@ def test_batch_is_normalized_gaussian_draw():
     v = geometry.stream(5).standard_normal((1000, 4))
     expected = v / np.linalg.norm(v, axis=1, keepdims=True)
     got = geometry.sample_unit_vectors(4, 1000, geometry.stream(5))
-    assert got.tobytes() == expected.tobytes()
+    assert got.shape == (4, 1000)
+    assert got.tobytes() == expected.T.tobytes()
 
 
 class _ZeroRowGenerator:
@@ -64,9 +66,9 @@ def test_batch_redraws_zero_norm_rows_only():
     x = geometry.sample_unit_vectors(4, 3, rng)
     assert rng.sizes == [(3, 4), 4]
     assert np.all(np.isfinite(x))
-    assert np.allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-15)
-    assert np.array_equal(x[1], [-0.5, -0.5, -0.5, -0.5])
-    assert np.array_equal(x[0], np.arange(1.0, 5.0) / math.sqrt(30.0))
+    assert np.allclose(np.linalg.norm(x, axis=0), 1.0, atol=1e-15)
+    assert np.array_equal(x[:, 1], [-0.5, -0.5, -0.5, -0.5])
+    assert np.array_equal(x[:, 0], np.arange(1.0, 5.0) / math.sqrt(30.0))
 
 
 class _ZeroRowOutGenerator(_ZeroRowGenerator):
@@ -82,12 +84,12 @@ class _ZeroRowOutGenerator(_ZeroRowGenerator):
 
 def test_batch_redraws_zero_norm_rows_only_into_out():
     rng = _ZeroRowOutGenerator()
-    buffers = (np.empty((3, 4)), np.empty((3, 4)), np.empty(3))
+    buffers = (np.empty((4, 3)), np.empty((4, 3)), np.empty(3))
     x = geometry.sample_unit_vectors(4, 3, rng, out=buffers)
     assert x is buffers[0]
     assert rng.sizes == [(3, 4), 4]
-    assert np.array_equal(x[1], [-0.5, -0.5, -0.5, -0.5])
-    assert np.array_equal(x[0], np.arange(1.0, 5.0) / math.sqrt(30.0))
+    assert np.array_equal(x[:, 1], [-0.5, -0.5, -0.5, -0.5])
+    assert np.array_equal(x[:, 0], np.arange(1.0, 5.0) / math.sqrt(30.0))
     reference = geometry.sample_unit_vectors(4, 3, _ZeroRowGenerator())
     assert x.tobytes() == reference.tobytes()
 
@@ -97,8 +99,8 @@ def test_batch_into_out_is_the_same_bytes(n):
     expected = geometry.sample_unit_vectors(n, 1000, geometry.stream(5, n))
     # scratch that is not zero, and an out that is a view of a larger buffer
     flat = np.full(3000 * n, np.nan)
-    out = (flat[:1000 * n].reshape(1000, n),
-           flat[1000 * n:2000 * n].reshape(1000, n), np.full(1000, np.inf))
+    out = (flat[:1000 * n].reshape(n, 1000),
+           flat[1000 * n:2000 * n].reshape(n, 1000), np.full(1000, np.inf))
     got = geometry.sample_unit_vectors(n, 1000, geometry.stream(5, n), out=out)
     assert got is out[0]
     assert got.tobytes() == expected.tobytes()
@@ -107,12 +109,53 @@ def test_batch_into_out_is_the_same_bytes(n):
 def test_complete_pairs_into_out_is_the_same_bytes():
     rng = geometry.stream(6)
     u = geometry.sample_unit_vectors(4, 1000, rng)
-    g = rng.standard_normal((1000, 4))
+    g = rng.standard_normal((4, 1000))
     expected = geometry.complete_pairs(u, g.copy())
-    out = (np.full((1000, 4), np.nan), np.full(1000, np.nan))
+    out = (np.full((4, 1000), np.nan), np.full(1000, np.nan))
     got = geometry.complete_pairs(u, g, out=out)
     assert got is g
     assert got.tobytes() == expected.tobytes()
+
+
+def test_coordinate_sum_is_numpys_reduce_order():
+    # Magnitudes over 16 decades and both signs, so that another order of
+    # the additions moves bits; a row of -0.0, whose sum numpy starts from
+    # +0.0, and one of zeros of both signs.
+    rng = np.random.default_rng(12)
+    for k in range(1, 343):
+        a = rng.standard_normal((40, k)) * 10.0 ** rng.uniform(-8, 8, (40, k))
+        a[0] = -0.0
+        a[1] = 0.0
+        a[1, ::2] = -0.0
+        want = np.add.reduce(a, axis=1)
+        out = np.full(40, np.nan)
+        got = geometry.coordinate_sum(a.T.copy(), out)
+        assert got is out
+        # bytes, not ==, so that the sign of a zero sum counts too
+        assert got.tobytes() == want.tobytes(), f"k = {k}"
+        assert not np.signbit(got[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 12, 129, 342])
+def test_sampler_equals_row_major_reference(n):
+    got = geometry.sample_unit_vectors(n, 5000, geometry.stream(9, n))
+    want = mc_reference.sample_unit_vectors(n, 5000, geometry.stream(9, n))
+    assert got.tobytes() == want.T.tobytes()
+
+
+def test_complete_pairs_equals_row_major_reference():
+    rng = geometry.stream(10)
+    u = geometry.sample_unit_vectors(4, 5000, rng)
+    g = rng.standard_normal((5000, 4))
+    want = mc_reference.complete_pairs(u.T.copy(), g.copy())
+    got = geometry.complete_pairs(u, geometry.to_columns(g, np.empty((4, 5000))))
+    assert got.tobytes() == want.T.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 4095, 4096, 4097, 10000])
+def test_to_columns_is_the_transpose(m):
+    rows = np.arange(3.0 * m).reshape(m, 3)
+    assert np.array_equal(geometry.to_columns(rows, np.empty((3, m))), rows.T)
 
 
 def test_spherical_to_cartesian4_special_points():
@@ -254,7 +297,7 @@ def test_angle_sampling_matches_gaussian_sampling():
         psi[filled:filled + take] = keep[:take]
         filled += take
     x_angles = np.cos(theta) * np.sin(phi) * np.sin(psi)
-    x_gauss = geometry.sample_unit_vectors(4, m, geometry.stream(8))[:, 0]
+    x_gauss = geometry.sample_unit_vectors(4, m, geometry.stream(8))[0]
     stat = stats.ks_2samp(x_angles, x_gauss).statistic
     threshold = 1.9495 * math.sqrt(2.0 / m)  # alpha = 1e-3
     assert stat < threshold

@@ -327,8 +327,8 @@ class TestBatch:
         clouds = []
         for _ in range(200):
             u = geometry.sample_unit_vector(4, rng)
-            v = geometry.complete_pairs(u[None], geometry.sample_unit_vector(
-                4, rng)[None])[0]
+            v = geometry.complete_pairs(u[:, None], geometry.sample_unit_vector(
+                4, rng)[:, None])[:, 0]
             e, f = functionals.shadow_plane_basis(u, v)
             clouds.append(geometry.cube_vertices(4) @ np.column_stack([e, f]))
         clouds.append(geometry.cube_vertices(4)[:, :2])  # the unit square

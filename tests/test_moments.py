@@ -13,6 +13,7 @@ from scipy import integrate
 
 import cubeshadow
 import hull_reference
+import mc_reference
 from cubeshadow import functionals, geometry, hull, moments, quad, specfun
 
 
@@ -79,7 +80,7 @@ class TestClosedFormTables:
             functionals.segment_mw_coeff(1)
         # the batch kernel works out c_{n-1} from the shape
         with pytest.raises(geometry.DimensionError):
-            functionals.shadow_batch(np.array([[0.6, 0.8]]))
+            functionals.shadow_batch(np.array([[0.6], [0.8]]))
         for n in (2, -1):
             with pytest.raises(geometry.DimensionError):
                 moments.mc_estimate(n, 10, seed=1)
@@ -260,10 +261,10 @@ class TestShadowKernel:
     def test_matches_scalar_functionals(self, n):
         # against the scalar loops the kernel replaced, kept as references
         rng = geometry.stream(17, n)
-        x = np.vstack([geometry.sample_unit_vectors(n, 200, rng),
+        x = np.vstack([geometry.sample_unit_vectors(n, 200, rng).T,
                        special_directions(n)])
         with np.errstate(all="raise"):
-            q = functionals.shadow_batch(x)
+            q = functionals.shadow_batch(x.T)
             for i, u in enumerate(x):
                 assert q["vl"][i] == pytest.approx(
                     scalar_volume(u), rel=1e-14, abs=0.0)
@@ -274,9 +275,9 @@ class TestShadowKernel:
 
     @pytest.mark.parametrize("n", [3, 4, 12])
     def test_scalar_is_batch_of_one(self, n):
-        x = np.vstack([geometry.sample_unit_vectors(n, 20, geometry.stream(18, n)),
+        x = np.vstack([geometry.sample_unit_vectors(n, 20, geometry.stream(18, n)).T,
                        special_directions(n)])
-        q = functionals.shadow_batch(x)
+        q = functionals.shadow_batch(x.T)
         for i, u in enumerate(x):
             f = functionals.shadow_functionals(u)
             assert (f.vl, f.ar, f.mw) == (q["vl"][i], q["ar"][i], q["mw"][i])
@@ -292,14 +293,15 @@ class TestShadowKernel:
         reference = scalar_mean_width(x[0])
         old = hypot_kernel_reference(x, functionals.segment_mw_coeff(3))["mw"][0]
         assert abs(old - reference) > 1e-12
-        assert functionals.shadow_batch(x)["mw"][0] == pytest.approx(
+        assert functionals.shadow_batch(x.T)["mw"][0] == pytest.approx(
             reference, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("n", [4, 12])
     def test_hypot_reference_agrees(self, n):
         x = geometry.sample_unit_vectors(n, 1000, geometry.stream(3, n))
         new = functionals.shadow_batch(x)
-        old = hypot_kernel_reference(x, functionals.segment_mw_coeff(n - 1))
+        old = hypot_kernel_reference(x.T.copy(),
+                                     functionals.segment_mw_coeff(n - 1))
         assert np.array_equal(new["vl"], old["vl"])
         for q in ("ar", "mw"):
             np.testing.assert_allclose(new[q], old[q], rtol=1e-14, atol=0.0)
@@ -355,9 +357,9 @@ class TestMcOctagon:
         rng = geometry.stream(9, 0)
         u = geometry.sample_unit_vectors(4, m, rng)
         g = rng.standard_normal((m, 4))
-        v_ref, per_ref, area_ref = octagon_chunk_reference(g, u)
-        v = geometry.complete_pairs(u, g)
-        assert np.array_equal(v, v_ref)
+        v_ref, per_ref, area_ref = octagon_chunk_reference(g, u.T.copy())
+        v = geometry.complete_pairs(u, g.T.copy())
+        assert np.array_equal(v, v_ref.T)
         per, area = functionals.octagon_batch(u, v)
         assert np.array_equal(area, area_ref)
         # the clip form is off by about 2.2e-16 / sqrt(1 - u_j^2 - v_j^2),
@@ -414,18 +416,11 @@ def chunk_stats_reference(values, ranged):
     }
 
 
-def sample_reference(n, m, rng):
-    """`sample_unit_vectors` as it was, without the redraw of rows of norm
-    <= 1e-100 (never met with these seeds)."""
-    v = rng.standard_normal((m, n))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def shadow_chunk_reference(n, seed, index, m):
-    """One chunk of mc_estimate as it was: fresh arrays for the draw, the
-    kernel and each of the nine quantities."""
-    x = sample_reference(n, m, geometry.stream(seed, index))
-    q = functionals.shadow_batch(x)
+    """One chunk of mc_estimate as it was: the row-major kernels, and fresh
+    arrays for the draw, the kernel and each of the nine quantities."""
+    x = mc_reference.sample_unit_vectors(n, m, geometry.stream(seed, index))
+    q = mc_reference.shadow_batch(x)
     values = {
         "vl": q["vl"], "ar": q["ar"], "mw": q["mw"],
         "vl2": q["vl"] ** 2, "ar2": q["ar"] ** 2, "mw2": q["mw"] ** 2,
@@ -436,17 +431,18 @@ def shadow_chunk_reference(n, seed, index, m):
 
 
 def octagon_worker_reference(seed, index, m):
-    """One chunk of mc_octagon as it was, with fresh arrays throughout."""
+    """One chunk of mc_octagon as it was: the row-major kernels, with fresh
+    arrays throughout."""
     rng = geometry.stream(seed, index)
-    u = sample_reference(4, m, rng)
-    v = octagon_chunk_reference(rng.standard_normal((m, 4)), u)[0]
-    per, area = functionals.octagon_batch(u, v)
+    u = mc_reference.sample_unit_vectors(4, m, rng)
+    v = mc_reference.complete_pairs(u, rng.standard_normal((m, 4)))
+    per, area = mc_reference.octagon_batch(u, v)
     values = {"perimeter": per, "perimeter2": per**2, "area": area}
     return chunk_stats_reference(values, ("perimeter", "area"))
 
 
 @functools.lru_cache(maxsize=None)
-def mc_reference(n, samples, seed):
+def pipeline_reference(n, samples, seed):
     """The allocating pipeline, chunk by chunk on one thread; n None is the
     octagon."""
     per_chunk = [shadow_chunk_reference(n, seed, i, stop - start) if n
@@ -478,16 +474,26 @@ class TestChunkWorkspace:
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("samples", WORKSPACE_SAMPLES)
-    @pytest.mark.parametrize("n", [3, 4, 6, 12])
+    @pytest.mark.parametrize("n", [3, 4, 6, 7, 8, 9, 12])
     def test_mc_estimate_equals_reference(self, n, samples, threads):
         got = moments.mc_estimate(n, samples, seed=5, threads=threads)
-        assert got == mc_reference(n, samples, 5)
+        assert got == pipeline_reference(n, samples, 5)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("n", [129, 342])
+    def test_mc_estimate_equals_reference_at_large_n(self, monkeypatch, n,
+                                                     threads):
+        # The coordinate sums split above 128 rows.  Chunks of 128, the
+        # last one short, keep the n(n - 1)/2 passes of the pair loop cheap.
+        monkeypatch.setattr(moments, "CHUNK", 128)
+        got = moments.mc_estimate(n, 300, seed=5, threads=threads)
+        assert got == pipeline_reference.__wrapped__(n, 300, 5)
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("samples", WORKSPACE_SAMPLES)
     def test_mc_octagon_equals_reference(self, samples, threads):
         got = moments.mc_octagon(samples, seed=5, threads=threads)
-        assert got == mc_reference(None, samples, 5)
+        assert got == pipeline_reference(None, samples, 5)
 
     @pytest.mark.parametrize("call", ["mc_estimate(6, chunks * CHUNK, 1)",
                                       "mc_octagon(chunks * CHUNK, 1)"])
@@ -519,7 +525,7 @@ def test_disjoint_pair_term_monte_carlo(n):
     for index in range(4):  # 4 * 10^5 samples in four streams
         x = geometry.sample_unit_vectors(n, 100_000,
                                          geometry.stream(DISJOINT_SEED, index))
-        values.append(np.hypot(x[:, 0], x[:, 1]) * np.hypot(x[:, 2], x[:, 3]))
+        values.append(np.hypot(x[0], x[1]) * np.hypot(x[2], x[3]))
     values = np.concatenate(values)
     stderr = values.std() / math.sqrt(len(values))
     assert abs(values.mean() - math.pi / (2 * n)) / stderr < 4.0
@@ -531,7 +537,7 @@ def hull_cross_check_reference(samples, seed):
     rng = geometry.stream(seed, index=2**32)
     dirs = np.array([geometry.sample_unit_vector(4, rng)
                      for _ in range(samples)])
-    q = functionals.shadow_batch(dirs)
+    q = functionals.shadow_batch(dirs.T)
     max_dev, good = 0.0, 0
     for i, u in enumerate(dirs):
         mesh = hull_reference.convex_hull_3d(
@@ -551,7 +557,8 @@ def octagon_pairs(samples, seed):
     rng = geometry.stream(seed, index=2**32 + 1)
     draws = np.array([geometry.sample_unit_vector(4, rng)
                       for _ in range(2 * samples)])
-    return draws[0::2], geometry.complete_pairs(draws[0::2], draws[1::2])
+    u, g = draws[0::2], draws[1::2]
+    return u, geometry.complete_pairs(u.T, g.T).T
 
 
 class TestHullCrossCheck:

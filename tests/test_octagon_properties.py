@@ -63,7 +63,7 @@ NEIGHBOUR = pair(np.array([0.1, -0.4, 0.7, 0.2]), np.array([0.3, 0.5, -0.6]))
 
 
 def check_pair(u, v):
-    per, area = functionals.octagon_batch(u[None, :], v[None, :])
+    per, area = functionals.octagon_batch(u[:, None], v[:, None])
     hull_area, hull_per = functionals.octagon_hull_measures(u, v)
     # the same bytes as the per-pair code, alone and behind a neighbour
     want = hull_reference.octagon_hull_measures(u, v)
