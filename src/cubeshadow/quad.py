@@ -14,6 +14,21 @@ theta enters only through sqrt(a sin^2 theta + b), whose integral over
 phi_1) integrates to a constant factor.  Each triple integral becomes a
 double one over (phi, psi), and the quadruple one a double one.
 
+The four double integrals that hold a cone are split into terms by the
+kind of singularity each has, and each term is integrated in the
+coordinates that need fewer evaluations:
+- the cone sqrt(cos^2(phi) sin^2(psi) + cos^2(psi)) of e_ar, e_ar2, e_vl_ar
+  and e_ar_mw vanishes only at the corner (pi/2, pi/2), like the distance
+  to it.  With phi innermost, every inner integral near psi = pi/2 has a
+  kink about cos(psi) wide at phi = pi/2, which the adaptive rule bisects
+  down to again and again.  In polar coordinates (r, alpha) about the
+  corner (`_corner_polar`) the cone is r times a smooth positive function,
+  so these terms take a fifteenth to a thirtieth of the evaluations;
+- the theta-terms sqrt(a+b) E(k) stay Cartesian (`_double`): they have a
+  logarithmic edge where k -> 1, which costs two to five times as many
+  evaluations in the polar coordinates;
+- the smooth terms stay Cartesian too, where one 21 x 21 rule does.
+
 The moment suite returns integrals only and holds no closed forms: the
 values they are checked against are those of `moments.closed_form_table`
 and `moments.joint_moment_table`, which `moments` and `verify` print.
@@ -96,6 +111,14 @@ def _scaled(r: QuadResult, factor: float) -> QuadResult:
     return QuadResult(value=factor * r.value,
                       error_estimate=factor * r.error_estimate,
                       evaluations=r.evaluations)
+
+
+def _total(*pieces: QuadResult) -> QuadResult:
+    """An integral as the sum of its pieces: values, error estimates and
+    evaluation counts add."""
+    return QuadResult(value=sum(p.value for p in pieces),
+                      error_estimate=sum(p.error_estimate for p in pieces),
+                      evaluations=sum(p.evaluations for p in pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -243,41 +266,91 @@ def _theta_sqrt_integral(a: float, b: float) -> float:
                                       math.sqrt(b / total))[1]
 
 
-# The theta-integrated integrands of the three entries whose defining
-# integrand depends on theta; the triple integral over (theta, phi, psi)
-# is the double integral of these over (phi, psi).
+def _cone(ph: float, ps: float) -> float:
+    """sqrt(cos^2(phi) sin^2(psi) + cos^2(psi)), the first area term.
 
-def _ar2_reduced(ph: float, ps: float) -> float:
+    It vanishes only at the corner (pi/2, pi/2), where it is sqrt(x^2 + y^2)
+    to first order in x = pi/2 - phi and y = pi/2 - psi.
+    """
     c, s = math.cos, math.sin
-    first = 384.0 * (c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
-    second = 1536.0 * s(ph) * s(ps) * _theta_sqrt_integral(
-        s(ph) ** 2 * s(ps) ** 2, c(ps) ** 2)
-    third = (384.0 * s(ph) * s(ps)
-             * math.sqrt(c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2))
-    return (HALF_PI * (first + third) + second) * _dens4(ph, ps)
+    return math.sqrt(c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
 
 
-def _area_terms_reduced(ph: float, ps: float) -> float:
-    """theta-integral of sqrt(c^2(ph)s^2(ps) + c^2(ps))
-    + sqrt(s^2(th)s^2(ph)s^2(ps) + c^2(ph)s^2(ps))."""
+def _area_theta(ph: float, ps: float) -> float:
+    """theta-integral of sqrt(s^2(th)s^2(ph)s^2(ps) + c^2(ph)s^2(ps))."""
     c, s = math.cos, math.sin
-    return (HALF_PI * math.sqrt(c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
-            + _theta_sqrt_integral(s(ph) ** 2 * s(ps) ** 2,
-                                   c(ph) ** 2 * s(ps) ** 2))
+    return _theta_sqrt_integral(s(ph) ** 2 * s(ps) ** 2,
+                                c(ph) ** 2 * s(ps) ** 2)
 
 
-def _vl_ar_reduced(ph: float, ps: float) -> float:
-    return 384.0 * math.cos(ps) * _area_terms_reduced(ph, ps) * _dens4(ph, ps)
+# The theta-integrated integrands of the three entries that hold the cone
+# and depend on theta, split into terms by kind: a cone term, a theta-term
+# sqrt(a+b) E(k) and e_ar2's smooth term.  Each entry's triple integral over
+# (theta, phi, psi) is the sum of the double integrals of its terms over
+# (phi, psi).
+
+def _ar2_smooth(ph: float, ps: float) -> float:
+    c, s = math.cos, math.sin
+    return (HALF_PI * 384.0 * (c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
+            * _dens4(ph, ps))
 
 
-def _ar_mw_reduced(ph: float, ps: float) -> float:
-    return (192.0 * math.sqrt(1.0 - math.cos(ps) ** 2)
-            * _area_terms_reduced(ph, ps) * _dens4(ph, ps))
+def _ar2_cone(ph: float, ps: float) -> float:
+    return (HALF_PI * 384.0 * math.sin(ph) * math.sin(ps) * _cone(ph, ps)
+            * _dens4(ph, ps))
+
+
+def _ar2_theta(ph: float, ps: float) -> float:
+    c, s = math.cos, math.sin
+    return (1536.0 * s(ph) * s(ps)
+            * _theta_sqrt_integral(s(ph) ** 2 * s(ps) ** 2, c(ps) ** 2)
+            * _dens4(ph, ps))
+
+
+def _vl_ar_cone(ph: float, ps: float) -> float:
+    return 384.0 * math.cos(ps) * HALF_PI * _cone(ph, ps) * _dens4(ph, ps)
+
+
+def _vl_ar_theta(ph: float, ps: float) -> float:
+    return 384.0 * math.cos(ps) * _area_theta(ph, ps) * _dens4(ph, ps)
+
+
+def _ar_mw_cone(ph: float, ps: float) -> float:
+    return (192.0 * math.sqrt(1.0 - math.cos(ps) ** 2) * HALF_PI
+            * _cone(ph, ps) * _dens4(ph, ps))
+
+
+def _ar_mw_theta(ph: float, ps: float) -> float:
+    return (192.0 * math.sqrt(1.0 - math.cos(ps) ** 2) * _area_theta(ph, ps)
+            * _dens4(ph, ps))
+
+
+_BOX_TOLS = (1e-12, 1e-11)
 
 
 def _double(f) -> QuadResult:
     """Integral of f(phi, psi) over [0, pi/2]^2, phi innermost."""
-    return _nested(f, [(0.0, HALF_PI)] * 2, (1e-12, 1e-11))
+    return _nested(f, [(0.0, HALF_PI)] * 2, _BOX_TOLS)
+
+
+def _corner_polar(f) -> QuadResult:
+    """Integral of f(phi, psi) over [0, pi/2]^2 in polar coordinates about
+    the corner (pi/2, pi/2).
+
+    phi = pi/2 - r cos(alpha) and psi = pi/2 - r sin(alpha), with Jacobian
+    r.  r is innermost, from 0 to the far edge (pi/2)/max(cos, sin), and
+    alpha is split at pi/4 into the triangles whose far edges are phi = 0
+    and psi = 0, so that the edge is smooth in alpha on each piece.
+    """
+    def polar(r, al):
+        return r * f(HALF_PI - r * math.cos(al), HALF_PI - r * math.sin(al))
+
+    def edge(al):
+        return (0.0, HALF_PI / max(math.cos(al), math.sin(al)))
+
+    quarter = 0.25 * PI
+    return _total(*(_nested(polar, [edge, span], _BOX_TOLS)
+                    for span in ((0.0, quarter), (quarter, HALF_PI))))
 
 
 def moment_integral_suite() -> dict[str, QuadResult]:
@@ -320,21 +393,21 @@ def moment_integral_suite() -> dict[str, QuadResult]:
         "e_vl2": theta_free(lambda ph, ps: (64.0 * c(ps) ** 2
                                             + 192.0 * c(ph) * s(ps) * c(ps))
                             * _dens4(ph, ps)),
-        "e_ar": theta_free(lambda ph, ps: 192.0
-                           * math.sqrt(c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
-                           * _dens4(ph, ps)),
-        "e_ar2": _double(_ar2_reduced),
+        "e_ar": _scaled(_corner_polar(lambda ph, ps: 192.0 * _cone(ph, ps)
+                                      * _dens4(ph, ps)), HALF_PI),
+        "e_ar2": _total(_double(_ar2_smooth), _corner_polar(_ar2_cone),
+                        _double(_ar2_theta)),
         "e_mw": theta_free(lambda ph, ps: 32.0 * math.sqrt(1.0 - c(ps) ** 2)
                            * _dens4(ph, ps)),
         "e_mw2": theta_free(lambda ph, ps: (
             16.0 * (1.0 - c(ps) ** 2)
             + 48.0 * math.sqrt(1.0 - c(ph) ** 2 * s(ps) ** 2)
             * math.sqrt(1.0 - c(ps) ** 2)) * _dens4(ph, ps)),
-        "e_vl_ar": _double(_vl_ar_reduced),
+        "e_vl_ar": _total(_corner_polar(_vl_ar_cone), _double(_vl_ar_theta)),
         "e_vl_mw": theta_free(lambda ph, ps: (32.0 * c(ps)
                                               + 96.0 * c(ph) * s(ps))
                               * math.sqrt(1.0 - c(ps) ** 2) * _dens4(ph, ps)),
-        "e_ar_mw": _double(_ar_mw_reduced),
+        "e_ar_mw": _total(_corner_polar(_ar_mw_cone), _double(_ar_mw_theta)),
         "e_mw2_3cube": integrate_1d(mw2_3cube, 0.0, HALF_PI, tol=1e-12),
         "e_mw2_5cube": _scaled(_double(ij_integrand),
                                HALF_PI * 32.0 * (4.0 / (3.0 * PI)) ** 2),
