@@ -2,9 +2,10 @@
 
 Subcommands: moments, verify, constants, octagon, hull-dump.  Exit codes:
 0 success, 1 numeric verification failure, 2 usage error (--samples or
---threads below 1 included).  --seed is taken only by the commands it
-drives (verify, octagon, hull-dump), and --format only by those with more
-than one output format (all but hull-dump, which writes OFF text).
+--threads below 1, or a --tol that is not a finite number >= 0, included).
+--seed is taken only by the commands it drives (verify, octagon,
+hull-dump), and --format only by those with more than one output format
+(all but hull-dump, which writes OFF text).
 
 Each command builds its result once, as three things: a JSON payload, a
 list of row dicts and text lines.  `_write` picks one by --format.  The CSV
@@ -168,6 +169,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:  # argparse's own wording for type=float
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text}")
+    return value
+
+
 _OPTIONS = {
     "--seed": {"type": int, "default": 1},
     "--format": {"choices": ["json", "csv", "text"], "default": "text"},
@@ -209,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which",
                    choices=["zeta3", "zeta4", "zeta5", "pi128", "moments", "all"],
                    default="all")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     options(p, "--format", "--out")
     p.set_defaults(func=cmd_constants)
 

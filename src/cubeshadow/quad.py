@@ -10,9 +10,14 @@ factors), well within reach of adaptive Gauss-Kronrod rules.
 The moment integrals are reduced before they are integrated: the angle
 theta enters only through sqrt(a sin^2 theta + b), whose integral over
 [0, pi/2] is the complete elliptic integral sqrt(a+b) E(sqrt(a/(a+b)))
-(evaluated by the AGM), and an integrand free of theta (or of the 5-cube's
-phi_1) integrates to a constant factor.  Each triple integral becomes a
-double one over (phi, psi), and the quadruple one a double one.
+(E from the compiled `scipy.special.ellipe`, at the parameter a/(a+b)),
+and an integrand free of theta (or of the 5-cube's phi_1) integrates to a
+constant factor.  Each triple integral becomes a double one over
+(phi, psi), and the quadruple one a double one.  The integrands of these
+double integrals are curried, f(psi)(phi): what depends on psi alone is
+computed once per inner integral over phi, in the floating-point order of
+the two-argument form, so the values keep their bits.  `_nested` nests
+`integrate.quad` as `integrate.nquad` does, with the same calls.
 
 The four double integrals that hold a cone are split into terms by the
 kind of singularity each has, and each term is integrated in the
@@ -41,9 +46,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
+from scipy import integrate, special
 
-from .specfun import _agm_ke, elliptic_imag
+from .specfun import elliptic_imag
 
 HALF_PI = 0.5 * math.pi
 PI = math.pi
@@ -83,16 +88,36 @@ def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
 
 
 def _nested(f, ranges, tols) -> QuadResult:
-    """Iterated adaptive 1D integration; ranges[0] is the innermost variable.
+    """Two-level adaptive integral of the curried f(y)(x).
 
-    Raises BudgetError when the outermost error estimate is not certified
-    (see `_certified`) for t = tols[-1].
+    ranges[0] is the range of the inner variable x, either (lo, hi) or a
+    function of y that returns it, and ranges[1] that of y; tols[0] and
+    tols[1] are their epsabs = epsrel.  Each level makes the QUADPACK calls
+    `integrate.nquad` would, with its default limit, and reports what it
+    reports: the largest error estimate of all the calls and the sum of the
+    inner calls' evaluations.  Raises BudgetError when that error estimate
+    is not certified (see `_certified`) for t = tols[1].
     """
-    opts = [{"epsabs": t, "epsrel": t} for t in tols]
-    value, err, info = integrate.nquad(f, ranges, opts=opts, full_output=True)
-    return _certified(QuadResult(value=value, error_estimate=err,
-                                 evaluations=int(info["neval"])),
-                      tols[-1], "nested quadrature")
+    inner_range, outer_range = ranges
+    inner_tol, outer_tol = tols
+    err, evaluations = 0.0, 0
+
+    def outer(y: float) -> float:
+        nonlocal err, evaluations
+        lo, hi = inner_range(y) if callable(inner_range) else inner_range
+        value, inner_err, info, *_ = integrate.quad(
+            f(y), lo, hi, epsabs=inner_tol, epsrel=inner_tol, full_output=True)
+        err = max(err, inner_err)
+        evaluations += info["neval"]
+        return value
+
+    value, outer_err, *_ = integrate.quad(
+        outer, *outer_range, epsabs=outer_tol, epsrel=outer_tol,
+        full_output=True)
+    return _certified(QuadResult(value=value,
+                                 error_estimate=max(err, outer_err),
+                                 evaluations=int(evaluations)),
+                      outer_tol, "nested quadrature")
 
 
 def _certified(result: QuadResult, tol: float, what: str) -> QuadResult:
@@ -249,21 +274,23 @@ def zeta5_reduction_check(tol: float = 1e-13) -> float:
 # ---------------------------------------------------------------------------
 # defining moment integrals over the spherical angle boxes
 
+TWO_PI2 = 2.0 * PI**2
+
+
 def _dens4(phi: float, psi: float) -> float:
-    return math.sin(phi) * math.sin(psi) ** 2 / (2.0 * PI**2)
+    return math.sin(phi) * math.sin(psi) ** 2 / TWO_PI2
 
 
 def _theta_sqrt_integral(a: float, b: float) -> float:
     """int_0^{pi/2} sqrt(a sin^2(theta) + b) dtheta for a, b >= 0.
 
-    a sin^2 + b = (a+b)(1 - k^2 cos^2) with k^2 = a/(a+b), so the integral
-    is sqrt(a+b) E(k); k and k' = sqrt(b/(a+b)) carry no cancellation.
+    a sin^2 + b = (a+b)(1 - m cos^2) with m = a/(a+b), so the integral is
+    sqrt(a+b) E(k), and `ellipe` takes the parameter m = k^2.
     """
     if b == 0.0:
-        return math.sqrt(a)  # E(1) = 1; the AGM needs k' > 0
+        return math.sqrt(a)  # E(1) = 1
     total = a + b
-    return math.sqrt(total) * _agm_ke(math.sqrt(a / total),
-                                      math.sqrt(b / total))[1]
+    return math.sqrt(total) * float(special.ellipe(a / total))
 
 
 def _cone(ph: float, ps: float) -> float:
@@ -276,23 +303,56 @@ def _cone(ph: float, ps: float) -> float:
     return math.sqrt(c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
 
 
-def _area_theta(ph: float, ps: float) -> float:
-    """theta-integral of sqrt(s^2(th)s^2(ph)s^2(ps) + c^2(ph)s^2(ps))."""
-    c, s = math.cos, math.sin
-    return _theta_sqrt_integral(s(ph) ** 2 * s(ps) ** 2,
-                                c(ph) ** 2 * s(ps) ** 2)
+# The integrands over the angle box that `_double` takes are curried:
+# f(psi) computes what depends on psi alone once per inner integral and
+# returns the integrand in phi.  Each performs the floating-point operations
+# of the two-argument form f(phi, psi) in its order, so its values keep
+# their bits; the density _dens4(phi, psi) appears as
+# (sin(phi) * sin^2(psi) / TWO_PI2).
+#
+# The theta-free entries: their triple integrals are HALF_PI times these.
+
+def _vl(ps: float):
+    w, sps2 = 64.0 * math.cos(ps), math.sin(ps) ** 2
+    return lambda ph: w * (math.sin(ph) * sps2 / TWO_PI2)
+
+
+def _vl2(ps: float):
+    cps, sps = math.cos(ps), math.sin(ps)
+    a, sps2 = 64.0 * cps ** 2, sps ** 2
+    return lambda ph: ((a + 192.0 * math.cos(ph) * sps * cps)
+                       * (math.sin(ph) * sps2 / TWO_PI2))
+
+
+def _mw(ps: float):
+    w, sps2 = 32.0 * math.sqrt(1.0 - math.cos(ps) ** 2), math.sin(ps) ** 2
+    return lambda ph: w * (math.sin(ph) * sps2 / TWO_PI2)
+
+
+def _mw2(ps: float):
+    cps2, sps2 = math.cos(ps) ** 2, math.sin(ps) ** 2
+    a, root = 16.0 * (1.0 - cps2), math.sqrt(1.0 - cps2)
+    return lambda ph: ((a + 48.0 * math.sqrt(1.0 - math.cos(ph) ** 2 * sps2)
+                        * root) * (math.sin(ph) * sps2 / TWO_PI2))
+
+
+def _vl_mw(ps: float):
+    cps, sps = math.cos(ps), math.sin(ps)
+    a, root, sps2 = 32.0 * cps, math.sqrt(1.0 - cps ** 2), sps ** 2
+    return lambda ph: ((a + 96.0 * math.cos(ph) * sps) * root
+                       * (math.sin(ph) * sps2 / TWO_PI2))
 
 
 # The theta-integrated integrands of the three entries that hold the cone
 # and depend on theta, split into terms by kind: a cone term, a theta-term
 # sqrt(a+b) E(k) and e_ar2's smooth term.  Each entry's triple integral over
 # (theta, phi, psi) is the sum of the double integrals of its terms over
-# (phi, psi).
+# (phi, psi).  The cone terms go to `_corner_polar` and keep two arguments.
 
-def _ar2_smooth(ph: float, ps: float) -> float:
-    c, s = math.cos, math.sin
-    return (HALF_PI * 384.0 * (c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
-            * _dens4(ph, ps))
+def _ar2_smooth(ps: float):
+    cps2, sps2 = math.cos(ps) ** 2, math.sin(ps) ** 2
+    return lambda ph: (HALF_PI * 384.0 * (math.cos(ph) ** 2 * sps2 + cps2)
+                       * (math.sin(ph) * sps2 / TWO_PI2))
 
 
 def _ar2_cone(ph: float, ps: float) -> float:
@@ -300,19 +360,38 @@ def _ar2_cone(ph: float, ps: float) -> float:
             * _dens4(ph, ps))
 
 
-def _ar2_theta(ph: float, ps: float) -> float:
-    c, s = math.cos, math.sin
-    return (1536.0 * s(ph) * s(ps)
-            * _theta_sqrt_integral(s(ph) ** 2 * s(ps) ** 2, c(ps) ** 2)
-            * _dens4(ph, ps))
+def _ar2_theta(ps: float):
+    sps, cps2 = math.sin(ps), math.cos(ps) ** 2
+    sps2 = sps ** 2
+
+    def inner(ph: float) -> float:
+        sph = math.sin(ph)
+        return (1536.0 * sph * sps
+                * _theta_sqrt_integral(sph ** 2 * sps2, cps2)
+                * (sph * sps2 / TWO_PI2))
+    return inner
+
+
+def _area_theta(weight):
+    """The curried theta-term weight(psi) times the theta-integral of
+    sqrt(s^2(th)s^2(ph)s^2(ps) + c^2(ph)s^2(ps)), times the density."""
+    def outer(ps: float):
+        w, sps2 = weight(ps), math.sin(ps) ** 2
+
+        def inner(ph: float) -> float:
+            sph = math.sin(ph)
+            return (w * _theta_sqrt_integral(sph ** 2 * sps2,
+                                             math.cos(ph) ** 2 * sps2)
+                    * (sph * sps2 / TWO_PI2))
+        return inner
+    return outer
 
 
 def _vl_ar_cone(ph: float, ps: float) -> float:
     return 384.0 * math.cos(ps) * HALF_PI * _cone(ph, ps) * _dens4(ph, ps)
 
 
-def _vl_ar_theta(ph: float, ps: float) -> float:
-    return 384.0 * math.cos(ps) * _area_theta(ph, ps) * _dens4(ph, ps)
+_vl_ar_theta = _area_theta(lambda ps: 384.0 * math.cos(ps))
 
 
 def _ar_mw_cone(ph: float, ps: float) -> float:
@@ -320,36 +399,67 @@ def _ar_mw_cone(ph: float, ps: float) -> float:
             * _cone(ph, ps) * _dens4(ph, ps))
 
 
-def _ar_mw_theta(ph: float, ps: float) -> float:
-    return (192.0 * math.sqrt(1.0 - math.cos(ps) ** 2) * _area_theta(ph, ps)
-            * _dens4(ph, ps))
+_ar_mw_theta = _area_theta(
+    lambda ps: 192.0 * math.sqrt(1.0 - math.cos(ps) ** 2))
+
+
+def _mw2_3cube(ph: float) -> float:
+    """2D analog (shadow of the 3-cube onto a plane): E(mw^2), a double
+    integral over (theta, phi) whose theta-integral is
+    int sqrt(1 - cos^2(th) sin^2(ph)) = E(sin(ph))."""
+    cph, sph = math.cos(ph), math.sin(ph)
+    pref = (2.0 / PI) ** 2 * sph / (4.0 * PI)
+    return (24.0 * (1.0 - cph ** 2) * HALF_PI
+            + 48.0 * _theta_sqrt_integral(sph ** 2, cph ** 2)
+            * math.sqrt(1.0 - cph ** 2)) * pref
+
+
+def _ij(p3: float):
+    """4D analog (shadow of the 5-cube): E(mw^2) = 32 (4/(3 pi))^2 (5I + 20J),
+    a quadruple integral over (theta, p1, p2, p3) whose integrand is free of
+    theta and depends on p1 only through the density factor sin(p1), which
+    integrates to 1.  Curried in p3, with p2 innermost."""
+    cp3_2, sp3 = math.cos(p3) ** 2, math.sin(p3)
+    i_part, root = 5.0 * (1.0 - cp3_2), math.sqrt(1.0 - cp3_2)
+    sp3_2, sp3_3 = sp3 ** 2, sp3 ** 3
+    return lambda p2: ((i_part + 20.0 * (math.sqrt(1.0 - math.cos(p2) ** 2
+                                                   * sp3_2) * root))
+                       * 3.0 / (8.0 * PI**2) * math.sin(p2) ** 2 * sp3_3)
 
 
 _BOX_TOLS = (1e-12, 1e-11)
 
 
 def _double(f) -> QuadResult:
-    """Integral of f(phi, psi) over [0, pi/2]^2, phi innermost."""
+    """Integral over [0, pi/2]^2 of the curried f(psi)(phi), phi innermost."""
     return _nested(f, [(0.0, HALF_PI)] * 2, _BOX_TOLS)
+
+
+def _polar(f):
+    """f(phi, psi) times the Jacobian r in polar coordinates about the
+    corner, curried in alpha: phi = pi/2 - r cos(alpha) and
+    psi = pi/2 - r sin(alpha)."""
+    def outer(al: float):
+        ca, sa = math.cos(al), math.sin(al)
+        return lambda r: r * f(HALF_PI - r * ca, HALF_PI - r * sa)
+    return outer
+
+
+def _edge(al: float) -> tuple[float, float]:
+    """The range of r at alpha: out to the far edge of the box."""
+    return (0.0, HALF_PI / max(math.cos(al), math.sin(al)))
 
 
 def _corner_polar(f) -> QuadResult:
     """Integral of f(phi, psi) over [0, pi/2]^2 in polar coordinates about
-    the corner (pi/2, pi/2).
+    the corner (pi/2, pi/2) (see `_polar`).
 
-    phi = pi/2 - r cos(alpha) and psi = pi/2 - r sin(alpha), with Jacobian
-    r.  r is innermost, from 0 to the far edge (pi/2)/max(cos, sin), and
-    alpha is split at pi/4 into the triangles whose far edges are phi = 0
-    and psi = 0, so that the edge is smooth in alpha on each piece.
+    r is innermost, from 0 to the far edge (`_edge`), and alpha is split at
+    pi/4 into the triangles whose far edges are phi = 0 and psi = 0, so that
+    the edge is smooth in alpha on each piece.
     """
-    def polar(r, al):
-        return r * f(HALF_PI - r * math.cos(al), HALF_PI - r * math.sin(al))
-
-    def edge(al):
-        return (0.0, HALF_PI / max(math.cos(al), math.sin(al)))
-
     quarter = 0.25 * PI
-    return _total(*(_nested(polar, [edge, span], _BOX_TOLS)
+    return _total(*(_nested(_polar(f), [_edge, span], _BOX_TOLS)
                     for span in ((0.0, quarter), (quarter, HALF_PI))))
 
 
@@ -363,52 +473,22 @@ def moment_integral_suite() -> dict[str, QuadResult]:
     The closed forms these integrals equal live in `moments` only.
     """
     def theta_free(f) -> QuadResult:
-        """Triple integral of an integrand f(phi, psi) free of theta."""
+        """Triple integral of a curried integrand f(psi)(phi) free of theta."""
         return _scaled(_double(f), HALF_PI)
 
-    c = math.cos
-    s = math.sin
-
-    # 2D analog (shadow of the 3-cube onto a plane): E(mw^2), a double
-    # integral over (theta, phi) whose theta-integral is
-    # int sqrt(1 - cos^2(th) sin^2(ph)) = E(sin(ph)).
-    def mw2_3cube(ph):
-        pref = (2.0 / PI) ** 2 * s(ph) / (4.0 * PI)
-        return (24.0 * (1.0 - c(ph) ** 2) * HALF_PI
-                + 48.0 * _theta_sqrt_integral(s(ph) ** 2, c(ph) ** 2)
-                * math.sqrt(1.0 - c(ph) ** 2)) * pref
-
-    # 4D analog (shadow of the 5-cube): E(mw^2) = 32 (4/(3 pi))^2 (5I + 20J),
-    # a quadruple integral over (theta, p1, p2, p3) whose integrand is free
-    # of theta and depends on p1 only through the density factor sin(p1),
-    # which integrates to 1.
-    def ij_integrand(p2, p3):
-        i_part = 5.0 * (1.0 - c(p3) ** 2)
-        j_part = 20.0 * (math.sqrt(1.0 - c(p2) ** 2 * s(p3) ** 2)
-                         * math.sqrt(1.0 - c(p3) ** 2))
-        return (i_part + j_part) * 3.0 / (8.0 * PI**2) * s(p2) ** 2 * s(p3) ** 3
-
     return {
-        "e_vl": theta_free(lambda ph, ps: 64.0 * c(ps) * _dens4(ph, ps)),
-        "e_vl2": theta_free(lambda ph, ps: (64.0 * c(ps) ** 2
-                                            + 192.0 * c(ph) * s(ps) * c(ps))
-                            * _dens4(ph, ps)),
+        "e_vl": theta_free(_vl),
+        "e_vl2": theta_free(_vl2),
         "e_ar": _scaled(_corner_polar(lambda ph, ps: 192.0 * _cone(ph, ps)
                                       * _dens4(ph, ps)), HALF_PI),
         "e_ar2": _total(_double(_ar2_smooth), _corner_polar(_ar2_cone),
                         _double(_ar2_theta)),
-        "e_mw": theta_free(lambda ph, ps: 32.0 * math.sqrt(1.0 - c(ps) ** 2)
-                           * _dens4(ph, ps)),
-        "e_mw2": theta_free(lambda ph, ps: (
-            16.0 * (1.0 - c(ps) ** 2)
-            + 48.0 * math.sqrt(1.0 - c(ph) ** 2 * s(ps) ** 2)
-            * math.sqrt(1.0 - c(ps) ** 2)) * _dens4(ph, ps)),
+        "e_mw": theta_free(_mw),
+        "e_mw2": theta_free(_mw2),
         "e_vl_ar": _total(_corner_polar(_vl_ar_cone), _double(_vl_ar_theta)),
-        "e_vl_mw": theta_free(lambda ph, ps: (32.0 * c(ps)
-                                              + 96.0 * c(ph) * s(ps))
-                              * math.sqrt(1.0 - c(ps) ** 2) * _dens4(ph, ps)),
+        "e_vl_mw": theta_free(_vl_mw),
         "e_ar_mw": _total(_corner_polar(_ar_mw_cone), _double(_ar_mw_theta)),
-        "e_mw2_3cube": integrate_1d(mw2_3cube, 0.0, HALF_PI, tol=1e-12),
-        "e_mw2_5cube": _scaled(_double(ij_integrand),
+        "e_mw2_3cube": integrate_1d(_mw2_3cube, 0.0, HALF_PI, tol=1e-12),
+        "e_mw2_5cube": _scaled(_double(_ij),
                                HALF_PI * 32.0 * (4.0 / (3.0 * PI)) ** 2),
     }

@@ -299,6 +299,30 @@ class TestParser:
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_tolerance_not_finite_or_negative(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["constants", "--which", "zeta4", f"--tol={tol}",
+                      "--format", "json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"argument --tol: must be a finite number >= 0, got {tol}"
+                in captured.err)
+
+    def test_tolerance_not_a_number(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["constants", "--tol", "tight"])
+        assert exc.value.code == 2
+        assert ("argument --tol: invalid float value: 'tight'"
+                in capsys.readouterr().err)
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        # zeta4 meets its closed form exactly
+        assert cli.main(["constants", "--which", "zeta4", "--tol", "0",
+                         "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["tolerance"] == 0.0
+
     def test_samples_not_an_int(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--samples", "1.5"])

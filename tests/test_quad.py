@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.integrate import IntegrationWarning
 
+import quad_reference as ref
 from cubeshadow import moments, quad, specfun
 
 
@@ -55,15 +57,82 @@ class TestIntegrator:
 
 class TestNested:
     def test_value_and_evaluations(self):
-        r = quad._nested(lambda x, y: x * y, [(0, 1), (0, 2)], (1e-12, 1e-12))
+        r = quad._nested(lambda y: lambda x: x * y, [(0, 1), (0, 2)],
+                         (1e-12, 1e-12))
         assert r.value == pytest.approx(1.0, abs=1e-13)
         assert r.evaluations > 0
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_unconverged_raises_budget_error(self):
         with pytest.raises(quad.BudgetError) as info:
-            quad._nested(lambda x: math.sin(1e4 * x), [(0, 1)], (1e-13,))
+            quad._nested(lambda y: lambda x: math.sin(1e4 * x),
+                         [(0, 1), (0, 1)], (1e-13, 1e-13))
         assert info.value.best.evaluations > 0
+
+
+def _same_bytes(a, b):
+    return float.hex(float(a)) == float.hex(float(b))
+
+
+def _box_points(count=1000, seed=15):
+    """Seeded points of [0, pi/2]^2 and the edges 0 and pi/2 of each
+    coordinate, against the other at random and at the edges."""
+    rng = np.random.default_rng(seed)
+    edges = (0.0, math.pi / 2)
+    points = [tuple(p) for p in rng.uniform(0.0, math.pi / 2, (count, 2))]
+    points += [(e, float(x)) for e in edges for x in rng.uniform(0, 1.5, 5)]
+    points += [(float(x), e) for e in edges for x in rng.uniform(0, 1.5, 5)]
+    return points + [(a, b) for a in edges for b in edges]
+
+
+class TestCurriedIntegrands:
+    """The curried integrands keep the bytes of the two-argument ones they
+    replaced (`tests/quad_reference.py`), and `_nested` makes the calls and
+    reports the numbers of `integrate.nquad`."""
+
+    @pytest.mark.parametrize("name", [
+        "_vl", "_vl2", "_mw", "_mw2", "_vl_mw", "_ar2_smooth", "_ar2_theta",
+        "_vl_ar_theta", "_ar_mw_theta", "_ij"])
+    def test_box_integrand_bytes(self, name):
+        curried, reference = getattr(quad, name), getattr(ref, name)
+        for x, y in _box_points():
+            assert _same_bytes(curried(y)(x), reference(x, y)), (x, y)
+
+    def test_mw2_3cube_bytes(self):
+        for x, _ in _box_points():
+            assert _same_bytes(quad._mw2_3cube(x), ref._mw2_3cube(x)), x
+
+    def test_polar_integrand_bytes(self):
+        f = quad._ar2_cone
+        for al, t in _box_points():
+            r = t / (math.pi / 2) * ref.edge(al)[1]
+            assert _same_bytes(quad._polar(f)(al)(r), ref.polar(f)(r, al))
+
+    @staticmethod
+    def _nquad(f, ranges):
+        opts = [{"epsabs": t, "epsrel": t} for t in quad._BOX_TOLS]
+        value, err, info = integrate.nquad(f, ranges, opts=opts,
+                                           full_output=True)
+        return value, err, info["neval"]
+
+    @staticmethod
+    def _reported(r):
+        return r.value, r.error_estimate, r.evaluations
+
+    def test_nested_matches_nquad_smooth(self):
+        def f(x, y):
+            return math.exp(math.sin(x) * math.cos(2 * y)) * (1 + x * y)
+
+        ranges = [(0.0, math.pi / 2)] * 2
+        new = quad._nested(lambda y: lambda x: f(x, y), ranges, quad._BOX_TOLS)
+        assert self._reported(new) == self._nquad(f, ranges)
+
+    def test_nested_matches_nquad_corner_cone(self):
+        ranges = [ref.edge, (0.0, math.pi / 4)]
+        new = quad._nested(quad._polar(quad._cone), ranges, quad._BOX_TOLS)
+        assert new.evaluations > 0
+        assert self._reported(new) == self._nquad(ref.polar(quad._cone),
+                                                  ranges)
 
 
 class TestCornerPolar:
@@ -85,7 +154,7 @@ class TestCornerPolar:
             return math.exp(math.sin(ph) * math.cos(2 * ps)) * (1 + ph * ps)
 
         assert quad._corner_polar(f).value == pytest.approx(
-            quad._double(f).value, abs=1e-12)
+            quad._double(lambda ps: lambda ph: f(ph, ps)).value, abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_unconverged_raises_budget_error(self):
@@ -132,16 +201,16 @@ def _ar_mw_original(th, ph, ps):
 # Their theta-integrals, as the sums of the terms the suite integrates.
 
 def _ar2_reduced(ph, ps):
-    return (quad._ar2_smooth(ph, ps) + quad._ar2_cone(ph, ps)
-            + quad._ar2_theta(ph, ps))
+    return (quad._ar2_smooth(ps)(ph) + quad._ar2_cone(ph, ps)
+            + quad._ar2_theta(ps)(ph))
 
 
 def _vl_ar_reduced(ph, ps):
-    return quad._vl_ar_cone(ph, ps) + quad._vl_ar_theta(ph, ps)
+    return quad._vl_ar_cone(ph, ps) + quad._vl_ar_theta(ps)(ph)
 
 
 def _ar_mw_reduced(ph, ps):
-    return quad._ar_mw_cone(ph, ps) + quad._ar_mw_theta(ph, ps)
+    return quad._ar_mw_cone(ph, ps) + quad._ar_mw_theta(ps)(ph)
 
 
 class TestThetaReduction:

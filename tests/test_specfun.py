@@ -77,61 +77,55 @@ class TestEllipticReal:
             assert lhs == pytest.approx(math.pi / 2, abs=1e-12)
 
 
-class SqrtCounter:
-    """Stands in for `math` inside specfun and counts square roots: the
-    AGM takes one per step."""
-
-    pi = math.pi
-
-    def __init__(self):
-        self.calls = 0
-
-    def sqrt(self, x):
-        self.calls += 1
-        return math.sqrt(x)
+def _real_moduli():
+    rng = np.random.default_rng(2024)
+    return [*rng.uniform(0.0, 1.0, 2000),
+            *(1.0 - 10.0 ** -j for j in range(1, 16)),
+            *(10.0 ** -j for j in range(1, 16))]
 
 
-class TestAgm:
+class TestEllipticKernel:
+    """`specfun._ke`, K from `ellipkm1(k'^2)` and E from `ellipe(k^2)`."""
+
     @pytest.mark.parametrize("kc", [1.0, 0.5, 0.1, 0.01, 1e-4, 1e-8, 1e-16,
                                     1e-50, 1e-100, 1e-300, 1e-320, 5e-324])
-    def test_steps_bounded_in_kc(self, monkeypatch, kc):
-        counter = SqrtCounter()
-        monkeypatch.setattr(specfun, "math", counter)
-        specfun._agm_ke(math.sqrt((1.0 - kc) * (1.0 + kc)), kc)
-        assert 1 <= counter.calls <= 16
+    def test_total_in_kc(self, kc):
+        # below k' = 1e-154, k'^2 is subnormal or zero, where ellipkm1 is
+        # off or infinite; K then comes from its asymptotic form
+        big_k, big_e = specfun._ke(math.sqrt((1.0 - kc) * (1.0 + kc)), kc)
+        assert math.isfinite(big_k) and math.isfinite(big_e)
+        with mpmath.workdps(700):  # 1 - k'^2 held exactly down to 5e-324
+            oracle = mpmath.ellipk(1 - mpmath.mpf(kc) ** 2)
+        assert abs(float(big_k / oracle - 1)) < 5e-16
 
-    def test_steps_bounded_near_unit_modulus(self, monkeypatch):
-        # a and b end one ulp apart here, so c stays near 3e-17 a and a
-        # stop test that waits for |c| < 1e-18 a never fires
-        k = 0.999
-        kc = math.sqrt((1.0 - k) * (1.0 + k))
-        counter = SqrtCounter()
-        monkeypatch.setattr(specfun, "math", counter)
-        specfun._agm_ke(k, kc)
-        assert counter.calls <= 16
+    def test_accurate_near_unit_modulus(self):
+        # E = K (1 - sum) of the AGM cancelled here: 5.2e-15 off at
+        # k = 1 - 1e-14; ellipe takes no difference of that kind
+        with mpmath.workdps(40):
+            for j in range(1, 16):
+                k = 1.0 - 10.0 ** -j
+                _, big_e = specfun._ke(k, math.sqrt((1.0 - k) * (1.0 + k)))
+                oracle = mpmath.ellipe(mpmath.mpf(k) ** 2)
+                assert abs(float(big_e / oracle - 1)) < 5e-16, k
 
     def test_against_mpmath(self):
-        rng = np.random.default_rng(2024)
-        ks = [*rng.uniform(0.0, 1.0, 2000),
-              *(1.0 - 10.0 ** -j for j in range(1, 16)),
-              *(10.0 ** -j for j in range(1, 16))]
         worst_k = worst_e = 0.0
         with mpmath.workdps(40):
-            for k in ks:
+            for k in _real_moduli():
                 kc = math.sqrt((1.0 - k) * (1.0 + k))
-                big_k, big_e = specfun._agm_ke(k, kc)
+                big_k, big_e = specfun._ke(k, kc)
                 m = mpmath.mpf(k) ** 2
                 worst_k = max(worst_k, abs(float(big_k / mpmath.ellipk(m) - 1)))
                 worst_e = max(worst_e, abs(float(big_e / mpmath.ellipe(m) - 1)))
-        # measured: K 3.4e-16; E 5.2e-15, at k = 1 - 1e-14, where
-        # E = K (1 - sum) cancels
+        # measured (scipy 1.17): K 2.5e-16, E 2.4e-16
         assert worst_k < 5e-16
-        assert worst_e < 7e-15
+        assert worst_e < 5e-16
 
     def test_nan_modulus_raises(self):
-        # k' = sqrt(1 - k^2) is NaN too; every step leaves c NaN
-        with pytest.raises(specfun.ConvergenceError, match="AGM not converged"):
-            specfun._agm_ke(math.nan, math.nan)
+        with pytest.raises(specfun.DomainError):
+            specfun.elliptic_real(math.nan)
+        with pytest.raises(specfun.DomainError):
+            specfun.elliptic_imag(math.nan)
 
 
 class TestEllipticImag:
@@ -154,6 +148,29 @@ class TestEllipticImag:
         pair = specfun.elliptic_imag(1.0)
         assert pair.k_value == pytest.approx(1.31102877714606, abs=1e-10)
         assert pair.e_value == pytest.approx(1.91009889451385, abs=1e-10)
+
+    def test_against_mpmath(self):
+        ts = [*(10.0 ** j for j in range(-8, 9)),
+              *np.random.default_rng(7).uniform(0.0, 50.0, 500)]
+        worst_k = worst_e = 0.0
+        with mpmath.workdps(40):
+            for t in ts:
+                pair = specfun.elliptic_imag(float(t))
+                m = -mpmath.mpf(float(t)) ** 2
+                worst_k = max(worst_k,
+                              abs(float(pair.k_value / mpmath.ellipk(m) - 1)))
+                worst_e = max(worst_e,
+                              abs(float(pair.e_value / mpmath.ellipe(m) - 1)))
+        # measured (scipy 1.17): K 2.9e-16, E 1.4e-15; E(k) is taken at
+        # m = k^2 with k = t/sqrt(1+t^2), whose 1 - m carries the rounding of k
+        assert worst_k < 5e-16
+        assert worst_e < 2e-15
+
+    def test_huge_argument_is_finite(self):
+        # k' = 1e-300: K from the asymptotic form, E(k) = 1
+        pair = specfun.elliptic_imag(1e300)
+        assert math.isfinite(pair.k_value) and pair.k_value > 0.0
+        assert pair.e_value == 1e300
 
     def test_domain(self):
         with pytest.raises(specfun.DomainError):
