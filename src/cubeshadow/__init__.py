@@ -4,7 +4,6 @@ from .functionals import (
     OctagonCoeffs,
     ShadowFunctionals,
     octagon_area_branch,
-    octagon_area_oracle,
     octagon_coefficients,
     octagon_perimeter,
     segment_mw_coeff,
@@ -14,7 +13,6 @@ from .functionals import (
     shadow_volume,
 )
 from .geometry import (
-    ProjectionFrame,
     build_frame,
     build_rank2_pair,
     cube_vertices,

@@ -2,7 +2,8 @@
 
 Subcommands: moments, verify, constants, octagon, hull-dump.  Exit codes:
 0 success, 1 numeric verification failure, 2 usage error (--samples or
---threads below 1, or a --tol that is not a finite number >= 0, included).
+--threads below 1, a --tol that is not a finite number >= 0, and verify
+given both --n and --octagon, included).
 --seed is taken only by the commands it drives (verify, octagon,
 hull-dump), and --format only by those with more than one output format
 (all but hull-dump, which writes OFF text).
@@ -208,9 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("verify", help="Monte Carlo vs closed forms")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--octagon", action="store_true",
-                   help="verify the rank-2 octagon instead")
+    shape = p.add_mutually_exclusive_group()
+    # a string default is parsed by `type` only when --n is absent, so an
+    # explicit --n 4 is not taken for the default and conflicts too
+    shape.add_argument("--n", type=int, default="4")
+    shape.add_argument("--octagon", action="store_true",
+                       help="verify the rank-2 octagon instead")
     options(p, *_MONTE_CARLO)
     p.set_defaults(func=cmd_verify)
 

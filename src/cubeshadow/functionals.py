@@ -254,7 +254,8 @@ def octagon_area_branch(branch: int, co: OctagonCoeffs) -> float:
     """Local octagon-area formula for the given branch index (1..6).
 
     Each branch is valid in a neighborhood of its anchor in BRANCH_ANCHORS;
-    globally, branch selection is oracle-driven (see octagon_area_oracle).
+    globally, branch selection is oracle-driven (see
+    `octagon_hull_measures`, whose area is the branch-free reference).
     """
     a1, a2, a3 = co.a1, co.a2, co.a3
     b1, b2 = co.b1, co.b2
@@ -327,7 +328,3 @@ def octagon_hull_measures(u, v) -> tuple[float, float]:
                                          np.asarray(v, dtype=float)[None])
     return float(area[0]), float(perimeter[0])
 
-
-def octagon_area_oracle(u, v) -> float:
-    """Area of the rank-2 shadow from its 2D hull; over [1, 1 + sqrt(2)]."""
-    return octagon_hull_measures(u, v)[0]

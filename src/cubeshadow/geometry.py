@@ -4,12 +4,15 @@ Conventions: the cube has unit edge and is centered at the origin
 (vertex coordinates are +-1/2).  Directions are unit vectors in R^n.
 A corank-1 frame is an (n-1) x n row-orthonormal matrix whose rows span
 the hyperplane orthogonal to a given direction.
+
+Each scalar entry point is a batch of one: `sample_unit_vector` of
+`sample_unit_vectors`, `build_frame` (at n = 4) of `build_frames`, and
+`project_vertices` takes one frame or a stack of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +39,10 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
 
 
 def sample_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random point on the unit sphere S^{n-1}.
-
-    Normalizes a vector of n independent standard Gaussians, which is
-    rotation-invariant by construction.
-    """
-    if n < 2:
-        raise DimensionError(f"need n >= 2, got {n}")
-    while True:
-        v = rng.standard_normal(n)
-        norm = np.linalg.norm(v)
-        if norm > 1e-100:
-            return v / norm
+    """Uniform random point on the unit sphere S^{n-1}, a batch of one of
+    `sample_unit_vectors`: m calls give the m columns of one m-direction
+    batch drawn from the same stream, byte for byte."""
+    return sample_unit_vectors(n, 1, rng)[:, 0]
 
 
 def coordinate_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -119,10 +114,13 @@ def sample_unit_vectors(n: int, count: int, rng: np.random.Generator,
                         out=None) -> np.ndarray:
     """Batch of `count` uniform directions, one per column: shape (n, count).
 
+    Normalizes vectors of n independent standard Gaussians, which is
+    rotation-invariant by construction; the one sampler of the package.
     The Gaussian block is drawn as (count, n), one direction per row, which
     fixes the order in which the stream is read, and transposed once.  A
-    direction whose norm is at most 1e-100 is redrawn, after the batch, by
-    `sample_unit_vector`; every other one is its Gaussian draw normalized.
+    direction whose norm is at most 1e-100 is redrawn in place, after the
+    batch, as a (1, n) draw normalized by the same steps, until its norm
+    exceeds 1e-100; every other one is its Gaussian draw normalized.
 
     `out` is None or the arrays the call would allocate, (v, sq, norms) of
     shapes (n, count), (n, count) and (count,), sq C-contiguous: the
@@ -141,7 +139,10 @@ def sample_unit_vectors(n: int, count: int, rng: np.random.Generator,
     to_columns(draw, v)
     _norms(v, draw.reshape(n, count), norms)
     for i in np.flatnonzero(norms <= 1e-100):
-        v[:, i], norms[i] = sample_unit_vector(n, rng), 1.0
+        col, norm = v[:, i:i + 1], norms[i:i + 1]
+        while norm[0] <= 1e-100:
+            redraw = rng.standard_normal((1, n))
+            _norms(to_columns(redraw, col), redraw.reshape(n, 1), norm)
     return np.divide(v, norms, out=v)
 
 
@@ -197,18 +198,6 @@ def spherical_density(n: int, angles) -> float:
     raise DimensionError(f"spherical_density supports n in {{3,4,5}}, got {n}")
 
 
-@dataclass(frozen=True)
-class ProjectionFrame:
-    """Row-orthonormal (n-1) x n matrix annihilating `normal`."""
-
-    rows: np.ndarray
-    normal: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[1]
-
-
 def _corank1_rows_4d(u: np.ndarray) -> np.ndarray:
     """The explicit 3 x 4 frames, (m, 3, 4), for non-degenerate rows
     u = (x, y, z, w) of (m, 4)."""
@@ -247,21 +236,22 @@ def build_frames(u: np.ndarray) -> np.ndarray:
     return rows
 
 
-def build_frame(u: np.ndarray) -> ProjectionFrame:
-    """Orthonormal frame of the hyperplane orthogonal to unit vector u.
+def build_frame(u: np.ndarray) -> np.ndarray:
+    """The rows, (n - 1, n), of an orthonormal frame of the hyperplane
+    orthogonal to the unit vector u.
 
-    For n = 4 this is a batch of one of `build_frames`.  Other n fall back
-    to a QR completion of u.
+    For n = 4 this is a batch of one of `build_frames`.  Other n take a QR
+    completion of u, the only frame for those n.
     """
     u = np.asarray(u, dtype=float)
     n = u.shape[0]
-    if n != 4:
-        if n < 2:
-            raise DimensionError(f"need n >= 2, got {n}")
-        q, _ = np.linalg.qr(np.column_stack([u, np.eye(n)]))
-        # first column of q is +-u; the remaining n-1 span the complement
-        return ProjectionFrame(rows=q[:, 1:n].T, normal=u)
-    return ProjectionFrame(rows=build_frames(u[None])[0], normal=u)
+    if n == 4:
+        return build_frames(u[None])[0]
+    if n < 2:
+        raise DimensionError(f"need n >= 2, got {n}")
+    q, _ = np.linalg.qr(np.column_stack([u, np.eye(n)]))
+    # first column of q is +-u; the remaining n-1 span the complement
+    return q[:, 1:n].T
 
 
 def cube_vertices(n: int) -> np.ndarray:
@@ -273,15 +263,11 @@ def cube_vertices(n: int) -> np.ndarray:
     return bits - 0.5
 
 
-def project_rows(rows: np.ndarray) -> np.ndarray:
-    """Images of all cube vertices under frame rows (..., n - 1, n), shape
-    (..., 2^n, n - 1); stacked frames give one matrix product each."""
+def project_vertices(rows: np.ndarray) -> np.ndarray:
+    """Images of all cube vertices under the frame rows (n - 1, n), shape
+    (2^n, n - 1); a stack of frames (..., n - 1, n) gives (..., 2^n, n - 1),
+    one matrix product per frame."""
     return cube_vertices(rows.shape[-1]) @ np.swapaxes(rows, -1, -2)
-
-
-def project_vertices(frame: ProjectionFrame) -> np.ndarray:
-    """Images of all cube vertices under the frame, shape (2^n, n-1)."""
-    return project_rows(frame.rows)
 
 
 def build_rank2_pair(u: np.ndarray, kappa: float, lam: float) -> np.ndarray:

@@ -430,7 +430,7 @@ HULL_BLOCK = 1000
 def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
     """Compare hull-derived measures with the closed-form functionals.
 
-    The directions are drawn one by one from their own stream, and the
+    The directions are one batch drawn from their own stream, and the
     closed forms come from one batch call.  Their frames, projections,
     hulls and measures come from one batch call per HULL_BLOCK directions,
     so that memory does not grow with `samples`.  A hull that fails raises
@@ -441,14 +441,15 @@ def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
     deviation below 1e-9).
     """
     rng = geometry.stream(seed, index=2**32)  # separate from MC chunks
-    dirs = np.array([geometry.sample_unit_vector(4, rng) for _ in range(samples)])
-    q = functionals.shadow_batch(dirs.T)
+    dirs = geometry.sample_unit_vectors(4, samples, rng)
+    q = functionals.shadow_batch(dirs)
+    dirs = dirs.T  # one direction per row, for the frames and the messages
     measures, counts = [], []
     for start in range(0, samples, HULL_BLOCK):
         block = dirs[start:start + HULL_BLOCK]
         try:
             meshes = hull.convex_hulls_3d(
-                geometry.project_rows(geometry.build_frames(block)))
+                geometry.project_vertices(geometry.build_frames(block)))
         except hull.FlatInputError as exc:
             raise exc.in_batch(start, f"direction u = "
                                f"{block[exc.index].tolist()}") from exc
@@ -526,10 +527,9 @@ def octagon_report(samples: int, seed: int, threads: int = 1,
     if hull_samples > 0:
         rng = geometry.stream(seed, index=2**32 + 1)
         # the stream interleaves the pairs: u is every even draw, g every odd
-        draws = np.array([geometry.sample_unit_vector(4, rng)
-                          for _ in range(2 * hull_samples)])
-        u = draws[0::2].T
-        v = geometry.complete_pairs(u, draws[1::2].T)
+        draws = geometry.sample_unit_vectors(4, 2 * hull_samples, rng)
+        u = draws[:, 0::2]
+        v = geometry.complete_pairs(u, draws[:, 1::2])
         per, area = functionals.octagon_batch(u, v)
         u, v = u.T, v.T  # one pair per row, for the hulls and the messages
         measures = []

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 from scipy import integrate, special
 
-from .specfun import elliptic_imag
+from .specfun import ConvergenceError, elliptic_imag
 
 HALF_PI = 0.5 * math.pi
 PI = math.pi
@@ -61,21 +61,13 @@ class QuadResult:
     evaluations: int
 
 
-class BudgetError(RuntimeError):
-    """Integrator failed to converge within its evaluation budget."""
-
-    def __init__(self, best: QuadResult, message: str):
-        self.best = best
-        super().__init__(message)
-
-
 def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
                  limit: int = 300) -> QuadResult:
     """Adaptive integral of f over (a, b); b may be +inf.
 
     Returns the estimate with its error bound and evaluation count; raises
-    BudgetError (carrying the best estimate) when the requested tolerance
-    is not certified (see `_certified`).
+    ConvergenceError (carrying the best estimate) when the requested
+    tolerance is not certified (see `_certified`).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -95,8 +87,8 @@ def _nested(f, ranges, tols) -> QuadResult:
     tols[1] are their epsabs = epsrel.  Each level makes the QUADPACK calls
     `integrate.nquad` would, with its default limit, and reports what it
     reports: the largest error estimate of all the calls and the sum of the
-    inner calls' evaluations.  Raises BudgetError when that error estimate
-    is not certified (see `_certified`) for t = tols[1].
+    inner calls' evaluations.  Raises ConvergenceError when that error
+    estimate is not certified (see `_certified`) for t = tols[1].
     """
     inner_range, outer_range = ranges
     inner_tol, outer_tol = tols
@@ -121,14 +113,14 @@ def _nested(f, ranges, tols) -> QuadResult:
 
 
 def _certified(result: QuadResult, tol: float, what: str) -> QuadResult:
-    """Return result, or raise BudgetError when its error estimate exceeds
-    ten times the accuracy asked of QUADPACK with epsabs = epsrel = tol,
-    which is max(tol, tol*|value|)."""
+    """Return result, or raise ConvergenceError, whose `best` is result,
+    when its error estimate exceeds ten times the accuracy asked of QUADPACK
+    with epsabs = epsrel = tol, which is max(tol, tol*|value|)."""
     requested = tol * max(1.0, abs(result.value))
     if not result.error_estimate <= 10.0 * requested:
-        raise BudgetError(result, f"{what} error estimate "
-                                  f"{result.error_estimate:.3g} exceeds "
-                                  f"10 x {requested:.3g}")
+        raise ConvergenceError(f"{what} error estimate "
+                               f"{result.error_estimate:.3g} exceeds "
+                               f"10 x {requested:.3g}", best=result)
     return result
 
 
@@ -171,11 +163,11 @@ class PiIdentitySuite:
         return self.first.value - 2.0 * self.second.value + self.third.value
 
 
-def pi_over_128_suite(tol: float = 1e-12) -> PiIdentitySuite:
+def pi_over_128_suite() -> PiIdentitySuite:
     scale = 1.0 / (12.0 * PI)
 
     def scaled(f) -> QuadResult:
-        return _scaled(integrate_1d(f, 0.0, math.inf, tol=tol), scale)
+        return _scaled(integrate_1d(f, 0.0, math.inf, tol=1e-12), scale)
 
     first = scaled(lambda t: _ek(t)[0] * t / (1.0 + t * t) ** 2)
     second = scaled(lambda t: _ek(t)[0] * t / (1.0 + t * t) ** 3)
@@ -183,10 +175,10 @@ def pi_over_128_suite(tol: float = 1e-12) -> PiIdentitySuite:
     return PiIdentitySuite(first=first, second=second, third=third)
 
 
-def zeta3_quadrature(tol: float = 1e-12) -> float:
+def zeta3_quadrature() -> float:
     """zeta_3 from the single-integral form 96/(4*pi) int t^2 E(it)/(1+t^2)^{5/2}."""
     r = integrate_1d(lambda t: t * t * _ek(t)[0] / (1.0 + t * t) ** 2.5,
-                     0.0, math.inf, tol=tol)
+                     0.0, math.inf, tol=1e-12)
     return 96.0 * r.value / (4.0 * PI)
 
 
@@ -200,13 +192,13 @@ def _zeta4_integrand(t: float) -> float:
     return num / (2.0 * t2 + 1.0) ** 5 * t
 
 
-def zeta4_quadrature(tol: float = 1e-13) -> float:
+def zeta4_quadrature() -> float:
     """zeta_4 = 256 * (4/(3*pi^2)) * the E/K product integral over (0, inf)."""
-    r = integrate_1d(_zeta4_integrand, 0.0, math.inf, tol=tol)
+    r = integrate_1d(_zeta4_integrand, 0.0, math.inf, tol=1e-13)
     return 256.0 * 4.0 / (3.0 * PI**2) * r.value
 
 
-def zeta4_quadrature_psi_form(tol: float = 1e-11) -> float:
+def zeta4_quadrature_psi_form() -> float:
     """zeta_4 from the pre-substitution integral over psi in (0, pi/2).
 
     Numerically validates the change of variables t = sqrt((sec(psi)-1)/2)
@@ -222,7 +214,7 @@ def zeta4_quadrature_psi_form(tol: float = 1e-11) -> float:
         h = (-1.0 + tan2 - sec) * k * k
         return math.cos(psi) * math.sin(psi) ** 3 * (f + g + h) / (3.0 * tan2)
 
-    r = integrate_1d(integrand, 0.0, HALF_PI, tol=tol)
+    r = integrate_1d(integrand, 0.0, HALF_PI, tol=1e-11)
     return 256.0 / (2.0 * PI**2) * r.value
 
 
@@ -242,7 +234,7 @@ def zeta5_inner_v_identity(u: float) -> tuple[float, float]:
     return lhs, rhs
 
 
-def zeta5_reduction_check(tol: float = 1e-13) -> float:
+def zeta5_reduction_check() -> float:
     """zeta_5 as 640 times the reduced three-integral combination.
 
     Evaluates the E^2, EK and K^2 integrals separately (coefficients
@@ -265,9 +257,12 @@ def zeta5_reduction_check(tol: float = 1e-13) -> float:
         return ((-1.0 + poly(t) - (1.0 + 2.0 * t * t)) * k * k
                 / (1.0 + 2.0 * t * t) ** 5 * t)
 
-    total = (4.0 / (15.0 * PI**2) * integrate_1d(f_e2, 0.0, math.inf, tol=tol).value
-             + 8.0 / (15.0 * PI**2) * integrate_1d(f_ek, 0.0, math.inf, tol=tol).value
-             + 4.0 / (15.0 * PI**2) * integrate_1d(f_k2, 0.0, math.inf, tol=tol).value)
+    def integral(f) -> float:
+        return integrate_1d(f, 0.0, math.inf, tol=1e-13).value
+
+    total = (4.0 / (15.0 * PI**2) * integral(f_e2)
+             + 8.0 / (15.0 * PI**2) * integral(f_ek)
+             + 4.0 / (15.0 * PI**2) * integral(f_k2))
     return 640.0 * total
 
 

@@ -24,7 +24,15 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(ValueError):
-    """A series that diverges, or a quadrature that does not converge."""
+    """A series that diverges, or a quadrature that does not converge.
+
+    `best` is the quadrature's estimate when it has one (a
+    `quad.QuadResult`), or None.
+    """
+
+    def __init__(self, message: str, best=None):
+        super().__init__(message)
+        self.best = best
 
 
 @dataclass(frozen=True)

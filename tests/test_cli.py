@@ -310,6 +310,17 @@ class TestParser:
         assert (f"argument --tol: must be a finite number >= 0, got {tol}"
                 in captured.err)
 
+    @pytest.mark.parametrize("argv", [["--octagon", "--n", "7"],
+                                      ["--n", "7", "--octagon"],
+                                      ["--n", "4", "--octagon"]])
+    def test_verify_n_and_octagon_exclude_each_other(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", *argv, "--samples", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
     def test_tolerance_not_a_number(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["constants", "--tol", "tight"])

@@ -16,6 +16,17 @@ def test_sample_unit_vector_norm():
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 12])
+def test_scalar_calls_are_the_columns_of_one_batch(n):
+    # the scalar sampler is a batch of one: m calls read the stream as one
+    # m-direction batch does, and normalize with the same bits
+    rng = geometry.stream(13, n)
+    got = np.column_stack([geometry.sample_unit_vector(n, rng)
+                           for _ in range(3000)])
+    want = geometry.sample_unit_vectors(n, 3000, geometry.stream(13, n))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_sample_rejects_bad_dimension():
     rng = geometry.stream(0)
     with pytest.raises(geometry.DimensionError):
@@ -64,9 +75,27 @@ class _ZeroRowGenerator:
 def test_batch_redraws_zero_norm_rows_only():
     rng = _ZeroRowGenerator()
     x = geometry.sample_unit_vectors(4, 3, rng)
-    assert rng.sizes == [(3, 4), 4]
+    assert rng.sizes == [(3, 4), (1, 4)]
     assert np.all(np.isfinite(x))
     assert np.allclose(np.linalg.norm(x, axis=0), 1.0, atol=1e-15)
+    assert np.array_equal(x[:, 1], [-0.5, -0.5, -0.5, -0.5])
+    assert np.array_equal(x[:, 0], np.arange(1.0, 5.0) / math.sqrt(30.0))
+
+
+class _ZeroRedrawGenerator(_ZeroRowGenerator):
+    """The same draws, except that the first redraw is zero too."""
+
+    def standard_normal(self, size):
+        draw = super().standard_normal(size)
+        if len(self.sizes) == 2:
+            draw[...] = 0.0
+        return draw
+
+
+def test_batch_redraws_until_the_norm_is_positive():
+    rng = _ZeroRedrawGenerator()
+    x = geometry.sample_unit_vectors(4, 3, rng)
+    assert rng.sizes == [(3, 4), (1, 4), (1, 4)]
     assert np.array_equal(x[:, 1], [-0.5, -0.5, -0.5, -0.5])
     assert np.array_equal(x[:, 0], np.arange(1.0, 5.0) / math.sqrt(30.0))
 
@@ -87,7 +116,7 @@ def test_batch_redraws_zero_norm_rows_only_into_out():
     buffers = (np.empty((4, 3)), np.empty((4, 3)), np.empty(3))
     x = geometry.sample_unit_vectors(4, 3, rng, out=buffers)
     assert x is buffers[0]
-    assert rng.sizes == [(3, 4), 4]
+    assert rng.sizes == [(3, 4), (1, 4)]
     assert np.array_equal(x[:, 1], [-0.5, -0.5, -0.5, -0.5])
     assert np.array_equal(x[:, 0], np.arange(1.0, 5.0) / math.sqrt(30.0))
     reference = geometry.sample_unit_vectors(4, 3, _ZeroRowGenerator())
@@ -190,11 +219,11 @@ def test_spherical_density_integrates_to_one(n, ranges):
 
 def test_build_frame_axis_cases():
     f = geometry.build_frame(np.array([0.0, 0.0, 0.0, 1.0]))
-    assert np.allclose(f.rows, np.eye(4)[:3], atol=1e-12)
+    assert np.allclose(f, np.eye(4)[:3], atol=1e-12)
     f = geometry.build_frame(np.array([0.0, 0.0, 1.0, 0.0]))
-    assert np.allclose(f.rows[0], [1, 0, 0, 0], atol=1e-12)
-    assert np.allclose(f.rows[1], [0, 1, 0, 0], atol=1e-12)
-    assert np.allclose(f.rows[2], [0, 0, 0, -1], atol=1e-12)
+    assert np.allclose(f[0], [1, 0, 0, 0], atol=1e-12)
+    assert np.allclose(f[1], [0, 1, 0, 0], atol=1e-12)
+    assert np.allclose(f[2], [0, 0, 0, -1], atol=1e-12)
 
 
 def test_build_frame_properties_random_and_degenerate():
@@ -208,8 +237,8 @@ def test_build_frame_properties_random_and_degenerate():
     cases.append(v / np.linalg.norm(v))
     for u in cases:
         f = geometry.build_frame(u)
-        assert np.abs(f.rows @ f.rows.T - np.eye(3)).max() < 1e-10
-        assert np.abs(f.rows @ u).max() < 1e-12
+        assert np.abs(f @ f.T - np.eye(3)).max() < 1e-10
+        assert np.abs(f @ u).max() < 1e-12
 
 
 def test_build_frame_general_n():
@@ -217,9 +246,9 @@ def test_build_frame_general_n():
     for n in (3, 5, 6):
         u = geometry.sample_unit_vector(n, rng)
         f = geometry.build_frame(u)
-        assert f.rows.shape == (n - 1, n)
-        assert np.abs(f.rows @ f.rows.T - np.eye(n - 1)).max() < 1e-10
-        assert np.abs(f.rows @ u).max() < 1e-12
+        assert f.shape == (n - 1, n)
+        assert np.abs(f @ f.T - np.eye(n - 1)).max() < 1e-10
+        assert np.abs(f @ u).max() < 1e-12
 
 
 def test_build_frames_equal_per_direction_reference():
@@ -235,11 +264,11 @@ def test_build_frames_equal_per_direction_reference():
                      np.array([0.3, 0.5, eps, -eps])]
     dirs = np.array([u / np.linalg.norm(u) for u in dirs])
     rows = geometry.build_frames(dirs)
-    clouds = geometry.project_rows(rows)
+    clouds = geometry.project_vertices(rows)
     for u, r, cloud in zip(dirs, rows, clouds):
         want = hull_reference.frame_rows(u)
         assert np.array_equal(r, want)
-        assert np.array_equal(geometry.build_frame(u).rows, want)
+        assert np.array_equal(geometry.build_frame(u), want)
         assert np.array_equal(cloud, geometry.cube_vertices(4) @ want.T)
 
 

@@ -59,8 +59,8 @@ def near_axis(draw):
 
 def check_direction(u):
     frame = geometry.build_frame(u)
-    assert np.abs(frame.rows @ frame.rows.T - np.eye(3)).max() < FRAME_TOL
-    assert np.abs(frame.rows @ u).max() < FRAME_TOL
+    assert np.abs(frame @ frame.T - np.eye(3)).max() < FRAME_TOL
+    assert np.abs(frame @ u).max() < FRAME_TOL
 
     pts = geometry.project_vertices(frame)
     mesh = hull.convex_hull_3d(pts)
@@ -75,7 +75,7 @@ def check_direction(u):
     assert abs(m.area - qhull.area) < QHULL_TOL
 
     # the same bytes as the per-mesh code, alone and behind a neighbour
-    assert np.array_equal(frame.rows, hull_reference.frame_rows(u))
+    assert np.array_equal(frame, hull_reference.frame_rows(u))
     want = hull_reference.convex_hull_3d(pts)
     hull_reference.assert_same_mesh(mesh, want)
     assert m == hull_reference.mesh_measures(want)

@@ -578,14 +578,14 @@ class TestHullCrossCheck:
                 hull_reference.octagon_hull_measures(u[i], v[i])
 
     def test_failure_names_its_direction(self, monkeypatch):
-        project = geometry.project_rows
+        project = geometry.project_vertices
 
         def flatten_eighth(rows):
             clouds = project(rows)
             clouds[7, :, 2] = 0.0
             return clouds
 
-        monkeypatch.setattr(geometry, "project_rows", flatten_eighth)
+        monkeypatch.setattr(geometry, "project_vertices", flatten_eighth)
         with pytest.raises(hull.FlatInputError) as exc:
             moments.hull_cross_check(10, seed=3)
         rng = geometry.stream(3, index=2**32)
@@ -622,7 +622,7 @@ class TestHullCrossCheck:
             (octagon.hull_max_deviation, octagon.hull_pass_rate)
 
     def test_failure_in_a_later_block_names_its_direction(self, monkeypatch):
-        project = geometry.project_rows
+        project = geometry.project_vertices
         calls = []
 
         def flatten_second_of_third_block(rows):
@@ -633,7 +633,7 @@ class TestHullCrossCheck:
             return clouds
 
         monkeypatch.setattr(moments, "HULL_BLOCK", 4)
-        monkeypatch.setattr(geometry, "project_rows",
+        monkeypatch.setattr(geometry, "project_vertices",
                             flatten_second_of_third_block)
         with pytest.raises(hull.FlatInputError) as exc:
             moments.hull_cross_check(10, seed=3)
