@@ -69,11 +69,12 @@ def cmd_moments(args) -> int:
             f"  zeta source: {table.zeta_source}"]
     text += [f"  {name} range   [{lo!r}, {hi!r}]"
              for name, (lo, hi) in table.extremes.items()]
-    if args.n == 4:
-        payload["joint"] = moments._joint_moments(table).as_dict()
-        joint = _value_rows(payload["joint"])
-        rows += joint
-        text += map(_VALUE_LINE.format_map, joint)
+    joint = moments.joint_moments(table)
+    if joint is not None:
+        payload["joint"] = joint.as_dict()
+        joint_rows = _value_rows(payload["joint"])
+        rows += joint_rows
+        text += map(_VALUE_LINE.format_map, joint_rows)
     _write(args, payload, rows, text)
     return 0
 
@@ -152,11 +153,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_hull_dump(args) -> int:
-    rng = geometry.stream(args.seed)
-    u = geometry.sample_unit_vector(4, rng)
-    mesh = hull.convex_hull_3d(
-        geometry.project_vertices(geometry.build_frame(u)))
-    _emit(hull.to_off(mesh), args.out)
+    u = geometry.sample_unit_vector(4, geometry.stream(args.seed))
+    _emit(hull.to_off(hull.shadow_hulls(u[None]).mesh(0)), args.out)
     return 0
 
 

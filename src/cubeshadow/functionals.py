@@ -14,6 +14,10 @@ minors p_jk = u_j v_k - u_k v_j of the orthonormal pair (u, v), and the
 area is also given locally by six rational branch formulas in seven
 scalars built from (u, v).
 
+This module holds the closed forms only.  Their independent check, the
+explicit hulls of the projected vertices, is `hull`, and the two modules do
+not import each other; `moments` compares them.
+
 Each formula has one implementation, a batch kernel; the scalar
 functions are batches of one.  A batch of m directions is coordinate-major,
 (n, m), one direction per column, so that each coordinate is one contiguous
@@ -61,16 +65,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hull
-from .geometry import DimensionError, coordinate_sum, cube_vertices
+from .geometry import DimensionError, checked_pair, coordinate_sum
 from .specfun import gamma_fn
 
-ORTHO_TOL = 1e-10
 PLANE_TOL = 1e-10
-
-
-class OrthogonalityError(ValueError):
-    """The rank-2 direction pair is not orthonormal."""
 
 
 class DegeneratePlaneError(ValueError):
@@ -169,17 +167,6 @@ def shadow_mean_width(u) -> float:
     return shadow_functionals(u).mw
 
 
-def _checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """u and v as float arrays, (4,) or (m, 4), each row pair orthogonal."""
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    dots = np.abs(u[..., None, :] @ v[..., :, None]).ravel()
-    bad = np.flatnonzero(dots > ORTHO_TOL)
-    if len(bad):
-        raise OrthogonalityError(
-            f"|u.v| = {float(dots[bad[0]])} exceeds {ORTHO_TOL}")
-    return u, v
-
-
 #: The six index pairs (j, k), j < k, in the order of the minors.
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -218,13 +205,13 @@ def octagon_perimeter(u, v) -> float:
     2 sum_j sqrt(1 - v_j^2 - u_j^2) for orthonormal u, v, a batch of one
     of `octagon_batch`; ranges over [4, 4*sqrt(2)].
     """
-    u, v = _checked_pair(u, v)
+    u, v = checked_pair(u, v)
     return float(octagon_batch(u[:, None], v[:, None])[0][0])
 
 
 def octagon_coefficients(u, v) -> OctagonCoeffs:
     """The seven scalars feeding the local octagon-area branch formulas."""
-    u, v = _checked_pair(u, v)
+    u, v = checked_pair(u, v)
     x, y, z, w = u
     p, q, r, s = v
     return OctagonCoeffs(
@@ -255,7 +242,7 @@ def octagon_area_branch(branch: int, co: OctagonCoeffs) -> float:
 
     Each branch is valid in a neighborhood of its anchor in BRANCH_ANCHORS;
     globally, branch selection is oracle-driven (see
-    `octagon_hull_measures`, whose area is the branch-free reference).
+    `hull.octagon_hull_measures`, whose area is the branch-free reference).
     """
     a1, a2, a3 = co.a1, co.a2, co.a3
     b1, b2 = co.b1, co.b2
@@ -275,56 +262,3 @@ def octagon_area_branch(branch: int, co: OctagonCoeffs) -> float:
     if branch == 6:
         return (a1 * (c + b2) - a2 * (b1 - b2) + a3 * b1) / c
     raise ValueError(f"branch index must be 1..6, got {branch}")
-
-
-def shadow_plane_bases(u: np.ndarray,
-                       v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (e, f), each (m, 4), of the planes orthogonal to
-    both u and v, for rows of (m, 4).
-
-    Gram-Schmidt of the coordinate axes against {u, v}, keeping the two
-    axes with the largest residual norms.  Any basis of the same plane
-    yields identical shadow measures.
-    """
-    rows = np.arange(len(u))
-    resid = (np.eye(4) - u[:, :, None] * u[:, None, :]
-             - v[:, :, None] * v[:, None, :])
-    norms = np.linalg.norm(resid, axis=1)
-    j1 = norms.argmax(axis=1)
-    e = resid[rows, :, j1] / norms[rows, j1, None]
-    resid2 = resid - e[:, :, None] * (e[:, None, :] @ resid)
-    norms2 = np.linalg.norm(resid2, axis=1)
-    j2 = norms2.argmax(axis=1)
-    f = resid2[rows, :, j2] / norms2[rows, j2, None]
-    return e, f
-
-
-def shadow_plane_basis(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis (e, f) of the plane orthogonal to both u and v,
-    a batch of one of `shadow_plane_bases`."""
-    e, f = shadow_plane_bases(np.asarray(u, dtype=float)[None],
-                              np.asarray(v, dtype=float)[None])
-    return e[0], f[0]
-
-
-def octagon_hull_batch(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Per row (area, perimeter) of the rank-2 shadows of orthonormal pairs
-    (m, 4), by projection and a 2D hull.
-
-    Projects the 16 cube vertices onto an orthonormal basis of the plane
-    orthogonal to span{u, v} and measures their hull; the branch-free
-    reference for the closed forms.
-    """
-    u, v = _checked_pair(u, v)
-    e, f = shadow_plane_bases(u, v)
-    pts = cube_vertices(4) @ np.stack([e, f], axis=-1)
-    return hull.convex_hulls_2d(pts).measures()
-
-
-def octagon_hull_measures(u, v) -> tuple[float, float]:
-    """(area, perimeter) of the rank-2 shadow by projection and a 2D hull,
-    a batch of one of `octagon_hull_batch`."""
-    area, perimeter = octagon_hull_batch(np.asarray(u, dtype=float)[None],
-                                         np.asarray(v, dtype=float)[None])
-    return float(area[0]), float(perimeter[0])
-

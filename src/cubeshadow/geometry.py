@@ -8,6 +8,9 @@ the hyperplane orthogonal to a given direction.
 Each scalar entry point is a batch of one: `sample_unit_vector` of
 `sample_unit_vectors`, `build_frame` (at n = 4) of `build_frames`, and
 `project_vertices` takes one frame or a stack of them.
+
+`checked_pair` is the one check of a rank-2 pair, shared by the octagon's
+closed forms and its hull oracle.
 """
 
 from __future__ import annotations
@@ -22,10 +25,15 @@ DEGENERACY_TOL = 1e-12
 # frame, always well conditioned, is built instead, so every frame is
 # orthonormal to about 3e-13.
 CANCELLATION_TOL = 1e-3
+ORTHO_TOL = 1e-10
 
 
 class DimensionError(ValueError):
     """A cube, ambient or segment dimension outside the supported range."""
+
+
+class OrthogonalityError(ValueError):
+    """The rank-2 direction pair is not orthonormal."""
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -161,6 +169,23 @@ def complete_pairs(u: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
     g -= np.multiply(col, u, out=work)
     _norms(g, work, col)
     return np.divide(g, col, out=g)
+
+
+def checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """u and v as float arrays, (4,) or (m, 4), each row pair orthonormal:
+    |u.v|, ||u|^2 - 1| and ||v|^2 - 1| at most ORTHO_TOL, or
+    `OrthogonalityError` names the first that is not (NaN included)."""
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    checks = {"|u.v|": u[..., None, :] @ v[..., :, None],
+              "||u|^2 - 1|": np.sum(u * u, axis=-1) - 1.0,
+              "||v|^2 - 1|": np.sum(v * v, axis=-1) - 1.0}
+    for name, values in checks.items():
+        errors = np.abs(values).ravel()
+        bad = np.flatnonzero(~(errors <= ORTHO_TOL))
+        if len(bad):
+            raise OrthogonalityError(
+                f"{name} = {float(errors[bad[0]])} exceeds {ORTHO_TOL}")
+    return u, v
 
 
 def spherical_to_cartesian4(theta: float, phi: float, psi: float) -> np.ndarray:

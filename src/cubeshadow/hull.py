@@ -1,5 +1,12 @@
 """Convex hulls of projected vertex clouds and their intrinsic measures.
 
+This is the one hull oracle of the package: the shadows of the 4-cube
+measured from explicit hulls of their projected vertices, independently of
+the closed forms of `functionals`, which this module does not import.  It
+has two pipelines.  `shadow_hulls` takes corank-1 directions through
+`geometry`'s frames and projection to 3D hulls; `octagon_hull_batch` takes
+rank-2 pairs through the bases of their shadow planes to 2D hulls.
+
 3D hulls are built with Qhull and post-processed: coplanar triangles are
 merged back into polygonal faces (shadows of the 4-cube are zonotopes, so
 generic faces are parallelograms), edges are recovered with their two
@@ -38,6 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
+
+from . import geometry
 
 DEDUP_TOL = 1e-12
 
@@ -476,3 +485,69 @@ def to_off(mesh: PolyMesh) -> str:
     for face in mesh.faces:
         lines.append(" ".join([str(len(face))] + [str(i) for i in face]))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the shadows of the 4-cube
+
+def shadow_hulls(u: np.ndarray) -> MeshBatch:
+    """The corank-1 shadows of the 4-cube along unit directions u (m, 4),
+    one per row, as one batch of hulls of their projected vertices.
+
+    `geometry` is called through the module, so a rebinding of its
+    functions (a tracer, a test) reaches this pipeline too.
+    """
+    return convex_hulls_3d(geometry.project_vertices(geometry.build_frames(u)))
+
+
+def shadow_plane_bases(u: np.ndarray,
+                       v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (e, f), each (m, 4), of the planes orthogonal to
+    both u and v, for rows of (m, 4).
+
+    Gram-Schmidt of the coordinate axes against {u, v}, keeping the two
+    axes with the largest residual norms.  Any basis of the same plane
+    yields identical shadow measures.
+    """
+    rows = np.arange(len(u))
+    resid = (np.eye(4) - u[:, :, None] * u[:, None, :]
+             - v[:, :, None] * v[:, None, :])
+    norms = np.linalg.norm(resid, axis=1)
+    j1 = norms.argmax(axis=1)
+    e = resid[rows, :, j1] / norms[rows, j1, None]
+    resid2 = resid - e[:, :, None] * (e[:, None, :] @ resid)
+    norms2 = np.linalg.norm(resid2, axis=1)
+    j2 = norms2.argmax(axis=1)
+    f = resid2[rows, :, j2] / norms2[rows, j2, None]
+    return e, f
+
+
+def shadow_plane_basis(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis (e, f) of the plane orthogonal to both u and v,
+    a batch of one of `shadow_plane_bases`."""
+    e, f = shadow_plane_bases(np.asarray(u, dtype=float)[None],
+                              np.asarray(v, dtype=float)[None])
+    return e[0], f[0]
+
+
+def octagon_hull_batch(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Per row (area, perimeter) of the rank-2 shadows of orthonormal pairs
+    (m, 4), by projection and a 2D hull.
+
+    Projects the 16 cube vertices onto an orthonormal basis of the plane
+    orthogonal to span{u, v} and measures their hull; the branch-free
+    reference for the closed forms.
+    """
+    u, v = geometry.checked_pair(u, v)
+    e, f = shadow_plane_bases(u, v)
+    pts = geometry.cube_vertices(4) @ np.stack([e, f], axis=-1)
+    return convex_hulls_2d(pts).measures()
+
+
+def octagon_hull_measures(u, v) -> tuple[float, float]:
+    """(area, perimeter) of the rank-2 shadow by projection and a 2D hull,
+    a batch of one of `octagon_hull_batch`."""
+    area, perimeter = octagon_hull_batch(np.asarray(u, dtype=float)[None],
+                                         np.asarray(v, dtype=float)[None])
+    return float(area[0]), float(perimeter[0])
+

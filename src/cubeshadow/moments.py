@@ -7,7 +7,11 @@ with one counter-based stream per chunk, so results are bit-identical for
 a fixed (seed, samples) regardless of thread count.
 
 The per-sample functionals come from the batch kernels of `functionals`:
-`shadow_batch` for vl, ar, mw and `octagon_batch` for the octagon.
+`shadow_batch` for vl, ar, mw and `octagon_batch` for the octagon.  Both
+reports also compare those closed forms with the hull oracle of `hull` on
+their own seeded directions, through one rule, `_cross_check`: blocks of
+HULL_BLOCK hulls, a failing hull named with what replays it, the largest
+deviation and the fraction that pass.
 
 Each worker thread has one workspace, made on its first chunk and reused
 for every later one, so the steady state allocates nothing.  The kernels
@@ -156,11 +160,14 @@ class JointMoments:
 
 def joint_moment_table() -> JointMoments:
     """Closed-form joint moments and correlations for the 4-cube."""
-    return _joint_moments(closed_form_table(4))
+    return joint_moments(closed_form_table(4))
 
 
-def _joint_moments(t: MomentTable) -> JointMoments:
-    """`joint_moment_table` from the n = 4 table a caller already holds."""
+def joint_moments(t: MomentTable) -> JointMoments | None:
+    """The joint moments that go with the table t: known in closed form at
+    n = 4 only, so None at every other n."""
+    if t.n != 4:
+        return None
     e_vl_ar = 6.0 * (1.0 + 4.0 / PI)
     e_vl_mw = 9.0 / 4.0 + 2.0 / PI
     e_ar_mw = 3.0 * (5.0 + 2.0 * catalan_const()) / PI + 9.0 * PI / 4.0
@@ -417,8 +424,9 @@ def closed_form_targets(n: int) -> dict:
     """
     table = closed_form_table(n)
     fields = table.as_dict()
-    if n == 4:
-        fields.update(_joint_moments(table).as_dict())
+    joint = joint_moments(table)
+    if joint is not None:
+        fields.update(joint.as_dict())
     return {q: fields["e_" + q] for q in MOMENT_NAMES if "e_" + q in fields}
 
 
@@ -427,14 +435,41 @@ def closed_form_targets(n: int) -> dict:
 HULL_BLOCK = 1000
 
 
+def _cross_check(closed: np.ndarray, oracle, handle) -> tuple[float, float]:
+    """The one comparison of the hull oracle with the closed forms.
+
+    closed (k, m) holds k closed-form measures of m items, one item per
+    column.  oracle(block), for a slice of at most HULL_BLOCK items, returns
+    their k hull measures in the same order, and per item whether its hull
+    has the expected combinatorics (True where none is checked).  A
+    FlatInputError of a block is raised again with the item's index in the
+    whole batch and handle(index), the text that replays it.
+
+    Returns (the largest |hull - closed form| over items and measures, the
+    fraction of items within 1e-9 on every measure and of the expected
+    combinatorics).
+    """
+    m = closed.shape[1]
+    dev, good = np.empty(m), np.empty(m, dtype=bool)
+    for start in range(0, m, HULL_BLOCK):
+        block = slice(start, start + HULL_BLOCK)
+        try:
+            measures, good[block] = oracle(block)
+        except hull.FlatInputError as exc:
+            raise exc.in_batch(start, handle(start + exc.index)) from exc
+        dev[block] = np.abs(np.subtract(measures, closed[:, block])).max(axis=0)
+    good &= dev < 1e-9
+    return float(dev.max()), int(good.sum()) / m
+
+
 def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
     """Compare hull-derived measures with the closed-form functionals.
 
     The directions are one batch drawn from their own stream, and the
-    closed forms come from one batch call.  Their frames, projections,
-    hulls and measures come from one batch call per HULL_BLOCK directions,
-    so that memory does not grow with `samples`.  A hull that fails raises
-    FlatInputError naming its index and direction.
+    closed forms come from one batch call.  Their hulls come from
+    `hull.shadow_hulls`, HULL_BLOCK directions per call, so that memory does
+    not grow with `samples`, and `_cross_check` compares the two.  A hull
+    that fails raises FlatInputError naming its index and direction.
 
     Returns (max absolute deviation over volume/area/mean width,
     fraction of samples with the generic 14/24/12 combinatorics and
@@ -443,24 +478,15 @@ def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
     rng = geometry.stream(seed, index=2**32)  # separate from MC chunks
     dirs = geometry.sample_unit_vectors(4, samples, rng)
     q = functionals.shadow_batch(dirs)
-    dirs = dirs.T  # one direction per row, for the frames and the messages
-    measures, counts = [], []
-    for start in range(0, samples, HULL_BLOCK):
-        block = dirs[start:start + HULL_BLOCK]
-        try:
-            meshes = hull.convex_hulls_3d(
-                geometry.project_vertices(geometry.build_frames(block)))
-        except hull.FlatInputError as exc:
-            raise exc.in_batch(start, f"direction u = "
-                               f"{block[exc.index].tolist()}") from exc
-        measures.append(meshes.measures())
-        counts.append(meshes.counts())
-    volume, area, mw = np.concatenate(measures, axis=1)
-    dev = np.maximum(np.maximum(np.abs(volume - q["vl"]),
-                                np.abs(area - q["ar"])), np.abs(mw - q["mw"]))
-    v, e, f = np.concatenate(counts, axis=1)
-    good = (dev < 1e-9) & (v == 14) & (e == 24) & (f == 12) & (v - e + f == 2)
-    return float(dev.max()), int(good.sum()) / samples
+    dirs = dirs.T  # one direction per row, for the hulls and the messages
+
+    def oracle(block):
+        meshes = hull.shadow_hulls(dirs[block])
+        v, e, f = meshes.counts()
+        return meshes.measures(), (v == 14) & (e == 24) & (f == 12)
+
+    return _cross_check(np.stack([q["vl"], q["ar"], q["mw"]]), oracle,
+                        lambda i: f"direction u = {dirs[i].tolist()}")
 
 
 def _report(n: int, mc: McResult, targets: dict, ranges: dict,
@@ -520,8 +546,8 @@ def octagon_report(samples: int, seed: int, threads: int = 1,
                    hull_samples: int = 1000) -> VerifyReport:
     """Rank-2 octagon verification: perimeter^2, perimeter and area against
     their closed forms, the extremes against their ranges, plus the 2D hull
-    cross-check on `hull_samples` seeded pairs, HULL_BLOCK pairs per batch
-    call."""
+    cross-check, `_cross_check` of `hull.octagon_hull_batch`, on
+    `hull_samples` seeded pairs."""
     mc = mc_octagon(samples, seed, threads=threads)
     hull_check = None
     if hull_samples > 0:
@@ -532,19 +558,10 @@ def octagon_report(samples: int, seed: int, threads: int = 1,
         v = geometry.complete_pairs(u, draws[:, 1::2])
         per, area = functionals.octagon_batch(u, v)
         u, v = u.T, v.T  # one pair per row, for the hulls and the messages
-        measures = []
-        for start in range(0, hull_samples, HULL_BLOCK):
-            stop = start + HULL_BLOCK
-            try:
-                measures.append(functionals.octagon_hull_batch(
-                    u[start:stop], v[start:stop]))
-            except hull.FlatInputError as exc:
-                i = start + exc.index
-                raise exc.in_batch(start, f"pair u = {u[i].tolist()}, "
-                                   f"v = {v[i].tolist()}") from exc
-        hull_area, hull_per = np.concatenate(measures, axis=1)
-        dev = np.maximum(np.abs(hull_per - per), np.abs(hull_area - area))
-        hull_check = float(dev.max()), float((dev < 1e-9).mean())
+        hull_check = _cross_check(
+            np.stack([area, per]),  # in the order of `octagon_hull_batch`
+            lambda block: (hull.octagon_hull_batch(u[block], v[block]), True),
+            lambda i: f"pair u = {u[i].tolist()}, v = {v[i].tolist()}")
     targets = {"perimeter2": 23.0 + 6.0 * catalan_const(),
                "perimeter": 16.0 / 3.0, "area": 2.0}
     return _report(4, mc, targets, OCTAGON_RANGES, hull_check)

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 from scipy.spatial.distance import cdist
 
-from cubeshadow import functionals, hull
+from cubeshadow import geometry, hull
 from cubeshadow.geometry import CANCELLATION_TOL, DEGENERACY_TOL, cube_vertices
 
 
@@ -146,8 +146,8 @@ def shadow_plane_basis(u, v):
 def octagon_hull_measures(u, v):
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     dot = abs(float(np.dot(u, v)))
-    if dot > functionals.ORTHO_TOL:
-        raise functionals.OrthogonalityError(dot)
+    if dot > geometry.ORTHO_TOL:
+        raise geometry.OrthogonalityError(dot)
     e, f = shadow_plane_basis(u, v)
     pts = cube_vertices(4) @ np.column_stack([e, f])
     return polygon_measures(convex_hull_2d(pts))

@@ -123,7 +123,7 @@ def test_criterion_11_octagon(octagon_1e6):
         v = geometry.sample_unit_vector(4, rng)
         v = v - np.dot(v, u) * u
         v /= np.linalg.norm(v)
-        e, f = functionals.shadow_plane_basis(u, v)
+        e, f = hull.shadow_plane_basis(u, v)
         pts = geometry.cube_vertices(4) @ np.column_stack([e, f])
         _, per = hull.polygon_measures(hull.convex_hull_2d(pts))
         ok = ok and abs(per - functionals.octagon_perimeter(u, v)) < 1e-9
@@ -138,7 +138,7 @@ def test_criterion_11_octagon(octagon_1e6):
             v = geometry.build_rank2_pair(u, angles[3], angles[4])
             value = functionals.octagon_area_branch(
                 branch, functionals.octagon_coefficients(u, v))
-            oracle = functionals.octagon_hull_measures(u, v)[0]
+            oracle = hull.octagon_hull_measures(u, v)[0]
             ok = ok and abs(value - oracle) < 1e-9
     report(11, ok, f"E(per^2) = {mean:.4f}; perimeter and all six area "
                    f"branches match the hull oracle")

@@ -1,10 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy
 
-from cubeshadow import functionals, geometry
+from cubeshadow import functionals, geometry, hull
 
 
 class TestCorank1Functionals:
@@ -77,15 +79,32 @@ class TestOctagonPerimeter:
         assert functionals.octagon_perimeter([1, 0, 0, 0], [0, 1, 0, 0]) == pytest.approx(4.0)
 
     def test_orthogonality_guard(self):
-        with pytest.raises(functionals.OrthogonalityError):
+        with pytest.raises(geometry.OrthogonalityError):
             functionals.octagon_perimeter([1, 0, 0, 0], [1, 0, 0, 0])
 
+    @pytest.mark.parametrize("u, v, message", [
+        ([2, 0, 0, 0], [0, 3, 0, 0], "||u|^2 - 1| = 3.0"),
+        ([0.3, 0.4, 0.5, 0.1], [0.4, -0.3, 0, 0], "||u|^2 - 1| = 0.49"),
+        ([1, 0, 0, 0], [0, 0.5, 0, 0], "||v|^2 - 1| = 0.75"),
+        ([math.nan, 0, 0, 0], [0, 1, 0, 0], "|u.v| = nan"),
+    ], ids=["scaled_axes", "short_u", "short_v", "nan_u"])
+    def test_pair_that_is_not_orthonormal_is_rejected(self, u, v, message):
+        # The first three are orthogonal, so only the norms reject them;
+        # unchecked, the first read perimeter 24.0 and hull (area,
+        # perimeter) (1, 4).  NaN compares false with any bound; unchecked,
+        # it read perimeter NaN.
+        for measure in (functionals.octagon_perimeter,
+                        functionals.octagon_coefficients,
+                        hull.octagon_hull_measures):
+            with pytest.raises(geometry.OrthogonalityError) as exc:
+                measure(u, v)
+            assert str(exc.value).startswith(message)
+
     def test_matches_hull_oracle(self):
-        from cubeshadow import hull
         rng = geometry.stream(34)
         for _ in range(200):
             u, v = random_pair(rng)
-            e, f = functionals.shadow_plane_basis(u, v)
+            e, f = hull.shadow_plane_basis(u, v)
             pts = geometry.cube_vertices(4) @ np.column_stack([e, f])
             _, per = hull.polygon_measures(hull.convex_hull_2d(pts))
             assert functionals.octagon_perimeter(u, v) == pytest.approx(per, abs=1e-9)
@@ -102,7 +121,7 @@ class TestOctagonBatch:
         u = np.array([1.0, 1e-8, 0.0, 0.0])
         v = np.array([0.0, 0.0, 1.0, 0.3])
         u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
-        _, hull_per = functionals.octagon_hull_measures(u, v)
+        _, hull_per = hull.octagon_hull_measures(u, v)
         assert abs(clip_perimeter(u, v) - hull_per) > 1e-9
         per, _ = functionals.octagon_batch(u[:, None], v[:, None])
         assert abs(per[0] - hull_per) <= 1e-14
@@ -116,7 +135,7 @@ class TestOctagonBatch:
         per, area = functionals.octagon_batch(u.T, v.T)
         for i, (a, b) in enumerate(pairs):
             assert functionals.octagon_perimeter(a, b) == per[i]
-            hull_area, hull_per = functionals.octagon_hull_measures(a, b)
+            hull_area, hull_per = hull.octagon_hull_measures(a, b)
             assert abs(area[i] - hull_area) < 1e-12
             assert abs(per[i] - hull_per) < 1e-12
 
@@ -161,18 +180,18 @@ class TestOctagonCoefficients:
 
 class TestOctagonArea:
     def test_oracle_axis_pair(self):
-        area, _ = functionals.octagon_hull_measures([1, 0, 0, 0], [0, 1, 0, 0])
+        area, _ = hull.octagon_hull_measures([1, 0, 0, 0], [0, 1, 0, 0])
         assert area == pytest.approx(1.0)
 
     def test_oracle_basis_invariance(self):
         rng = geometry.stream(35)
         u, v = random_pair(rng)
-        a0 = functionals.octagon_hull_measures(u, v)[0]
+        a0 = hull.octagon_hull_measures(u, v)[0]
         # rotate the pair inside its own plane: same shadow plane
         for ang in (0.3, 1.1, 2.0):
             u2 = math.cos(ang) * u + math.sin(ang) * v
             v2 = -math.sin(ang) * u + math.cos(ang) * v
-            a2 = functionals.octagon_hull_measures(u2, v2)[0]
+            a2 = hull.octagon_hull_measures(u2, v2)[0]
             assert a2 == pytest.approx(a0, abs=1e-12)
 
     def test_branch_formulas_at_anchors(self):
@@ -181,7 +200,7 @@ class TestOctagonArea:
             v = geometry.build_rank2_pair(u, ka, la)
             co = functionals.octagon_coefficients(u, v)
             value = functionals.octagon_area_branch(branch, co)
-            oracle = functionals.octagon_hull_measures(u, v)[0]
+            oracle = hull.octagon_hull_measures(u, v)[0]
             assert value == pytest.approx(oracle, abs=1e-9)
 
     def test_branch_formulas_near_anchors(self):
@@ -197,7 +216,7 @@ class TestOctagonArea:
                 v = geometry.build_rank2_pair(u, ka, la)
                 co = functionals.octagon_coefficients(u, v)
                 value = functionals.octagon_area_branch(branch, co)
-                oracle = functionals.octagon_hull_measures(u, v)[0]
+                oracle = hull.octagon_hull_measures(u, v)[0]
                 assert value == pytest.approx(oracle, abs=1e-9)
 
     def test_degenerate_plane_guard(self):
@@ -207,3 +226,23 @@ class TestOctagonArea:
         with pytest.raises(ValueError):
             functionals.octagon_area_branch(7, functionals.octagon_coefficients(
                 [0, 0, 0, 1], [0, 0, 1, 0]))
+
+
+def test_closed_forms_do_not_import_the_hull_oracle():
+    # The closed forms and the hull oracle are two independent routes to
+    # the same measures: `functionals` imports neither `hull` nor Qhull.
+    # Read from the source, since importing the package loads every module.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(functionals.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}".lstrip(".")
+                            for alias in node.names)
+    names = {name.removeprefix("cubeshadow.") for name in imported}
+    assert "specfun" in names and "geometry" in names
+    assert not [name for name in names
+                if name.split(".")[0] == "hull"
+                or name.startswith("scipy.spatial")]

@@ -161,6 +161,18 @@ class TestJointMoments:
         for r in (j.corr_vl_ar, j.corr_vl_mw, j.corr_ar_mw):
             assert 0.0 < r < 1.0
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_exist_only_at_n4(self, n):
+        joint = moments.joint_moments(moments.closed_form_table(n))
+        if n == 4:
+            assert joint == moments.joint_moment_table()
+            assert set(moments.closed_form_targets(4)) == set(
+                moments.MOMENT_NAMES)
+        else:
+            assert joint is None
+            assert not {"vl_ar", "vl_mw", "ar_mw"} & set(
+                moments.closed_form_targets(n))
+
 
 class TestMonteCarlo:
     def test_determinism_same_seed(self):
@@ -572,7 +584,7 @@ class TestHullCrossCheck:
 
     def test_octagon_hulls_equal_per_pair_reference(self):
         u, v = octagon_pairs(300, seed=214)
-        area, perimeter = functionals.octagon_hull_batch(u, v)
+        area, perimeter = hull.octagon_hull_batch(u, v)
         for i in range(len(u)):
             assert (area[i], perimeter[i]) == \
                 hull_reference.octagon_hull_measures(u[i], v[i])
@@ -595,14 +607,14 @@ class TestHullCrossCheck:
                                   f"direction u = {u.tolist()}")
 
     def test_octagon_failure_names_its_pair(self, monkeypatch):
-        bases = functionals.shadow_plane_bases
+        bases = hull.shadow_plane_bases
 
         def collapse_fifth(u, v):
             e, f = bases(u, v)
             f[4] = e[4]  # the fifth plane's vertices fall on a line
             return e, f
 
-        monkeypatch.setattr(functionals, "shadow_plane_bases", collapse_fifth)
+        monkeypatch.setattr(hull, "shadow_plane_bases", collapse_fifth)
         with pytest.raises(hull.FlatInputError) as exc:
             moments.octagon_report(1, seed=3, hull_samples=6)
         u, v = octagon_pairs(6, seed=3)
@@ -610,6 +622,29 @@ class TestHullCrossCheck:
         assert str(exc.value) == (
             "flat input, affine rank 1 in hull 4, "
             f"pair u = {u[4].tolist()}, v = {v[4].tolist()}")
+
+    def test_octagon_failure_in_a_later_block_names_its_pair(self,
+                                                             monkeypatch):
+        bases = hull.shadow_plane_bases
+        calls = []
+
+        def collapse_second_of_third_block(u, v):
+            e, f = bases(u, v)
+            calls.append(1)
+            if len(calls) == 3:
+                f[1] = e[1]
+            return e, f
+
+        monkeypatch.setattr(moments, "HULL_BLOCK", 4)
+        monkeypatch.setattr(hull, "shadow_plane_bases",
+                            collapse_second_of_third_block)
+        with pytest.raises(hull.FlatInputError) as exc:
+            moments.octagon_report(1, seed=3, hull_samples=10)
+        u, v = octagon_pairs(10, seed=3)
+        assert exc.value.index == 9
+        assert str(exc.value) == (
+            "flat input, affine rank 1 in hull 9, "
+            f"pair u = {u[9].tolist()}, v = {v[9].tolist()}")
 
     def test_blocks_equal_one_batch(self, monkeypatch):
         # 23 hulls in blocks of 5 (the last one short) measure as one batch

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hull_reference
-from cubeshadow import functionals
+from cubeshadow import functionals, hull
 
 HULL_TOL = 1e-12
 RANGE_TOL = 1e-12
@@ -64,15 +64,15 @@ NEIGHBOUR = pair(np.array([0.1, -0.4, 0.7, 0.2]), np.array([0.3, 0.5, -0.6]))
 
 def check_pair(u, v):
     per, area = functionals.octagon_batch(u[:, None], v[:, None])
-    hull_area, hull_per = functionals.octagon_hull_measures(u, v)
+    hull_area, hull_per = hull.octagon_hull_measures(u, v)
     # the same bytes as the per-pair code, alone and behind a neighbour
     want = hull_reference.octagon_hull_measures(u, v)
     assert (hull_area, hull_per) == want
-    e, f = functionals.shadow_plane_basis(u, v)
+    e, f = hull.shadow_plane_basis(u, v)
     want_e, want_f = hull_reference.shadow_plane_basis(u, v)
     assert np.array_equal(e, want_e) and np.array_equal(f, want_f)
-    batch = functionals.octagon_hull_batch(np.stack([NEIGHBOUR[0], u]),
-                                           np.stack([NEIGHBOUR[1], v]))
+    batch = hull.octagon_hull_batch(np.stack([NEIGHBOUR[0], u]),
+                                    np.stack([NEIGHBOUR[1], v]))
     assert (batch[0][1], batch[1][1]) == want
     assert abs(per[0] - hull_per) < HULL_TOL
     assert abs(area[0] - hull_area) < HULL_TOL
