@@ -124,34 +124,61 @@ def sample_unit_vectors(n: int, count: int, rng: np.random.Generator,
 
     Normalizes vectors of n independent standard Gaussians, which is
     rotation-invariant by construction; the one sampler of the package.
-    The Gaussian block is drawn as (count, n), one direction per row, which
-    fixes the order in which the stream is read, and transposed once.  A
-    direction whose norm is at most 1e-100 is redrawn in place, after the
-    batch, as a (1, n) draw normalized by the same steps, until its norm
-    exceeds 1e-100; every other one is its Gaussian draw normalized.
+    It is its two steps, `draw_directions` over the whole batch, then
+    `redraw_direction` for each direction whose norm was at most 1e-100, in
+    index order; every other direction is its Gaussian draw normalized.
 
     `out` is None or the arrays the call would allocate, (v, sq, norms) of
     shapes (n, count), (n, count) and (count,), sq C-contiguous: the
-    directions are returned in v; the draw is made in the memory of sq,
-    read as (count, n), which is then scratch, as is norms.  The bytes are
+    directions are returned in v; sq and norms are scratch.  The bytes are
     the same either way.
     """
     if n < 2:
         raise DimensionError(f"need n >= 2, got {n}")
     if out is None:
-        v, norms = np.empty((n, count)), np.empty(count)
-        draw = rng.standard_normal((count, n))
-    else:
-        v, sq, norms = out
-        draw = rng.standard_normal(out=sq.reshape(count, n))
+        out = np.empty((n, count)), None, np.empty(count)
+    v = out[0]
+    for i in draw_directions(rng, out):
+        redraw_direction(rng, v[:, i:i + 1])
+    return v
+
+
+def draw_directions(rng: np.random.Generator, out) -> np.ndarray:
+    """The draw-and-normalize step of the sampler, into out = (v, sq, norms).
+
+    v (n, k), any view, receives k directions, one per column; sq, n k
+    elements, C-contiguous, and norms (k,) are scratch.  The Gaussian block
+    is drawn as (k, n), one direction per row, which fixes the order in
+    which the stream is read, into the memory of sq (a new array when sq is
+    None), and transposed once.
+    Returns the indices of the columns whose norm is at most 1e-100: those
+    are left unnormalized, for `redraw_direction` after the last draw of the
+    batch.  numpy fills consecutive draws from one stream as it fills one
+    draw of them all, so a batch drawn block by block, with its redraws
+    made after the last block, has the bytes of one draw.
+    """
+    v, sq, norms = out
+    n, k = v.shape
+    draw = (rng.standard_normal((k, n)) if sq is None
+            else rng.standard_normal(out=sq.reshape(k, n)))
     to_columns(draw, v)
-    _norms(v, draw.reshape(n, count), norms)
-    for i in np.flatnonzero(norms <= 1e-100):
-        col, norm = v[:, i:i + 1], norms[i:i + 1]
-        while norm[0] <= 1e-100:
-            redraw = rng.standard_normal((1, n))
-            _norms(to_columns(redraw, col), redraw.reshape(n, 1), norm)
-    return np.divide(v, norms, out=v)
+    _norms(v, draw.reshape(n, k), norms)
+    short = np.flatnonzero(norms <= 1e-100)
+    norms[short] = 1.0  # no 0/0: the column waits for its redraw
+    np.divide(v, norms, out=v)
+    return short
+
+
+def redraw_direction(rng: np.random.Generator, col: np.ndarray) -> None:
+    """The redraw step of the sampler: col (n, 1) becomes a (1, n) draw
+    normalized by the steps of `draw_directions`, drawn again until its
+    norm exceeds 1e-100."""
+    n = len(col)
+    norm = np.zeros(1)
+    while norm[0] <= 1e-100:
+        redraw = rng.standard_normal((1, n))
+        _norms(to_columns(redraw, col), redraw.reshape(n, 1), norm)
+    np.divide(col, norm, out=col)
 
 
 def complete_pairs(u: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:

@@ -17,16 +17,29 @@ Each worker thread has one workspace, made on its first chunk and reused
 for every later one, so the steady state allocates nothing.  The kernels
 of `geometry` and `functionals` write into it through their `out`
 arguments.  Every batch of directions is coordinate-major, (n, m), one
-direction per column, from the sampler to the statistics.  Buffers whose
-lifetimes do not overlap share memory.  For `mc_estimate` that is two
-(n, CHUNK) arrays and five CHUNK rows: the first takes the (m, n) draw,
-then, once the draw is transposed into the second, the squares of the
-norms, then |x| and s = x**2; the second holds x, then, once x is squared,
-the suffix sums.  The first row takes the norms, then vl, and the nine
-quantities pass one at a time through one scratch row.  For `mc_octagon`
-it is 4 + 4 + 6 + 3 CHUNK rows: u; g; the scratch of sampling, the (m, 4)
-draw of g and the scratch of completion, then the minors, then the
-scratch of the statistics; and perimeter, area and one scratch row.
+direction per column, from the sampler to the statistics.  A chunk runs in
+blocks of at most MC_BLOCK directions: each block is drawn, normalized and
+sent through the kernels while its rows stay in cache, and writes its
+columns of the chunk's rows of results, the only rows that are CHUNK long.
+The stream is read as one batch of the chunk reads it: consecutive draws
+fill as one draw does, and a direction whose norm is at most 1e-100 is
+redrawn after the chunk's last draw, in index order, its results then
+computed again as a batch of one.
+
+Buffers whose lifetimes do not overlap share memory.  For `mc_estimate`
+the workspace is two (n, MC_BLOCK) arrays, two MC_BLOCK rows and five
+CHUNK rows.  The first array takes the block's (k, n) draw, then, once the
+draw is transposed into the second, the squares of the norms, then |x| and
+s = x**2; the second holds x, then, once x is squared, the suffix sums.
+The first block row takes the norms, then both are the kernel's scratch
+rows.  Three chunk rows receive vl, ar and mw, block by block; the nine
+quantities pass one at a time through the other two, the statistics'
+scratch.  That is 8 (5 CHUNK + (2n + 2) MC_BLOCK) bytes per thread: 3.1,
+3.4, 4.1 and 45.4 MiB at n = 4, 6, 12 and 342.  For `mc_octagon` it is
+4 + 2 CHUNK rows and 4 + 6 + 1 MC_BLOCK rows, 3.7 MiB: u, drawn block by
+block before any g, then the scratch of the statistics; perimeter and
+area; a block of g; the scratch of sampling, the (k, 4) draw of g and the
+scratch of completion, then the minors; and one scratch row.
 
 Each chunk returns its count, per quantity its sum and its
 M2 = sum (v - chunk mean)^2, and the extremes of the bounded quantities
@@ -301,6 +314,15 @@ def _run_chunked(worker, samples: int, seed: int, threads: int) -> McResult:
     return _accumulate(per_chunk, samples, seed)
 
 
+# Directions per block of a Monte Carlo chunk.  A chunk is drawn, normalized
+# and sent through the kernels one block at a time, so that a block's rows
+# stay in cache and only the chunk's rows of results are CHUNK long.  Smaller
+# blocks pay more numpy calls per direction: on one thread of a 2-vCPU box a
+# chunk at n = 4, 6 and 12 took 11.2, 17.3 and 40.9 ms at 8192 and 12.4,
+# 18.9 and 44.7 ms at 4096, and at n = 129, 1.8 s at 8192 and 2.9 s at 1024.
+MC_BLOCK = 8192
+
+
 def mc_estimate(n: int, samples: int, seed: int, threads: int = 1) -> McResult:
     """Monte Carlo moments of vl, ar, mw over uniform directions.
 
@@ -309,20 +331,36 @@ def mc_estimate(n: int, samples: int, seed: int, threads: int = 1) -> McResult:
     """
     _check_n(n)  # before the workspace is sized by n
     size = min(CHUNK, samples)
-    workspace = _per_thread(lambda: (np.empty(n * size), np.empty(n * size),
-                                     np.empty(5 * size)))
+    block = min(MC_BLOCK, size)
+    workspace = _per_thread(lambda: (np.empty(n * block), np.empty(n * block),
+                                     np.empty(2 * block), np.empty(5 * size)))
 
     def worker(bound):
         index, start, stop = bound
         m = stop - start
-        a, b, r = workspace()
+        a, b, t, r = workspace()
         rows = _view(r, 5, m)
-        # the module docstring has the buffer map
-        x = geometry.sample_unit_vectors(
-            n, m, geometry.stream(seed, index),
-            out=(_view(b, n, m), _view(a, n, m), rows[0]))
-        q = functionals.shadow_batch(x, out=(rows, _view(a, n, m), x))
-        return _chunk_stats(q, ("vl", "ar", "mw"), SHADOW_PRODUCTS, rows[3:])
+        rng = geometry.stream(seed, index)
+
+        def shadows(i, k):
+            # vl, ar and mw of the k directions in b, into columns i to
+            # i + k of the rows; the module docstring has the buffer map
+            x = _view(b, n, k)
+            functionals.shadow_batch(x, out=((*rows[:3, i:i + k],
+                                              *_view(t, 2, k)),
+                                             _view(a, n, k), x))
+
+        short = []
+        for i in range(0, m, block):
+            k = min(block, m - i)
+            short.extend(i + geometry.draw_directions(
+                rng, (_view(b, n, k), _view(a, n, k), t[:k])))
+            shadows(i, k)
+        for i in short:  # after the last draw, as in one batch
+            geometry.redraw_direction(rng, _view(b, n, 1))
+            shadows(i, 1)
+        return _chunk_stats(dict(zip(("vl", "ar", "mw"), rows)),
+                            ("vl", "ar", "mw"), SHADOW_PRODUCTS, rows[3:])
 
     return _run_chunked(worker, samples, seed, threads)
 
@@ -337,28 +375,38 @@ def mc_octagon(samples: int, seed: int, threads: int = 1) -> McResult:
     test suite).
     """
     size = min(CHUNK, samples)
-    workspace = _per_thread(lambda: (np.empty(4 * size), np.empty(4 * size),
-                                     np.empty(6 * size), np.empty(3 * size)))
+    block = min(MC_BLOCK, size)
+    workspace = _per_thread(lambda: (np.empty(4 * size), np.empty(2 * size),
+                                     np.empty(4 * block), np.empty(6 * block),
+                                     np.empty(block)))
 
     def worker(bound):
         index, start, stop = bound
         m = stop - start
-        a, b, p, r = workspace()
+        a, r, g, p, t = workspace()
+        u, rows = _view(a, 4, m), _view(r, 2, m)
         rng = geometry.stream(seed, index)
-        # p is the scratch of sampling and completion before it holds the
-        # minors, and the scratch of the statistics after
-        scratch = (_view(p, 4, m), p[4 * m:5 * m])
-        u = geometry.sample_unit_vectors(4, m, rng,
-                                         out=(_view(a, 4, m), *scratch))
-        g = geometry.to_columns(rng.standard_normal(out=_view(p, m, 4)),
-                                _view(b, 4, m))
-        v = geometry.complete_pairs(u, g, out=scratch)
-        per, area = functionals.octagon_batch(u, v, out=(_view(p, 6, m),
-                                                         _view(r, 3, m)))
-        return _chunk_stats({"perimeter": per, "area": area},
+        # the module docstring has the buffer map; the stream reads every u
+        # of the chunk, and its redraws, before any g
+        short = []
+        for i in range(0, m, block):
+            k = min(block, m - i)
+            short.extend(i + geometry.draw_directions(
+                rng, (u[:, i:i + k], _view(p, 4, k), t[:k])))
+        for i in short:
+            geometry.redraw_direction(rng, u[:, i:i + 1])
+        for i in range(0, m, block):
+            k = min(block, m - i)
+            ui = u[:, i:i + k]
+            v = geometry.to_columns(rng.standard_normal(out=_view(p, k, 4)),
+                                    _view(g, 4, k))
+            geometry.complete_pairs(ui, v, out=(_view(p, 4, k), t[:k]))
+            functionals.octagon_batch(ui, v, out=(_view(p, 6, k),
+                                                  (*rows[:, i:i + k], t[:k])))
+        return _chunk_stats({"perimeter": rows[0], "area": rows[1]},
                             ("perimeter", "area"),
                             {"perimeter2": ("perimeter", "perimeter")},
-                            _view(p, 2, m))
+                            _view(a, 2, m))
 
     return _run_chunked(worker, samples, seed, threads)
 
@@ -431,8 +479,10 @@ def closed_form_targets(n: int) -> dict:
 
 
 # Hulls per batch call of the cross-checks.  A batch holds every array of
-# its hulls at once (about 7 MB per 1000 3D hulls); blocks keep that fixed.
-HULL_BLOCK = 1000
+# its hulls at once (a peak of about 1.6 MB per 250 3D hulls, 6.2 MB per
+# 1000); blocks keep that fixed.  1000 hulls took the same time in blocks
+# of 250 as in one block of 1000.
+HULL_BLOCK = 250
 
 
 def _cross_check(closed: np.ndarray, oracle, handle) -> tuple[float, float]:
@@ -475,6 +525,8 @@ def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
     fraction of samples with the generic 14/24/12 combinatorics and
     deviation below 1e-9).
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = geometry.stream(seed, index=2**32)  # separate from MC chunks
     dirs = geometry.sample_unit_vectors(4, samples, rng)
     q = functionals.shadow_batch(dirs)

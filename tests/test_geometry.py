@@ -27,6 +27,23 @@ def test_scalar_calls_are_the_columns_of_one_batch(n):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [4, 12])
+def test_consecutive_draws_equal_one_draw(n):
+    # A Monte Carlo chunk is drawn in blocks: consecutive (k, n) draws, the
+    # last one short, read the stream as one (m, n) draw, into out or not.
+    m, k = 1000, 48
+    want = geometry.stream(3, n).standard_normal((m, n))
+    rng = geometry.stream(3, n)
+    got = np.empty((m, n))
+    for i in range(0, m, k):
+        block = got[i:i + k]
+        if i % (2 * k):
+            rng.standard_normal(out=block)
+        else:
+            block[...] = rng.standard_normal(block.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_sample_rejects_bad_dimension():
     rng = geometry.stream(0)
     with pytest.raises(geometry.DimensionError):

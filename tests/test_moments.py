@@ -524,6 +524,114 @@ class TestChunkWorkspace:
         assert float(proc.stdout) < 100
 
 
+class ZeroedStream:
+    """A stream whose directions `zeros` are drawn as zeros, so that their
+    norm is 0 and the sampler redraws them.  Direction p is normals n p to
+    n p + n - 1 of the stream, however its draws are split; one at or past
+    the chunk's size is a redraw."""
+
+    def __init__(self, rng, n, zeros):
+        self.rng, self.n, self.zeros, self.read = rng, n, zeros, 0
+
+    def standard_normal(self, size=None, out=None):
+        draw = self.rng.standard_normal(size, out=out)
+        flat = draw.reshape(-1)
+        for p in self.zeros:
+            lo, hi = self.n * p - self.read, self.n * (p + 1) - self.read
+            flat[max(lo, 0):max(hi, 0)] = 0.0
+        self.read += flat.size
+        return draw
+
+
+def zeroed_streams(monkeypatch, n, zeros):
+    """Make every `geometry.stream` a ZeroedStream; returns the list of
+    the streams made."""
+    made, stream = [], geometry.stream
+
+    def zeroed(seed, index=0):
+        made.append(ZeroedStream(stream(seed, index), n, zeros))
+        return made[-1]
+
+    monkeypatch.setattr(geometry, "stream", zeroed)
+    return made
+
+
+def workspace_bytes(monkeypatch, run):
+    """The bytes of the arrays that run()'s workspace factory makes, taken
+    without running a chunk."""
+    made = []
+    monkeypatch.setattr(moments, "_per_thread", made.append)
+    monkeypatch.setattr(moments, "_run_chunked", lambda *args: None)
+    run()
+    return sum(a.nbytes for a in made[0]())
+
+
+class TestBlockedChunks:
+    """A chunk runs in blocks of MC_BLOCK directions, with the bytes of
+    one batch, and its workspace is sized by the block, not by n CHUNK."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("n", [129, 342])
+    def test_blocks_that_do_not_divide_the_chunk(self, monkeypatch, n,
+                                                 threads):
+        # chunks of 128, 128 and 44: blocks of 48, 48 and 32, then one
+        # short block of 44
+        monkeypatch.setattr(moments, "CHUNK", 128)
+        monkeypatch.setattr(moments, "MC_BLOCK", 48)
+        got = moments.mc_estimate(n, 300, seed=5, threads=threads)
+        assert got == pipeline_reference.__wrapped__(n, 300, 5)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_octagon_blocks_that_do_not_divide_the_chunk(self, monkeypatch,
+                                                         threads):
+        monkeypatch.setattr(moments, "CHUNK", 128)
+        monkeypatch.setattr(moments, "MC_BLOCK", 48)
+        got = moments.mc_octagon(300, seed=5, threads=threads)
+        assert got == pipeline_reference.__wrapped__(None, 300, 5)
+
+    @pytest.mark.parametrize("n", [4, 12])
+    def test_redraw_is_deferred_to_the_end_of_the_chunk(self, monkeypatch,
+                                                        n):
+        # Direction 50 is in the second block of 48, and its first redraw
+        # (direction 130 of the stream) is zero too: the block loop must
+        # redraw it after all 130 draws, twice, as one batch does.
+        monkeypatch.setattr(moments, "MC_BLOCK", 48)
+        made = zeroed_streams(monkeypatch, n, (50, 130))
+        got = moments.mc_estimate(n, 130, seed=5)
+        assert [s.read for s in made] == [132 * n]
+        assert got == pipeline_reference.__wrapped__(n, 130, 5)
+        assert [s.read for s in made] == [132 * n, 132 * n]
+
+    def test_octagon_redraw_of_u_is_deferred(self, monkeypatch):
+        # u of pair 50 is zero, and so is its first redraw; every g is
+        # drawn after u's redraws
+        monkeypatch.setattr(moments, "MC_BLOCK", 48)
+        made = zeroed_streams(monkeypatch, 4, (50, 130))
+        got = moments.mc_octagon(130, seed=5)
+        assert [s.read for s in made] == [4 * (132 + 130)]
+        assert got == pipeline_reference.__wrapped__(None, 130, 5)
+
+    @pytest.mark.parametrize("samples", [1000, 10**6])
+    @pytest.mark.parametrize("n", [4, 12, 342])
+    def test_mc_estimate_workspace_size(self, monkeypatch, n, samples):
+        # two (n, block) arrays and two block rows for the kernels, and
+        # five chunk rows: vl, ar, mw and the two of the statistics
+        size = min(moments.CHUNK, samples)
+        block = min(moments.MC_BLOCK, size)
+        got = workspace_bytes(monkeypatch,
+                              lambda: moments.mc_estimate(n, samples, 1))
+        assert got == 8 * (5 * size + (2 * n + 2) * block)
+
+    def test_mc_octagon_workspace_size(self, monkeypatch):
+        # u, then the statistics' scratch, and perimeter and area: six
+        # chunk rows; g, the scratch of the draw, the completion and the
+        # minors, and one row: eleven block rows
+        got = workspace_bytes(monkeypatch,
+                              lambda: moments.mc_octagon(10**6, 1))
+        assert got == 8 * (6 * moments.CHUNK + 11 * moments.MC_BLOCK)
+        assert got < 5 * 2**20
+
+
 # E[sqrt(u1^2 + u2^2) sqrt(u3^2 + u4^2)] = pi/(2n): the marginal of
 # (u1, .., u4) is R w, w uniform on S^3 and independent of R, E[R^2] = 4/n,
 # and the S^3-average of the degree-2 integrand is pi/8.  The seed was
@@ -574,6 +682,10 @@ def octagon_pairs(samples, seed):
 
 
 class TestHullCrossCheck:
+    def test_no_samples_is_a_range_error(self):
+        with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
+            moments.hull_cross_check(0, seed=1)
+
     def test_thousand_directions(self, hull_check_1e3):
         max_dev, rate = hull_check_1e3
         assert max_dev < 1e-9
