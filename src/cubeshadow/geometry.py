@@ -5,9 +5,12 @@ Conventions: the cube has unit edge and is centered at the origin
 A corank-1 frame is an (n-1) x n row-orthonormal matrix whose rows span
 the hyperplane orthogonal to a given direction.
 
-Each scalar entry point is a batch of one: `sample_unit_vector` of
-`sample_unit_vectors`, `build_frame` (at n = 4) of `build_frames`, and
-`project_vertices` takes one frame or a stack of them.
+`draw_blocks` is the one sampler, and it alone fixes the order in which a
+stream is read: the Monte Carlo chunks of `moments` iterate it block by
+block, and `sample_unit_vectors` is it with one block.  Each scalar entry
+point is a batch of one: `sample_unit_vector` of `sample_unit_vectors`,
+`build_frame` (at n = 4) of `build_frames`, and `project_vertices` takes
+one frame or a stack of them.
 
 `checked_pair` is the one check of a rank-2 pair, shared by the octagon's
 closed forms and its hull oracle.
@@ -95,20 +98,6 @@ def _pairwise(rows: np.ndarray) -> np.ndarray:
     return acc[0]
 
 
-# Directions per block of `to_columns`: a block of the rows and of the
-# columns stays in cache, where one strided copy of the whole (m, n) block
-# misses it, about twice as slow at n = 6 and 2.6 times at n = 12.
-TRANSPOSE_BLOCK = 4096
-
-
-def to_columns(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Copy rows (m, n) into out (n, m), the transpose, and return out."""
-    for i in range(0, len(rows), TRANSPOSE_BLOCK):
-        np.copyto(out[:, i:i + TRANSPOSE_BLOCK],
-                  rows[i:i + TRANSPOSE_BLOCK].T)
-    return out
-
-
 def _norms(v: np.ndarray, sq: np.ndarray, norms: np.ndarray) -> None:
     """The norms of the directions v (n, m), one per column, into `norms`;
     sq, the shape of v, is scratch.  The bits are those of
@@ -118,33 +107,50 @@ def _norms(v: np.ndarray, sq: np.ndarray, norms: np.ndarray) -> None:
     np.sqrt(norms, out=norms)
 
 
-def sample_unit_vectors(n: int, count: int, rng: np.random.Generator,
-                        out=None) -> np.ndarray:
+def sample_unit_vectors(n: int, count: int,
+                        rng: np.random.Generator) -> np.ndarray:
     """Batch of `count` uniform directions, one per column: shape (n, count).
 
     Normalizes vectors of n independent standard Gaussians, which is
-    rotation-invariant by construction; the one sampler of the package.
-    It is its two steps, `draw_directions` over the whole batch, then
-    `redraw_direction` for each direction whose norm was at most 1e-100, in
-    index order; every other direction is its Gaussian draw normalized.
-
-    `out` is None or the arrays the call would allocate, (v, sq, norms) of
-    shapes (n, count), (n, count) and (count,), sq C-contiguous: the
-    directions are returned in v; sq and norms are scratch.  The bytes are
-    the same either way.
+    rotation-invariant by construction: `draw_blocks` with one block.
     """
     if n < 2:
         raise DimensionError(f"need n >= 2, got {n}")
-    if out is None:
-        out = np.empty((n, count)), None, np.empty(count)
-    v = out[0]
-    for i in draw_directions(rng, out):
-        redraw_direction(rng, v[:, i:i + 1])
+    v, norms = np.empty((n, count)), np.empty(count)
+    for _ in draw_blocks(rng, count, max(count, 1),
+                         lambda i, k: (v[:, i:i + k], None, norms[:k])):
+        pass
     return v
 
 
+def draw_blocks(rng: np.random.Generator, m: int, block: int, into):
+    """The one sampler: m uniform directions drawn from rng in blocks of at
+    most `block`, a generator that fixes the order in which the stream is
+    read.
+
+    into(i, k) returns the buffers (v, sq, norms) of `draw_directions` for
+    directions i to i + k.  Each block is drawn and normalized into them,
+    then (i, k) is yielded.  After the last draw, each direction whose norm
+    was at most 1e-100 is drawn again, in index order, into into(i, 1)
+    until its norm exceeds 1e-100, then (i, 1) is yielded.  Every other
+    direction is its Gaussian draw normalized.  numpy fills consecutive
+    draws from one stream as it fills one draw of them all, so the bytes do
+    not depend on `block`.  The buffers may be reused once the caller
+    resumes the generator.
+    """
+    short = []
+    for i in range(0, m, block):
+        k = min(block, m - i)
+        short.extend(i + draw_directions(rng, into(i, k)))
+        yield i, k
+    for i in short:
+        while len(draw_directions(rng, into(i, 1))):
+            pass
+        yield i, 1
+
+
 def draw_directions(rng: np.random.Generator, out) -> np.ndarray:
-    """The draw-and-normalize step of the sampler, into out = (v, sq, norms).
+    """The draw-and-normalize step of `draw_blocks`, into out = (v, sq, norms).
 
     v (n, k), any view, receives k directions, one per column; sq, n k
     elements, C-contiguous, and norms (k,) are scratch.  The Gaussian block
@@ -152,33 +158,18 @@ def draw_directions(rng: np.random.Generator, out) -> np.ndarray:
     which the stream is read, into the memory of sq (a new array when sq is
     None), and transposed once.
     Returns the indices of the columns whose norm is at most 1e-100: those
-    are left unnormalized, for `redraw_direction` after the last draw of the
-    batch.  numpy fills consecutive draws from one stream as it fills one
-    draw of them all, so a batch drawn block by block, with its redraws
-    made after the last block, has the bytes of one draw.
+    are left unnormalized, for `draw_blocks` to draw again.
     """
     v, sq, norms = out
     n, k = v.shape
     draw = (rng.standard_normal((k, n)) if sq is None
             else rng.standard_normal(out=sq.reshape(k, n)))
-    to_columns(draw, v)
+    np.copyto(v, draw.T)
     _norms(v, draw.reshape(n, k), norms)
     short = np.flatnonzero(norms <= 1e-100)
     norms[short] = 1.0  # no 0/0: the column waits for its redraw
     np.divide(v, norms, out=v)
     return short
-
-
-def redraw_direction(rng: np.random.Generator, col: np.ndarray) -> None:
-    """The redraw step of the sampler: col (n, 1) becomes a (1, n) draw
-    normalized by the steps of `draw_directions`, drawn again until its
-    norm exceeds 1e-100."""
-    n = len(col)
-    norm = np.zeros(1)
-    while norm[0] <= 1e-100:
-        redraw = rng.standard_normal((1, n))
-        _norms(to_columns(redraw, col), redraw.reshape(n, 1), norm)
-    np.divide(col, norm, out=col)
 
 
 def complete_pairs(u: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:

@@ -18,28 +18,30 @@ for every later one, so the steady state allocates nothing.  The kernels
 of `geometry` and `functionals` write into it through their `out`
 arguments.  Every batch of directions is coordinate-major, (n, m), one
 direction per column, from the sampler to the statistics.  A chunk runs in
-blocks of at most MC_BLOCK directions: each block is drawn, normalized and
-sent through the kernels while its rows stay in cache, and writes its
-columns of the chunk's rows of results, the only rows that are CHUNK long.
-The stream is read as one batch of the chunk reads it: consecutive draws
-fill as one draw does, and a direction whose norm is at most 1e-100 is
-redrawn after the chunk's last draw, in index order, its results then
-computed again as a batch of one.
+blocks of at most MC_BLOCK directions, as `geometry.draw_blocks`, the one
+sampler, yields them: each block is drawn, normalized and sent through the
+kernels while its rows stay in cache, and writes its columns of the
+chunk's rows of results, the only rows that are CHUNK long.  The sampler
+reads the stream as one batch of the chunk reads it, and yields a
+direction whose norm was at most 1e-100 once more, as a block of one at
+its index, after the chunk's last draw; `mc_estimate` then computes its
+results again.
 
-Buffers whose lifetimes do not overlap share memory.  For `mc_estimate`
-the workspace is two (n, MC_BLOCK) arrays, two MC_BLOCK rows and five
-CHUNK rows.  The first array takes the block's (k, n) draw, then, once the
-draw is transposed into the second, the squares of the norms, then |x| and
-s = x**2; the second holds x, then, once x is squared, the suffix sums.
-The first block row takes the norms, then both are the kernel's scratch
-rows.  Three chunk rows receive vl, ar and mw, block by block; the nine
-quantities pass one at a time through the other two, the statistics'
-scratch.  That is 8 (5 CHUNK + (2n + 2) MC_BLOCK) bytes per thread: 3.1,
-3.4, 4.1 and 45.4 MiB at n = 4, 6, 12 and 342.  For `mc_octagon` it is
-4 + 2 CHUNK rows and 4 + 6 + 1 MC_BLOCK rows, 3.7 MiB: u, drawn block by
-block before any g, then the scratch of the statistics; perimeter and
-area; a block of g; the scratch of sampling, the (k, 4) draw of g and the
-scratch of completion, then the minors; and one scratch row.
+Buffers whose lifetimes do not overlap share memory, and a redraw uses the
+buffers of a block of one.  For `mc_estimate` the workspace is two
+(n, MC_BLOCK) arrays, two MC_BLOCK rows and five CHUNK rows.  The first
+array takes the block's (k, n) draw, then, once the draw is transposed
+into the second, the squares of the norms, then |x| and s = x**2; the
+second holds x, then, once x is squared, the suffix sums.  The first block
+row takes the norms, then both are the kernel's scratch rows.  Three chunk
+rows receive vl, ar and mw, block by block; the nine quantities pass one
+at a time through the other two, the statistics' scratch.  That is
+8 (5 CHUNK + (2n + 2) MC_BLOCK) bytes per thread: 3.1, 3.4, 4.1 and 45.4
+MiB at n = 4, 6, 12 and 342.  For `mc_octagon` it is 4 + 2 CHUNK rows and
+4 + 6 + 1 MC_BLOCK rows, 3.7 MiB: u, drawn block by block before any g,
+then the scratch of the statistics; perimeter and area; a block of g; the
+scratch of sampling, the (k, 4) draw of g and the scratch of completion,
+then the minors; and one scratch row.
 
 Each chunk returns its count, per quantity its sum and its
 M2 = sum (v - chunk mean)^2, and the extremes of the bounded quantities
@@ -65,9 +67,6 @@ from .specfun import catalan_const, gamma_fn, hyp3f2_unit
 PI = math.pi
 CHUNK = 1 << 16
 SPEC_VERSION = "1.1"
-
-MOMENT_NAMES = ("vl", "ar", "mw", "vl2", "ar2", "mw2",
-                "vl_ar", "vl_mw", "ar_mw")
 
 # The constant zeta in E(ar^2) is the same for every n >= 3 (proved).
 # Expanding E(ar^2) at dimension n gives
@@ -210,25 +209,21 @@ class McResult:
 SHADOW_PRODUCTS = {"vl2": ("vl", "vl"), "ar2": ("ar", "ar"),
                    "mw2": ("mw", "mw"), "vl_ar": ("vl", "ar"),
                    "vl_mw": ("vl", "mw"), "ar_mw": ("ar", "mw")}
+MOMENT_NAMES = ("vl", "ar", "mw", *SHADOW_PRODUCTS)
 
 
-def _chunk_bounds(samples: int) -> list[tuple[int, int, int]]:
-    return [(i, start, min(start + CHUNK, samples))
-            for i, start in enumerate(range(0, samples, CHUNK))]
-
-
-def _chunk_stats(values: dict, ranged: tuple, products: dict | None = None,
-                work: np.ndarray | None = None) -> dict:
+def _chunk_stats(values: dict, ranged: tuple, products: dict,
+                work: np.ndarray) -> dict:
     """One chunk's count, and per quantity its sum and M2 = sum (v - mean)^2.
 
     `values` maps names to arrays of one length.  `products` maps further
     names to pairs of those names; each product is formed in work[0] when
     its turn comes, so one row serves them all.  work[1] holds v - mean.
-    `work`, two rows of that length, is allocated when None.  `ranged`
-    names the quantities whose min and max are also kept.
+    `work` is two rows of that length.  `ranged` names the quantities whose
+    min and max are also kept.
     """
     count = len(values[ranged[0]])
-    product, deviation = np.empty((2, count)) if work is None else work
+    product, deviation = work
     sums, m2 = {}, {}
 
     def add(name, v):
@@ -238,7 +233,7 @@ def _chunk_stats(values: dict, ranged: tuple, products: dict | None = None,
 
     for name, v in values.items():
         add(name, v)
-    for name, (a, b) in (products or {}).items():
+    for name, (a, b) in products.items():
         add(name, np.multiply(values[a], values[b], out=product))
     return {
         "count": count,
@@ -303,14 +298,22 @@ def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
 
 
 def _run_chunked(worker, samples: int, seed: int, threads: int) -> McResult:
+    """The statistics of worker(rng, m) over the chunks of `samples`, merged
+    in index order: chunk i has m = min(CHUNK, samples - i CHUNK) samples
+    and the stream (seed, i)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    bounds = _chunk_bounds(samples)
+
+    def chunk(start):
+        return worker(geometry.stream(seed, start // CHUNK),
+                      min(CHUNK, samples - start))
+
+    starts = range(0, samples, CHUNK)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_chunk = list(pool.map(worker, bounds))
+            per_chunk = list(pool.map(chunk, starts))
     else:
-        per_chunk = [worker(b) for b in bounds]
+        per_chunk = [chunk(start) for start in starts]
     return _accumulate(per_chunk, samples, seed)
 
 
@@ -335,30 +338,18 @@ def mc_estimate(n: int, samples: int, seed: int, threads: int = 1) -> McResult:
     workspace = _per_thread(lambda: (np.empty(n * block), np.empty(n * block),
                                      np.empty(2 * block), np.empty(5 * size)))
 
-    def worker(bound):
-        index, start, stop = bound
-        m = stop - start
+    def worker(rng, m):
         a, b, t, r = workspace()
         rows = _view(r, 5, m)
-        rng = geometry.stream(seed, index)
-
-        def shadows(i, k):
+        for i, k in geometry.draw_blocks(
+                rng, m, block,
+                lambda i, k: (_view(b, n, k), _view(a, n, k), t[:k])):
             # vl, ar and mw of the k directions in b, into columns i to
             # i + k of the rows; the module docstring has the buffer map
             x = _view(b, n, k)
             functionals.shadow_batch(x, out=((*rows[:3, i:i + k],
                                               *_view(t, 2, k)),
                                              _view(a, n, k), x))
-
-        short = []
-        for i in range(0, m, block):
-            k = min(block, m - i)
-            short.extend(i + geometry.draw_directions(
-                rng, (_view(b, n, k), _view(a, n, k), t[:k])))
-            shadows(i, k)
-        for i in short:  # after the last draw, as in one batch
-            geometry.redraw_direction(rng, _view(b, n, 1))
-            shadows(i, 1)
         return _chunk_stats(dict(zip(("vl", "ar", "mw"), rows)),
                             ("vl", "ar", "mw"), SHADOW_PRODUCTS, rows[3:])
 
@@ -380,26 +371,19 @@ def mc_octagon(samples: int, seed: int, threads: int = 1) -> McResult:
                                      np.empty(4 * block), np.empty(6 * block),
                                      np.empty(block)))
 
-    def worker(bound):
-        index, start, stop = bound
-        m = stop - start
+    def worker(rng, m):
         a, r, g, p, t = workspace()
         u, rows = _view(a, 4, m), _view(r, 2, m)
-        rng = geometry.stream(seed, index)
         # the module docstring has the buffer map; the stream reads every u
         # of the chunk, and its redraws, before any g
-        short = []
+        for _ in geometry.draw_blocks(
+                rng, m, block,
+                lambda i, k: (u[:, i:i + k], _view(p, 4, k), t[:k])):
+            pass
         for i in range(0, m, block):
             k = min(block, m - i)
-            short.extend(i + geometry.draw_directions(
-                rng, (u[:, i:i + k], _view(p, 4, k), t[:k])))
-        for i in short:
-            geometry.redraw_direction(rng, u[:, i:i + 1])
-        for i in range(0, m, block):
-            k = min(block, m - i)
-            ui = u[:, i:i + k]
-            v = geometry.to_columns(rng.standard_normal(out=_view(p, k, 4)),
-                                    _view(g, 4, k))
+            ui, v = u[:, i:i + k], _view(g, 4, k)
+            np.copyto(v, rng.standard_normal(out=_view(p, k, 4)).T)
             geometry.complete_pairs(ui, v, out=(_view(p, 4, k), t[:k]))
             functionals.octagon_batch(ui, v, out=(_view(p, 6, k),
                                                   (*rows[:, i:i + k], t[:k])))

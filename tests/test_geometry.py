@@ -6,6 +6,7 @@ from scipy import integrate, stats
 
 import hull_reference
 import mc_reference
+from zeroed_stream import ZeroedStream
 from cubeshadow import geometry
 
 
@@ -117,39 +118,35 @@ def test_batch_redraws_until_the_norm_is_positive():
     assert np.array_equal(x[:, 0], np.arange(1.0, 5.0) / math.sqrt(30.0))
 
 
-class _ZeroRowOutGenerator(_ZeroRowGenerator):
-    """The same draws, written into `out` when one is given."""
-
-    def standard_normal(self, size=None, out=None):
-        draw = super().standard_normal(out.shape if out is not None else size)
-        if out is None:
-            return draw
-        out[...] = draw
-        return out
-
-
-def test_batch_redraws_zero_norm_rows_only_into_out():
-    rng = _ZeroRowOutGenerator()
-    buffers = (np.empty((4, 3)), np.empty((4, 3)), np.empty(3))
-    x = geometry.sample_unit_vectors(4, 3, rng, out=buffers)
-    assert x is buffers[0]
-    assert rng.sizes == [(3, 4), (1, 4)]
-    assert np.array_equal(x[:, 1], [-0.5, -0.5, -0.5, -0.5])
-    assert np.array_equal(x[:, 0], np.arange(1.0, 5.0) / math.sqrt(30.0))
-    reference = geometry.sample_unit_vectors(4, 3, _ZeroRowGenerator())
-    assert x.tobytes() == reference.tobytes()
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 6, 12])
-def test_batch_into_out_is_the_same_bytes(n):
-    expected = geometry.sample_unit_vectors(n, 1000, geometry.stream(5, n))
-    # scratch that is not zero, and an out that is a view of a larger buffer
-    flat = np.full(3000 * n, np.nan)
-    out = (flat[:1000 * n].reshape(n, 1000),
-           flat[1000 * n:2000 * n].reshape(n, 1000), np.full(1000, np.inf))
-    got = geometry.sample_unit_vectors(n, 1000, geometry.stream(5, n), out=out)
-    assert got is out[0]
-    assert got.tobytes() == expected.tobytes()
+@pytest.mark.parametrize("block", [1, 7, 48, 130])
+@pytest.mark.parametrize("n", [4, 12])
+def test_draw_blocks_is_one_batch_with_deferred_redraws(n, block):
+    # Direction 50 is zero, and so is its first redraw (direction 130 of
+    # the stream): it is drawn again after all 130 draws, twice, and yielded
+    # once more.  The buffers are views into a larger array of NaN, so a
+    # write outside them shows.
+    m = 130
+    big = np.full((n + 2, m + 3), np.nan)
+    scratch = np.full(n * block + block + 5, np.nan)
+    v = big[1:n + 1, 2:m + 2]
+    rng = ZeroedStream(geometry.stream(21, n), n, (50, m))
+    got = list(geometry.draw_blocks(
+        rng, m, block,
+        lambda i, k: (v[:, i:i + k], scratch[:n * k],
+                      scratch[n * block:n * block + k])))
+    assert got == ([(i, min(block, m - i)) for i in range(0, m, block)]
+                   + [(50, 1)])
+    assert rng.read == (m + 2) * n
+    want = geometry.sample_unit_vectors(
+        n, m, ZeroedStream(geometry.stream(21, n), n, (50, m)))
+    assert v.tobytes() == want.tobytes()
+    reference = mc_reference.sample_unit_vectors(
+        n, m, ZeroedStream(geometry.stream(21, n), n, (50, m)))
+    assert v.tobytes() == reference.T.tobytes()
+    assert np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-15)
+    assert np.isnan(np.delete(big, np.s_[1:n + 1], axis=0)).all()
+    assert np.isnan(big[:, [0, 1, m + 2]]).all()
+    assert np.isnan(scratch[n * block + block:]).all()
 
 
 def test_complete_pairs_into_out_is_the_same_bytes():
@@ -194,14 +191,8 @@ def test_complete_pairs_equals_row_major_reference():
     u = geometry.sample_unit_vectors(4, 5000, rng)
     g = rng.standard_normal((5000, 4))
     want = mc_reference.complete_pairs(u.T.copy(), g.copy())
-    got = geometry.complete_pairs(u, geometry.to_columns(g, np.empty((4, 5000))))
+    got = geometry.complete_pairs(u, g.T.copy())
     assert got.tobytes() == want.T.tobytes()
-
-
-@pytest.mark.parametrize("m", [1, 4095, 4096, 4097, 10000])
-def test_to_columns_is_the_transpose(m):
-    rows = np.arange(3.0 * m).reshape(m, 3)
-    assert np.array_equal(geometry.to_columns(rows, np.empty((3, m))), rows.T)
 
 
 def test_spherical_to_cartesian4_special_points():

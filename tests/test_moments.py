@@ -14,6 +14,7 @@ from scipy import integrate
 import cubeshadow
 import hull_reference
 import mc_reference
+from zeroed_stream import ZeroedStream
 from cubeshadow import functionals, geometry, hull, moments, quad, specfun
 
 
@@ -325,7 +326,9 @@ class TestAccumulate:
     def chunks(self, offset, sigma):
         rng = np.random.default_rng(5)
         data = [offset + sigma * rng.standard_normal(size) for size in self.SIZES]
-        return data, [moments._chunk_stats({"v": d}, ("v",)) for d in data]
+        return data, [moments._chunk_stats({"v": d}, ("v",), {},
+                                           np.empty((2, len(d))))
+                      for d in data]
 
     def test_large_offset_variance(self):
         # offset / sigma = 1e5: sumsq/N - mean^2 cancels about ten digits.
@@ -457,9 +460,11 @@ def octagon_worker_reference(seed, index, m):
 def pipeline_reference(n, samples, seed):
     """The allocating pipeline, chunk by chunk on one thread; n None is the
     octagon."""
-    per_chunk = [shadow_chunk_reference(n, seed, i, stop - start) if n
-                 else octagon_worker_reference(seed, i, stop - start)
-                 for i, start, stop in moments._chunk_bounds(samples)]
+    sizes = [min(moments.CHUNK, samples - start)
+             for start in range(0, samples, moments.CHUNK)]
+    per_chunk = [shadow_chunk_reference(n, seed, i, m) if n
+                 else octagon_worker_reference(seed, i, m)
+                 for i, m in enumerate(sizes)]
     return moments._accumulate(per_chunk, samples, seed)
 
 
@@ -522,25 +527,6 @@ class TestChunkWorkspace:
             timeout=120, env={**os.environ, "PYTHONPATH": path},
             capture_output=True, text=True, check=True)
         assert float(proc.stdout) < 100
-
-
-class ZeroedStream:
-    """A stream whose directions `zeros` are drawn as zeros, so that their
-    norm is 0 and the sampler redraws them.  Direction p is normals n p to
-    n p + n - 1 of the stream, however its draws are split; one at or past
-    the chunk's size is a redraw."""
-
-    def __init__(self, rng, n, zeros):
-        self.rng, self.n, self.zeros, self.read = rng, n, zeros, 0
-
-    def standard_normal(self, size=None, out=None):
-        draw = self.rng.standard_normal(size, out=out)
-        flat = draw.reshape(-1)
-        for p in self.zeros:
-            lo, hi = self.n * p - self.read, self.n * (p + 1) - self.read
-            flat[max(lo, 0):max(hi, 0)] = 0.0
-        self.read += flat.size
-        return draw
 
 
 def zeroed_streams(monkeypatch, n, zeros):
