@@ -9,8 +9,8 @@ the hyperplane orthogonal to a given direction.
 stream is read: the Monte Carlo chunks of `moments` iterate it block by
 block, and `sample_unit_vectors` is it with one block.  Each scalar entry
 point is a batch of one: `sample_unit_vector` of `sample_unit_vectors`,
-`build_frame` (at n = 4) of `build_frames`, and `project_vertices` takes
-one frame or a stack of them.
+`build_frame` of `build_frames`, one Householder formula at every n, and
+`project_vertices` takes one frame or a stack of them.
 
 `checked_pair` is the one check of a rank-2 pair, shared by the octagon's
 closed forms and its hull oracle.
@@ -22,12 +22,6 @@ import math
 
 import numpy as np
 
-DEGENERACY_TOL = 1e-12
-# The explicit 4D frame takes sqrt(1 - x^2), whose rounding error relative
-# to |(y, z, w)| is about 2e-16 / (1 - x^2); below this bound the permuted
-# frame, always well conditioned, is built instead, so every frame is
-# orthonormal to about 3e-13.
-CANCELLATION_TOL = 1e-3
 ORTHO_TOL = 1e-10
 
 
@@ -241,60 +235,33 @@ def spherical_density(n: int, angles) -> float:
     raise DimensionError(f"spherical_density supports n in {{3,4,5}}, got {n}")
 
 
-def _corank1_rows_4d(u: np.ndarray) -> np.ndarray:
-    """The explicit 3 x 4 frames, (m, 3, 4), for non-degenerate rows
-    u = (x, y, z, w) of (m, 4)."""
-    x, y, z, w = u.T
-    s1 = np.sqrt(1.0 - x * x)
-    szw = np.sqrt(z * z + w * w)
-    zero = np.zeros(len(u))
-    return np.stack([
-        [s1, -x * y / s1, -x * z / s1, -x * w / s1],
-        [zero, szw / s1, -y * z / (s1 * szw), -y * w / (s1 * szw)],
-        [zero, zero, w / szw, -z / szw],
-    ]).transpose(2, 0, 1)
-
-
 def build_frames(u: np.ndarray) -> np.ndarray:
-    """The rows, (m, 3, 4), of the frames of unit directions u, (m, 4).
+    """The rows, (m, n - 1, n), of orthonormal frames of the hyperplanes
+    orthogonal to the unit directions u, (m, n), one per row, n >= 2.
 
-    Generic rows get the explicit closed-form frame.  Degenerate directions
-    (1 - x^2 or z^2 + w^2 near zero) get the frame of a coordinate
-    permutation of u, with its columns permuted back; intrinsic shadow
-    measures are unaffected.
+    The frame of u is the Householder reflection H = I - 2 w w^T / |w|^2
+    less its row p, where p is the coordinate of largest |u_p| and
+    w = u + sign(u_p) e_p.  H is orthogonal and symmetric, and
+    H e_p = -sign(u_p) u, so its other rows span the complement of u.
+    |w|^2 = 2 (1 + |u_p|) >= 2, so no step cancels, at any direction.
     """
-    x, z, w = u[:, 0], u[:, 2], u[:, 3]
-    generic = ((1.0 - x * x >= CANCELLATION_TOL)
-               & (z * z + w * w >= DEGENERACY_TOL))
-    rows = np.empty((len(u), 3, 4))
-    rows[generic] = _corank1_rows_4d(u[generic])
-    odd = u[~generic]
-    perm = np.argsort(np.abs(odd), axis=1)  # smallest |coord| first
-    permuted = _corank1_rows_4d(np.take_along_axis(odd, perm, axis=1))
-    # column perm[c] of a frame is column c of its permuted frame
-    back = np.empty_like(permuted)
-    back.transpose(0, 2, 1)[np.arange(len(odd))[:, None], perm] = \
-        permuted.transpose(0, 2, 1)
-    rows[~generic] = back
-    return rows
+    u = np.asarray(u, dtype=float)
+    m, n = u.shape
+    if n < 2:
+        raise DimensionError(f"need n >= 2, got {n}")
+    rows, p = np.arange(m), np.abs(u).argmax(axis=1)
+    up = u[rows, p]
+    w = u.copy()
+    w[rows, p] += np.copysign(1.0, up)
+    scale = 1.0 + np.abs(up)  # |w|^2 / 2
+    h = np.eye(n) - w[:, :, None] * w[:, None, :] / scale[:, None, None]
+    return h[np.arange(n) != p[:, None]].reshape(m, n - 1, n)
 
 
 def build_frame(u: np.ndarray) -> np.ndarray:
     """The rows, (n - 1, n), of an orthonormal frame of the hyperplane
-    orthogonal to the unit vector u.
-
-    For n = 4 this is a batch of one of `build_frames`.  Other n take a QR
-    completion of u, the only frame for those n.
-    """
-    u = np.asarray(u, dtype=float)
-    n = u.shape[0]
-    if n == 4:
-        return build_frames(u[None])[0]
-    if n < 2:
-        raise DimensionError(f"need n >= 2, got {n}")
-    q, _ = np.linalg.qr(np.column_stack([u, np.eye(n)]))
-    # first column of q is +-u; the remaining n-1 span the complement
-    return q[:, 1:n].T
+    orthogonal to the unit vector u, a batch of one of `build_frames`."""
+    return build_frames(np.asarray(u, dtype=float)[None])[0]
 
 
 def cube_vertices(n: int) -> np.ndarray:

@@ -20,8 +20,12 @@ of one.
 
 - Deduplication reads one pairwise-distance array: a point is dropped
   when it lies within DEDUP_TOL of an earlier kept point of its cloud.
-  The affine rank of each deduplicated cloud is one stacked SVD over the
-  clouds that kept the same number of points.
+  A dropped point is within DEDUP_TOL of a kept one, so by the triangle
+  inequality its merge shortens the boundary by at most 2 DEDUP_TOL: a
+  perimeter or an edge-length sum moves by at most 2 DEDUP_TOL per merged
+  edge, and a real edge shorter than DEDUP_TOL vanishes.  The affine
+  ranks of all clouds are one stacked SVD of the clouds as given, since
+  duplicate points do not change an affine span.
 - Coplanar grouping is one lexsort of Qhull's plane equations keyed by
   hull.  Qhull merges coplanar facets (its default pre-merge, C-0) and
   splits each merged facet into simplices that carry the facet's equation
@@ -48,7 +52,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from . import geometry
 
-DEDUP_TOL = 1e-12
+DEDUP_TOL = 1e-14
 
 
 class FlatInputError(ValueError):
@@ -307,12 +311,7 @@ def _qhull(clouds, dim: int) -> tuple[list, np.ndarray, Iterator]:
     """
     clouds = np.asarray(clouds, dtype=float)
     keep = _dedup_mask(clouds, DEDUP_TOL)
-    kept = keep.sum(axis=1)
-    ranks = np.empty(len(clouds), dtype=int)
-    for count in np.unique(kept).tolist():
-        group = np.flatnonzero(kept == count)
-        ranks[group] = _affine_ranks(
-            clouds[group][keep[group]].reshape(len(group), count, -1))
+    ranks = _affine_ranks(clouds)  # duplicates do not change a span
     flat = np.flatnonzero(ranks < dim)
     if len(flat):
         h = int(flat[0])

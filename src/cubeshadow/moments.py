@@ -467,6 +467,9 @@ def closed_form_targets(n: int) -> dict:
 # 1000); blocks keep that fixed.  1000 hulls took the same time in blocks
 # of 250 as in one block of 1000.
 HULL_BLOCK = 250
+# Hulls per cross-check of `verify --n 4` and `verify --octagon`, read at
+# call time.
+HULL_SAMPLES = 1000
 
 
 def _cross_check(closed: np.ndarray, oracle, handle) -> tuple[float, float]:
@@ -551,18 +554,16 @@ def _report(n: int, mc: McResult, targets: dict, ranges: dict,
                         passed=passed, extremes_observed=mc.extremes_observed)
 
 
-def verify_report(n: int, samples: int, seed: int, threads: int = 1,
-                  hull_samples: int = 1000) -> VerifyReport:
+def verify_report(n: int, samples: int, seed: int,
+                  threads: int = 1) -> VerifyReport:
     """Confront every closed-form moment and extreme with Monte Carlo.
 
     For n = 4 additionally cross-checks hull-derived measures against the
-    functionals on `hull_samples` seeded directions.
+    functionals on HULL_SAMPLES seeded directions.
     """
     targets = closed_form_targets(n)
     mc = mc_estimate(n, samples, seed, threads=threads)
-    hull_check = None
-    if n == 4 and hull_samples > 0:
-        hull_check = hull_cross_check(hull_samples, seed)
+    hull_check = hull_cross_check(HULL_SAMPLES, seed) if n == 4 else None
     return _report(n, mc, targets, extremes_table(n), hull_check)
 
 
@@ -578,26 +579,24 @@ OCTAGON_RANGES = {"perimeter": (4.0, 4.0 * math.sqrt(2.0)),
                   "area": (1.0, 1.0 + math.sqrt(2.0))}
 
 
-def octagon_report(samples: int, seed: int, threads: int = 1,
-                   hull_samples: int = 1000) -> VerifyReport:
+def octagon_report(samples: int, seed: int,
+                   threads: int = 1) -> VerifyReport:
     """Rank-2 octagon verification: perimeter^2, perimeter and area against
     their closed forms, the extremes against their ranges, plus the 2D hull
     cross-check, `_cross_check` of `hull.octagon_hull_batch`, on
-    `hull_samples` seeded pairs."""
+    HULL_SAMPLES seeded pairs."""
     mc = mc_octagon(samples, seed, threads=threads)
-    hull_check = None
-    if hull_samples > 0:
-        rng = geometry.stream(seed, index=2**32 + 1)
-        # the stream interleaves the pairs: u is every even draw, g every odd
-        draws = geometry.sample_unit_vectors(4, 2 * hull_samples, rng)
-        u = draws[:, 0::2]
-        v = geometry.complete_pairs(u, draws[:, 1::2])
-        per, area = functionals.octagon_batch(u, v)
-        u, v = u.T, v.T  # one pair per row, for the hulls and the messages
-        hull_check = _cross_check(
-            np.stack([area, per]),  # in the order of `octagon_hull_batch`
-            lambda block: (hull.octagon_hull_batch(u[block], v[block]), True),
-            lambda i: f"pair u = {u[i].tolist()}, v = {v[i].tolist()}")
+    rng = geometry.stream(seed, index=2**32 + 1)
+    # the stream interleaves the pairs: u is every even draw, g every odd
+    draws = geometry.sample_unit_vectors(4, 2 * HULL_SAMPLES, rng)
+    u = draws[:, 0::2]
+    v = geometry.complete_pairs(u, draws[:, 1::2])
+    per, area = functionals.octagon_batch(u, v)
+    u, v = u.T, v.T  # one pair per row, for the hulls and the messages
+    hull_check = _cross_check(
+        np.stack([area, per]),  # in the order of `octagon_hull_batch`
+        lambda block: (hull.octagon_hull_batch(u[block], v[block]), True),
+        lambda i: f"pair u = {u[i].tolist()}, v = {v[i].tolist()}")
     targets = {"perimeter2": 23.0 + 6.0 * catalan_const(),
                "perimeter": 16.0 / 3.0, "area": 2.0}
     return _report(4, mc, targets, OCTAGON_RANGES, hull_check)

@@ -13,7 +13,7 @@ from scipy.spatial import ConvexHull
 from scipy.spatial.distance import cdist
 
 from cubeshadow import geometry, hull
-from cubeshadow.geometry import CANCELLATION_TOL, DEGENERACY_TOL, cube_vertices
+from cubeshadow.geometry import cube_vertices
 
 
 def dedup(points, tol):
@@ -153,6 +153,26 @@ def octagon_hull_measures(u, v):
     return polygon_measures(convex_hull_2d(pts))
 
 
+def frame_rows(u):
+    """The (n - 1) x n Householder frame of one unit direction of R^n: the
+    reflection I - w w^T / (1 + |u_p|), w = u + sign(u_p) e_p, less row p,
+    where p is the coordinate of largest |u_p|."""
+    u = np.asarray(u, dtype=float)
+    p = int(np.abs(u).argmax())
+    w = u.copy()
+    w[p] += math.copysign(1.0, u[p])
+    h = np.eye(len(u)) - np.outer(w, w) / (1.0 + abs(u[p]))
+    return np.delete(h, p, axis=0)
+
+
+# The explicit 4D frame that the Householder frame replaced.  It takes
+# sqrt(1 - x^2), whose rounding error relative to |(y, z, w)| is about
+# 2e-16 / (1 - x^2); when 1 - x^2 is below CANCELLATION_TOL, or z^2 + w^2
+# below DEGENERACY_TOL, it is built on a coordinate permutation of u.
+DEGENERACY_TOL = 1e-12
+CANCELLATION_TOL = 1e-3
+
+
 def _corank1_rows_4d(u):
     x, y, z, w = u
     s1 = math.sqrt(1.0 - x * x)
@@ -164,8 +184,8 @@ def _corank1_rows_4d(u):
     ])
 
 
-def frame_rows(u):
-    """The 3 x 4 frame of one unit direction of R^4."""
+def explicit_frame_rows(u):
+    """The explicit 3 x 4 frame of one unit direction of R^4."""
     u = np.asarray(u, dtype=float)
     x = u[0]
     if 1.0 - x * x >= CANCELLATION_TOL and u[2] ** 2 + u[3] ** 2 >= DEGENERACY_TOL:

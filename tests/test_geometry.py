@@ -226,12 +226,13 @@ def test_spherical_density_integrates_to_one(n, ranges):
 
 
 def test_build_frame_axis_cases():
-    f = geometry.build_frame(np.array([0.0, 0.0, 0.0, 1.0]))
-    assert np.allclose(f, np.eye(4)[:3], atol=1e-12)
-    f = geometry.build_frame(np.array([0.0, 0.0, 1.0, 0.0]))
-    assert np.allclose(f[0], [1, 0, 0, 0], atol=1e-12)
-    assert np.allclose(f[1], [0, 1, 0, 0], atol=1e-12)
-    assert np.allclose(f[2], [0, 0, 0, -1], atol=1e-12)
+    # At +-e_j the reflection is I - 2 e_j e_j^T: the frame is the other
+    # axes, in order.
+    for n in (2, 3, 4, 5, 6):
+        for j in range(n):
+            for sign in (1.0, -1.0):
+                f = geometry.build_frame(sign * np.eye(n)[j])
+                assert np.array_equal(f, np.delete(np.eye(n), j, axis=0))
 
 
 def test_build_frame_properties_random_and_degenerate():
@@ -245,8 +246,8 @@ def test_build_frame_properties_random_and_degenerate():
     cases.append(v / np.linalg.norm(v))
     for u in cases:
         f = geometry.build_frame(u)
-        assert np.abs(f @ f.T - np.eye(3)).max() < 1e-10
-        assert np.abs(f @ u).max() < 1e-12
+        assert np.abs(f @ f.T - np.eye(3)).max() < 1e-15
+        assert np.abs(f @ u).max() < 1e-15
 
 
 def test_build_frame_general_n():
@@ -255,29 +256,57 @@ def test_build_frame_general_n():
         u = geometry.sample_unit_vector(n, rng)
         f = geometry.build_frame(u)
         assert f.shape == (n - 1, n)
-        assert np.abs(f @ f.T - np.eye(n - 1)).max() < 1e-10
-        assert np.abs(f @ u).max() < 1e-12
+        assert np.abs(f @ f.T - np.eye(n - 1)).max() < 1e-15
+        assert np.abs(f @ u).max() < 1e-15
+
+
+def tilted_axes(n, axes):
+    """Each axis e_j, j in `axes`, and its negative, tilted by 0 to 0.05
+    along every coordinate and towards the next axis, and (0.3, 0.5) with
+    the other coordinates +-eps, normalized."""
+    eye, dirs = np.eye(n), []
+    for eps in (0.0, 1e-300, 1e-13, 1e-6, 0.0316, 0.05):
+        dirs.append(np.concatenate(([0.3, 0.5],
+                                    eps * (-1.0) ** np.arange(n - 2))))
+        for j in axes:
+            for axis in (eye[j], -eye[j]):
+                dirs += [axis + eps, axis + eps * eye[(j + 1) % n]]
+    return np.array([u / np.linalg.norm(u) for u in dirs])
 
 
 def test_build_frames_equal_per_direction_reference():
-    # The batch against the per-direction frame it replaced, bit for bit:
-    # generic rows, the permuted branch on both sides of its two bounds,
-    # and stacked projections against one matrix product per frame.
+    # The batch against the per-direction Householder frame, bit for bit, at
+    # every n on random directions and tilted axes, and stacked projections
+    # against one matrix product per frame.  At n = 342, eight frames per
+    # batch and four of the axes keep the frames small.
+    for n in [*range(2, 13), 342]:
+        rng = geometry.stream(6, n)
+        wide = n > 12
+        dirs = np.concatenate([
+            geometry.sample_unit_vectors(n, 20 if wide else 500, rng).T,
+            tilted_axes(n, (0, 1, n // 2, n - 1) if wide else range(n))])
+        for block in np.array_split(dirs, len(dirs) // 8 if wide else 1):
+            rows = geometry.build_frames(block)
+            for u, r in zip(block, rows):
+                want = hull_reference.frame_rows(u)
+                assert np.array_equal(r, want)
+                assert np.array_equal(geometry.build_frame(u), want)
+            if n <= 8:
+                clouds = geometry.project_vertices(rows)
+                for r, cloud in zip(rows, clouds):
+                    assert np.array_equal(
+                        cloud, geometry.cube_vertices(n) @ r.T)
+
+
+def test_frame_spans_the_explicit_frames_hyperplane():
+    # At n = 4 the Householder frame F and the explicit frame G that it
+    # replaced span the same hyperplane: F G^T is orthogonal.
     rng = geometry.stream(6)
-    dirs = [geometry.sample_unit_vector(4, rng) for _ in range(500)]
-    for eps in (0.0, 1e-300, 1e-13, 1e-6, 0.0316, 0.05):
-        for j in range(4):
-            axis = np.eye(4)[j]
-            dirs += [axis + eps, axis + eps * np.eye(4)[(j + 1) % 4],
-                     np.array([0.3, 0.5, eps, -eps])]
-    dirs = np.array([u / np.linalg.norm(u) for u in dirs])
-    rows = geometry.build_frames(dirs)
-    clouds = geometry.project_vertices(rows)
-    for u, r, cloud in zip(dirs, rows, clouds):
-        want = hull_reference.frame_rows(u)
-        assert np.array_equal(r, want)
-        assert np.array_equal(geometry.build_frame(u), want)
-        assert np.array_equal(cloud, geometry.cube_vertices(4) @ want.T)
+    dirs = np.concatenate([geometry.sample_unit_vectors(4, 500, rng).T,
+                           tilted_axes(4, range(4))])
+    for u, f in zip(dirs, geometry.build_frames(dirs)):
+        q = f @ hull_reference.explicit_frame_rows(u).T
+        assert np.abs(q @ q.T - np.eye(3)).max() < 1e-12
 
 
 def test_project_vertices_axis_direction():

@@ -18,10 +18,11 @@ from cubeshadow import functionals, geometry, hull
 
 # CLOSED_FORM_TOL is the criterion of `moments.hull_cross_check`.  The mesh
 # is built from the deduplicated cloud and Qhull's measures from the whole
-# one; merging points within DEDUP_TOL moves a measure by about 1e-11.
+# one; merging points within DEDUP_TOL moves a measure by a small multiple
+# of DEDUP_TOL.
 CLOSED_FORM_TOL = 1e-9
 QHULL_TOL = 1e-10
-FRAME_TOL = 1e-12
+FRAME_TOL = 1e-15
 
 # Combinatorics (V, E, F) by the number of zero coordinates: the generic
 # rhombic dodecahedron, a hexagonal prism, then a box (two zeros) or the

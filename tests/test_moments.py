@@ -713,8 +713,9 @@ class TestHullCrossCheck:
             return e, f
 
         monkeypatch.setattr(hull, "shadow_plane_bases", collapse_fifth)
+        monkeypatch.setattr(moments, "HULL_SAMPLES", 6)
         with pytest.raises(hull.FlatInputError) as exc:
-            moments.octagon_report(1, seed=3, hull_samples=6)
+            moments.octagon_report(1, seed=3)
         u, v = octagon_pairs(6, seed=3)
         assert exc.value.index == 4
         assert str(exc.value) == (
@@ -734,10 +735,11 @@ class TestHullCrossCheck:
             return e, f
 
         monkeypatch.setattr(moments, "HULL_BLOCK", 4)
+        monkeypatch.setattr(moments, "HULL_SAMPLES", 10)
         monkeypatch.setattr(hull, "shadow_plane_bases",
                             collapse_second_of_third_block)
         with pytest.raises(hull.FlatInputError) as exc:
-            moments.octagon_report(1, seed=3, hull_samples=10)
+            moments.octagon_report(1, seed=3)
         u, v = octagon_pairs(10, seed=3)
         assert exc.value.index == 9
         assert str(exc.value) == (
@@ -746,11 +748,12 @@ class TestHullCrossCheck:
 
     def test_blocks_equal_one_batch(self, monkeypatch):
         # 23 hulls in blocks of 5 (the last one short) measure as one batch
+        monkeypatch.setattr(moments, "HULL_SAMPLES", 23)
         whole = moments.hull_cross_check(23, seed=8)
-        octagon = moments.octagon_report(1, seed=8, hull_samples=23)
+        octagon = moments.octagon_report(1, seed=8)
         monkeypatch.setattr(moments, "HULL_BLOCK", 5)
         assert moments.hull_cross_check(23, seed=8) == whole
-        blocked = moments.octagon_report(1, seed=8, hull_samples=23)
+        blocked = moments.octagon_report(1, seed=8)
         assert (blocked.hull_max_deviation, blocked.hull_pass_rate) == \
             (octagon.hull_max_deviation, octagon.hull_pass_rate)
 
@@ -783,8 +786,9 @@ OCTAGON_TARGETS = {"perimeter2": 23.0 + 6.0 * specfun.catalan_const(),
 
 
 class TestVerifyReport:
-    def test_schema_and_pass(self):
-        rep = moments.verify_report(4, 100_000, seed=25, hull_samples=50)
+    def test_schema_and_pass(self, monkeypatch):
+        monkeypatch.setattr(moments, "HULL_SAMPLES", 50)
+        rep = moments.verify_report(4, 100_000, seed=25)
         d = rep.as_dict()
         assert d["spec_version"] == moments.SPEC_VERSION
         assert d["n"] == 4 and d["samples"] == 100_000 and d["seed"] == 25
@@ -796,23 +800,25 @@ class TestVerifyReport:
         assert d["hull_pass_rate"] == 1.0
         assert d["hull_max_deviation"] < 1e-9
 
-    def test_json_deterministic(self):
+    def test_json_deterministic(self, monkeypatch):
+        monkeypatch.setattr(moments, "HULL_SAMPLES", 10)
         a = moments.json_text(
-            moments.verify_report(4, 70_000, seed=3, hull_samples=10).as_dict())
+            moments.verify_report(4, 70_000, seed=3).as_dict())
         b = moments.json_text(
-            moments.verify_report(4, 70_000, seed=3, hull_samples=10).as_dict())
+            moments.verify_report(4, 70_000, seed=3).as_dict())
         assert a == b
         parsed = json.loads(a)
         assert parsed["seed"] == 3
 
     def test_n3_has_no_joint_rows(self):
-        rep = moments.verify_report(3, 70_000, seed=5, hull_samples=0)
+        rep = moments.verify_report(3, 70_000, seed=5)
         names = {r.name for r in rep.rows}
         assert names == {"vl", "vl2", "ar", "ar2", "mw", "mw2"}
         assert rep.hull_pass_rate is None
 
-    def test_octagon_report(self):
-        rep = moments.octagon_report(200_000, seed=214, hull_samples=50)
+    def test_octagon_report(self, monkeypatch):
+        monkeypatch.setattr(moments, "HULL_SAMPLES", 50)
+        rep = moments.octagon_report(200_000, seed=214)
         assert rep.passed is True
         assert rep.hull_pass_rate == 1.0
         assert {r.name: r.closed_form for r in rep.rows} == OCTAGON_TARGETS
@@ -840,8 +846,11 @@ class TestVerifyReport:
         monkeypatch.setattr(moments, "mc_octagon" if octagon else "mc_estimate",
                             lambda *args, **kwargs: stub)
         if octagon:
-            rep = moments.octagon_report(10, seed=1, hull_samples=0)
+            # the hull cross-check always runs: ten pairs keep it short
+            monkeypatch.setattr(moments, "HULL_SAMPLES", 10)
+            rep = moments.octagon_report(10, seed=1)
         else:
             rep = moments.verify_report(5, 10, seed=1)
         assert all(r.z == 0.0 and r.passed for r in rep.rows)
+        assert rep.hull_pass_rate in (None, 1.0)
         assert rep.passed is not outside

@@ -16,7 +16,7 @@ tilted from another axis.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hull_reference
@@ -94,6 +94,10 @@ def test_tilted_from_an_axis(u, weights):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(tilted_axis(4), tilted_axis(3))
+# Edges 0, eps, 1 and about 1: an edge of 5.6e-13 is real and counts in the
+# perimeter, 4 + 2 eps.
+@example(np.array([-1.0, -0.0, -0.0, -0.0]),
+         np.array([-1.0, -0.0, -5.62341325e-13]))
 def test_both_tilted_from_axes(u, weights):
     # v is one complement vector of u tilted towards the other two
     check_pair(*pair(u, weights))
