@@ -33,13 +33,12 @@ from .hull import (
     to_off,
 )
 from .moments import (
-    JointMoments,
     McResult,
     MomentTable,
     VerifyReport,
     closed_form_table,
     extremes_table,
-    joint_moment_table,
+    joint_table,
     mc_estimate,
     mc_octagon,
     verify_report,

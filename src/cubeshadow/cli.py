@@ -20,7 +20,7 @@ import argparse
 import math
 import sys
 
-from . import geometry, hull, moments, quad, specfun
+from . import geometry, hull, moments, quad
 
 SPEC_VERSION = moments.SPEC_VERSION
 
@@ -69,10 +69,10 @@ def cmd_moments(args) -> int:
             f"  zeta source: {table.zeta_source}"]
     text += [f"  {name} range   [{lo!r}, {hi!r}]"
              for name, (lo, hi) in table.extremes.items()]
-    joint = moments.joint_moments(table)
-    if joint is not None:
-        payload["joint"] = joint.as_dict()
-        joint_rows = _value_rows(payload["joint"])
+    joint = moments.joint_table(args.n)
+    if joint:
+        payload["joint"] = joint
+        joint_rows = _value_rows(joint)
         rows += joint_rows
         text += map(_VALUE_LINE.format_map, joint_rows)
     _write(args, payload, rows, text)
@@ -104,35 +104,27 @@ def cmd_verify(args) -> int:
 
 
 def _constants_entries(which: str) -> list[tuple[str, float, float]]:
-    """(name, computed, target) triples for the requested constant suite.
-
-    Every zeta route is compared with the closed form `moments.ZETA`.
-    """
-    entries: list[tuple[str, float, float]] = []
-    pi = math.pi
+    """(name, computed, target) triples for the requested constant suite;
+    each target is the row's in `moments.CONSTANT_TARGETS`."""
+    computed: dict[str, float] = {}
     if which in ("zeta4", "all"):
-        entries.append(("zeta4", quad.zeta4_quadrature(), moments.ZETA))
+        computed["zeta4"] = quad.zeta4_quadrature()
     if which in ("zeta3", "all"):
-        entries.append(("zeta3_integral", quad.zeta3_quadrature(), moments.ZETA))
-        entries.append(("zeta3_3f2", 3.0 * pi * specfun.hyp3f2_unit(
-            -0.5, 0.5, 1.5, 1.0, 2.0), moments.ZETA))
+        computed["zeta3_integral"] = quad.zeta3_quadrature()
+        computed["zeta3_3f2"] = quad.zeta3_3f2()
     if which in ("zeta5", "all"):
-        entries.append(("zeta5_reduction", quad.zeta5_reduction_check(),
-                        moments.ZETA))
+        computed["zeta5_reduction"] = quad.zeta5_reduction_check()
     if which in ("pi128", "all"):
         suite = quad.pi_over_128_suite()
-        entries.append(("pi128_first", suite.first.value, pi / 96.0))
-        entries.append(("pi128_second", suite.second.value, pi / 256.0))
-        entries.append(("pi128_third", suite.third.value, pi / 192.0))
-        entries.append(("pi128_combination", suite.combination, pi / 128.0))
+        computed.update(pi128_first=suite.first.value,
+                        pi128_second=suite.second.value,
+                        pi128_third=suite.third.value,
+                        pi128_combination=suite.combination)
     if which in ("moments", "all"):
-        targets = moments.closed_form_targets(4)
-        targets.update(mw2_3cube=moments.closed_form_table(3).e_mw2,
-                       mw2_5cube=moments.closed_form_table(5).e_mw2)
         for name, result in quad.moment_integral_suite().items():
-            entries.append((f"integral_{name}", result.value,
-                            targets[name.removeprefix("e_")]))
-    return entries
+            computed[f"integral_{name}"] = result.value
+    return [(name, value, moments.CONSTANT_TARGETS[name]())
+            for name, value in computed.items()]
 
 
 def cmd_constants(args) -> int:

@@ -1,5 +1,12 @@
 """Closed-form moment tables and seeded Monte Carlo confrontation.
 
+This is the one module that writes a closed-form target.  Three tables
+hold them all: `CORANK1_TARGETS`, the nine moments of the corank-1 shadow
+as functions of n with the n at which each is known; `OCTAGON_TARGETS`,
+the octagon's three; and `CONSTANT_TARGETS`, the target of every row of
+`constants`.  `moments`, `verify` and `constants` read their targets from
+these, and the quadrature of `quad` holds none.
+
 Every analytic moment is paired with a simulation estimate; both verify
 reports go through one accept rule, `_report`: |z| < 4 on every row, and
 every observed extreme inside its analytic range.  Monte Carlo is chunked
@@ -127,71 +134,100 @@ def extremes_table(n: int) -> dict:
     }
 
 
-def closed_form_table(n: int) -> MomentTable:
-    """All closed-form moments of the corank-1 shadow of the n-cube.
+def _e_vl(n: int) -> float:
+    return n / math.sqrt(PI) * _gamma_ratio(n)
 
-    E(mw^2) is present only for n in {3, 4, 5}; no general formula is
-    known.  Takes 3 <= n <= MAX_N, as do `extremes_table` and `mc_estimate`.
-    """
-    _check_n(n)
-    e_vl = n / math.sqrt(PI) * _gamma_ratio(n)
-    e_vl2 = 1.0 + 2.0 * (n - 1) / PI
-    e_ar = math.sqrt(PI) * (n - 1) * n / 2.0 * _gamma_ratio(n)
-    e_ar2 = (4.0 * (n - 1) + (n - 2) * (n - 1) * ZETA
-             + (n - 3) * (n - 2) * (n - 1) / 2.0 * PI)
+
+def _e_mw2(n: int) -> float:
+    """E(mw^2) at n = 3, 4 or 5; no general formula is known."""
     if n == 3:
-        e_mw2 = 2.0 / PI**2 * (4.0 + ZETA)  # ZETA = 3 pi 3F2(-1/2,1/2,3/2;1,2;1)
-    elif n == 4:
-        e_mw2 = 3.0 * (0.25 + PI / 8.0 + 1.0 / PI)
-    elif n == 5:
-        f1 = ZETA / (3.0 * PI)  # 3F2(-1/2, 1/2, 3/2; 1, 2; 1)
-        f2 = hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 3.0)
-        e_mw2 = (4.0 / (81.0 * PI**4)
-                 * (144.0 * PI**2 - 10.0 * gamma_fn(0.25) ** 4
-                    + 45.0 * PI**3 * (8.0 * f1 - f2)))
-    else:
-        e_mw2 = None
-    return MomentTable(n=n, e_vl=e_vl, e_vl2=e_vl2, e_ar=e_ar, e_ar2=e_ar2,
-                       e_mw=e_vl, e_mw2=e_mw2, zeta_used=ZETA,
-                       zeta_source="identified to 100 digits",
+        return 2.0 / PI**2 * (4.0 + ZETA)  # ZETA = 3 pi 3F2(-1/2,1/2,3/2;1,2;1)
+    if n == 4:
+        return 3.0 * (0.25 + PI / 8.0 + 1.0 / PI)
+    f1 = ZETA / (3.0 * PI)  # 3F2(-1/2, 1/2, 3/2; 1, 2; 1)
+    f2 = hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 3.0)
+    return (4.0 / (81.0 * PI**4)
+            * (144.0 * PI**2 - 10.0 * gamma_fn(0.25) ** 4
+               + 45.0 * PI**3 * (8.0 * f1 - f2)))
+
+
+# The closed forms of the corank-1 shadow, the one place each is written:
+# per Monte Carlo quantity, in `MOMENT_NAMES` order, its value at dimension
+# n and the n at which it is known (None: every n).  E(mw) = E(vl) by
+# duality.  A value is computed only when a caller asks for it at its n.
+CORANK1_TARGETS = {
+    "vl": (_e_vl, None),
+    "ar": (lambda n: math.sqrt(PI) * (n - 1) * n / 2.0 * _gamma_ratio(n),
+           None),
+    "mw": (_e_vl, None),
+    "vl2": (lambda n: 1.0 + 2.0 * (n - 1) / PI, None),
+    "ar2": (lambda n: (4.0 * (n - 1) + (n - 2) * (n - 1) * ZETA
+                       + (n - 3) * (n - 2) * (n - 1) / 2.0 * PI), None),
+    "mw2": (_e_mw2, (3, 4, 5)),
+    "vl_ar": (lambda n: 6.0 * (1.0 + 4.0 / PI), (4,)),
+    "vl_mw": (lambda n: 9.0 / 4.0 + 2.0 / PI, (4,)),
+    "ar_mw": (lambda n: 3.0 * (5.0 + 2.0 * catalan_const()) / PI
+              + 9.0 * PI / 4.0, (4,)),
+}
+
+
+def closed_form_targets(n: int) -> dict:
+    """Closed-form value of every Monte Carlo quantity known at dimension
+    n, in `MOMENT_NAMES` order.  Takes 3 <= n <= MAX_N."""
+    _check_n(n)
+    return {q: value(n) for q, (value, known) in CORANK1_TARGETS.items()
+            if known is None or n in known}
+
+
+def closed_form_table(n: int) -> MomentTable:
+    """The closed-form moments of the corank-1 shadow of the n-cube, as the
+    `moments` payload names them.  E(mw^2) is present only for n in
+    {3, 4, 5}.  Takes 3 <= n <= MAX_N, as do `extremes_table` and
+    `mc_estimate`."""
+    t = closed_form_targets(n)
+    return MomentTable(n=n, e_vl=t["vl"], e_vl2=t["vl2"], e_ar=t["ar"],
+                       e_ar2=t["ar2"], e_mw=t["mw"], e_mw2=t.get("mw2"),
+                       zeta_used=ZETA, zeta_source="identified to 100 digits",
                        extremes=extremes_table(n))
 
 
-@dataclass(frozen=True)
-class JointMoments:
-    e_vl_ar: float
-    e_vl_mw: float
-    e_ar_mw: float
-    corr_vl_ar: float
-    corr_vl_mw: float
-    corr_ar_mw: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def joint_moment_table() -> JointMoments:
-    """Closed-form joint moments and correlations for the 4-cube."""
-    return joint_moments(closed_form_table(4))
+def joint_table(n: int) -> dict:
+    """The joint moments known at dimension n, and the correlations they
+    give, as the `moments` payload names them: at n = 4, and empty at every
+    other n, where nothing is evaluated."""
+    if n not in CORANK1_TARGETS["vl_ar"][1]:
+        return {}
+    t = closed_form_targets(n)
+    sd = {q: math.sqrt(t[q + "2"] - t[q]**2) for q in ("vl", "ar", "mw")}
+    return {"e_vl_ar": t["vl_ar"], "e_vl_mw": t["vl_mw"],
+            "e_ar_mw": t["ar_mw"],
+            **{"corr_" + q: (t[q] - t[a] * t[b]) / (sd[a] * sd[b])
+               for q, (a, b) in SHADOW_PRODUCTS.items() if a != b}}
 
 
-def joint_moments(t: MomentTable) -> JointMoments | None:
-    """The joint moments that go with the table t: known in closed form at
-    n = 4 only, so None at every other n."""
-    if t.n != 4:
-        return None
-    e_vl_ar = 6.0 * (1.0 + 4.0 / PI)
-    e_vl_mw = 9.0 / 4.0 + 2.0 / PI
-    e_ar_mw = 3.0 * (5.0 + 2.0 * catalan_const()) / PI + 9.0 * PI / 4.0
-    sd_vl = math.sqrt(t.e_vl2 - t.e_vl**2)
-    sd_ar = math.sqrt(t.e_ar2 - t.e_ar**2)
-    sd_mw = math.sqrt(t.e_mw2 - t.e_mw**2)
-    return JointMoments(
-        e_vl_ar=e_vl_ar, e_vl_mw=e_vl_mw, e_ar_mw=e_ar_mw,
-        corr_vl_ar=(e_vl_ar - t.e_vl * t.e_ar) / (sd_vl * sd_ar),
-        corr_vl_mw=(e_vl_mw - t.e_vl * t.e_mw) / (sd_vl * sd_mw),
-        corr_ar_mw=(e_ar_mw - t.e_ar * t.e_mw) / (sd_ar * sd_mw),
-    )
+def _at(q: str, n: int):
+    return lambda: CORANK1_TARGETS[q][0](n)
+
+
+# The target of every `constants` row, by row name, as a function, so that a
+# suite evaluates its own targets only.  Every zeta route is checked against
+# ZETA, which uses none of them; the three scaled integrals of the pi/128
+# identity carry their 1/(12 pi) prefactor; each defining moment integral of
+# `quad.moment_integral_suite` equals the closed form of its quantity at
+# n = 4, or E(mw^2) at n = 3 or 5 for the 3- and 5-cube analogs.
+CONSTANT_TARGETS = {
+    **dict.fromkeys(("zeta4", "zeta3_integral", "zeta3_3f2",
+                     "zeta5_reduction"), lambda: ZETA),
+    "pi128_first": lambda: PI / 96.0, "pi128_second": lambda: PI / 256.0,
+    "pi128_third": lambda: PI / 192.0, "pi128_combination": lambda: PI / 128.0,
+    "integral_e_vl": _at("vl", 4), "integral_e_vl2": _at("vl2", 4),
+    "integral_e_ar": _at("ar", 4), "integral_e_ar2": _at("ar2", 4),
+    "integral_e_mw": _at("mw", 4), "integral_e_mw2": _at("mw2", 4),
+    "integral_e_vl_ar": _at("vl_ar", 4), "integral_e_vl_mw": _at("vl_mw", 4),
+    "integral_e_ar_mw": _at("ar_mw", 4),
+    "integral_e_mw2_3cube": _at("mw2", 3),
+    "integral_e_mw2_5cube": _at("mw2", 5),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -448,20 +484,6 @@ class VerifyReport:
         return d
 
 
-def closed_form_targets(n: int) -> dict:
-    """Closed-form value for every MC quantity available at dimension n,
-    in `MOMENT_NAMES` order.
-
-    The table field e_<name> is the target of the MC quantity <name>.
-    """
-    table = closed_form_table(n)
-    fields = table.as_dict()
-    joint = joint_moments(table)
-    if joint is not None:
-        fields.update(joint.as_dict())
-    return {q: fields["e_" + q] for q in MOMENT_NAMES if "e_" + q in fields}
-
-
 # Hulls per batch call of the cross-checks.  A batch holds every array of
 # its hulls at once (a peak of about 1.6 MB per 250 3D hulls, 6.2 MB per
 # 1000); blocks keep that fixed.  1000 hulls took the same time in blocks
@@ -577,6 +599,9 @@ def verify_report(n: int, samples: int, seed: int,
 # 8 + 48 (1/4 pi) int int_[-1,1]^2 (1 - cd) E(k) dc dd, not proved.
 OCTAGON_RANGES = {"perimeter": (4.0, 4.0 * math.sqrt(2.0)),
                   "area": (1.0, 1.0 + math.sqrt(2.0))}
+# The octagon's targets, in the order of `verify --octagon`'s rows.
+OCTAGON_TARGETS = {"perimeter2": 23.0 + 6.0 * catalan_const(),
+                   "perimeter": 16.0 / 3.0, "area": 2.0}
 
 
 def octagon_report(samples: int, seed: int,
@@ -597,6 +622,4 @@ def octagon_report(samples: int, seed: int,
         np.stack([area, per]),  # in the order of `octagon_hull_batch`
         lambda block: (hull.octagon_hull_batch(u[block], v[block]), True),
         lambda i: f"pair u = {u[i].tolist()}, v = {v[i].tolist()}")
-    targets = {"perimeter2": 23.0 + 6.0 * catalan_const(),
-               "perimeter": 16.0 / 3.0, "area": 2.0}
-    return _report(4, mc, targets, OCTAGON_RANGES, hull_check)
+    return _report(4, mc, OCTAGON_TARGETS, OCTAGON_RANGES, hull_check)

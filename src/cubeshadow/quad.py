@@ -34,11 +34,11 @@ coordinates that need fewer evaluations:
   evaluations in the polar coordinates;
 - the smooth terms stay Cartesian too, where one 21 x 21 rule does.
 
-The moment suite returns integrals only and holds no closed forms: the
-values they are checked against are those of `moments.closed_form_table`
-and `moments.joint_moment_table`, which `moments` and `verify` print.
-Likewise every zeta route here is checked against the closed form
-`moments.ZETA`, which uses none of them.
+The suites return integrals only and hold no target: each value is checked
+against its row's target in `moments.CONSTANT_TARGETS`, which takes the
+closed forms of `moments.CORANK1_TARGETS` that `moments` and `verify`
+print.  Every zeta route here is checked against `moments.ZETA`, which
+uses none of them.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 from scipy import integrate, special
 
-from .specfun import ConvergenceError, elliptic_imag
+from .specfun import ConvergenceError, elliptic_imag, hyp3f2_unit
 
 HALF_PI = 0.5 * math.pi
 PI = math.pi
@@ -180,6 +180,12 @@ def zeta3_quadrature() -> float:
     r = integrate_1d(lambda t: t * t * _ek(t)[0] / (1.0 + t * t) ** 2.5,
                      0.0, math.inf, tol=1e-12)
     return 96.0 * r.value / (4.0 * PI)
+
+
+def zeta3_3f2() -> float:
+    """zeta_3 as 3 pi 3F2(-1/2, 1/2, 3/2; 1, 2; 1), the hypergeometric form
+    of its S^2 average (see `moments.ZETA`)."""
+    return 3.0 * PI * hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 2.0)
 
 
 def _zeta4_integrand(t: float) -> float:

@@ -49,14 +49,15 @@ def test_criterion_03_e_ar2(zeta4):
 
 def test_criterion_04_pi_over_128():
     suite = quad.pi_over_128_suite()
-    ok = (abs(suite.combination - PI / 128.0) < 1e-10
-          and abs(suite.first.value - PI / 96.0) < 1e-10
-          and abs(suite.third.value - PI / 192.0) < 1e-10)
+    target = moments.CONSTANT_TARGETS
+    ok = (abs(suite.combination - target["pi128_combination"]()) < 1e-10
+          and abs(suite.first.value - target["pi128_first"]()) < 1e-10
+          and abs(suite.third.value - target["pi128_third"]()) < 1e-10)
     report(4, ok, f"combination = {suite.combination:.15f} vs pi/128")
 
 
 def test_criterion_05_zeta3_two_routes(zeta4):
-    via_3f2 = 3.0 * PI * specfun.hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 2.0)
+    via_3f2 = quad.zeta3_3f2()
     via_integral = quad.zeta3_quadrature()
     ok = (abs(via_3f2 - via_integral) < 1e-8
           and abs(via_3f2 - zeta4) < 1e-8
@@ -81,15 +82,15 @@ def test_criterion_07_lower_dim_analogs(moment_suite):
 
 
 def test_criterion_08_joint_moments():
-    j = moments.joint_moment_table()
+    j = moments.joint_table(4)
     tol = 1e-10
     # correlations agree with the 3-decimal printed values (truncated)
-    ok = (abs(j.e_vl_ar - 13.639437268410976) < tol
-          and abs(j.e_vl_mw - 2.886619772367581) < tol
-          and abs(j.e_ar_mw - 13.592597187518807) < tol
-          and math.floor(j.corr_vl_ar * 1000) == 945
-          and math.floor(j.corr_vl_mw * 1000) == 870
-          and math.floor(j.corr_ar_mw * 1000) == 973)
+    ok = (abs(j["e_vl_ar"] - 13.639437268410976) < tol
+          and abs(j["e_vl_mw"] - 2.886619772367581) < tol
+          and abs(j["e_ar_mw"] - 13.592597187518807) < tol
+          and math.floor(j["corr_vl_ar"] * 1000) == 945
+          and math.floor(j["corr_vl_mw"] * 1000) == 870
+          and math.floor(j["corr_ar_mw"] * 1000) == 973)
     report(8, ok, "joint moments to 1e-10; correlations 0.945/0.870/0.973")
 
 

@@ -97,7 +97,7 @@ class TestZeta:
         assert moments.ZETA == 7.118558716719735
 
     @pytest.mark.parametrize("route", [
-        lambda: 3.0 * math.pi * specfun.hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 2.0),
+        quad.zeta3_3f2,
         quad.zeta3_quadrature,
         quad.zeta4_quadrature,
         quad.zeta4_quadrature_psi_form,
@@ -125,9 +125,9 @@ class TestZeta:
     def test_n4_correlations_to_30_digits(self):
         # Var(ar) = E(ar^2) - 64 cancels, so a zeta off in the last bits
         # shows up here (the quadrature value gave 5e-13).
-        j = moments.joint_moment_table()
-        assert j.corr_vl_ar == pytest.approx(0.94573393098931309, rel=1e-13)
-        assert j.corr_ar_mw == pytest.approx(0.97392972997608259, rel=1e-13)
+        j = moments.joint_table(4)
+        assert j["corr_vl_ar"] == pytest.approx(0.94573393098931309, rel=1e-13)
+        assert j["corr_ar_mw"] == pytest.approx(0.97392972997608259, rel=1e-13)
 
 
 class TestExtremes:
@@ -148,31 +148,33 @@ class TestExtremes:
 
 class TestJointMoments:
     def test_values(self):
-        j = moments.joint_moment_table()
-        assert j.e_vl_ar == pytest.approx(13.639437268410976, abs=1e-14)
-        assert j.e_vl_mw == pytest.approx(2.886619772367581, abs=1e-14)
-        assert j.e_ar_mw == pytest.approx(13.592597187518807, abs=1e-12)
+        j = moments.joint_table(4)
+        assert j["e_vl_ar"] == pytest.approx(13.639437268410976, abs=1e-14)
+        assert j["e_vl_mw"] == pytest.approx(2.886619772367581, abs=1e-14)
+        assert j["e_ar_mw"] == pytest.approx(13.592597187518807, abs=1e-12)
 
     def test_correlations(self):
         # printed references are truncated to 3 decimals (trailing ellipsis)
-        j = moments.joint_moment_table()
-        assert math.floor(j.corr_vl_ar * 1000) == 945
-        assert math.floor(j.corr_vl_mw * 1000) == 870
-        assert math.floor(j.corr_ar_mw * 1000) == 973
-        for r in (j.corr_vl_ar, j.corr_vl_mw, j.corr_ar_mw):
+        j = moments.joint_table(4)
+        assert math.floor(j["corr_vl_ar"] * 1000) == 945
+        assert math.floor(j["corr_vl_mw"] * 1000) == 870
+        assert math.floor(j["corr_ar_mw"] * 1000) == 973
+        for r in (j["corr_vl_ar"], j["corr_vl_mw"], j["corr_ar_mw"]):
             assert 0.0 < r < 1.0
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_exist_only_at_n4(self, n):
-        joint = moments.joint_moments(moments.closed_form_table(n))
+        joint = moments.joint_table(n)
+        targets = moments.closed_form_targets(n)
         if n == 4:
-            assert joint == moments.joint_moment_table()
-            assert set(moments.closed_form_targets(4)) == set(
-                moments.MOMENT_NAMES)
+            assert list(joint) == ["e_vl_ar", "e_vl_mw", "e_ar_mw",
+                                   "corr_vl_ar", "corr_vl_mw", "corr_ar_mw"]
+            assert [joint["e_vl_ar"], joint["e_vl_mw"], joint["e_ar_mw"]] == [
+                targets["vl_ar"], targets["vl_mw"], targets["ar_mw"]]
+            assert list(targets) == list(moments.MOMENT_NAMES)
         else:
-            assert joint is None
-            assert not {"vl_ar", "vl_mw", "ar_mw"} & set(
-                moments.closed_form_targets(n))
+            assert joint == {}
+            assert not {"vl_ar", "vl_mw", "ar_mw"} & set(targets)
 
 
 class TestMonteCarlo:
@@ -397,7 +399,7 @@ class TestMcOctagon:
         half, _ = integrate.dblquad(integrand, -1.0, 1.0, -1.0, lambda c: c,
                                     epsabs=1e-10, epsrel=1e-10)
         value = 8.0 + 48.0 * 2.0 * half / (4.0 * math.pi)
-        assert value == pytest.approx(23.0 + 6.0 * specfun.catalan_const(),
+        assert value == pytest.approx(moments.OCTAGON_TARGETS["perimeter2"],
                                       rel=0.0, abs=1e-11)
 
     def test_determinism_across_threads(self):
@@ -780,11 +782,6 @@ class TestHullCrossCheck:
                                   f"direction u = {u.tolist()}")
 
 
-# E(per^2) = 23 + 6G (identified), E(per) = 16/3 and E(area) = 2 (proved)
-OCTAGON_TARGETS = {"perimeter2": 23.0 + 6.0 * specfun.catalan_const(),
-                   "perimeter": 16.0 / 3.0, "area": 2.0}
-
-
 class TestVerifyReport:
     def test_schema_and_pass(self, monkeypatch):
         monkeypatch.setattr(moments, "HULL_SAMPLES", 50)
@@ -816,12 +813,21 @@ class TestVerifyReport:
         assert names == {"vl", "vl2", "ar", "ar2", "mw", "mw2"}
         assert rep.hull_pass_rate is None
 
+    def test_n5_mw2_against_monte_carlo(self):
+        # E(mw^2) at n = 5, the closed form with a 3F2, has the quadrature
+        # `integral_e_mw2_5cube` as one route and this run as the other
+        rep = moments.verify_report(5, 200_000, seed=505)
+        assert [r.name for r in rep.rows] == [
+            "vl", "ar", "mw", "vl2", "ar2", "mw2"]
+        assert rep.passed, [(r.name, r.z) for r in rep.rows]
+
     def test_octagon_report(self, monkeypatch):
         monkeypatch.setattr(moments, "HULL_SAMPLES", 50)
         rep = moments.octagon_report(200_000, seed=214)
         assert rep.passed is True
         assert rep.hull_pass_rate == 1.0
-        assert {r.name: r.closed_form for r in rep.rows} == OCTAGON_TARGETS
+        assert ({r.name: r.closed_form for r in rep.rows}
+                == moments.OCTAGON_TARGETS)
         assert rep.rows[0].name == "perimeter2"
 
     @pytest.mark.parametrize("octagon", [False, True])
@@ -831,7 +837,7 @@ class TestVerifyReport:
         # Every estimate on its target with stderr 1 (z = 0); only the
         # observed extremes decide.
         if octagon:
-            targets, ranges = OCTAGON_TARGETS, moments.OCTAGON_RANGES
+            targets, ranges = moments.OCTAGON_TARGETS, moments.OCTAGON_RANGES
         else:
             targets = moments.closed_form_targets(5)
             ranges = moments.extremes_table(5)

@@ -239,10 +239,16 @@ class TestThetaReduction:
 class TestPiIdentity:
     def test_components_and_combination(self):
         suite = quad.pi_over_128_suite()
-        assert suite.first.value == pytest.approx(math.pi / 96, abs=1e-10)
-        assert suite.second.value == pytest.approx(math.pi / 256, abs=1e-10)
-        assert suite.third.value == pytest.approx(math.pi / 192, abs=1e-10)
-        assert suite.combination == pytest.approx(math.pi / 128, abs=1e-10)
+        target = {name: moments.CONSTANT_TARGETS["pi128_" + name]()
+                  for name in ("first", "second", "third", "combination")}
+        # the targets telescope as the integrals do
+        assert target["first"] - 2.0 * target["second"] + target["third"] == (
+            pytest.approx(target["combination"], rel=1e-15))
+        assert suite.first.value == pytest.approx(target["first"], abs=1e-10)
+        assert suite.second.value == pytest.approx(target["second"], abs=1e-10)
+        assert suite.third.value == pytest.approx(target["third"], abs=1e-10)
+        assert suite.combination == pytest.approx(target["combination"],
+                                                  abs=1e-10)
 
 
 class TestZetaQuadratures:
@@ -293,12 +299,13 @@ class TestZetaQuadratures:
 
 class TestMomentIntegralSuite:
     def test_every_entry_matches_closed_form(self, moment_suite):
-        closed = {f"e_{q}": v for q, v in moments.closed_form_targets(4).items()}
-        closed["e_mw2_3cube"] = moments.closed_form_table(3).e_mw2
-        closed["e_mw2_5cube"] = moments.closed_form_table(5).e_mw2
-        assert set(moment_suite) == set(closed)
-        for name, result in moment_suite.items():
-            assert abs(result.value - closed[name]) < max(
+        # each entry is checked against the target of its `constants` row
+        rows = {"integral_" + name: result
+                for name, result in moment_suite.items()}
+        assert set(rows) == {name for name in moments.CONSTANT_TARGETS
+                             if name.startswith("integral_")}
+        for name, result in rows.items():
+            assert abs(result.value - moments.CONSTANT_TARGETS[name]()) < max(
                 10 * result.error_estimate, 1e-9), name
 
     def test_evaluation_count(self, moment_suite):

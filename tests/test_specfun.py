@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cubeshadow import specfun
+from cubeshadow import moments, specfun
 
 
 def quad_oracle(f, a, b):
@@ -279,6 +279,6 @@ class TestCatalan:
         assert specfun.catalan_const() == pytest.approx(averaged[-1], abs=1e-12)
 
     def test_joint_moment_assembly(self):
-        g = specfun.catalan_const()
-        value = 3 * (5 + 2 * g) / math.pi + 9 * math.pi / 4
+        # E(ar mw) at n = 4 is 3 (5 + 2G)/pi + 9 pi/4
+        value = moments.closed_form_targets(4)["ar_mw"]
         assert value == pytest.approx(13.592597187518807, abs=1e-13)
