@@ -9,10 +9,10 @@ the projection direction u:
     mean width  = c_{n-1} sum_j sqrt(1 - u_j^2)
 
 where c_d is the mean width of a unit segment in R^d.  Rank-2 shadows of
-the 4-cube are octagons; their perimeter and area are explicit in the six
-minors p_jk = u_j v_k - u_k v_j of the orthonormal pair (u, v), and the
-area is also given locally by six rational branch formulas in seven
-scalars built from (u, v).
+the 4-cube, along the plane of an orthonormal pair (u, v), are octagons;
+their perimeter and area are explicit in the point (x, y) of S^2 x S^2
+that this plane is, and the area is also given locally by six rational
+branch formulas in seven scalars built from (u, v).
 
 This module holds the closed forms only.  Their independent check, the
 explicit hulls of the projected vertices, is `hull`, and the two modules do
@@ -31,15 +31,15 @@ one add and one sqrt per pair into a preallocated buffer; the mean width
 takes 1 - u_j^2 as prefix plus suffix sums of s (the other squares), which,
 unlike 1 - s_j, does not cancel as |u_j| -> 1.
 
-Both batch kernels take `out`: None, or the arrays the call would
-allocate, so that a caller can reuse one set for every batch and allocate
-nothing.  The same in-place code runs either way, and gives the same
+`shadow_batch` and `octagon_xy` take `out`: None, or the arrays the call
+would allocate, so that a caller can reuse one set for every batch and
+allocate nothing.  The same in-place code runs either way, and gives the same
 bytes.  For `shadow_batch` it is (rows, s, rest): rows (5, m) receives
 vl, ar and mw, and its last two rows are scratch; s and rest, (n, m),
 hold the squares and their suffix sums.  |x| is formed and summed in s
 before s = x**2.  x is last read then, so rest may share its memory.  For
-`octagon_batch` it is (p, rows): p (6, m) holds the minors, and rows
-(3, m) receives perimeter and area, with one scratch row.
+`octagon_xy` it is four rows of length m: the first two receive perimeter
+and area, and the last two are scratch.
 
 Error of sqrt(s_j + s_k) against sqrt(u_j^2 + u_k^2): for unit vectors
 s_j <= 1, so nothing overflows.  When both squares are normal numbers, the
@@ -49,13 +49,21 @@ coordinate below 1.5e-154; its absolute error is then at most 2^-1075, and
 the term is off by at most sqrt(2 * 2^-1075) < 3e-162 more, far below
 1e-154.
 
-`octagon_batch` fills the six minors into one (6, m) buffer.  The
-octagon is the zonogon of the projected edge directions, so its area is
-sum_{j<k} |p_jk|.  Its perimeter is 2 sum_j sqrt(1 - u_j^2 - v_j^2), the
-projected edge lengths.  For an orthonormal pair Lagrange's identity gives
-sum_k p_jk^2 = u_j^2 + v_j^2, and the six p_jk^2 sum to 1, so
-1 - u_j^2 - v_j^2 is the sum of p^2 over the three pairs without j: a sum
-of squares, which does not cancel as u_j^2 + v_j^2 -> 1.
+The octagon is the zonogon of the projected edge directions.  With the
+minors p_jk = u_j v_k - u_k v_j, the plane of (u, v) is the point
+x = (p_12 + p_34, p_13 - p_24, p_14 + p_23),
+y = (p_12 - p_34, p_13 + p_24, p_14 - p_23) of S^2 x S^2 (G(2, 4) is
+(S^2 x S^2)/+-1; the p_jk^2 sum to 1 and p_12 p_34 - p_13 p_24 + p_14 p_23
+is 0, so |x| = |y| = 1).  The area, sum_{j<k} |p_jk|, is
+sum_i max(|x_i|, |y_i|), since |a + b| + |a - b| = 2 max(|a|, |b|).  The
+two edges parallel to axis j have length sqrt(1 - u_j^2 - v_j^2) each,
+and 1 - u_j^2 - v_j^2 is the sum of p^2 over the three pairs without j
+(Lagrange's identity), so together they are |x - s y| for the sign vector
+s of axis j in `SIGNS`: the perimeter is sum_s |x - s y|.
+`octagon_xy` is the one kernel and takes (x, y), each (3, m); each term is
+sqrt(sum_i (x_i - s_i y_i)^2), a sum of squares, which does not cancel as
+x -> s y, where sqrt(2 - 2 x . s y) would.  `octagon_batch` forms x and y
+from the minors of (u, v) and calls it.
 """
 
 from __future__ import annotations
@@ -169,34 +177,46 @@ def shadow_mean_width(u) -> float:
 
 #: The six index pairs (j, k), j < k, in the order of the minors.
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+#: The sign vectors s of the perimeter terms |x - s y|, one per axis of the
+#: 4-cube, in axis order.
+SIGNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 
 
-def octagon_batch(u: np.ndarray, v: np.ndarray,
-                  out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair (perimeter, area) of the octagon for orthonormal pairs
-    u, v (4, m), one pair per column.
+def octagon_xy(x: np.ndarray, y: np.ndarray,
+               out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-plane (perimeter, area) of the octagon at the points (x, y) of
+    S^2 x S^2, x and y (3, m), one plane per column.
 
-    Both come from the minors p_jk = u_j v_k - u_k v_j; the buffers are in
-    the module docstring.
+    The one octagon kernel; coordinates and buffers are in the module
+    docstring.
     """
-    m = u.shape[1]
-    p, rows = (np.empty((6, m)), np.empty((3, m))) if out is None else out
-    per, area, t = rows
+    per, area, t, d = np.empty((4, x.shape[1])) if out is None else out
     area[...] = 0.0
-    for i, (j, k) in enumerate(PAIRS):
-        np.multiply(u[j], v[k], out=p[i])
-        np.multiply(u[k], v[j], out=t)
-        p[i] -= t
-        area += np.abs(p[i], out=t)
-    np.square(p, out=p)
+    for i in range(3):
+        area += np.maximum(np.abs(x[i], out=t), np.abs(y[i], out=d), out=t)
     per[...] = 0.0
-    for j in range(4):
-        a, b, c = (i for i, pair in enumerate(PAIRS) if j not in pair)
-        np.add(p[a], p[b], out=t)
-        t += p[c]
+    for sign in SIGNS:
+        t[...] = 0.0
+        for i, s in enumerate(sign):
+            combine = np.subtract if s > 0 else np.add
+            t += np.square(combine(x[i], y[i], out=d), out=d)
         per += np.sqrt(t, out=t)
-    per *= 2.0
     return per, area
+
+
+def octagon_batch(u: np.ndarray,
+                  v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair (perimeter, area) of the octagon for orthonormal pairs
+    u, v (4, m), one pair per column: `octagon_xy` at the (x, y) of the
+    minors p_jk = u_j v_k - u_k v_j.
+    """
+    p = np.empty((6, u.shape[1]))
+    for i, (j, k) in enumerate(PAIRS):
+        np.subtract(u[j] * v[k], u[k] * v[j], out=p[i])
+    p12, p13, p14, p23, p24, p34 = p
+    x = np.stack([p12 + p34, p13 - p24, p14 + p23])
+    y = np.stack([p12 - p34, p13 + p24, p14 - p23])
+    return octagon_xy(x, y)
 
 
 def octagon_perimeter(u, v) -> float:

@@ -166,17 +166,14 @@ def draw_directions(rng: np.random.Generator, out) -> np.ndarray:
     return short
 
 
-def complete_pairs(u: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
+def complete_pairs(u: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Per column, the unit v orthogonal to u: g less its component along u,
     normalized.  u and g are (n, m), one direction per column.
 
     Computed in place in g, which is returned.  For unit u and independent
-    uniform g, (u, v) is a uniformly random orthonormal pair.  `out` is None
-    or the scratch the call would allocate, (work, col): an array the shape
-    of g and one of length m.
+    uniform g, (u, v) is a uniformly random orthonormal pair.
     """
-    work, col = ((np.empty(g.shape), np.empty(g.shape[1])) if out is None
-                 else out)
+    work, col = np.empty(g.shape), np.empty(g.shape[1])
     coordinate_sum(np.multiply(g, u, out=work), col)
     g -= np.multiply(col, u, out=work)
     _norms(g, work, col)

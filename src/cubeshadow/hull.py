@@ -5,7 +5,8 @@ measured from explicit hulls of their projected vertices, independently of
 the closed forms of `functionals`, which this module does not import.  It
 has two pipelines.  `shadow_hulls` takes corank-1 directions through
 `geometry`'s frames and projection to 3D hulls; `octagon_hull_batch` takes
-rank-2 pairs through the bases of their shadow planes to 2D hulls.
+rank-2 pairs through two composed frames and the same projection to 2D
+hulls.
 
 3D hulls are built with Qhull and post-processed: coplanar triangles are
 merged back into polygonal faces (shadows of the 4-cube are zonotopes, so
@@ -499,48 +500,22 @@ def shadow_hulls(u: np.ndarray) -> MeshBatch:
     return convex_hulls_3d(geometry.project_vertices(geometry.build_frames(u)))
 
 
-def shadow_plane_bases(u: np.ndarray,
-                       v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (e, f), each (m, 4), of the planes orthogonal to
-    both u and v, for rows of (m, 4).
-
-    Gram-Schmidt of the coordinate axes against {u, v}, keeping the two
-    axes with the largest residual norms.  Any basis of the same plane
-    yields identical shadow measures.
-    """
-    rows = np.arange(len(u))
-    resid = (np.eye(4) - u[:, :, None] * u[:, None, :]
-             - v[:, :, None] * v[:, None, :])
-    norms = np.linalg.norm(resid, axis=1)
-    j1 = norms.argmax(axis=1)
-    e = resid[rows, :, j1] / norms[rows, j1, None]
-    resid2 = resid - e[:, :, None] * (e[:, None, :] @ resid)
-    norms2 = np.linalg.norm(resid2, axis=1)
-    j2 = norms2.argmax(axis=1)
-    f = resid2[rows, :, j2] / norms2[rows, j2, None]
-    return e, f
-
-
-def shadow_plane_basis(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis (e, f) of the plane orthogonal to both u and v,
-    a batch of one of `shadow_plane_bases`."""
-    e, f = shadow_plane_bases(np.asarray(u, dtype=float)[None],
-                              np.asarray(v, dtype=float)[None])
-    return e[0], f[0]
-
-
 def octagon_hull_batch(u, v) -> tuple[np.ndarray, np.ndarray]:
     """Per row (area, perimeter) of the rank-2 shadows of orthonormal pairs
     (m, 4), by projection and a 2D hull.
 
-    Projects the 16 cube vertices onto an orthonormal basis of the plane
-    orthogonal to span{u, v} and measures their hull; the branch-free
-    reference for the closed forms.
+    The plane orthogonal to span{u, v} has the orthonormal rows
+    build_frames(F v) F, F = build_frames(u): F v is v in the frame of u's
+    complement, a unit vector of R^3, and the frame of its own complement
+    there, mapped back by F, is orthogonal to u and to v.  The 16 cube
+    vertices are projected on those rows and their hull measured: the
+    branch-free reference for the closed forms.  `geometry` is called
+    through the module, as in `shadow_hulls`.
     """
     u, v = geometry.checked_pair(u, v)
-    e, f = shadow_plane_bases(u, v)
-    pts = geometry.cube_vertices(4) @ np.stack([e, f], axis=-1)
-    return convex_hulls_2d(pts).measures()
+    frames = geometry.build_frames(u)
+    planes = geometry.build_frames((frames @ v[:, :, None])[:, :, 0]) @ frames
+    return convex_hulls_2d(geometry.project_vertices(planes)).measures()
 
 
 def octagon_hull_measures(u, v) -> tuple[float, float]:

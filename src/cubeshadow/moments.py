@@ -14,7 +14,7 @@ with one counter-based stream per chunk, so results are bit-identical for
 a fixed (seed, samples) regardless of thread count.
 
 The per-sample functionals come from the batch kernels of `functionals`:
-`shadow_batch` for vl, ar, mw and `octagon_batch` for the octagon.  Both
+`shadow_batch` for vl, ar, mw and `octagon_xy` for the octagon.  Both
 reports also compare those closed forms with the hull oracle of `hull` on
 their own seeded directions, through one rule, `_cross_check`: blocks of
 HULL_BLOCK hulls, a failing hull named with what replays it, the largest
@@ -32,7 +32,9 @@ chunk's rows of results, the only rows that are CHUNK long.  The sampler
 reads the stream as one batch of the chunk reads it, and yields a
 direction whose norm was at most 1e-100 once more, as a block of one at
 its index, after the chunk's last draw; `mc_estimate` then computes its
-results again.
+results again.  `mc_octagon` reads the chunk's x in one such pass and its y
+in a second, running the kernel on each block of y and again on each
+redrawn y: 6 normals per sample.
 
 Buffers whose lifetimes do not overlap share memory, and a redraw uses the
 buffers of a block of one.  For `mc_estimate` the workspace is two
@@ -44,11 +46,10 @@ row takes the norms, then both are the kernel's scratch rows.  Three chunk
 rows receive vl, ar and mw, block by block; the nine quantities pass one
 at a time through the other two, the statistics' scratch.  That is
 8 (5 CHUNK + (2n + 2) MC_BLOCK) bytes per thread: 3.1, 3.4, 4.1 and 45.4
-MiB at n = 4, 6, 12 and 342.  For `mc_octagon` it is 4 + 2 CHUNK rows and
-4 + 6 + 1 MC_BLOCK rows, 3.7 MiB: u, drawn block by block before any g,
-then the scratch of the statistics; perimeter and area; a block of g; the
-scratch of sampling, the (k, 4) draw of g and the scratch of completion,
-then the minors; and one scratch row.
+MiB at n = 4, 6, 12 and 342.  For `mc_octagon` it is 3 + 2 CHUNK rows and
+3 + 4 MC_BLOCK rows, 2.9 MiB: x, drawn for the whole chunk before any y,
+then the scratch of the statistics; perimeter and area; a block of y; and
+the (k, 3) draw and the norms, then the kernel's two scratch rows.
 
 Each chunk returns its count, per quantity its sum and its
 M2 = sum (v - chunk mean)^2, and the extremes of the bounded quantities
@@ -73,7 +74,7 @@ from .specfun import catalan_const, gamma_fn, hyp3f2_unit
 
 PI = math.pi
 CHUNK = 1 << 16
-SPEC_VERSION = "1.1"
+SPEC_VERSION = "1.2"
 
 # The constant zeta in E(ar^2) is the same for every n >= 3 (proved).
 # Expanding E(ar^2) at dimension n gives
@@ -395,34 +396,30 @@ def mc_estimate(n: int, samples: int, seed: int, threads: int = 1) -> McResult:
 def mc_octagon(samples: int, seed: int, threads: int = 1) -> McResult:
     """Monte Carlo perimeter/area moments of the rank-2 octagon shadow.
 
-    (u, v) is a uniformly random orthonormal pair: u uniform on the
-    sphere, v the normalized component of an independent uniform direction
-    orthogonal to u.  Perimeter and area come from `octagon_batch`
-    (cross-checked against the 2D hull oracle in `octagon_report` and the
-    test suite).
+    The plane of projection is uniform on G(2, 4), so its point (x, y) of
+    S^2 x S^2 is a pair of independent uniform directions of R^3.
+    Perimeter and area come from `octagon_xy` (cross-checked against the
+    2D hull oracle in `octagon_report` and the test suite).
     """
     size = min(CHUNK, samples)
     block = min(MC_BLOCK, size)
-    workspace = _per_thread(lambda: (np.empty(4 * size), np.empty(2 * size),
-                                     np.empty(4 * block), np.empty(6 * block),
-                                     np.empty(block)))
+    workspace = _per_thread(lambda: (np.empty(3 * size), np.empty(2 * size),
+                                     np.empty(3 * block), np.empty(4 * block)))
 
     def worker(rng, m):
-        a, r, g, p, t = workspace()
-        u, rows = _view(a, 4, m), _view(r, 2, m)
-        # the module docstring has the buffer map; the stream reads every u
-        # of the chunk, and its redraws, before any g
+        a, r, b, s = workspace()
+        x, rows = _view(a, 3, m), _view(r, 2, m)
+        # the module docstring has the buffer map; the stream reads every x
+        # of the chunk, and its redraws, before any y
         for _ in geometry.draw_blocks(
                 rng, m, block,
-                lambda i, k: (u[:, i:i + k], _view(p, 4, k), t[:k])):
+                lambda i, k: (x[:, i:i + k], s[:3 * k], s[3 * k:4 * k])):
             pass
-        for i in range(0, m, block):
-            k = min(block, m - i)
-            ui, v = u[:, i:i + k], _view(g, 4, k)
-            np.copyto(v, rng.standard_normal(out=_view(p, k, 4)).T)
-            geometry.complete_pairs(ui, v, out=(_view(p, 4, k), t[:k]))
-            functionals.octagon_batch(ui, v, out=(_view(p, 6, k),
-                                                  (*rows[:, i:i + k], t[:k])))
+        for i, k in geometry.draw_blocks(
+                rng, m, block,
+                lambda i, k: (_view(b, 3, k), s[:3 * k], s[3 * k:4 * k])):
+            functionals.octagon_xy(x[:, i:i + k], _view(b, 3, k),
+                                   out=(*rows[:, i:i + k], *_view(s, 2, k)))
         return _chunk_stats({"perimeter": rows[0], "area": rows[1]},
                             ("perimeter", "area"),
                             {"perimeter2": ("perimeter", "perimeter")},
@@ -589,13 +586,17 @@ def verify_report(n: int, samples: int, seed: int,
     return _report(n, mc, targets, extremes_table(n), hull_check)
 
 
-# The octagon's moments.  Write t_j = 1 - u_j^2 - v_j^2, so that the
-# perimeter is 2 sum_j sqrt(t_j).  t_j = |Q e_j|^2 with Q the projection on
-# the orthogonal 2-plane, so t_j ~ Beta(1, 1) and E(per) = 8 * 2/3 = 16/3.
-# G(2, 4) is (S^2 x S^2)/+-1 with Plucker coordinates p_12 = (x_1 + y_1)/2,
-# p_34 = (x_1 - y_1)/2, ...; by Archimedes x_1, y_1 are i.i.d. U[-1, 1], so
-# E|p_jk| = 1/3 and E(area) = 6/3 = 2.  E(per^2) = 23 + 6G (G Catalan's
-# constant) is identified to 35 digits from the (c, d) elliptic integral
+# The octagon's moments.  G(2, 4) is (S^2 x S^2)/+-1: the plane of an
+# orthonormal pair is the point x = (p_12 + p_34, p_13 - p_24, p_14 + p_23),
+# y = (p_12 - p_34, p_13 + p_24, p_14 - p_23) of its minors, and x and y are
+# independent and uniform on S^2 when the plane is uniform.  There the area
+# is sum_i max(|x_i|, |y_i|) and the perimeter sum_s |x - s y| over the four
+# sign vectors s (`functionals.octagon_xy`).  By Archimedes |x_i| and |y_i|
+# are i.i.d. U[0, 1], and E max(|a|, |b|) = 2/3 for such a, b, so
+# E(area) = 3 * 2/3 = 2.  s y is uniform and independent of x, so
+# c = x . s y ~ U[-1, 1] and E(per) = 4 E sqrt(2 - 2c) = 4 * 4/3 = 16/3.
+# E(per^2) = 23 + 6G (G Catalan's constant) is identified to 35 digits from
+# the (c, d) elliptic integral
 # 8 + 48 (1/4 pi) int int_[-1,1]^2 (1 - cd) E(k) dc dd, not proved.
 OCTAGON_RANGES = {"perimeter": (4.0, 4.0 * math.sqrt(2.0)),
                   "area": (1.0, 1.0 + math.sqrt(2.0))}

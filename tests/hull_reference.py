@@ -132,6 +132,10 @@ def polygon_measures(poly):
 
 
 def shadow_plane_basis(u, v):
+    """The Gram-Schmidt basis (e, f) of the plane orthogonal to u and v that
+    the composed Householder frames replaced: the residuals of the
+    coordinate axes against {u, v}, keeping the two largest.  A test-only
+    check that `plane_rows` spans the same plane."""
     resid = np.eye(4) - np.outer(u, u) - np.outer(v, v)
     norms = np.linalg.norm(resid, axis=0)
     j1 = int(norms.argmax())
@@ -143,13 +147,19 @@ def shadow_plane_basis(u, v):
     return e, f
 
 
+def plane_rows(u, v):
+    """The 2 x 4 orthonormal rows of the plane orthogonal to the pair (u, v):
+    the frame of F v in R^3 composed with F = frame_rows(u)."""
+    rows = frame_rows(u)
+    return frame_rows((rows @ v[:, None])[:, 0]) @ rows
+
+
 def octagon_hull_measures(u, v):
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     dot = abs(float(np.dot(u, v)))
     if dot > geometry.ORTHO_TOL:
         raise geometry.OrthogonalityError(dot)
-    e, f = shadow_plane_basis(u, v)
-    pts = cube_vertices(4) @ np.column_stack([e, f])
+    pts = cube_vertices(4) @ plane_rows(u, v).T
     return polygon_measures(convex_hull_2d(pts))
 
 

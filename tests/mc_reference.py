@@ -4,7 +4,11 @@ rows of (m, n), and every sum over the coordinates is np.add.reduce(axis=1).
 
 The live kernels must give the same bytes; `mc_estimate` and `mc_octagon`
 must equal, under ==, the chunk pipeline built from these.  The functions
-below are copied unchanged from the last row-major revision.
+below are copied unchanged from the last row-major revision, except
+`octagon_xy`, the row-major form of the octagon kernel on S^2 x S^2.
+`octagon_batch`, the octagon kernel on the six minors that `octagon_xy`
+replaced, is the reference that `functionals.octagon_batch` is held to
+within a few ulps.
 """
 
 import numpy as np
@@ -126,3 +130,13 @@ def octagon_batch(u: np.ndarray, v: np.ndarray,
         per += np.sqrt(t, out=t)
     per *= 2.0
     return per, area
+
+
+def octagon_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row (perimeter, area) of the octagon at the points (x, y) of
+    S^2 x S^2, rows (m, 3): sum_s |x - s y| over the four sign vectors s,
+    and sum_i max(|x_i|, |y_i|)."""
+    signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+    terms = np.square(x[:, None, :] - signs * y[:, None, :])
+    per = np.add.reduce(np.sqrt(np.add.reduce(terms, axis=2)), axis=1)
+    return per, np.add.reduce(np.maximum(np.abs(x), np.abs(y)), axis=1)

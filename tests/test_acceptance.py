@@ -4,6 +4,7 @@ Run with -v (or -s) to see the per-criterion lines; each test asserts its
 criterion so the suite fails loudly on any regression.
 """
 
+import itertools
 import math
 import sys
 import time
@@ -124,9 +125,7 @@ def test_criterion_11_octagon(octagon_1e6):
         v = geometry.sample_unit_vector(4, rng)
         v = v - np.dot(v, u) * u
         v /= np.linalg.norm(v)
-        e, f = hull.shadow_plane_basis(u, v)
-        pts = geometry.cube_vertices(4) @ np.column_stack([e, f])
-        _, per = hull.polygon_measures(hull.convex_hull_2d(pts))
+        _, per = hull.octagon_hull_measures(u, v)
         ok = ok and abs(per - functionals.octagon_perimeter(u, v)) < 1e-9
 
     for branch, anchor in functionals.BRANCH_ANCHORS.items():
@@ -145,26 +144,79 @@ def test_criterion_11_octagon(octagon_1e6):
                    f"branches match the hull oracle")
 
 
-def test_criterion_12_extremes(mc_1e6, octagon_1e6):
-    bounds = {
-        "vl": (1.0, 2.0),
-        "ar": (6.0, 6.0 * math.sqrt(2.0)),
-        "mw": (1.5, math.sqrt(3.0)),
-        "perimeter": (4.0, 4.0 * math.sqrt(2.0)),
-        "area": (1.0, 1.0 + math.sqrt(2.0)),
-    }
-    observed = dict(mc_1e6.extremes_observed)
-    observed.update(octagon_1e6.extremes_observed)
-    ok = True
-    gaps = []
-    for name, (lo, hi) in bounds.items():
+# Each bounded quantity's analytic range (lo, hi), and the bounds on the
+# approach gaps of a run of 10^6 samples at its two ends: obs_lo - lo and
+# hi - obs_hi.  A gap exceeds its bound only when no sample comes within it,
+# with probability (1 - F(bound))^N, F the law of one sample's distance to
+# that end.  `tools/extreme_gaps.py` fitted F on 200 runs fixed before the
+# run, seeds 1001-1200 (2 10^8 samples per quantity), and set each bound at
+# a false-failure probability of 1e-6 (rounded up to 3 digits).  The fitted
+# law predicts each end's median gap within 11% of the 200 observed ones,
+# and its exponents, F(g) ~ c g^alpha, are those of the local geometry:
+# 2.97-2.99 at the minima of vl, ar and mw (a cone in 3 dimensions), 1.53
+# at their maxima (a smooth maximum), 4.09-4.17 at the octagon's minima
+# (a cone on S^2 x S^2).
+EXTREMES = {
+    "vl": ((1.0, 2.0), (0.0303, 0.00027)),
+    "ar": ((6.0, 6.0 * math.sqrt(2.0)), (0.0967, 0.000382)),
+    "mw": ((1.5, math.sqrt(3.0)), (0.0103, 2.59e-5)),
+    "perimeter": ((4.0, 4.0 * math.sqrt(2.0)), (0.146, 0.000116)),
+    "area": ((1.0, 1.0 + math.sqrt(2.0)), (0.0925, 0.00189)),
+}
+
+
+def approach_gaps(observed: dict) -> tuple[bool, dict]:
+    """Whether every observed (min, max) lies in its range within 1e-9, and
+    per end of each range, its approach gap over its bound."""
+    in_range, ratios = True, {}
+    for name, ((lo, hi), (lo_bound, hi_bound)) in EXTREMES.items():
         obs_lo, obs_hi = observed[name]
-        ok = ok and lo - 1e-9 <= obs_lo and obs_hi <= hi + 1e-9
-        gap = max(obs_lo - lo, hi - obs_hi)
-        gaps.append(gap)
-        ok = ok and gap < 0.02
-    report(12, ok, f"extremes inside bounds, worst approach gap "
-                   f"{max(gaps):.4f}")
+        in_range = in_range and lo - 1e-9 <= obs_lo and obs_hi <= hi + 1e-9
+        ratios[name + "_min"] = (obs_lo - lo) / lo_bound
+        ratios[name + "_max"] = (hi - obs_hi) / hi_bound
+    return in_range, ratios
+
+
+def test_criterion_12_extremes(mc_1e6, octagon_1e6):
+    in_range, ratios = approach_gaps({**mc_1e6.extremes_observed,
+                                      **octagon_1e6.extremes_observed})
+    over = [end for end, ratio in ratios.items() if ratio >= 1.0]
+    ok = in_range and not over
+    report(12, ok, f"extremes inside bounds, approach gaps at most "
+                   f"{max(ratios.values()):.2f} of their 1e-6 bounds"
+                   + (f", over: {over}" if over else ""))
+
+
+def extreme_directions(n: int) -> np.ndarray:
+    """The unit directions of R^n, n = 4 or the octagon's 3, at which the
+    measures reach an extreme: the axes, and at n = 4 the diagonals too.
+    The octagon's extremes all lie at planes with x or y on an axis."""
+    signs = np.array([(1, *s) for s in itertools.product((1, -1),
+                                                         repeat=n - 1)])
+    return np.vstack([np.eye(n), signs / 2.0]) if n == 4 else np.eye(n)
+
+
+def test_criterion_12_power(monkeypatch):
+    # The runs of the fixtures, with a sampler that never comes within 0.1
+    # of an extreme direction (|u - e| < 0.1 exactly when |u . e| > 0.995):
+    # such a direction is replaced by a fixed one far from all of them.
+    # Every end of every range must then be over its bound.
+    draw = geometry.draw_directions
+
+    def kept_away(rng, out):
+        short = draw(rng, out)
+        v = out[0]
+        n = len(v)
+        near = (np.abs(extreme_directions(n) @ v) > 0.995).any(axis=0)
+        far = np.arange(1.0, n + 1)
+        v[:, near] = (far / np.linalg.norm(far))[:, None]
+        return short
+
+    monkeypatch.setattr(geometry, "draw_directions", kept_away)
+    _, ratios = approach_gaps({
+        **moments.mc_estimate(4, 1_000_000, seed=25).extremes_observed,
+        **moments.mc_octagon(1_000_000, seed=214).extremes_observed})
+    assert min(ratios.values()) > 1.0, ratios
 
 
 def test_criterion_13_special_function_identities():

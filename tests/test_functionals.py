@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+import mc_reference
 from cubeshadow import functionals, geometry, hull
 
 
@@ -104,9 +105,7 @@ class TestOctagonPerimeter:
         rng = geometry.stream(34)
         for _ in range(200):
             u, v = random_pair(rng)
-            e, f = hull.shadow_plane_basis(u, v)
-            pts = geometry.cube_vertices(4) @ np.column_stack([e, f])
-            _, per = hull.polygon_measures(hull.convex_hull_2d(pts))
+            _, per = hull.octagon_hull_measures(u, v)
             assert functionals.octagon_perimeter(u, v) == pytest.approx(per, abs=1e-9)
 
 
@@ -138,6 +137,32 @@ class TestOctagonBatch:
             hull_area, hull_per = hull.octagon_hull_measures(a, b)
             assert abs(area[i] - hull_area) < 1e-12
             assert abs(per[i] - hull_per) < 1e-12
+
+    def test_xy_equals_row_major_reference(self):
+        # the bytes of the row-major reference, allocated or into views of
+        # a larger buffer, whose other elements must stay NaN
+        rng = geometry.stream(38)
+        x = geometry.sample_unit_vectors(3, 5000, rng)
+        y = geometry.sample_unit_vectors(3, 5000, rng)
+        want = mc_reference.octagon_xy(x.T.copy(), y.T.copy())
+        big = np.full((6, 5002), np.nan)
+        rows = big[1:5, 1:5001]
+        for got in (functionals.octagon_xy(x, y),
+                    functionals.octagon_xy(x, y, out=rows)):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+        assert np.isnan(big[[0, 5]]).all() and np.isnan(big[:, [0, -1]]).all()
+
+    @pytest.mark.parametrize("x, y, per, area", [
+        ([1, 0, 0], [1, 0, 0], 4.0, 1.0),  # a coordinate plane: the square
+        ([1, 0, 0], [0, 1, 0], 4.0 * math.sqrt(2.0), 2.0),
+        ([0, 0, 1], [0, 0, -1], 4.0, 1.0),
+    ])
+    def test_xy_at_known_planes(self, x, y, per, area):
+        got = functionals.octagon_xy(np.array(x, float)[:, None],
+                                     np.array(y, float)[:, None])
+        assert (got[0][0], got[1][0]) == pytest.approx((per, area),
+                                                       rel=0.0, abs=1e-15)
 
 
 class TestOctagonCoefficients:

@@ -149,17 +149,6 @@ def test_draw_blocks_is_one_batch_with_deferred_redraws(n, block):
     assert np.isnan(scratch[n * block + block:]).all()
 
 
-def test_complete_pairs_into_out_is_the_same_bytes():
-    rng = geometry.stream(6)
-    u = geometry.sample_unit_vectors(4, 1000, rng)
-    g = rng.standard_normal((4, 1000))
-    expected = geometry.complete_pairs(u, g.copy())
-    out = (np.full((4, 1000), np.nan), np.full(1000, np.nan))
-    got = geometry.complete_pairs(u, g, out=out)
-    assert got is g
-    assert got.tobytes() == expected.tobytes()
-
-
 def test_coordinate_sum_is_numpys_reduce_order():
     # Magnitudes over 16 decades and both signs, so that another order of
     # the additions moves bits; a row of -0.0, whose sum numpy starts from

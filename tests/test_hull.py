@@ -141,7 +141,7 @@ def test_hull_2d_octagon_shadow():
     rng = geometry.stream(16)
     u = geometry.sample_unit_vector(4, rng)
     v = geometry.build_rank2_pair(u, 1.0, 1.0)
-    e, f = hull.shadow_plane_basis(u, v)
+    e, f = hull_reference.shadow_plane_basis(u, v)
     pts = geometry.cube_vertices(4) @ np.column_stack([e, f])
     poly = hull.convex_hull_2d(pts)
     assert len(poly.vertices) == 8
@@ -328,7 +328,7 @@ class TestBatch:
             u = geometry.sample_unit_vector(4, rng)
             v = geometry.complete_pairs(u[:, None], geometry.sample_unit_vector(
                 4, rng)[:, None])[:, 0]
-            e, f = hull.shadow_plane_basis(u, v)
+            e, f = hull_reference.shadow_plane_basis(u, v)
             clouds.append(geometry.cube_vertices(4) @ np.column_stack([e, f]))
         clouds.append(geometry.cube_vertices(4)[:, :2])  # the unit square
         clouds = np.array(clouds)

@@ -354,39 +354,34 @@ class TestAccumulate:
         assert sum(s["count"] for s in stats) == len(values)
 
 
-def octagon_chunk_reference(g, u):
-    """One chunk of mc_octagon as it was: v completed from g, the perimeter
-    from sqrt(clip(1 - u_j^2 - v_j^2)) and the area as a loop over the
-    minors."""
-    v = g - (g * u).sum(axis=1, keepdims=True) * u
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    per = 2.0 * np.sqrt(np.clip(1.0 - u * u - v * v, 0.0, None)).sum(axis=1)
-    area = np.zeros(len(u))
-    for j in range(4):
-        for k in range(j + 1, 4):
-            area += np.abs(u[:, j] * v[:, k] - u[:, k] * v[:, j])
-    return v, per, area
+def octagon_chunk_reference(x, y):
+    """The octagon at the points (x, y) of S^2 x S^2, rows (m, 3), in the
+    plainest numpy: the perimeter as four norms |x - s y| and the area as
+    a sum of maxima."""
+    per = sum(np.linalg.norm(x - np.array(s) * y, axis=1)
+              for s in functionals.SIGNS)
+    return per, np.maximum(np.abs(x), np.abs(y)).sum(axis=1)
 
 
 class TestMcOctagon:
     def test_matches_chunk_reference(self):
+        # one chunk: every x of its stream, then every y
         m = moments.CHUNK
         rng = geometry.stream(9, 0)
-        u = geometry.sample_unit_vectors(4, m, rng)
-        g = rng.standard_normal((m, 4))
-        v_ref, per_ref, area_ref = octagon_chunk_reference(g, u.T.copy())
-        v = geometry.complete_pairs(u, g.T.copy())
-        assert np.array_equal(v, v_ref.T)
-        per, area = functionals.octagon_batch(u, v)
-        assert np.array_equal(area, area_ref)
-        # the clip form is off by about 2.2e-16 / sqrt(1 - u_j^2 - v_j^2),
-        # 1e-13 at this chunk's smallest value, 3e-6
-        np.testing.assert_allclose(per, per_ref, rtol=0.0, atol=1e-12)
+        x = geometry.sample_unit_vectors(3, m, rng)
+        y = geometry.sample_unit_vectors(3, m, rng)
+        per, area = functionals.octagon_xy(x, y)
+        per_ref, area_ref = octagon_chunk_reference(x.T, y.T)
+        np.testing.assert_allclose(per, per_ref, rtol=0.0, atol=4e-15)
+        np.testing.assert_allclose(area, area_ref, rtol=0.0, atol=1e-15)
         mc = moments.mc_octagon(m, seed=9)
-        assert mc.extremes_observed["area"] == (area_ref.min(), area_ref.max())
+        assert mc.extremes_observed["area"] == (area.min(), area.max())
         assert mc.extremes_observed["perimeter"] == (per.min(), per.max())
+        assert mc.estimates["perimeter"][0] == float(per.sum()) / m
 
     def test_perimeter2_second_route(self):
+        # With t_j = 1 - u_j^2 - v_j^2, per = 2 sum_j sqrt(t_j), the t_j
+        # sum to 2 and are exchangeable, so
         # E(per^2) = 8 + 48 E sqrt(t_1 t_2), and E sqrt(t_1 t_2) is
         # (1/4 pi) int int_[-1,1]^2 (1 - cd) E(k) dc dd with
         # k^2 = (1 - c^2)(1 - d^2)/(1 - cd)^2.  The integrand is symmetric
@@ -448,12 +443,13 @@ def shadow_chunk_reference(n, seed, index, m):
 
 
 def octagon_worker_reference(seed, index, m):
-    """One chunk of mc_octagon as it was: the row-major kernels, with fresh
-    arrays throughout."""
+    """One chunk of mc_octagon: the row-major kernels, with fresh arrays
+    throughout, and every x of the stream, its redraws included, before any
+    y."""
     rng = geometry.stream(seed, index)
-    u = mc_reference.sample_unit_vectors(4, m, rng)
-    v = mc_reference.complete_pairs(u, rng.standard_normal((m, 4)))
-    per, area = mc_reference.octagon_batch(u, v)
+    x = mc_reference.sample_unit_vectors(3, m, rng)
+    y = mc_reference.sample_unit_vectors(3, m, rng)
+    per, area = mc_reference.octagon_xy(x, y)
     values = {"perimeter": per, "perimeter2": per**2, "area": area}
     return chunk_stats_reference(values, ("perimeter", "area"))
 
@@ -590,14 +586,18 @@ class TestBlockedChunks:
         assert got == pipeline_reference.__wrapped__(n, 130, 5)
         assert [s.read for s in made] == [132 * n, 132 * n]
 
-    def test_octagon_redraw_of_u_is_deferred(self, monkeypatch):
-        # u of pair 50 is zero, and so is its first redraw; every g is
-        # drawn after u's redraws
+    def test_octagon_redraws_of_x_and_y_are_deferred(self, monkeypatch):
+        # x of plane 50 is zero: it is redrawn from direction 130 of the
+        # stream, after all 130 x.  The y start at direction 131; y of
+        # plane 100 (direction 231) is zero, and so is its first redraw
+        # (direction 261, after all 130 y): it is drawn twice more, and the
+        # kernel runs again on each redraw, as the reference's == shows.
         monkeypatch.setattr(moments, "MC_BLOCK", 48)
-        made = zeroed_streams(monkeypatch, 4, (50, 130))
+        made = zeroed_streams(monkeypatch, 3, (50, 231, 261))
         got = moments.mc_octagon(130, seed=5)
-        assert [s.read for s in made] == [4 * (132 + 130)]
+        assert [s.read for s in made] == [3 * (131 + 132)]
         assert got == pipeline_reference.__wrapped__(None, 130, 5)
+        assert [s.read for s in made] == [3 * (131 + 132)] * 2
 
     @pytest.mark.parametrize("samples", [1000, 10**6])
     @pytest.mark.parametrize("n", [4, 12, 342])
@@ -611,13 +611,13 @@ class TestBlockedChunks:
         assert got == 8 * (5 * size + (2 * n + 2) * block)
 
     def test_mc_octagon_workspace_size(self, monkeypatch):
-        # u, then the statistics' scratch, and perimeter and area: six
-        # chunk rows; g, the scratch of the draw, the completion and the
-        # minors, and one row: eleven block rows
+        # x, then the statistics' scratch, and perimeter and area: five
+        # chunk rows; a block of y, and the draw's scratch, then the
+        # kernel's: seven block rows
         got = workspace_bytes(monkeypatch,
                               lambda: moments.mc_octagon(10**6, 1))
-        assert got == 8 * (6 * moments.CHUNK + 11 * moments.MC_BLOCK)
-        assert got < 5 * 2**20
+        assert got == 8 * (5 * moments.CHUNK + 7 * moments.MC_BLOCK)
+        assert got <= 3.7 * 2**20
 
 
 # E[sqrt(u1^2 + u2^2) sqrt(u3^2 + u4^2)] = pi/(2n): the marginal of
@@ -707,14 +707,14 @@ class TestHullCrossCheck:
                                   f"direction u = {u.tolist()}")
 
     def test_octagon_failure_names_its_pair(self, monkeypatch):
-        bases = hull.shadow_plane_bases
+        project = geometry.project_vertices
 
-        def collapse_fifth(u, v):
-            e, f = bases(u, v)
-            f[4] = e[4]  # the fifth plane's vertices fall on a line
-            return e, f
+        def collapse_fifth(rows):
+            clouds = project(rows)
+            clouds[4, :, 1] = clouds[4, :, 0]  # the fifth falls on a line
+            return clouds
 
-        monkeypatch.setattr(hull, "shadow_plane_bases", collapse_fifth)
+        monkeypatch.setattr(geometry, "project_vertices", collapse_fifth)
         monkeypatch.setattr(moments, "HULL_SAMPLES", 6)
         with pytest.raises(hull.FlatInputError) as exc:
             moments.octagon_report(1, seed=3)
@@ -726,19 +726,19 @@ class TestHullCrossCheck:
 
     def test_octagon_failure_in_a_later_block_names_its_pair(self,
                                                              monkeypatch):
-        bases = hull.shadow_plane_bases
+        project = geometry.project_vertices
         calls = []
 
-        def collapse_second_of_third_block(u, v):
-            e, f = bases(u, v)
+        def collapse_second_of_third_block(rows):
+            clouds = project(rows)
             calls.append(1)
             if len(calls) == 3:
-                f[1] = e[1]
-            return e, f
+                clouds[1, :, 1] = clouds[1, :, 0]
+            return clouds
 
         monkeypatch.setattr(moments, "HULL_BLOCK", 4)
         monkeypatch.setattr(moments, "HULL_SAMPLES", 10)
-        monkeypatch.setattr(hull, "shadow_plane_bases",
+        monkeypatch.setattr(geometry, "project_vertices",
                             collapse_second_of_third_block)
         with pytest.raises(hull.FlatInputError) as exc:
             moments.octagon_report(1, seed=3)

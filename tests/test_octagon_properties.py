@@ -1,11 +1,14 @@
 """Property tests of the octagon kernel on degenerate and near-degenerate
 orthonormal pairs of the 4-cube's rank-2 shadow.
 
-Each drawn pair (u, v) is checked against the 2D hull of the projected
-vertices: `octagon_batch`'s perimeter and area must match the hull's, and
+Each drawn pair (u, v) is checked three ways.  `octagon_batch`, the kernel
+`octagon_xy` at the (x, y) of the minors, must be within MINORS_ULPS units
+in the last place of the minors kernel it replaced, kept in `mc_reference`.
+It must match the 2D hull of the projected vertices within HULL_TOL, and
 both must lie in their ranges, [4, 4 sqrt(2)] and [1, 1 + sqrt(2)].  The
-hull's measures and plane basis must be those of the per-pair reference
-code, bit for bit, both alone and second in a batch.
+hull's measures must be those of the per-pair reference code, bit for bit,
+both alone and second in a batch, and the plane it projects on must be the
+plane of the Gram-Schmidt basis it replaced.
 
 v is a combination of the orthonormal basis of u's complement
 (-y, x, -w, z), (-z, w, x, -y), (-w, -z, y, x), so zeros and repeated
@@ -20,10 +23,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hull_reference
+import mc_reference
 from cubeshadow import functionals, hull
 
 HULL_TOL = 1e-12
 RANGE_TOL = 1e-12
+# Both kernels round each minor once.  x_i = p_a + p_b and y_i = p_a - p_b
+# round once more, so a component of x - s y is off by a few 1e-16, and a
+# perimeter term |x - s y| by about 4e-16 absolute, where the minors kernel
+# had sqrt of a sum of squares of the minors; the area's max(|x_i|, |y_i|)
+# is |p_a| + |p_b| rounded once, as the old sum rounds it.  Seen: at most 2
+# on the pairs drawn here, and 3 on 2 10^5 uniform pairs.
+MINORS_ULPS = 8
 
 magnitudes = st.floats(min_value=-16.0, max_value=0.0).map(lambda t: 10.0 ** t)
 
@@ -64,16 +75,20 @@ NEIGHBOUR = pair(np.array([0.1, -0.4, 0.7, 0.2]), np.array([0.3, 0.5, -0.6]))
 
 def check_pair(u, v):
     per, area = functionals.octagon_batch(u[:, None], v[:, None])
+    old_per, old_area = mc_reference.octagon_batch(u[None], v[None])
+    assert abs(per[0] - old_per[0]) <= MINORS_ULPS * np.spacing(old_per[0])
+    assert abs(area[0] - old_area[0]) <= MINORS_ULPS * np.spacing(old_area[0])
     hull_area, hull_per = hull.octagon_hull_measures(u, v)
     # the same bytes as the per-pair code, alone and behind a neighbour
     want = hull_reference.octagon_hull_measures(u, v)
     assert (hull_area, hull_per) == want
-    e, f = hull.shadow_plane_basis(u, v)
-    want_e, want_f = hull_reference.shadow_plane_basis(u, v)
-    assert np.array_equal(e, want_e) and np.array_equal(f, want_f)
     batch = hull.octagon_hull_batch(np.stack([NEIGHBOUR[0], u]),
                                     np.stack([NEIGHBOUR[1], v]))
     assert (batch[0][1], batch[1][1]) == want
+    # the composed frames span the plane of the Gram-Schmidt basis
+    q = hull_reference.plane_rows(u, v) @ np.column_stack(
+        hull_reference.shadow_plane_basis(u, v))
+    assert np.abs(q @ q.T - np.eye(2)).max() < 1e-12
     assert abs(per[0] - hull_per) < HULL_TOL
     assert abs(area[0] - hull_area) < HULL_TOL
     assert 4.0 - RANGE_TOL <= per[0] <= 4.0 * math.sqrt(2.0) + RANGE_TOL
