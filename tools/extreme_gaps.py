@@ -1,6 +1,6 @@
 """Calibrate the bounds on how near a Monte Carlo run comes to each extreme.
 
-    python3 tools/extreme_gaps.py [--seeds FIRST-LAST] [--samples N] [--p P]
+    python3 tools/extreme_gaps.py
 
 Run from the root of a checkout, with src on PYTHONPATH.  The quantities
 are the bounded ones of `verify --n 4` (vl, ar, mw) and of
@@ -12,9 +12,10 @@ when no sample comes within g, so
     P(G > g) = (1 - F(g))^N <= exp(-N F(g)),
 
 where F is the law of D for one sample: the gap law of a run is fixed by
-the lower tail of F.  F is estimated from the samples of the runs at the
-given seeds (default 1001-1200, 2 10^8 samples in all at N = 10^6), drawn
-from the streams `mc_estimate(4, N, seed)` and `mc_octagon(N, seed)` read.
+the lower tail of F.  F is estimated from the samples of the runs at
+SEEDS (1001-1200, fixed before the first run; 2 10^8 samples in all at
+N = SAMPLES = 10^6, the sample count of the fixtures), drawn from the
+streams `mc_estimate(4, N, seed)` and `mc_octagon(N, seed)` read.
 The bound at false-failure probability P is the k-th smallest D of the
 pool, with k the least count such that k - 5 sqrt(k), a lower confidence
 bound (about 3e-7 one-sided) on the pooled count below the bound, is at
@@ -29,13 +30,18 @@ observed gap.  The output is one JSON object.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 
 import numpy as np
 
 from cubeshadow import functionals, geometry, moments
+
+# The runs, sample count and false-failure probability behind the bounds of
+# acceptance criterion 12 (`tests/test_acceptance.py`).
+SEEDS = range(1001, 1201)
+SAMPLES = 1_000_000
+P = 1e-6
 
 
 def ends() -> dict:
@@ -106,16 +112,8 @@ def calibrate(seeds, samples: int, p: float) -> dict:
             "samples": samples, "p": p, "pool": k, "ends": out}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default="1001-1200",
-                        help="FIRST-LAST, inclusive")
-    parser.add_argument("--samples", type=int, default=1_000_000)
-    parser.add_argument("--p", type=float, default=1e-6)
-    args = parser.parse_args(argv)
-    first, last = (int(s) for s in args.seeds.split("-"))
-    result = calibrate(list(range(first, last + 1)), args.samples, args.p)
-    print(json.dumps(result, indent=2, sort_keys=True))
+def main() -> int:
+    print(json.dumps(calibrate(SEEDS, SAMPLES, P), indent=2, sort_keys=True))
     return 0
 
 
