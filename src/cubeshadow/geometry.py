@@ -212,6 +212,12 @@ def spherical_to_cartesian4(theta: float, phi: float, psi: float) -> np.ndarray:
     ])
 
 
+def density4(phi: float, psi: float) -> float:
+    """The n = 4 case of `spherical_density`, without its argument tuple;
+    the moment integrands of `quad` call it at every point."""
+    return math.sin(phi) * math.sin(psi) ** 2 / (2.0 * math.pi**2)
+
+
 def spherical_density(n: int, angles) -> float:
     """Joint density of the spherical angles of a uniform direction.
 
@@ -224,7 +230,7 @@ def spherical_density(n: int, angles) -> float:
         return math.sin(phi) / (4.0 * math.pi)
     if n == 4:
         (_, phi, psi) = angles
-        return math.sin(phi) * math.sin(psi) ** 2 / (2.0 * math.pi**2)
+        return density4(phi, psi)
     if n == 5:
         (_, p1, p2, p3) = angles
         return (3.0 / (8.0 * math.pi**2)

@@ -6,7 +6,9 @@ The curried integrands must give the same bytes: quad.X(psi)(phi) equals,
 under ==, X(phi, psi) below.  The functions are copied unchanged from the
 last revision before the currying, except that they call the live
 `quad._theta_sqrt_integral` and `quad._cone`, so that only the hoisting is
-compared.
+compared.  `_ar2_theta` is the reference of the two-argument
+`quad._ar2_theta`, which `quad._corner_polar` integrates, and `polar` and
+`edge` that of its polar coordinates.
 """
 
 import math
@@ -20,13 +22,6 @@ def _dens4(phi: float, psi: float) -> float:
     return math.sin(phi) * math.sin(psi) ** 2 / (2.0 * PI**2)
 
 
-def _area_theta(ph: float, ps: float) -> float:
-    """theta-integral of sqrt(s^2(th)s^2(ph)s^2(ps) + c^2(ph)s^2(ps))."""
-    c, s = math.cos, math.sin
-    return _theta_sqrt_integral(s(ph) ** 2 * s(ps) ** 2,
-                                c(ph) ** 2 * s(ps) ** 2)
-
-
 def _ar2_smooth(ph: float, ps: float) -> float:
     c, s = math.cos, math.sin
     return (HALF_PI * 384.0 * (c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
@@ -37,15 +32,6 @@ def _ar2_theta(ph: float, ps: float) -> float:
     c, s = math.cos, math.sin
     return (1536.0 * s(ph) * s(ps)
             * _theta_sqrt_integral(s(ph) ** 2 * s(ps) ** 2, c(ps) ** 2)
-            * _dens4(ph, ps))
-
-
-def _vl_ar_theta(ph: float, ps: float) -> float:
-    return 384.0 * math.cos(ps) * _area_theta(ph, ps) * _dens4(ph, ps)
-
-
-def _ar_mw_theta(ph: float, ps: float) -> float:
-    return (192.0 * math.sqrt(1.0 - math.cos(ps) ** 2) * _area_theta(ph, ps)
             * _dens4(ph, ps))
 
 
@@ -88,10 +74,15 @@ def _ij(p2, p3):
     return (i_part + j_part) * 3.0 / (8.0 * PI**2) * s(p2) ** 2 * s(p3) ** 3
 
 
-def polar(f):
-    """`_corner_polar`'s integrand of (r, alpha), r innermost."""
+def polar(f, corner):
+    """`_corner_polar`'s integrand of (r, alpha) about corner, r innermost:
+    each coordinate moves from its side of the box to the other."""
+    def inward(c, step):
+        return c - step if c else step
+
     def integrand(r, al):
-        return r * f(HALF_PI - r * math.cos(al), HALF_PI - r * math.sin(al))
+        return r * f(inward(corner[0], r * math.cos(al)),
+                     inward(corner[1], r * math.sin(al)))
     return integrand
 
 

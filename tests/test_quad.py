@@ -6,7 +6,7 @@ from scipy import integrate
 from scipy.integrate import IntegrationWarning
 
 import quad_reference as ref
-from cubeshadow import moments, quad, specfun
+from cubeshadow import geometry, moments, quad, specfun
 
 
 class TestIntegrator:
@@ -85,14 +85,22 @@ def _box_points(count=1000, seed=15):
     return points + [(a, b) for a in edges for b in edges]
 
 
+def test_dens4_is_the_spherical_density():
+    # the moment integrands' density of (phi, psi) is the n = 4 case of
+    # `spherical_density`, bit for bit, over the whole range of the angles
+    rng = np.random.default_rng(4)
+    for ph, ps in rng.uniform(0.0, math.pi, (100_000, 2)).tolist():
+        assert _same_bytes(quad._dens4(ph, ps),
+                           geometry.spherical_density(4, (0.0, ph, ps)))
+
+
 class TestCurriedIntegrands:
     """The curried integrands keep the bytes of the two-argument ones they
     replaced (`tests/quad_reference.py`), and `_nested` makes the calls and
     reports the numbers of `integrate.nquad`."""
 
     @pytest.mark.parametrize("name", [
-        "_vl", "_vl2", "_mw", "_mw2", "_vl_mw", "_ar2_smooth", "_ar2_theta",
-        "_vl_ar_theta", "_ar_mw_theta", "_ij"])
+        "_vl", "_vl2", "_mw", "_mw2", "_vl_mw", "_ar2_smooth", "_ij"])
     def test_box_integrand_bytes(self, name):
         curried, reference = getattr(quad, name), getattr(ref, name)
         for x, y in _box_points():
@@ -102,11 +110,27 @@ class TestCurriedIntegrands:
         for x, _ in _box_points():
             assert _same_bytes(quad._mw2_3cube(x), ref._mw2_3cube(x)), x
 
+    @staticmethod
+    def _polar_points():
+        """`_box_points` mapped to (alpha, r), t in [0, pi/2] to r from 0
+        to the far edge."""
+        return [(al, t / (math.pi / 2) * ref.edge(al)[1])
+                for al, t in _box_points()]
+
     def test_polar_integrand_bytes(self):
-        f = quad._ar2_cone
-        for al, t in _box_points():
-            r = t / (math.pi / 2) * ref.edge(al)[1]
-            assert _same_bytes(quad._polar(f)(al)(r), ref.polar(f)(r, al))
+        f, corner = quad._ar2_cone, quad._CONE_CORNER
+        for al, r in self._polar_points():
+            assert _same_bytes(quad._polar(f, corner)(al)(r),
+                               ref.polar(f, corner)(r, al))
+
+    def test_polar_theta_integrand_bytes(self):
+        # e_ar2's theta-term about its own corner, against the two-argument
+        # reference integrand
+        corner = quad._AR2_THETA_CORNER
+        assert corner == (0.0, math.pi / 2)
+        for al, r in self._polar_points():
+            assert _same_bytes(quad._polar(quad._ar2_theta, corner)(al)(r),
+                               ref.polar(ref._ar2_theta, corner)(r, al))
 
     @staticmethod
     def _nquad(f, ranges):
@@ -128,33 +152,50 @@ class TestCurriedIntegrands:
         assert self._reported(new) == self._nquad(f, ranges)
 
     def test_nested_matches_nquad_corner_cone(self):
-        ranges = [ref.edge, (0.0, math.pi / 4)]
-        new = quad._nested(quad._polar(quad._cone), ranges, quad._BOX_TOLS)
+        ranges, corner = [ref.edge, (0.0, math.pi / 4)], quad._CONE_CORNER
+        new = quad._nested(quad._polar(quad._cone, corner), ranges,
+                           quad._BOX_TOLS)
         assert new.evaluations > 0
-        assert self._reported(new) == self._nquad(ref.polar(quad._cone),
-                                                  ranges)
+        assert self._reported(new) == self._nquad(
+            ref.polar(quad._cone, corner), ranges)
+
+    def test_nested_matches_nquad_theta_corner(self):
+        # the piece of alpha that holds the logarithmic edge at alpha = 0
+        ranges, corner = [ref.edge, (0.0, math.pi / 4)], (0.0, math.pi / 2)
+        new = quad._nested(quad._polar(quad._ar2_theta, corner), ranges,
+                           quad._BOX_TOLS)
+        assert new.evaluations > 0
+        assert self._reported(new) == self._nquad(
+            ref.polar(quad._ar2_theta, corner), ranges)
 
 
 class TestCornerPolar:
+    CORNERS = (quad._CONE_CORNER, quad._AR2_THETA_CORNER)
+
     def test_constant(self):
-        r = quad._corner_polar(lambda ph, ps: 1.0)
-        assert r.value == pytest.approx((math.pi / 2) ** 2, abs=1e-13)
-        assert r.evaluations > 0
+        for corner in self.CORNERS:
+            r = quad._corner_polar(lambda ph, ps: 1.0, corner)
+            assert r.value == pytest.approx((math.pi / 2) ** 2, abs=1e-13)
+            assert r.evaluations > 0
 
     def test_cone_about_the_corner(self):
         # The distance to the corner over the square of side a = pi/2:
         # a^3/3 (sqrt 2 + asinh 1).
-        r = quad._corner_polar(lambda ph, ps: math.hypot(math.pi / 2 - ph,
-                                                         math.pi / 2 - ps))
-        assert r.value == pytest.approx(
-            (math.pi / 2) ** 3 / 3 * (math.sqrt(2) + math.asinh(1)), abs=1e-12)
+        for ph0, ps0 in self.CORNERS:
+            r = quad._corner_polar(
+                lambda ph, ps: math.hypot(ph0 - ph, ps0 - ps), (ph0, ps0))
+            assert r.value == pytest.approx(
+                (math.pi / 2) ** 3 / 3 * (math.sqrt(2) + math.asinh(1)),
+                abs=1e-12)
 
     def test_smooth_integrand_matches_cartesian(self):
         def f(ph, ps):
             return math.exp(math.sin(ph) * math.cos(2 * ps)) * (1 + ph * ps)
 
-        assert quad._corner_polar(f).value == pytest.approx(
-            quad._double(lambda ps: lambda ph: f(ph, ps)).value, abs=1e-12)
+        cartesian = quad._double(lambda ps: lambda ph: f(ph, ps)).value
+        for corner in self.CORNERS:
+            assert quad._corner_polar(f, corner).value == pytest.approx(
+                cartesian, abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_unconverged_raises_budget_error(self):
@@ -164,7 +205,7 @@ class TestCornerPolar:
             return math.sin(1e4 * math.atan2(math.pi / 2 - ps, math.pi / 2 - ph))
 
         with pytest.raises(specfun.ConvergenceError) as info:
-            quad._corner_polar(f)
+            quad._corner_polar(f, quad._CONE_CORNER)
         assert info.value.best.evaluations > 0
 
 
@@ -198,19 +239,20 @@ def _ar_mw_original(th, ph, ps):
             * _area_terms_original(th, ph, ps) * quad._dens4(ph, ps))
 
 
-# Their theta-integrals, as the sums of the terms the suite integrates.
+# Their theta-integrals, as the sums of the terms the suite integrates; the
+# theta-terms of e_vl_ar and e_ar_mw as the products of their factors.
 
 def _ar2_reduced(ph, ps):
     return (quad._ar2_smooth(ps)(ph) + quad._ar2_cone(ph, ps)
-            + quad._ar2_theta(ps)(ph))
+            + quad._ar2_theta(ph, ps))
 
 
 def _vl_ar_reduced(ph, ps):
-    return quad._vl_ar_cone(ph, ps) + quad._vl_ar_theta(ps)(ph)
+    return quad._vl_ar_cone(ph, ps) + quad._vl_ar_psi(ps) * quad._area_phi(ph)
 
 
 def _ar_mw_reduced(ph, ps):
-    return quad._ar_mw_cone(ph, ps) + quad._ar_mw_theta(ps)(ph)
+    return quad._ar_mw_cone(ph, ps) + quad._ar_mw_psi(ps) * quad._area_phi(ph)
 
 
 class TestThetaReduction:
@@ -309,10 +351,12 @@ class TestMomentIntegralSuite:
                 10 * result.error_estimate, 1e-9), name
 
     def test_evaluation_count(self, moment_suite):
-        # QUADPACK's adaptive path is deterministic: 38,787 evaluations with
-        # the cone terms in corner-polar coordinates, 159,285 with them
-        # Cartesian.
-        assert sum(r.evaluations for r in moment_suite.values()) < 45_000
+        # QUADPACK's adaptive path is deterministic: 16,506 evaluations with
+        # e_ar2's theta-term in polar coordinates about (0, pi/2) and the
+        # theta-terms of e_vl_ar and e_ar_mw factored (38,787 with those
+        # three Cartesian, 159,285 with the cone terms Cartesian too).  A
+        # bound, not an equality, since older scipy ships another QUADPACK.
+        assert sum(r.evaluations for r in moment_suite.values()) < 20_000
 
     def test_key_values(self, moment_suite):
         assert moment_suite["e_vl"].value == pytest.approx(
