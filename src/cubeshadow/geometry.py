@@ -34,13 +34,17 @@ class OrthogonalityError(ValueError):
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Counter-based random stream keyed by (seed, index).
+    """The random stream keyed by (seed, index): an SFC64 generator seeded
+    from the SeedSequence of `seed` spawned with key (index,), both taken
+    mod 2**64.
 
-    Streams for distinct indices are statistically independent, so results
-    are reproducible regardless of worker count or scheduling.
+    That is numpy's way of making parallel streams: streams of distinct
+    keys are independent with overwhelming probability, and a stream
+    depends on its key alone, so results are reproducible regardless of
+    worker count or scheduling.
     """
-    key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence(seed % 2**64, spawn_key=(index % 2**64,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def sample_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,8 +10,8 @@ these, and the quadrature of `quad` holds none.
 Every analytic moment is paired with a simulation estimate; both verify
 reports go through one accept rule, `_report`: |z| < 4 on every row, and
 every observed extreme inside its analytic range.  Monte Carlo is chunked
-with one counter-based stream per chunk, so results are bit-identical for
-a fixed (seed, samples) regardless of thread count.
+with one stream per chunk, `geometry.stream(seed, chunk index)`, so results
+are bit-identical for a fixed (seed, samples) regardless of thread count.
 
 The per-sample functionals come from the batch kernels of `functionals`:
 `shadow_batch` for vl, ar, mw and `octagon_xy` for the octagon.  Both
@@ -74,7 +74,7 @@ from .specfun import catalan_const, gamma_fn, hyp3f2_unit
 
 PI = math.pi
 CHUNK = 1 << 16
-SPEC_VERSION = "1.2"
+SPEC_VERSION = "1.3"
 
 # The constant zeta in E(ar^2) is the same for every n >= 3 (proved).
 # Expanding E(ar^2) at dimension n gives
