@@ -22,8 +22,6 @@ import sys
 
 from . import geometry, hull, moments, quad
 
-SPEC_VERSION = moments.SPEC_VERSION
-
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
@@ -62,7 +60,8 @@ _VALUE_LINE = "  {name:12s} {value!r}"
 
 def cmd_moments(args) -> int:
     table = moments.closed_form_table(args.n)
-    payload = {"spec_version": SPEC_VERSION, "moments": table.as_dict()}
+    payload = {"spec_version": moments.SPEC_VERSION,
+               "moments": table.as_dict()}
     rows = _value_rows(payload["moments"])
     text = [f"closed-form moments, n={args.n}",
             *map(_VALUE_LINE.format_map, rows),
@@ -139,7 +138,7 @@ def cmd_constants(args) -> int:
             f" disc={r['discrepancy']:.3g} {'PASS' if r['pass'] else 'FAIL'}"
             for r in rows]
     text.append("PASS" if ok else "FAIL")
-    _write(args, {"spec_version": SPEC_VERSION, "tolerance": args.tol,
+    _write(args, {"spec_version": moments.SPEC_VERSION, "tolerance": args.tol,
                   "rows": rows, "pass": ok}, rows, text)
     return 0 if ok else 1
 

@@ -74,7 +74,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DimensionError, checked_pair, coordinate_sum
-from .specfun import gamma_fn
 
 PLANE_TOL = 1e-10
 
@@ -148,8 +147,8 @@ def segment_mw_coeff(d: int) -> float:
     """
     if d < 2:
         raise DimensionError(f"need d >= 2, got {d}")
-    kappa_dm1 = math.pi ** ((d - 1) / 2.0) / gamma_fn((d - 1) / 2.0 + 1.0)
-    kappa_d = math.pi ** (d / 2.0) / gamma_fn(d / 2.0 + 1.0)
+    kappa_dm1 = math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0 + 1.0)
+    kappa_d = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
     return 2.0 * kappa_dm1 / (d * kappa_d)
 
 

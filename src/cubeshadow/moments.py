@@ -70,7 +70,7 @@ import numpy as np
 
 from . import functionals, geometry, hull
 from .geometry import DimensionError
-from .specfun import catalan_const, gamma_fn, hyp3f2_unit
+from .specfun import catalan_const, hyp3f2_unit
 
 PI = math.pi
 CHUNK = 1 << 16
@@ -89,7 +89,7 @@ SPEC_VERSION = "1.3"
 # with the singular value K(1/sqrt 2) = Gamma(1/4)^2/(4 sqrt pi) (Borwein
 # and Borwein, Pi and the AGM, 1987).  Written as X/4 + 48/X it rounds
 # correctly; the form above is 1 ulp high.
-_X = (gamma_fn(0.25) ** 2 / PI) ** 2
+_X = (math.gamma(0.25) ** 2 / PI) ** 2
 ZETA = _X / 4.0 + 48.0 / _X
 
 
@@ -121,7 +121,7 @@ def _check_n(n: int) -> None:
 
 
 def _gamma_ratio(n: int) -> float:
-    return gamma_fn(n / 2.0) / gamma_fn((n + 1) / 2.0)
+    return math.gamma(n / 2.0) / math.gamma((n + 1) / 2.0)
 
 
 def extremes_table(n: int) -> dict:
@@ -148,7 +148,7 @@ def _e_mw2(n: int) -> float:
     f1 = ZETA / (3.0 * PI)  # 3F2(-1/2, 1/2, 3/2; 1, 2; 1)
     f2 = hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 3.0)
     return (4.0 / (81.0 * PI**4)
-            * (144.0 * PI**2 - 10.0 * gamma_fn(0.25) ** 4
+            * (144.0 * PI**2 - 10.0 * math.gamma(0.25) ** 4
                + 45.0 * PI**3 * (8.0 * f1 - f2)))
 
 

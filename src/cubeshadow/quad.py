@@ -149,11 +149,6 @@ def _total(*pieces: QuadResult) -> QuadResult:
 # ---------------------------------------------------------------------------
 # elliptic-integral constants
 
-def _ek(t: float) -> tuple[float, float]:
-    pair = elliptic_imag(t)
-    return pair.e_value, pair.k_value
-
-
 @dataclass(frozen=True)
 class PiIdentitySuite:
     """The three scaled integrals whose combination telescopes to pi/128.
@@ -177,16 +172,17 @@ def pi_over_128_suite() -> PiIdentitySuite:
     def scaled(f) -> QuadResult:
         return _scaled(integrate_1d(f, 0.0, math.inf, tol=1e-12), scale)
 
-    first = scaled(lambda t: _ek(t)[0] * t / (1.0 + t * t) ** 2)
-    second = scaled(lambda t: _ek(t)[0] * t / (1.0 + t * t) ** 3)
-    third = scaled(lambda t: _ek(t)[1] * t / (1.0 + t * t) ** 2)
+    first = scaled(lambda t: elliptic_imag(t)[1] * t / (1.0 + t * t) ** 2)
+    second = scaled(lambda t: elliptic_imag(t)[1] * t / (1.0 + t * t) ** 3)
+    third = scaled(lambda t: elliptic_imag(t)[0] * t / (1.0 + t * t) ** 2)
     return PiIdentitySuite(first=first, second=second, third=third)
 
 
 def zeta3_quadrature() -> float:
     """zeta_3 from the single-integral form 96/(4*pi) int t^2 E(it)/(1+t^2)^{5/2}."""
-    r = integrate_1d(lambda t: t * t * _ek(t)[0] / (1.0 + t * t) ** 2.5,
-                     0.0, math.inf, tol=1e-12)
+    r = integrate_1d(
+        lambda t: t * t * elliptic_imag(t)[1] / (1.0 + t * t) ** 2.5,
+        0.0, math.inf, tol=1e-12)
     return 96.0 * r.value / (4.0 * PI)
 
 
@@ -197,7 +193,7 @@ def zeta3_3f2() -> float:
 
 
 def _zeta4_integrand(t: float) -> float:
-    e, k = _ek(t)
+    k, e = elliptic_imag(t)
     t2 = t * t
     t4 = t2 * t2
     num = ((8.0 * t4 + 8.0 * t2 - 1.0) * e * e
@@ -221,7 +217,7 @@ def zeta4_quadrature_psi_form() -> float:
     def integrand(psi: float) -> float:
         sec = 1.0 / math.cos(psi)
         t = math.sqrt(0.5 * (sec - 1.0))
-        e, k = _ek(t)
+        k, e = elliptic_imag(t)
         tan2 = math.tan(psi) ** 2
         f = (-2.0 + 4.0 * tan2) * e * e
         g = 2.0 * (1.0 - 2.0 * tan2 + sec) * e * k
@@ -258,16 +254,16 @@ def zeta5_reduction_check() -> float:
         return (1.0 + 2.0 * t * t) ** 2 - 1.0
 
     def f_e2(t: float) -> float:
-        e, _ = _ek(t)
+        _, e = elliptic_imag(t)
         return (-2.0 + 4.0 * poly(t)) * e * e / (1.0 + 2.0 * t * t) ** 5 * t
 
     def f_ek(t: float) -> float:
-        e, k = _ek(t)
+        k, e = elliptic_imag(t)
         return ((1.0 - 2.0 * poly(t) + (1.0 + 2.0 * t * t)) * e * k
                 / (1.0 + 2.0 * t * t) ** 5 * t)
 
     def f_k2(t: float) -> float:
-        _, k = _ek(t)
+        k, _ = elliptic_imag(t)
         return ((-1.0 + poly(t) - (1.0 + 2.0 * t * t)) * k * k
                 / (1.0 + 2.0 * t * t) ** 5 * t)
 

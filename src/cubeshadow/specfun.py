@@ -1,8 +1,8 @@
 """Special functions used by the analytic shadow-moment results.
 
-Gamma, complete elliptic integrals of the first and second kind (real and
-purely imaginary modulus, from the compiled `scipy.special.ellipkm1` and
-`ellipe`: K and E within 5e-16 relative of mpmath for real modulus), the
+Complete elliptic integrals of the first and second kind of purely
+imaginary modulus (from the compiled `scipy.special.ellipkm1` and `ellipe`
+at a real modulus, where K and E are within 5e-16 relative of mpmath), the
 generalized hypergeometric 3F2 at unit argument (terminating sum, Gauss
 summation or the Euler integral over 2F1, in double precision), and
 Catalan's constant.  Modulus convention: K(k), E(k) take the modulus k,
@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 from scipy import integrate, special
 
@@ -35,19 +34,6 @@ class ConvergenceError(ValueError):
         self.best = best
 
 
-@dataclass(frozen=True)
-class EllipticPair:
-    k_value: float
-    e_value: float
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0 (poles and negative arguments unsupported)."""
-    if x <= 0:
-        raise DomainError(f"gamma_fn needs x > 0, got {x}")
-    return math.gamma(x)
-
-
 def _ke(k: float, kc: float) -> tuple[float, float]:
     """K(k) and E(k) given the modulus k and k' = sqrt(1-k^2).
 
@@ -65,31 +51,8 @@ def _ke(k: float, kc: float) -> tuple[float, float]:
     return big_k, float(special.ellipe(k * k))
 
 
-def elliptic_real(k: float) -> EllipticPair:
-    """Complete elliptic integrals K(k), E(k) for real modulus k in [0, 1).
-
-    E alone is additionally defined at k = 1 (E(1) = 1); K diverges there.
-    """
-    if not 0.0 <= k <= 1.0:
-        raise DomainError(f"modulus must lie in [0, 1], got {k}")
-    if k == 1.0:
-        raise DomainError("K(k) diverges at k = 1; use elliptic_e for E(1)")
-    kc = math.sqrt((1.0 - k) * (1.0 + k))
-    big_k, big_e = _ke(k, kc)
-    return EllipticPair(k_value=big_k, e_value=big_e)
-
-
-def elliptic_e(k: float) -> float:
-    """E(k) for real modulus k in [0, 1] (defined at the endpoint k = 1)."""
-    if not 0.0 <= k <= 1.0:
-        raise DomainError(f"modulus must lie in [0, 1], got {k}")
-    if k == 1.0:
-        return 1.0
-    return elliptic_real(k).e_value
-
-
-def elliptic_imag(t: float) -> EllipticPair:
-    """K(i*t) and E(i*t) for t >= 0, via the imaginary-modulus transformation.
+def elliptic_imag(t: float) -> tuple[float, float]:
+    """(K(i*t), E(i*t)) for t >= 0, via the imaginary-modulus transformation.
 
     K(it) = K(t/sqrt(1+t^2)) / sqrt(1+t^2),
     E(it) = sqrt(1+t^2) * E(t/sqrt(1+t^2)).
@@ -99,12 +62,12 @@ def elliptic_imag(t: float) -> EllipticPair:
         raise DomainError(f"need finite t >= 0, got {t}")
     if t == 0.0:
         half_pi = 0.5 * math.pi
-        return EllipticPair(k_value=half_pi, e_value=half_pi)
+        return half_pi, half_pi
     s = math.hypot(1.0, t)
     k = t / s
     kc = 1.0 / s  # complementary modulus, computed without cancellation
     big_k, big_e = _ke(k, kc)
-    return EllipticPair(k_value=big_k / s, e_value=s * big_e)
+    return big_k / s, s * big_e
 
 
 # Series terms summed exactly before the Euler integral takes the rest, so

@@ -1,27 +1,27 @@
 import pytest
 
-import cubeshadow as cs
+from cubeshadow import moments, quad
 from cubeshadow.moments import hull_cross_check
 
 
 @pytest.fixture(scope="session")
 def zeta4():
-    return cs.zeta4_quadrature()
+    return quad.zeta4_quadrature()
 
 
 @pytest.fixture(scope="session")
 def moment_suite():
-    return cs.moment_integral_suite()
+    return quad.moment_integral_suite()
 
 
 @pytest.fixture(scope="session")
 def mc_1e6():
-    return cs.mc_estimate(4, 1_000_000, seed=25)
+    return moments.mc_estimate(4, 1_000_000, seed=25)
 
 
 @pytest.fixture(scope="session")
 def octagon_1e6():
-    return cs.mc_octagon(1_000_000, seed=214)
+    return moments.mc_octagon(1_000_000, seed=214)
 
 
 @pytest.fixture(scope="session")

@@ -76,7 +76,7 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert payload["pass"] is True
-        assert payload["spec_version"] == cli.SPEC_VERSION
+        assert payload["spec_version"] == moments.SPEC_VERSION
 
     @pytest.mark.parametrize("argv,threads,chunk", [
         (("--samples", "200000"), ("1", "1", "4"), None),
@@ -266,6 +266,33 @@ def test_import_does_not_load_mpmath():
     assert proc.returncode == 0
 
 
+CLOSED_FORMS_ALONE = """
+import sys
+import cubeshadow
+assert not [m for m in sys.modules if m.startswith("cubeshadow.")]
+from cubeshadow import functionals, geometry
+functionals.shadow_batch(
+    geometry.sample_unit_vectors(4, 1000, geometry.stream(1)))
+rng = geometry.stream(2)
+functionals.octagon_xy(geometry.sample_unit_vectors(3, 1000, rng),
+                       geometry.sample_unit_vectors(3, 1000, rng))
+loaded = [m for m in sys.modules
+          if m == "cubeshadow.hull" or m.split(".")[0] == "scipy"]
+assert not loaded, loaded
+"""
+
+
+def test_closed_forms_do_not_load_scipy():
+    # The closed forms and the hull oracle are two independent routes to
+    # the same measures, and the closed forms need numpy alone.
+    src = str(Path(cubeshadow.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", CLOSED_FORMS_ALONE],
+                          timeout=60, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
@@ -378,7 +405,7 @@ def reference_joint_dict(j):
 def reference_moments(args, result):
     table, joint = result
     if args.format == "json":
-        payload = {"spec_version": cli.SPEC_VERSION,
+        payload = {"spec_version": moments.SPEC_VERSION,
                    "moments": reference_table_dict(table)}
         if args.n == 4:
             payload["joint"] = reference_joint_dict(joint)
@@ -467,7 +494,7 @@ def reference_constants(args, entries):
         rows.append({"name": name, "computed": computed, "target": target,
                      "discrepancy": disc, "pass": passed})
     if args.format == "json":
-        out = reference_json({"spec_version": cli.SPEC_VERSION,
+        out = reference_json({"spec_version": moments.SPEC_VERSION,
                               "tolerance": args.tol, "rows": rows,
                               "pass": ok})
     elif args.format == "csv":

@@ -1,6 +1,4 @@
-import ast
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,23 +249,3 @@ class TestOctagonArea:
         with pytest.raises(ValueError):
             functionals.octagon_area_branch(7, functionals.octagon_coefficients(
                 [0, 0, 0, 1], [0, 0, 1, 0]))
-
-
-def test_closed_forms_do_not_import_the_hull_oracle():
-    # The closed forms and the hull oracle are two independent routes to
-    # the same measures: `functionals` imports neither `hull` nor Qhull.
-    # Read from the source, since importing the package loads every module.
-    imported = set()
-    for node in ast.walk(ast.parse(Path(functionals.__file__).read_text())):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            imported.add(base)
-            imported.update(f"{base}.{alias.name}".lstrip(".")
-                            for alias in node.names)
-    names = {name.removeprefix("cubeshadow.") for name in imported}
-    assert "specfun" in names and "geometry" in names
-    assert not [name for name in names
-                if name.split(".")[0] == "hull"
-                or name.startswith("scipy.spatial")]

@@ -9,7 +9,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 import cubeshadow
 import hull_reference
@@ -388,8 +388,9 @@ class TestMcOctagon:
         # in (c, d) and k = 1 on the diagonal, so one triangle is
         # integrated, with the diagonal as its edge.
         def integrand(d, c):
-            k = math.sqrt((1.0 - c * c) * (1.0 - d * d)) / (1.0 - c * d)
-            return (1.0 - c * d) * specfun.elliptic_e(min(k, 1.0))
+            k = min(math.sqrt((1.0 - c * c) * (1.0 - d * d)) / (1.0 - c * d),
+                    1.0)
+            return (1.0 - c * d) * float(special.ellipe(k * k))
 
         half, _ = integrate.dblquad(integrand, -1.0, 1.0, -1.0, lambda c: c,
                                     epsabs=1e-10, epsrel=1e-10)
