@@ -20,36 +20,37 @@ their own seeded directions, through one rule, `_cross_check`: blocks of
 HULL_BLOCK hulls, a failing hull named with what replays it, the largest
 deviation and the fraction that pass.
 
+One driver, `_mc`, runs both Monte Carlo estimates.  A sample is a point
+of a product of spheres S^(d_1 - 1) x ... x S^(d_f - 1), given by its
+factors (d_1, ..., d_f): (n,) for `mc_estimate`'s direction and (3, 3) for
+`mc_octagon`'s point (x, y).  Every batch of directions is coordinate-major,
+(d, m), one direction per column, from the sampler to the statistics.  The
+one stream rule: a chunk draws every factor but the last for the whole
+chunk, redraws included, then the last factor in blocks of at most
+MC_BLOCK directions, as `geometry.draw_blocks`, the one sampler, yields
+them, and runs the kernel on each block while its rows stay in cache.  The
+sampler reads the stream as one batch of the chunk reads it, and yields a
+direction whose norm was at most 1e-100 once more, as a block of one at its
+index, after the chunk's last draw; the kernel then runs again on that
+redraw.  So the octagon reads 6 normals per sample, every x of a chunk
+before any y.
+
 Each worker thread has one workspace, made on its first chunk and reused
 for every later one, so the steady state allocates nothing.  The kernels
 of `geometry` and `functionals` write into it through their `out`
-arguments.  Every batch of directions is coordinate-major, (n, m), one
-direction per column, from the sampler to the statistics.  A chunk runs in
-blocks of at most MC_BLOCK directions, as `geometry.draw_blocks`, the one
-sampler, yields them: each block is drawn, normalized and sent through the
-kernels while its rows stay in cache, and writes its columns of the
-chunk's rows of results, the only rows that are CHUNK long.  The sampler
-reads the stream as one batch of the chunk reads it, and yields a
-direction whose norm was at most 1e-100 once more, as a block of one at
-its index, after the chunk's last draw; `mc_estimate` then computes its
-results again.  `mc_octagon` reads the chunk's x in one such pass and its y
-in a second, running the kernel on each block of y and again on each
-redrawn y: 6 normals per sample.
-
-Buffers whose lifetimes do not overlap share memory, and a redraw uses the
-buffers of a block of one.  For `mc_estimate` the workspace is two
-(n, MC_BLOCK) arrays, two MC_BLOCK rows and five CHUNK rows.  The first
-array takes the block's (k, n) draw, then, once the draw is transposed
-into the second, the squares of the norms, then |x| and s = x**2; the
-second holds x, then, once x is squared, the suffix sums.  The first block
-row takes the norms, then both are the kernel's scratch rows.  Three chunk
-rows receive vl, ar and mw, block by block; the nine quantities pass one
-at a time through the other two, the statistics' scratch.  That is
-8 (5 CHUNK + (2n + 2) MC_BLOCK) bytes per thread: 3.1, 3.4, 4.1 and 45.4
-MiB at n = 4, 6, 12 and 342.  For `mc_octagon` it is 3 + 2 CHUNK rows and
-3 + 4 MC_BLOCK rows, 2.9 MiB: x, drawn for the whole chunk before any y,
-then the scratch of the statistics; perimeter and area; a block of y; and
-the (k, 3) draw and the norms, then the kernel's two scratch rows.
+arguments, and buffers whose lifetimes do not overlap share memory.  It is
+two flat arrays, for a kernel of q quantities that needs s rows of scratch
+(n + 2 for `shadow_batch`, 2 for `octagon_xy`):
+- max(d_1 + ... + d_(f-1), 2) + q chunk rows: the leading factors, whose
+  memory then becomes the two scratch rows of the statistics, and the q
+  rows of results, written block by block;
+- d_f + max(max_j d_j + 1, s) block rows: a block of the last factor, and
+  the scratch of each draw, the (k, d) Gaussian draw and the norms, then
+  the kernel's s rows.  `shadow_batch` takes the squares in the first n of
+  them and writes the suffix sums over the block of directions.
+That is 8 (5 CHUNK + (2n + 2) MC_BLOCK) bytes per thread for
+`mc_estimate`, 3.1, 3.4, 4.1 and 45.4 MiB at n = 4, 6, 12 and 342, and
+8 (5 CHUNK + 7 MC_BLOCK) bytes, 2.9 MiB, for `mc_octagon`.
 
 Each chunk returns its count, per quantity its sum and its
 M2 = sum (v - chunk mean)^2, and the extremes of the bounded quantities
@@ -249,18 +250,16 @@ SHADOW_PRODUCTS = {"vl2": ("vl", "vl"), "ar2": ("ar", "ar"),
 MOMENT_NAMES = ("vl", "ar", "mw", *SHADOW_PRODUCTS)
 
 
-def _chunk_stats(values: dict, ranged: tuple, products: dict,
-                work: np.ndarray) -> dict:
+def _chunk_stats(values: dict, products: dict, work: np.ndarray) -> dict:
     """One chunk's count, and per quantity its sum and M2 = sum (v - mean)^2.
 
-    `values` maps names to arrays of one length.  `products` maps further
-    names to pairs of those names; each product is formed in work[0] when
-    its turn comes, so one row serves them all.  work[1] holds v - mean.
-    `work` is two rows of that length.  `ranged` names the quantities whose
-    min and max are also kept.
+    `values` maps names to arrays of one length; each also keeps its min
+    and max.  `products` maps further names to pairs of those names; each
+    product is formed in work[0] when its turn comes, so one row serves
+    them all.  work[1] holds v - mean.  `work` is two rows of that length.
     """
-    count = len(values[ranged[0]])
     product, deviation = work
+    count = len(product)
     sums, m2 = {}, {}
 
     def add(name, v):
@@ -276,8 +275,8 @@ def _chunk_stats(values: dict, ranged: tuple, products: dict,
         "count": count,
         "sums": sums,
         "m2": m2,
-        "mins": {k: float(values[k].min()) for k in ranged},
-        "maxs": {k: float(values[k].max()) for k in ranged},
+        "mins": {k: float(v.min()) for k, v in values.items()},
+        "maxs": {k: float(v.max()) for k, v in values.items()},
     }
 
 
@@ -363,6 +362,50 @@ def _run_chunked(worker, samples: int, seed: int, threads: int) -> McResult:
 MC_BLOCK = 8192
 
 
+def _mc(factors: tuple, scratch: int, kernel, names: tuple, products: dict,
+        samples: int, seed: int, threads: int) -> McResult:
+    """The one Monte Carlo worker: the statistics of the quantities `names`
+    and of their `products` at uniform points of the product of the spheres
+    S^(d - 1), one per dimension d in `factors`.
+
+    kernel(*points, rows, work) takes the points of k samples, one (d, k)
+    array per factor, and writes the k columns of the quantities into rows
+    (len(names), k), with work (scratch, k) as scratch.  The module
+    docstring has the stream rule and the workspace.
+    """
+    *lead, last = factors
+    size = min(CHUNK, samples)
+    block = min(MC_BLOCK, size)
+    front = max(sum(lead), 2)
+    workspace = _per_thread(lambda: (
+        np.empty((front + len(names)) * size),
+        np.empty((last + max(max(factors) + 1, scratch)) * block)))
+
+    def worker(rng, m):
+        c, b = workspace()
+        rows, s = _view(c, front + len(names), m), b[last * block:]
+
+        def draw(v, d):  # v(i, k) receives directions i to i + k
+            return geometry.draw_blocks(
+                rng, m, block,
+                lambda i, k: (v(i, k), s[:d * k], s[d * k:(d + 1) * k]))
+
+        # every factor but the last for the whole chunk, redraws included,
+        # then the last block by block, the kernel on each block and redraw
+        at = np.cumsum((0, *lead))
+        points = [rows[a:z] for a, z in zip(at, at[1:])]
+        for x in points:
+            for _ in draw(lambda i, k: x[:, i:i + k], len(x)):
+                pass
+        for i, k in draw(lambda i, k: _view(b, last, k), last):
+            kernel(*(x[:, i:i + k] for x in points), _view(b, last, k),
+                   rows[front:, i:i + k], _view(s, scratch, k))
+        return _chunk_stats(dict(zip(names, rows[front:])), products,
+                            rows[:2])
+
+    return _run_chunked(worker, samples, seed, threads)
+
+
 def mc_estimate(n: int, samples: int, seed: int, threads: int = 1) -> McResult:
     """Monte Carlo moments of vl, ar, mw over uniform directions.
 
@@ -370,27 +413,10 @@ def mc_estimate(n: int, samples: int, seed: int, threads: int = 1) -> McResult:
     plus observed extremes.  Deterministic for fixed (seed, samples).
     """
     _check_n(n)  # before the workspace is sized by n
-    size = min(CHUNK, samples)
-    block = min(MC_BLOCK, size)
-    workspace = _per_thread(lambda: (np.empty(n * block), np.empty(n * block),
-                                     np.empty(2 * block), np.empty(5 * size)))
-
-    def worker(rng, m):
-        a, b, t, r = workspace()
-        rows = _view(r, 5, m)
-        for i, k in geometry.draw_blocks(
-                rng, m, block,
-                lambda i, k: (_view(b, n, k), _view(a, n, k), t[:k])):
-            # vl, ar and mw of the k directions in b, into columns i to
-            # i + k of the rows; the module docstring has the buffer map
-            x = _view(b, n, k)
-            functionals.shadow_batch(x, out=((*rows[:3, i:i + k],
-                                              *_view(t, 2, k)),
-                                             _view(a, n, k), x))
-        return _chunk_stats(dict(zip(("vl", "ar", "mw"), rows)),
-                            ("vl", "ar", "mw"), SHADOW_PRODUCTS, rows[3:])
-
-    return _run_chunked(worker, samples, seed, threads)
+    return _mc((n,), n + 2,
+               lambda x, rows, work: functionals.shadow_batch(
+                   x, out=((*rows, *work[n:]), work[:n], x)),
+               ("vl", "ar", "mw"), SHADOW_PRODUCTS, samples, seed, threads)
 
 
 def mc_octagon(samples: int, seed: int, threads: int = 1) -> McResult:
@@ -401,31 +427,12 @@ def mc_octagon(samples: int, seed: int, threads: int = 1) -> McResult:
     Perimeter and area come from `octagon_xy` (cross-checked against the
     2D hull oracle in `octagon_report` and the test suite).
     """
-    size = min(CHUNK, samples)
-    block = min(MC_BLOCK, size)
-    workspace = _per_thread(lambda: (np.empty(3 * size), np.empty(2 * size),
-                                     np.empty(3 * block), np.empty(4 * block)))
-
-    def worker(rng, m):
-        a, r, b, s = workspace()
-        x, rows = _view(a, 3, m), _view(r, 2, m)
-        # the module docstring has the buffer map; the stream reads every x
-        # of the chunk, and its redraws, before any y
-        for _ in geometry.draw_blocks(
-                rng, m, block,
-                lambda i, k: (x[:, i:i + k], s[:3 * k], s[3 * k:4 * k])):
-            pass
-        for i, k in geometry.draw_blocks(
-                rng, m, block,
-                lambda i, k: (_view(b, 3, k), s[:3 * k], s[3 * k:4 * k])):
-            functionals.octagon_xy(x[:, i:i + k], _view(b, 3, k),
-                                   out=(*rows[:, i:i + k], *_view(s, 2, k)))
-        return _chunk_stats({"perimeter": rows[0], "area": rows[1]},
-                            ("perimeter", "area"),
-                            {"perimeter2": ("perimeter", "perimeter")},
-                            _view(a, 2, m))
-
-    return _run_chunked(worker, samples, seed, threads)
+    return _mc((3, 3), 2,
+               lambda x, y, rows, work: functionals.octagon_xy(
+                   x, y, out=(*rows, *work)),
+               ("perimeter", "area"),
+               {"perimeter2": ("perimeter", "perimeter")},
+               samples, seed, threads)
 
 
 # ---------------------------------------------------------------------------

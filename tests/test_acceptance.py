@@ -10,7 +10,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from cubeshadow import functionals, geometry, hull, moments, quad, specfun
 

@@ -328,7 +328,7 @@ class TestAccumulate:
     def chunks(self, offset, sigma):
         rng = np.random.default_rng(5)
         data = [offset + sigma * rng.standard_normal(size) for size in self.SIZES]
-        return data, [moments._chunk_stats({"v": d}, ("v",), {},
+        return data, [moments._chunk_stats({"v": d}, {},
                                            np.empty((2, len(d))))
                       for d in data]
 

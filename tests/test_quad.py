@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.integrate import IntegrationWarning
 
 import quad_reference as ref
 from cubeshadow import geometry, moments, quad, specfun
