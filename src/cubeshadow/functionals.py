@@ -11,8 +11,7 @@ the projection direction u:
 where c_d is the mean width of a unit segment in R^d.  Rank-2 shadows of
 the 4-cube, along the plane of an orthonormal pair (u, v), are octagons;
 their perimeter and area are explicit in the point (x, y) of S^2 x S^2
-that this plane is, and the area is also given locally by six rational
-branch formulas in seven scalars built from (u, v).
+that this plane is.
 
 This module holds the closed forms only.  Their independent check, the
 explicit hulls of the projected vertices, is `hull`, and the two modules do
@@ -69,35 +68,10 @@ from the minors of (u, v) and calls it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import DimensionError, checked_pair, coordinate_sum
-
-PLANE_TOL = 1e-10
-
-
-class DegeneratePlaneError(ValueError):
-    """Branch coefficient c too close to zero for the rational formulas."""
-
-
-@dataclass(frozen=True)
-class ShadowFunctionals:
-    vl: float
-    ar: float
-    mw: float
-
-
-@dataclass(frozen=True)
-class OctagonCoeffs:
-    a1: float
-    a2: float
-    a3: float
-    b1: float
-    b2: float
-    b3: float
-    c: float
 
 
 def shadow_batch(x: np.ndarray, out=None) -> dict:
@@ -152,26 +126,24 @@ def segment_mw_coeff(d: int) -> float:
     return 2.0 * kappa_dm1 / (d * kappa_d)
 
 
-def shadow_functionals(u) -> ShadowFunctionals:
-    """All three corank-1 functionals at direction u, a batch of one."""
-    q = shadow_batch(np.asarray(u, dtype=float)[:, None])
-    return ShadowFunctionals(vl=float(q["vl"][0]), ar=float(q["ar"][0]),
-                             mw=float(q["mw"][0]))
+def _one(u, name: str) -> float:
+    """Row `name` of `shadow_batch` at the one direction u."""
+    return float(shadow_batch(np.asarray(u, dtype=float)[:, None])[name][0])
 
 
 def shadow_volume(u) -> float:
     """Volume of the corank-1 shadow: sum of |u_j|."""
-    return shadow_functionals(u).vl
+    return _one(u, "vl")
 
 
 def shadow_area(u) -> float:
     """Surface area of the corank-1 shadow: 2 sum_{j<k} sqrt(u_j^2 + u_k^2)."""
-    return shadow_functionals(u).ar
+    return _one(u, "ar")
 
 
 def shadow_mean_width(u) -> float:
     """Mean width of the corank-1 shadow: c_{n-1} sum_j sqrt(1 - u_j^2)."""
-    return shadow_functionals(u).mw
+    return _one(u, "mw")
 
 
 #: The six index pairs (j, k), j < k, in the order of the minors.
@@ -226,58 +198,3 @@ def octagon_perimeter(u, v) -> float:
     """
     u, v = checked_pair(u, v)
     return float(octagon_batch(u[:, None], v[:, None])[0][0])
-
-
-def octagon_coefficients(u, v) -> OctagonCoeffs:
-    """The seven scalars feeding the local octagon-area branch formulas."""
-    u, v = checked_pair(u, v)
-    x, y, z, w = u
-    p, q, r, s = v
-    return OctagonCoeffs(
-        a1=r * y + s * y - q * z - s * z - q * w + r * w,
-        a2=r * y - s * y - q * z - s * z + q * w + r * w,
-        a3=r * y + s * y - q * z + s * z - q * w - r * w,
-        b1=p * q - p * s + x * y - x * w,
-        b2=p * q - p * r + x * y - x * z,
-        b3=p * q + p * s + x * y + x * w,
-        c=2.0 * (1.0 - p * p - x * x),
-    )
-
-
-#: Angle anchors (theta, phi, psi, kappa, lambda), radians, at which each
-#: branch formula is known to hold on a neighborhood.
-BRANCH_ANCHORS = {
-    1: (1.0, 1.0, 1.0, 1.0, 1.0),
-    2: (0.5, 0.5, 0.5, 0.5, 0.5),
-    3: (0.75, 0.75, 0.75, 0.75, 0.75),
-    4: (5 / 6, 5 / 6, 5 / 6, 5 / 6, 5 / 6),
-    5: (7 / 8, 7 / 8, 7 / 8, 7 / 8, 7 / 8),
-    6: (4 / 5, 1.0, 2 / 5, 3 / 5, 1 / 5),
-}
-
-
-def octagon_area_branch(branch: int, co: OctagonCoeffs) -> float:
-    """Local octagon-area formula for the given branch index (1..6).
-
-    Each branch is valid in a neighborhood of its anchor in BRANCH_ANCHORS;
-    globally, branch selection is oracle-driven (see
-    `hull.octagon_hull_measures`, whose area is the branch-free reference).
-    """
-    a1, a2, a3 = co.a1, co.a2, co.a3
-    b1, b2 = co.b1, co.b2
-    c = co.c
-    if c <= PLANE_TOL:
-        raise DegeneratePlaneError(f"c = {c} too small")
-    if branch == 1:
-        return (a1 * b2 + a2 * (c - b1 + b2) + a3 * b1) / c
-    if branch == 2:
-        return (a1 * b2 - a2 * (b1 - b2) + a3 * (c + b1)) / c
-    if branch == 3:
-        return (a1 * b2 - a2 * (c + b1 - b2) + a3 * b1) / c
-    if branch == 4:
-        return (-a1 * (c - b2) - a2 * (b1 - b2) + a3 * b1) / c
-    if branch == 5:
-        return (a1 * b2 - a2 * (b1 - b2) - a3 * (c - b1)) / c
-    if branch == 6:
-        return (a1 * (c + b2) - a2 * (b1 - b2) + a3 * b1) / c
-    raise ValueError(f"branch index must be 1..6, got {branch}")

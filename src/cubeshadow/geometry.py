@@ -7,10 +7,13 @@ the hyperplane orthogonal to a given direction.
 
 `draw_blocks` is the one sampler, and it alone fixes the order in which a
 stream is read: the Monte Carlo chunks of `moments` iterate it block by
-block, and `sample_unit_vectors` is it with one block.  Each scalar entry
-point is a batch of one: `sample_unit_vector` of `sample_unit_vectors`,
-`build_frame` of `build_frames`, one Householder formula at every n, and
-`project_vertices` takes one frame or a stack of them.
+block, and `sample_unit_vectors` is it with one block.  The frames are
+`build_frames`, one Householder formula at every n, and `project_vertices`
+takes one frame or a stack of them.  The two scalar entry points are
+batches of one: `sample_unit_vector` of `sample_unit_vectors` (hull-dump
+draws its direction with it) and `build_frame` of `build_frames`.
+`density4` is the density of the spherical angles of a uniform direction
+of R^4, which the moment integrals of `quad` integrate against.
 
 `checked_pair` is the one check of a rank-2 pair, shared by the octagon's
 closed forms and its hull oracle.
@@ -201,45 +204,13 @@ def checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def spherical_to_cartesian4(theta: float, phi: float, psi: float) -> np.ndarray:
-    """Map (theta, phi, psi) to a unit vector in R^4.
-
-    x = cos(theta) sin(phi) sin(psi), y = sin(theta) sin(phi) sin(psi),
-    z = cos(phi) sin(psi), w = cos(psi).
-    """
-    sp = math.sin(psi)
-    return np.array([
-        math.cos(theta) * math.sin(phi) * sp,
-        math.sin(theta) * math.sin(phi) * sp,
-        math.cos(phi) * sp,
-        math.cos(psi),
-    ])
-
-
 def density4(phi: float, psi: float) -> float:
-    """The n = 4 case of `spherical_density`, without its argument tuple;
-    the moment integrands of `quad` call it at every point."""
+    """Joint density of the spherical angles (theta, phi, psi) of a uniform
+    direction of R^4, (cos(theta) sin(phi) sin(psi), sin(theta) sin(phi)
+    sin(psi), cos(phi) sin(psi), cos(psi)) with theta in [0, 2*pi) and phi,
+    psi in [0, pi]; it does not depend on theta.  The moment integrands of
+    `quad` call it at every point."""
     return math.sin(phi) * math.sin(psi) ** 2 / (2.0 * math.pi**2)
-
-
-def spherical_density(n: int, angles) -> float:
-    """Joint density of the spherical angles of a uniform direction.
-
-    Angles are (theta, phi_1, ..., phi_{n-2}) with theta in [0, 2*pi) and
-    each polar angle in [0, pi].  Supported n: 3, 4, 5.
-    """
-    angles = tuple(float(a) for a in angles)
-    if n == 3:
-        (_, phi) = angles
-        return math.sin(phi) / (4.0 * math.pi)
-    if n == 4:
-        (_, phi, psi) = angles
-        return density4(phi, psi)
-    if n == 5:
-        (_, p1, p2, p3) = angles
-        return (3.0 / (8.0 * math.pi**2)
-                * math.sin(p1) * math.sin(p2) ** 2 * math.sin(p3) ** 3)
-    raise DimensionError(f"spherical_density supports n in {{3,4,5}}, got {n}")
 
 
 def build_frames(u: np.ndarray) -> np.ndarray:
@@ -285,22 +256,3 @@ def project_vertices(rows: np.ndarray) -> np.ndarray:
     (2^n, n - 1); a stack of frames (..., n - 1, n) gives (..., 2^n, n - 1),
     one matrix product per frame."""
     return cube_vertices(rows.shape[-1]) @ np.swapaxes(rows, -1, -2)
-
-
-def build_rank2_pair(u: np.ndarray, kappa: float, lam: float) -> np.ndarray:
-    """Unit vector V orthogonal to u, parameterized by angles (kappa, lambda).
-
-    V = cos(kappa) sin(lambda) (-y, x, -w, z)
-      + sin(kappa) sin(lambda) (-z, w, x, -y)
-      + cos(lambda) (-w, -z, y, x)
-
-    The three basis vectors are orthonormal and orthogonal to u = (x,y,z,w),
-    so V is a unit vector in the orthogonal complement of u.
-    """
-    x, y, z, w = np.asarray(u, dtype=float)
-    e1 = np.array([-y, x, -w, z])
-    e2 = np.array([-z, w, x, -y])
-    e3 = np.array([-w, -z, y, x])
-    return (math.cos(kappa) * math.sin(lam) * e1
-            + math.sin(kappa) * math.sin(lam) * e2
-            + math.cos(lam) * e3)

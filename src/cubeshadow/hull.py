@@ -469,14 +469,6 @@ def convex_hull_2d(points) -> Polygon2D:
     return Polygon2D(vertices=polys.vertices)
 
 
-def polygon_measures(poly: Polygon2D) -> tuple[float, float]:
-    """(area, perimeter) of a convex polygon, a batch of one of
-    `PolygonBatch.measures`."""
-    area, perimeter = PolygonBatch(poly.vertices,
-                                   _starts([len(poly.vertices)])).measures()
-    return float(area[0]), float(perimeter[0])
-
-
 def to_off(mesh: PolyMesh) -> str:
     """OFF-format text dump of a PolyMesh for external viewers."""
     lines = ["OFF", f"{mesh.vertex_count} {mesh.face_count} {mesh.edge_count}"]
@@ -516,12 +508,3 @@ def octagon_hull_batch(u, v) -> tuple[np.ndarray, np.ndarray]:
     frames = geometry.build_frames(u)
     planes = geometry.build_frames((frames @ v[:, :, None])[:, :, 0]) @ frames
     return convex_hulls_2d(geometry.project_vertices(planes)).measures()
-
-
-def octagon_hull_measures(u, v) -> tuple[float, float]:
-    """(area, perimeter) of the rank-2 shadow by projection and a 2D hull,
-    a batch of one of `octagon_hull_batch`."""
-    area, perimeter = octagon_hull_batch(np.asarray(u, dtype=float)[None],
-                                         np.asarray(v, dtype=float)[None])
-    return float(area[0]), float(perimeter[0])
-

@@ -154,9 +154,10 @@ def _e_mw2(n: int) -> float:
 
 
 # The closed forms of the corank-1 shadow, the one place each is written:
-# per Monte Carlo quantity, in `MOMENT_NAMES` order, its value at dimension
-# n and the n at which it is known (None: every n).  E(mw) = E(vl) by
-# duality.  A value is computed only when a caller asks for it at its n.
+# per Monte Carlo quantity, in the order of `mc_estimate`'s estimates, its
+# value at dimension n and the n at which it is known (None: every n).
+# E(mw) = E(vl) by duality.  A value is computed only when a caller asks
+# for it at its n.
 CORANK1_TARGETS = {
     "vl": (_e_vl, None),
     "ar": (lambda n: math.sqrt(PI) * (n - 1) * n / 2.0 * _gamma_ratio(n),
@@ -175,7 +176,7 @@ CORANK1_TARGETS = {
 
 def closed_form_targets(n: int) -> dict:
     """Closed-form value of every Monte Carlo quantity known at dimension
-    n, in `MOMENT_NAMES` order.  Takes 3 <= n <= MAX_N."""
+    n, in the order of `mc_estimate`'s estimates.  Takes 3 <= n <= MAX_N."""
     _check_n(n)
     return {q: value(n) for q, (value, known) in CORANK1_TARGETS.items()
             if known is None or n in known}
@@ -247,7 +248,6 @@ class McResult:
 SHADOW_PRODUCTS = {"vl2": ("vl", "vl"), "ar2": ("ar", "ar"),
                    "mw2": ("mw", "mw"), "vl_ar": ("vl", "ar"),
                    "vl_mw": ("vl", "mw"), "ar_mw": ("ar", "mw")}
-MOMENT_NAMES = ("vl", "ar", "mw", *SHADOW_PRODUCTS)
 
 
 def _chunk_stats(values: dict, products: dict, work: np.ndarray) -> dict:

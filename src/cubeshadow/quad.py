@@ -208,42 +208,6 @@ def zeta4_quadrature() -> float:
     return 256.0 * 4.0 / (3.0 * PI**2) * r.value
 
 
-def zeta4_quadrature_psi_form() -> float:
-    """zeta_4 from the pre-substitution integral over psi in (0, pi/2).
-
-    Numerically validates the change of variables t = sqrt((sec(psi)-1)/2)
-    used to reach the (0, inf) form.
-    """
-    def integrand(psi: float) -> float:
-        sec = 1.0 / math.cos(psi)
-        t = math.sqrt(0.5 * (sec - 1.0))
-        k, e = elliptic_imag(t)
-        tan2 = math.tan(psi) ** 2
-        f = (-2.0 + 4.0 * tan2) * e * e
-        g = 2.0 * (1.0 - 2.0 * tan2 + sec) * e * k
-        h = (-1.0 + tan2 - sec) * k * k
-        return math.cos(psi) * math.sin(psi) ** 3 * (f + g + h) / (3.0 * tan2)
-
-    r = integrate_1d(integrand, 0.0, HALF_PI, tol=1e-11)
-    return 256.0 / (2.0 * PI**2) * r.value
-
-
-def zeta5_inner_v_identity(u: float) -> tuple[float, float]:
-    """Both sides of the inner v-integral identity in the zeta_5 reduction.
-
-    LHS: int_0^1 v^5 / ([4u^2(1+u^2)+v^2]^{7/2} sqrt(1-v^2)) dv.
-    RHS: (4/15) / ((1+2u^2)^6 u sqrt(1+u^2)).
-    """
-    a = 4.0 * u * u * (1.0 + u * u)
-
-    def f(v: float) -> float:
-        return v**5 / ((a + v * v) ** 3.5 * math.sqrt((1.0 - v) * (1.0 + v)))
-
-    lhs = integrate_1d(f, 0.0, 1.0, tol=1e-13).value
-    rhs = (4.0 / 15.0) / ((1.0 + 2.0 * u * u) ** 6 * u * math.sqrt(1.0 + u * u))
-    return lhs, rhs
-
-
 def zeta5_reduction_check() -> float:
     """zeta_5 as 640 times the reduced three-integral combination.
 

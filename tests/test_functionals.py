@@ -5,7 +5,11 @@ import pytest
 import sympy
 
 import mc_reference
-from cubeshadow import functionals, geometry, hull
+from octagon_branches import (BRANCH_ANCHORS, DegeneratePlaneError,
+                              build_rank2_pair, hull_octagon,
+                              octagon_area_branch, octagon_coefficients,
+                              spherical_to_cartesian4)
+from cubeshadow import functionals, geometry
 
 
 class TestCorank1Functionals:
@@ -40,16 +44,16 @@ class TestCorank1Functionals:
     def test_signed_permutation_invariance(self):
         rng = geometry.stream(31)
         u = geometry.sample_unit_vector(4, rng)
-        base = functionals.shadow_functionals(u)
+        base = functionals.shadow_batch(u[:, None])
         for _ in range(20):
             perm = rng.permutation(4)
             signs = rng.choice([-1.0, 1.0], 4)
             v = u[perm] * signs
-            other = functionals.shadow_functionals(v)
+            other = functionals.shadow_batch(v[:, None])
             # summation order changes under permutation: allow a few ulps
-            assert other.vl == pytest.approx(base.vl, rel=1e-14)
-            assert other.ar == pytest.approx(base.ar, rel=1e-14)
-            assert other.mw == pytest.approx(base.mw, rel=1e-14)
+            for name in ("vl", "ar", "mw"):
+                assert other[name][0] == pytest.approx(base[name][0],
+                                                       rel=1e-14)
 
     def test_bounds_on_random_sample(self):
         x = geometry.sample_unit_vectors(4, 100_000, geometry.stream(32))
@@ -70,7 +74,7 @@ def random_pair(rng):
     u = geometry.sample_unit_vector(4, rng)
     kappa = rng.uniform(0, 2 * math.pi)
     lam = rng.uniform(0, math.pi)
-    return u, geometry.build_rank2_pair(u, kappa, lam)
+    return u, build_rank2_pair(u, kappa, lam)
 
 
 class TestOctagonPerimeter:
@@ -93,8 +97,7 @@ class TestOctagonPerimeter:
         # perimeter) (1, 4).  NaN compares false with any bound; unchecked,
         # it read perimeter NaN.
         for measure in (functionals.octagon_perimeter,
-                        functionals.octagon_coefficients,
-                        hull.octagon_hull_measures):
+                        octagon_coefficients, hull_octagon):
             with pytest.raises(geometry.OrthogonalityError) as exc:
                 measure(u, v)
             assert str(exc.value).startswith(message)
@@ -103,7 +106,7 @@ class TestOctagonPerimeter:
         rng = geometry.stream(34)
         for _ in range(200):
             u, v = random_pair(rng)
-            _, per = hull.octagon_hull_measures(u, v)
+            _, per = hull_octagon(u, v)
             assert functionals.octagon_perimeter(u, v) == pytest.approx(per, abs=1e-9)
 
 
@@ -118,7 +121,7 @@ class TestOctagonBatch:
         u = np.array([1.0, 1e-8, 0.0, 0.0])
         v = np.array([0.0, 0.0, 1.0, 0.3])
         u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
-        _, hull_per = hull.octagon_hull_measures(u, v)
+        _, hull_per = hull_octagon(u, v)
         assert abs(clip_perimeter(u, v) - hull_per) > 1e-9
         per, _ = functionals.octagon_batch(u[:, None], v[:, None])
         assert abs(per[0] - hull_per) <= 1e-14
@@ -132,7 +135,7 @@ class TestOctagonBatch:
         per, area = functionals.octagon_batch(u.T, v.T)
         for i, (a, b) in enumerate(pairs):
             assert functionals.octagon_perimeter(a, b) == per[i]
-            hull_area, hull_per = hull.octagon_hull_measures(a, b)
+            hull_area, hull_per = hull_octagon(a, b)
             assert abs(area[i] - hull_area) < 1e-12
             assert abs(per[i] - hull_per) < 1e-12
 
@@ -165,9 +168,9 @@ class TestOctagonBatch:
 
 class TestOctagonCoefficients:
     def test_degenerate_axis_pair(self):
-        co = functionals.octagon_coefficients([1, 0, 0, 0], [0, 1, 0, 0])
+        co = octagon_coefficients([1, 0, 0, 0], [0, 1, 0, 0])
         assert co.c == pytest.approx(0.0, abs=1e-15)
-        co = functionals.octagon_coefficients([0, 0, 0, 1], [0, 0, 1, 0])
+        co = octagon_coefficients([0, 0, 0, 1], [0, 0, 1, 0])
         assert co.c == pytest.approx(2.0, abs=1e-15)
 
     def test_symbolic_reimplementation(self):
@@ -193,9 +196,9 @@ class TestOctagonCoefficients:
             "c": 2 * (1 - p**2 - x**2),
         }
         subs = {th: 1, ph: 1, ps: 1, ka: 1, la: 1}
-        u_num = geometry.spherical_to_cartesian4(1.0, 1.0, 1.0)
-        v_num = geometry.build_rank2_pair(u_num, 1.0, 1.0)
-        co = functionals.octagon_coefficients(u_num, v_num)
+        u_num = spherical_to_cartesian4(1.0, 1.0, 1.0)
+        v_num = build_rank2_pair(u_num, 1.0, 1.0)
+        co = octagon_coefficients(u_num, v_num)
         for name, expr in symbolic.items():
             expected = float(expr.subs(subs).evalf(30))
             assert getattr(co, name) == pytest.approx(expected, abs=1e-14)
@@ -203,49 +206,49 @@ class TestOctagonCoefficients:
 
 class TestOctagonArea:
     def test_oracle_axis_pair(self):
-        area, _ = hull.octagon_hull_measures([1, 0, 0, 0], [0, 1, 0, 0])
+        area, _ = hull_octagon([1, 0, 0, 0], [0, 1, 0, 0])
         assert area == pytest.approx(1.0)
 
     def test_oracle_basis_invariance(self):
         rng = geometry.stream(35)
         u, v = random_pair(rng)
-        a0 = hull.octagon_hull_measures(u, v)[0]
+        a0 = hull_octagon(u, v)[0]
         # rotate the pair inside its own plane: same shadow plane
         for ang in (0.3, 1.1, 2.0):
             u2 = math.cos(ang) * u + math.sin(ang) * v
             v2 = -math.sin(ang) * u + math.cos(ang) * v
-            a2 = hull.octagon_hull_measures(u2, v2)[0]
+            a2 = hull_octagon(u2, v2)[0]
             assert a2 == pytest.approx(a0, abs=1e-12)
 
     def test_branch_formulas_at_anchors(self):
-        for branch, (th, ph, ps, ka, la) in functionals.BRANCH_ANCHORS.items():
-            u = geometry.spherical_to_cartesian4(th, ph, ps)
-            v = geometry.build_rank2_pair(u, ka, la)
-            co = functionals.octagon_coefficients(u, v)
-            value = functionals.octagon_area_branch(branch, co)
-            oracle = hull.octagon_hull_measures(u, v)[0]
+        for branch, (th, ph, ps, ka, la) in BRANCH_ANCHORS.items():
+            u = spherical_to_cartesian4(th, ph, ps)
+            v = build_rank2_pair(u, ka, la)
+            co = octagon_coefficients(u, v)
+            value = octagon_area_branch(branch, co)
+            oracle = hull_octagon(u, v)[0]
             assert value == pytest.approx(oracle, abs=1e-9)
 
     def test_branch_formulas_near_anchors(self):
         rng = geometry.stream(36)
-        for branch, anchor in functionals.BRANCH_ANCHORS.items():
+        for branch, anchor in BRANCH_ANCHORS.items():
             for _ in range(100):
                 delta = rng.uniform(-1, 1, 5)
                 # each branch holds on a small neighborhood only; radius
                 # 0.005 stays inside every branch's validity region
                 delta *= rng.uniform(0, 0.005) / np.linalg.norm(delta)
                 th, ph, ps, ka, la = np.array(anchor) + delta
-                u = geometry.spherical_to_cartesian4(th, ph, ps)
-                v = geometry.build_rank2_pair(u, ka, la)
-                co = functionals.octagon_coefficients(u, v)
-                value = functionals.octagon_area_branch(branch, co)
-                oracle = hull.octagon_hull_measures(u, v)[0]
+                u = spherical_to_cartesian4(th, ph, ps)
+                v = build_rank2_pair(u, ka, la)
+                co = octagon_coefficients(u, v)
+                value = octagon_area_branch(branch, co)
+                oracle = hull_octagon(u, v)[0]
                 assert value == pytest.approx(oracle, abs=1e-9)
 
     def test_degenerate_plane_guard(self):
-        co = functionals.octagon_coefficients([1, 0, 0, 0], [0, 1, 0, 0])
-        with pytest.raises(functionals.DegeneratePlaneError):
-            functionals.octagon_area_branch(1, co)
+        co = octagon_coefficients([1, 0, 0, 0], [0, 1, 0, 0])
+        with pytest.raises(DegeneratePlaneError):
+            octagon_area_branch(1, co)
         with pytest.raises(ValueError):
-            functionals.octagon_area_branch(7, functionals.octagon_coefficients(
+            octagon_area_branch(7, octagon_coefficients(
                 [0, 0, 0, 1], [0, 0, 1, 0]))
