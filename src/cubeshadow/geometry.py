@@ -204,13 +204,13 @@ def checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def density4(phi: float, psi: float) -> float:
+def density4(phi, psi):
     """Joint density of the spherical angles (theta, phi, psi) of a uniform
     direction of R^4, (cos(theta) sin(phi) sin(psi), sin(theta) sin(phi)
     sin(psi), cos(phi) sin(psi), cos(psi)) with theta in [0, 2*pi) and phi,
-    psi in [0, pi]; it does not depend on theta.  The moment integrands of
-    `quad` call it at every point."""
-    return math.sin(phi) * math.sin(psi) ** 2 / (2.0 * math.pi**2)
+    psi in [0, pi]; it does not depend on theta.  Elementwise over arrays:
+    the moment integrands of `quad` call it on every level's nodes."""
+    return np.sin(phi) * np.sin(psi) ** 2 / (2.0 * math.pi**2)
 
 
 def build_frames(u: np.ndarray) -> np.ndarray:

@@ -75,7 +75,7 @@ from .specfun import catalan_const, hyp3f2_unit
 
 PI = math.pi
 CHUNK = 1 << 16
-SPEC_VERSION = "1.3"
+SPEC_VERSION = "1.4"
 
 # The constant zeta in E(ar^2) is the same for every n >= 3 (proved).
 # Expanding E(ar^2) at dimension n gives

@@ -1,11 +1,29 @@
-"""Adaptive quadrature and the analytic-constant reproduction suite.
+"""Double-exponential quadrature and the analytic-constant reproduction suite.
 
 Reproduces every displayed integral identity: the pi/128 identity, the
 zeta_3 and zeta_4 quadratures, the zeta_5 reduction to zeta_4, and the
 defining triple/quadruple moment integrals over the spherical angle
 boxes.  All integrals are evaluated in double precision with error
-estimates; the elliptic-product integrands decay polynomially (with log^2
-factors), well within reach of adaptive Gauss-Kronrod rules.
+estimates by one vectorized double-exponential rule (Takahasi and Mori,
+Publ. RIMS 9, 1974; Bailey, Jeyabalan and Li, Experimental Math. 14,
+2005): the trapezoid rule of step h = 2^-k after a substitution x(t) whose
+derivative decays double-exponentially in t,
+- tanh-sinh on a finite [a, b], x = a + (b - a)(1 + tanh(pi/2 sinh t))/2,
+  with the distances of each node to both ends computed from their own
+  exponentials (1 - tanh u = 2/(e^(2u) + 1)), so that an algebraic factor
+  (x - a)^alpha (b - x)^beta is exact however close the node is to an end;
+- exp-sinh on (a, inf), x = a + exp(pi/2 sinh t);
+- their tensor product on a two-dimensional region, whose inner limits
+  follow the outer node (`_nested`).
+The substitution turns the endpoint singularities of these integrands --
+the logarithms of the elliptic integrals, their polynomial decay at
+infinity and the algebraic weight of the Euler integral of
+`specfun.hyp3f2_unit` -- into smooth, rapidly decaying ones, so each level
+roughly doubles the correct digits.  Each level evaluates the integrand,
+vectorized, on the nodes new to it (on a region, two blocks of the grid,
+each by one call), and the levels stop when two successive ones agree to
+the tolerance asked (`_converge`).  The node tables are built on first
+use.
 
 The moment integrals are reduced before they are integrated: the angle
 theta enters only through sqrt(a sin^2 theta + b), whose integral over
@@ -13,33 +31,26 @@ theta enters only through sqrt(a sin^2 theta + b), whose integral over
 (E from the compiled `scipy.special.ellipe`, at the parameter a/(a+b)),
 and an integrand free of theta (or of the 5-cube's phi_1) integrates to a
 constant factor.  Each triple integral becomes a double one over
-(phi, psi), and the quadruple one a double one.  The integrands of these
-double integrals are curried, f(psi)(phi): what depends on psi alone is
-computed once per inner integral over phi, in the floating-point order of
-the two-argument form, so the values keep their bits.  `_nested` nests
-`integrate.quad` as `integrate.nquad` does, with the same calls.
+(phi, psi), and the quadruple one a double one.
 
 The four double integrals that hold a cone are split into terms by the
 kind of singularity each has, and each term is integrated in the
-coordinates that need fewer evaluations:
+coordinates in which it is smooth:
 - the cone sqrt(cos^2(phi) sin^2(psi) + cos^2(psi)) of e_ar, e_ar2, e_vl_ar
   and e_ar_mw vanishes only at the corner (pi/2, pi/2), like the distance
-  to it.  With phi innermost, every inner integral near psi = pi/2 has a
-  kink about cos(psi) wide at phi = pi/2, which the adaptive rule bisects
-  down to again and again.  In polar coordinates (r, alpha) about the
-  corner (`_corner_polar`) the cone is r times a smooth positive function,
-  so these terms take a fifteenth to a thirtieth of the evaluations;
+  to it, so it has a kink along the inner lines near that corner.  In
+  polar coordinates (r, alpha) about the corner (`_corner_polar`) the cone
+  is r times a smooth positive function;
 - e_ar2's theta-term sqrt(a+b) E(k), a = sin^2(phi) sin^2(psi) and
   b = cos^2(psi), holds a cone too: sqrt(a+b) vanishes only at the corner
   (0, pi/2), and it goes to `_corner_polar` about that corner.  There its
   logarithmic edge, where k -> 1, lies at alpha = 0, an end of the range
-  of alpha, and the term takes 5,334 evaluations, against 19,215 in
-  Cartesian coordinates and 37,128 in polar ones about (pi/2, pi/2);
+  of alpha, where the rule's nodes crowd;
 - the theta-terms of e_vl_ar and e_ar_mw factor exactly: with
   a = sin^2(phi) sin^2(psi) and b = cos^2(phi) sin^2(psi),
   sqrt(a+b) E(k) = sin(psi) E(sin(phi)), so each is a psi-integral times
   one phi-integral, both by `integrate_1d` (see `_area_terms`);
-- the smooth terms stay Cartesian (`_double`), where one 21 x 21 rule does.
+- the smooth terms stay Cartesian (`_double`).
 
 The suites return integrals only and hold no target: each value is checked
 against its row's target in `moments.CONSTANT_TARGETS`, which takes the
@@ -50,10 +61,12 @@ uses none of them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from scipy import integrate, special
+import numpy as np
+from scipy import special
 
 from .geometry import density4 as _dens4
 from .specfun import ConvergenceError, elliptic_imag, hyp3f2_unit
@@ -69,62 +82,198 @@ class QuadResult:
     evaluations: int
 
 
-def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
-                 limit: int = 300) -> QuadResult:
-    """Adaptive integral of f over (a, b); b may be +inf.
+# ---------------------------------------------------------------------------
+# the double-exponential rule
 
-    Returns the estimate with its error bound and evaluation count; raises
-    ConvergenceError (carrying the best estimate) when the requested
-    tolerance is not certified (see `_certified`).
+# The ranges of t summed.  Tanh-sinh in one dimension stops at |t| = 4,
+# e^-85.8 = 5e-38 of the interval from its ends, so that a factor x^e with
+# e >= -1/2 at an end (an algebraic weight, or the log^2 and 1/sqrt
+# integrands the rule is tested on) leaves out a tail of at most about
+# (5e-38)^(1 + e)/(1 + e) = 5e-19 (`_weighted_t` goes further for a weight
+# nearer -1); on each axis of a region, whose integrands here are bounded,
+# at |t| = 3.2, where the weight is below 1e-15 of the side.
+# Exp-sinh runs from x = e^-70.7 = 2e-31 to e^42.9 = 4e18, for integrands
+# bounded at a and falling like x^-2 or faster.
+_LINE_T = 4.0
+_BOX_T = 3.2
+_HALF_LINE_T = (-4.5, 4.0)
+# Levels 0 to _MAX_LEVEL, h = 1 to 2^-_MAX_LEVEL: 513 nodes on a line,
+# 409 x 409 on a region.
+_MAX_LEVEL = 6
+
+
+def _new_steps(lo: float, hi: float, level: int) -> np.ndarray:
+    """The points t = j h of [lo, hi], h = 2^-level, that level adds:
+    every j at level 0, odd j after, so the levels nest."""
+    scale = 2.0 ** level
+    j = np.arange(math.ceil(lo * scale), math.floor(hi * scale) + 1)
+    return (j if level == 0 else j[j % 2 == 1]) / scale
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _weighted_t(weight: tuple[float, float]) -> float:
+    """The |t| to which tanh-sinh runs under the weight (alpha, beta): at
+    least _LINE_T, and in steps of 1/2 far enough that the tail left out at
+    an end whose exponent e = min(alpha, beta) is nearer -1, about
+    p^(1+e)/(1+e) at the last node's distance p = e^(-2u) to that end, is
+    below 2^-56."""
+    lowest = 1.0 + min(weight)
+    if not lowest > 0.0:
+        raise ValueError(f"weight exponents must exceed -1, got {weight}")
+    u = (56.0 * math.log(2.0) - math.log(lowest)) / (2.0 * lowest)
+    return max(_LINE_T, math.ceil(2.0 * math.asinh(u / HALF_PI)) / 2.0)
+
+
+@functools.cache
+def _tanh_sinh(t_max: float, level: int):
+    """The tanh-sinh nodes that a level adds, |t| <= t_max: each node's
+    distances p and q to the two ends and its weight w, all per unit
+    length of the interval and w without the step h.
+
+    With u = (pi/2) sinh(t), p = (1 + tanh u)/2 = 1/(1 + e^(-2u)) and
+    q = (1 - tanh u)/2 = 1/(1 + e^(2u)), each from its own exponential, so
+    neither is formed as 1 minus the other; w = dx/dt = pi cosh(t) p q.
+    """
+    t = _new_steps(-t_max, t_max, level)
+    u = HALF_PI * np.sinh(t)
+    with np.errstate(over="ignore"):  # a distance below 1e-308 is 0
+        p = 1.0 / (1.0 + np.exp(-2.0 * u))
+        q = 1.0 / (1.0 + np.exp(2.0 * u))
+    return _frozen(p, q, PI * np.cosh(t) * p * q)
+
+
+def _algebraic(t_max: float, level: int, alpha: float, beta: float):
+    """The weights of a level's tanh-sinh nodes on [0, 1] times
+    p^alpha q^beta: pi cosh(t) p^(1+alpha) q^(1+beta), with
+    log p = -log(1 + e^(-2u)) and log q = -log(1 + e^(2u)), so that no
+    power of a distance below the smallest double under- or overflows."""
+    t = _new_steps(-t_max, t_max, level)
+    u = HALF_PI * np.sinh(t)
+    return PI * np.cosh(t) * np.exp(-(1.0 + alpha) * np.logaddexp(0.0, -2.0 * u)
+                                    - (1.0 + beta) * np.logaddexp(0.0, 2.0 * u))
+
+
+@functools.cache
+def _exp_sinh(level: int):
+    """The exp-sinh nodes that a level adds: each node's distance
+    e = exp((pi/2) sinh t) from the finite end and its weight de/dt."""
+    t = _new_steps(*_HALF_LINE_T, level)
+    e = np.exp(HALF_PI * np.sinh(t))
+    return _frozen(e, HALF_PI * np.cosh(t) * e)
+
+
+def _place(nodes, a, b):
+    """A tanh-sinh table on [a, b] (arrays broadcast): the nodes, each
+    measured from its nearer end, and their weights."""
+    p, q, w = nodes
+    length = b - a
+    return np.where(p <= q, a + length * p, b - length * q), length * w
+
+
+def _line(a: float, b: float, weight):
+    """The nodes that each level adds on (a, b), b finite or +inf, as one
+    block ((x,), w); weight = (alpha, beta) multiplies w by
+    (x - a)^alpha (b - x)^beta, formed from the exact distances
+    (`_algebraic`)."""
+    t_max = _LINE_T if weight is None else _weighted_t(weight)
+    for level in range(_MAX_LEVEL + 1):
+        if b == math.inf:
+            e, w = _exp_sinh(level)
+            yield [((a + e,), w)]
+            continue
+        x, w = _place(_tanh_sinh(t_max, level), a, b)
+        if weight is not None:
+            w = (b - a) ** (1.0 + sum(weight)) * _algebraic(t_max, level,
+                                                            *weight)
+        yield [((x,), w)]
+
+
+def _grid(y, wy, nodes, inner):
+    """The block ((x, y), w) of the inner table `nodes` placed on the
+    inner range at each outer node y: y is a column, and x a row when the
+    inner range is fixed, so that what depends on one variable alone is
+    computed once per node of that variable."""
+    y = y[:, None]
+    lo, hi = inner(y) if callable(inner) else inner
+    x, wx = _place(nodes, lo, hi)
+    return (np.atleast_2d(x), y), wy[:, None] * wx
+
+
+def _region(inner, outer):
+    """The nodes that each level adds to the tensor grid, as two blocks:
+    the new outer nodes against every inner node, and the old outer nodes
+    against the new inner ones."""
+    empty = np.empty(0)
+    ys, wys, old = empty, empty, (empty,) * 3
+    for level in range(_MAX_LEVEL + 1):
+        new = _tanh_sinh(_BOX_T, level)
+        y, wy = _place(new, *outer)
+        every = tuple(map(np.concatenate, zip(old, new)))
+        yield [_grid(y, wy, every, inner), _grid(ys, wys, new, inner)]
+        ys, wys, old = np.concatenate((ys, y)), np.concatenate((wys, wy)), every
+
+
+def _converge(f, levels, dims: int, tol: float, epsabs: float,
+              what: str) -> QuadResult:
+    """Sum the rule level by level, I_k = h^dims times the sum of f w over
+    every node so far, until |I_k - I_(k-1)| is within the accuracy asked,
+    max(epsabs, tol |I_k|); that difference is the error estimate, and the
+    result is certified (see `_certified`) after the last level."""
+    total, evaluations, value, err = 0.0, 0, math.nan, math.nan
+    for level, blocks in enumerate(levels):
+        for args, w in blocks:
+            total += float(np.sum(f(*args) * w))
+            evaluations += w.size
+        previous, value = value, total * 0.5 ** (dims * level)
+        err = abs(value - previous)
+        if err <= max(epsabs, tol * abs(value)):
+            break
+    return _certified(QuadResult(value=value, error_estimate=err,
+                                 evaluations=evaluations), tol, epsabs, what)
+
+
+def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
+                 weight: tuple[float, float] | None = None,
+                 epsabs: float | None = None) -> QuadResult:
+    """Integral of f over (a, b); b may be +inf.  f takes and returns
+    arrays.
+
+    With weight = (alpha, beta), alpha, beta > -1 and b finite, integrates
+    f(x) (x - a)^alpha (b - x)^beta with the weight formed from each node's
+    exact distances to the ends, so f need only be finite there.  tol is the
+    relative accuracy asked and epsabs the absolute one (tol if None).
+    Returns the estimate with its error estimate and evaluation count;
+    raises ConvergenceError (carrying the best estimate) when the requested
+    accuracy is not certified (see `_certified`).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    out = integrate.quad(f, a, b, epsabs=tol, epsrel=tol,
-                         limit=limit, full_output=True)
-    value, err, info = out[0], out[1], out[2]
-    return _certified(QuadResult(value=value, error_estimate=err,
-                                 evaluations=int(info["neval"])),
-                      tol, "quadrature")
+    if weight is not None and b == math.inf:
+        raise ValueError("an algebraic weight needs a finite interval")
+    return _converge(f, _line(a, b, weight), 1, tol,
+                     tol if epsabs is None else epsabs, "quadrature")
 
 
-def _nested(f, ranges, tols) -> QuadResult:
-    """Two-level adaptive integral of the curried f(y)(x).
-
-    ranges[0] is the range of the inner variable x, either (lo, hi) or a
-    function of y that returns it, and ranges[1] that of y; tols[0] and
-    tols[1] are their epsabs = epsrel.  Each level makes the QUADPACK calls
-    `integrate.nquad` would, with its default limit, and reports what it
-    reports: the largest error estimate of all the calls and the sum of the
-    inner calls' evaluations.  Raises ConvergenceError when that error
-    estimate is not certified (see `_certified`) for t = tols[1].
+def _nested(f, ranges, tol: float) -> QuadResult:
+    """Integral of f(x, y), which takes and returns arrays, over y in
+    ranges[1] = (lo, hi) and x in ranges[0], either (lo, hi) or a function
+    of the array of outer nodes y that returns the arrays of their limits.
+    Raises ConvergenceError when tol is not certified (see `_certified`).
     """
-    inner_range, outer_range = ranges
-    inner_tol, outer_tol = tols
-    err, evaluations = 0.0, 0
-
-    def outer(y: float) -> float:
-        nonlocal err, evaluations
-        lo, hi = inner_range(y) if callable(inner_range) else inner_range
-        value, inner_err, info, *_ = integrate.quad(
-            f(y), lo, hi, epsabs=inner_tol, epsrel=inner_tol, full_output=True)
-        err = max(err, inner_err)
-        evaluations += info["neval"]
-        return value
-
-    value, outer_err, *_ = integrate.quad(
-        outer, *outer_range, epsabs=outer_tol, epsrel=outer_tol,
-        full_output=True)
-    return _certified(QuadResult(value=value,
-                                 error_estimate=max(err, outer_err),
-                                 evaluations=int(evaluations)),
-                      outer_tol, "nested quadrature")
+    return _converge(f, _region(*ranges), 2, tol, tol, "nested quadrature")
 
 
-def _certified(result: QuadResult, tol: float, what: str) -> QuadResult:
+def _certified(result: QuadResult, tol: float, epsabs: float,
+               what: str) -> QuadResult:
     """Return result, or raise ConvergenceError, whose `best` is result,
-    when its error estimate exceeds ten times the accuracy asked of QUADPACK
-    with epsabs = epsrel = tol, which is max(tol, tol*|value|)."""
-    requested = tol * max(1.0, abs(result.value))
+    when its error estimate exceeds ten times the accuracy asked,
+    max(epsabs, tol*|value|)."""
+    requested = max(epsabs, tol * abs(result.value))
     if not result.error_estimate <= 10.0 * requested:
         raise ConvergenceError(f"{what} error estimate "
                                f"{result.error_estimate:.3g} exceeds "
@@ -192,7 +341,7 @@ def zeta3_3f2() -> float:
     return 3.0 * PI * hyp3f2_unit(-0.5, 0.5, 1.5, 1.0, 2.0)
 
 
-def _zeta4_integrand(t: float) -> float:
+def _zeta4_integrand(t):
     k, e = elliptic_imag(t)
     t2 = t * t
     t4 = t2 * t2
@@ -214,19 +363,19 @@ def zeta5_reduction_check() -> float:
     Evaluates the E^2, EK and K^2 integrals separately (coefficients
     4/(15 pi^2), 8/(15 pi^2), 4/(15 pi^2)); equals zeta_4 analytically.
     """
-    def poly(t: float) -> float:
+    def poly(t):
         return (1.0 + 2.0 * t * t) ** 2 - 1.0
 
-    def f_e2(t: float) -> float:
+    def f_e2(t):
         _, e = elliptic_imag(t)
         return (-2.0 + 4.0 * poly(t)) * e * e / (1.0 + 2.0 * t * t) ** 5 * t
 
-    def f_ek(t: float) -> float:
+    def f_ek(t):
         k, e = elliptic_imag(t)
         return ((1.0 - 2.0 * poly(t) + (1.0 + 2.0 * t * t)) * e * k
                 / (1.0 + 2.0 * t * t) ** 5 * t)
 
-    def f_k2(t: float) -> float:
+    def f_k2(t):
         k, _ = elliptic_imag(t)
         return ((-1.0 + poly(t) - (1.0 + 2.0 * t * t)) * k * k
                 / (1.0 + 2.0 * t * t) ** 5 * t)
@@ -246,92 +395,77 @@ def zeta5_reduction_check() -> float:
 TWO_PI2 = 2.0 * PI**2
 
 
-def _theta_sqrt_integral(a: float, b: float) -> float:
-    """int_0^{pi/2} sqrt(a sin^2(theta) + b) dtheta for a, b >= 0.
+def _theta_sqrt_integral(a, b):
+    """int_0^{pi/2} sqrt(a sin^2(theta) + b) dtheta for arrays a, b >= 0.
 
     a sin^2 + b = (a+b)(1 - m cos^2) with m = a/(a+b), so the integral is
-    sqrt(a+b) E(k), and `ellipe` takes the parameter m = k^2.
+    sqrt(a+b) E(k), and `ellipe` takes the parameter m = k^2; at b = 0 that
+    is sqrt(a) E(1) = sqrt(a), and at a = b = 0 it is 0.
     """
-    if b == 0.0:
-        return math.sqrt(a)  # E(1) = 1
     total = a + b
-    return math.sqrt(total) * float(special.ellipe(a / total))
+    return np.sqrt(total) * special.ellipe(a / np.where(total > 0.0, total, 1.0))
 
 
-def _cone(ph: float, ps: float) -> float:
+def _cone(ph, ps):
     """sqrt(cos^2(phi) sin^2(psi) + cos^2(psi)), the first area term.
 
     It vanishes only at the corner (pi/2, pi/2), where it is sqrt(x^2 + y^2)
     to first order in x = pi/2 - phi and y = pi/2 - psi.
     """
-    c, s = math.cos, math.sin
-    return math.sqrt(c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2)
+    return np.sqrt(np.cos(ph) ** 2 * np.sin(ps) ** 2 + np.cos(ps) ** 2)
 
 
-# The integrands over the angle box that `_double` takes are curried:
-# f(psi) computes what depends on psi alone once per inner integral and
-# returns the integrand in phi.  Each performs the floating-point operations
-# of the two-argument form f(phi, psi) in its order, so its values keep
-# their bits; the density _dens4(phi, psi) appears as
-# (sin(phi) * sin^2(psi) / TWO_PI2).
-#
-# The theta-free entries: their triple integrals are HALF_PI times these.
+# The integrands over the angle box, f(phi, psi) on arrays, each the
+# density _dens4(phi, psi) times its functional.  The theta-free entries:
+# their triple integrals are HALF_PI times these.
 
-def _vl(ps: float):
-    w, sps2 = 64.0 * math.cos(ps), math.sin(ps) ** 2
-    return lambda ph: w * (math.sin(ph) * sps2 / TWO_PI2)
+def _vl(ph, ps):
+    return 64.0 * np.cos(ps) * _dens4(ph, ps)
 
 
-def _vl2(ps: float):
-    cps, sps = math.cos(ps), math.sin(ps)
-    a, sps2 = 64.0 * cps ** 2, sps ** 2
-    return lambda ph: ((a + 192.0 * math.cos(ph) * sps * cps)
-                       * (math.sin(ph) * sps2 / TWO_PI2))
+def _vl2(ph, ps):
+    cps = np.cos(ps)
+    return (64.0 * cps ** 2 + 192.0 * np.cos(ph) * np.sin(ps) * cps) * _dens4(ph, ps)
 
 
-def _mw(ps: float):
-    w, sps2 = 32.0 * math.sqrt(1.0 - math.cos(ps) ** 2), math.sin(ps) ** 2
-    return lambda ph: w * (math.sin(ph) * sps2 / TWO_PI2)
+def _mw(ph, ps):
+    return 32.0 * np.sqrt(1.0 - np.cos(ps) ** 2) * _dens4(ph, ps)
 
 
-def _mw2(ps: float):
-    cps2, sps2 = math.cos(ps) ** 2, math.sin(ps) ** 2
-    a, root = 16.0 * (1.0 - cps2), math.sqrt(1.0 - cps2)
-    return lambda ph: ((a + 48.0 * math.sqrt(1.0 - math.cos(ph) ** 2 * sps2)
-                        * root) * (math.sin(ph) * sps2 / TWO_PI2))
+def _mw2(ph, ps):
+    root = np.sqrt(1.0 - np.cos(ps) ** 2)
+    return (16.0 * (1.0 - np.cos(ps) ** 2)
+            + 48.0 * np.sqrt(1.0 - np.cos(ph) ** 2 * np.sin(ps) ** 2)
+            * root) * _dens4(ph, ps)
 
 
-def _vl_mw(ps: float):
-    cps, sps = math.cos(ps), math.sin(ps)
-    a, root, sps2 = 32.0 * cps, math.sqrt(1.0 - cps ** 2), sps ** 2
-    return lambda ph: ((a + 96.0 * math.cos(ph) * sps) * root
-                       * (math.sin(ph) * sps2 / TWO_PI2))
+def _vl_mw(ph, ps):
+    return ((32.0 * np.cos(ps) + 96.0 * np.cos(ph) * np.sin(ps))
+            * np.sqrt(1.0 - np.cos(ps) ** 2) * _dens4(ph, ps))
 
 
 # The theta-integrated integrands of the three entries that hold the cone
 # and depend on theta, split into terms by kind: a cone term, a theta-term
 # sqrt(a+b) E(k) and e_ar2's smooth term.  Each entry's triple integral over
 # (theta, phi, psi) is the sum of the double integrals of its terms over
-# (phi, psi).  The cone terms, and e_ar2's theta-term, go to `_corner_polar`
-# and keep two arguments.
+# (phi, psi).  The cone terms, and e_ar2's theta-term, go to `_corner_polar`.
 
-def _ar2_smooth(ps: float):
-    cps2, sps2 = math.cos(ps) ** 2, math.sin(ps) ** 2
-    return lambda ph: (HALF_PI * 384.0 * (math.cos(ph) ** 2 * sps2 + cps2)
-                       * (math.sin(ph) * sps2 / TWO_PI2))
+def _ar2_smooth(ph, ps):
+    return (HALF_PI * 384.0 * (np.cos(ph) ** 2 * np.sin(ps) ** 2
+                               + np.cos(ps) ** 2) * _dens4(ph, ps))
 
 
-def _ar2_cone(ph: float, ps: float) -> float:
-    return (HALF_PI * 384.0 * math.sin(ph) * math.sin(ps) * _cone(ph, ps)
+def _ar2_cone(ph, ps):
+    return (HALF_PI * 384.0 * np.sin(ph) * np.sin(ps) * _cone(ph, ps)
             * _dens4(ph, ps))
 
 
-def _ar2_theta(ph: float, ps: float) -> float:
+def _ar2_theta(ph, ps):
     """With a = sin^2(phi) sin^2(psi) and b = cos^2(psi), sqrt(a+b) is a
     cone that vanishes only at the corner (0, pi/2)."""
-    sph, sps = math.sin(ph), math.sin(ps)
+    sph, sps = np.sin(ph), np.sin(ps)
     return (1536.0 * sph * sps
-            * _theta_sqrt_integral(sph ** 2 * sps ** 2, math.cos(ps) ** 2)
+            * _theta_sqrt_integral(sph ** 2 * sps ** 2, np.cos(ps) ** 2)
             * _dens4(ph, ps))
 
 
@@ -345,56 +479,56 @@ def _area_terms(weight):
     that theta-integral is sin(psi) E(sin(phi)), so the term is
     weight(psi) sin^3(psi) / TWO_PI2 times `_area_phi`.
     """
-    def cone(ph: float, ps: float) -> float:
+    def cone(ph, ps):
         return weight(ps) * HALF_PI * _cone(ph, ps) * _dens4(ph, ps)
 
-    def psi_factor(ps: float) -> float:
-        return weight(ps) * math.sin(ps) ** 3 / TWO_PI2
+    def psi_factor(ps):
+        return weight(ps) * np.sin(ps) ** 3 / TWO_PI2
     return cone, psi_factor
 
 
-def _area_phi(ph: float) -> float:
+def _area_phi(ph):
     """sin(phi) E(sin(phi)), the phi-factor of the theta-terms of e_vl_ar
     and e_ar_mw (see `_area_terms`)."""
-    sph = math.sin(ph)
-    return sph * _theta_sqrt_integral(sph ** 2, math.cos(ph) ** 2)
+    sph = np.sin(ph)
+    return sph * _theta_sqrt_integral(sph ** 2, np.cos(ph) ** 2)
 
 
-_vl_ar_cone, _vl_ar_psi = _area_terms(lambda ps: 384.0 * math.cos(ps))
+_vl_ar_cone, _vl_ar_psi = _area_terms(lambda ps: 384.0 * np.cos(ps))
 _ar_mw_cone, _ar_mw_psi = _area_terms(
-    lambda ps: 192.0 * math.sqrt(1.0 - math.cos(ps) ** 2))
+    lambda ps: 192.0 * np.sqrt(1.0 - np.cos(ps) ** 2))
 
 
-def _mw2_3cube(ph: float) -> float:
+def _mw2_3cube(ph):
     """2D analog (shadow of the 3-cube onto a plane): E(mw^2), a double
     integral over (theta, phi) whose theta-integral is
     int sqrt(1 - cos^2(th) sin^2(ph)) = E(sin(ph))."""
-    cph, sph = math.cos(ph), math.sin(ph)
+    cph, sph = np.cos(ph), np.sin(ph)
     pref = (2.0 / PI) ** 2 * sph / (4.0 * PI)
     return (24.0 * (1.0 - cph ** 2) * HALF_PI
             + 48.0 * _theta_sqrt_integral(sph ** 2, cph ** 2)
-            * math.sqrt(1.0 - cph ** 2)) * pref
+            * np.sqrt(1.0 - cph ** 2)) * pref
 
 
-def _ij(p3: float):
+def _ij(p2, p3):
     """4D analog (shadow of the 5-cube): E(mw^2) = 32 (4/(3 pi))^2 (5I + 20J),
     a quadruple integral over (theta, p1, p2, p3) whose integrand is free of
     theta and depends on p1 only through the density factor sin(p1), which
-    integrates to 1.  Curried in p3, with p2 innermost."""
-    cp3_2, sp3 = math.cos(p3) ** 2, math.sin(p3)
-    i_part, root = 5.0 * (1.0 - cp3_2), math.sqrt(1.0 - cp3_2)
-    sp3_2, sp3_3 = sp3 ** 2, sp3 ** 3
-    return lambda p2: ((i_part + 20.0 * (math.sqrt(1.0 - math.cos(p2) ** 2
-                                                   * sp3_2) * root))
-                       * 3.0 / (8.0 * PI**2) * math.sin(p2) ** 2 * sp3_3)
+    integrates to 1."""
+    root = np.sqrt(1.0 - np.cos(p3) ** 2)
+    return ((5.0 * (1.0 - np.cos(p3) ** 2)
+             + 20.0 * (np.sqrt(1.0 - np.cos(p2) ** 2 * np.sin(p3) ** 2) * root))
+            * 3.0 / (8.0 * PI**2) * np.sin(p2) ** 2 * np.sin(p3) ** 3)
 
 
+# The accuracy asked of the one-dimensional factors and of the double
+# integrals.
 _BOX_TOLS = (1e-12, 1e-11)
 
 
 def _double(f) -> QuadResult:
-    """Integral over [0, pi/2]^2 of the curried f(psi)(phi), phi innermost."""
-    return _nested(f, [(0.0, HALF_PI)] * 2, _BOX_TOLS)
+    """Integral over [0, pi/2]^2 of f(phi, psi)."""
+    return _nested(f, [(0.0, HALF_PI)] * 2, _BOX_TOLS[1])
 
 
 # The corners at which the suite's cones vanish: that of `_cone`, and that
@@ -405,20 +539,19 @@ _AR2_THETA_CORNER = (0.0, HALF_PI)
 
 def _polar(f, corner):
     """f(phi, psi) times the Jacobian r in polar coordinates (r, alpha)
-    about a corner (phi0, psi0) of the box, curried in alpha:
+    about a corner (phi0, psi0) of the box, as a function of (r, alpha):
     phi = phi0 +- r cos(alpha) and psi = psi0 +- r sin(alpha), each sign
     pointing into the box (- from pi/2, + from 0)."""
     (ph0, dph), (ps0, dps) = ((c, -1.0 if c else 1.0) for c in corner)
 
-    def outer(al: float):
-        ca, sa = dph * math.cos(al), dps * math.sin(al)
-        return lambda r: r * f(ph0 + r * ca, ps0 + r * sa)
-    return outer
+    def integrand(r, al):
+        return r * f(ph0 + r * (dph * np.cos(al)), ps0 + r * (dps * np.sin(al)))
+    return integrand
 
 
-def _edge(al: float) -> tuple[float, float]:
-    """The range of r at alpha: out to the far edge of the box."""
-    return (0.0, HALF_PI / max(math.cos(al), math.sin(al)))
+def _edge(al):
+    """The range of r at the angles alpha: out to the far edge of the box."""
+    return 0.0, HALF_PI / np.maximum(np.cos(al), np.sin(al))
 
 
 def _corner_polar(f, corner) -> QuadResult:
@@ -430,7 +563,7 @@ def _corner_polar(f, corner) -> QuadResult:
     away from the corner, so that the edge is smooth in alpha on each piece.
     """
     quarter = 0.25 * PI
-    return _total(*(_nested(_polar(f, corner), [_edge, span], _BOX_TOLS)
+    return _total(*(_nested(_polar(f, corner), [_edge, span], _BOX_TOLS[1])
                     for span in ((0.0, quarter), (quarter, HALF_PI))))
 
 
@@ -454,7 +587,7 @@ def moment_integral_suite() -> dict[str, QuadResult]:
     The closed forms these integrals equal live in `moments` only.
     """
     def theta_free(f) -> QuadResult:
-        """Triple integral of a curried integrand f(psi)(phi) free of theta."""
+        """Triple integral of an integrand f(phi, psi) free of theta."""
         return _scaled(_double(f), HALF_PI)
 
     def factor(f) -> QuadResult:

@@ -1,12 +1,13 @@
 """Special functions used by the analytic shadow-moment results.
 
 Complete elliptic integrals of the first and second kind of purely
-imaginary modulus (from the compiled `scipy.special.ellipkm1` and `ellipe`
-at a real modulus, where K and E are within 5e-16 relative of mpmath), the
-generalized hypergeometric 3F2 at unit argument (terminating sum, Gauss
-summation or the Euler integral over 2F1, in double precision), and
-Catalan's constant.  Modulus convention: K(k), E(k) take the modulus k,
-not the parameter m = k^2.
+imaginary modulus, elementwise over arrays (from the compiled
+`scipy.special.ellipkm1` at a real modulus and `ellipe` at a negative
+parameter, each within 5e-16 relative of mpmath), the generalized
+hypergeometric 3F2 at unit argument (terminating sum, Gauss summation or
+the Euler integral over 2F1 by the double-exponential rule of `quad`, in
+double precision), and Catalan's constant.  Modulus convention: K(k), E(k)
+take the modulus k, not the parameter m = k^2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import functools
 import itertools
 import math
 
-from scipy import integrate, special
+import numpy as np
+from scipy import special
 
 
 class DomainError(ValueError):
@@ -34,8 +36,9 @@ class ConvergenceError(ValueError):
         self.best = best
 
 
-def _ke(k: float, kc: float) -> tuple[float, float]:
-    """K(k) and E(k) given the modulus k and k' = sqrt(1-k^2).
+def _ke(k, kc):
+    """K(k) and E(k) given the modulus k and k' = sqrt(1-k^2), elementwise
+    over arrays.
 
     K is `ellipkm1(k'^2)`, which takes the complementary parameter and so
     avoids the cancellation in 1 - k^2; E is `ellipe(k^2)`.  Against mpmath
@@ -44,30 +47,33 @@ def _ke(k: float, kc: float) -> tuple[float, float]:
     form `ellipkm1` itself uses there, is exact to a double and stays so
     where k'^2 would be subnormal (k' below about 1e-154) or zero.
     """
-    if kc < 1e-8:
-        big_k = math.log(4.0) - math.log(kc)
-    else:
-        big_k = float(special.ellipkm1(kc * kc))
-    return big_k, float(special.ellipe(k * k))
+    kc = np.asarray(kc, dtype=float)
+    big_k = np.where(kc < 1e-8, math.log(4.0) - np.log(kc),
+                     special.ellipkm1(kc * kc))
+    return big_k[()], special.ellipe(np.multiply(k, k))[()]
 
 
-def elliptic_imag(t: float) -> tuple[float, float]:
-    """(K(i*t), E(i*t)) for t >= 0, via the imaginary-modulus transformation.
+def elliptic_imag(t):
+    """(K(i*t), E(i*t)) for t >= 0, elementwise over an array t.
 
-    K(it) = K(t/sqrt(1+t^2)) / sqrt(1+t^2),
-    E(it) = sqrt(1+t^2) * E(t/sqrt(1+t^2)).
+    K(it) = K(k)/s with s = sqrt(1+t^2), k = t/s and k' = 1/s, the
+    complementary modulus formed without cancellation.  E(it) is
+    `ellipe(-t^2)`, at the negative parameter itself: on 200 log-spaced t
+    in [1e-3, 1e12] it is within 6.3e-16 of mpmath at 40 digits, against
+    2.0e-15 for s E(k), whose k carries its rounding into 1 - k^2.  Where
+    t^2 overflows (t above about 1.3e154), E(it) = s E(k), with E(k) = 1.
     Real arithmetic throughout; total for all finite t >= 0.
     """
-    if t < 0 or not math.isfinite(t):
-        raise DomainError(f"need finite t >= 0, got {t}")
-    if t == 0.0:
-        half_pi = 0.5 * math.pi
-        return half_pi, half_pi
-    s = math.hypot(1.0, t)
-    k = t / s
-    kc = 1.0 / s  # complementary modulus, computed without cancellation
-    big_k, big_e = _ke(k, kc)
-    return big_k / s, s * big_e
+    t = np.asarray(t, dtype=float)
+    bad = t[~((t >= 0.0) & (t < math.inf))]
+    if bad.size:
+        raise DomainError(f"need finite t >= 0, got {bad[0]}")
+    s = np.hypot(1.0, t)
+    big_k, big_e = _ke(t / s, 1.0 / s)
+    with np.errstate(over="ignore"):
+        t2 = t * t
+    big_e = np.where(t2 < math.inf, special.ellipe(-t2), s * big_e)
+    return (big_k / s)[()], big_e[()]
 
 
 # Series terms summed exactly before the Euler integral takes the rest, so
@@ -108,7 +114,7 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float:
       that b2 > a3 > 0,
       Gamma(b2)/(Gamma(a3) Gamma(b2-a3)) int_0^1 t^(a3-1) (1-t)^(b2-a3-1)
       [2F1(a1,a2;b1;t) - its first terms] dt,
-      by Clenshaw-Curtis/Gauss-Kronrod quadrature with the algebraic
+      by the tanh-sinh rule of `quad.integrate_1d` with the algebraic
       weight.  The 2F1 behaves like (1-t)^e at t = 1, e = b1 - a1 - a2; a
       negative power is moved into the weight by Euler's transformation,
       and of the admissible permutations the one with the largest |e|
@@ -147,7 +153,7 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float:
     # term k of the 2F1, integrated against the weight, is term k of the 3F2
     head = _series_terms((p, q), (c,), _HEAD_TERMS)[::-1]
 
-    def head_poly(t: float) -> float:
+    def head_poly(t):
         total = 0.0
         for coeff in head:
             total = total * t + coeff
@@ -160,16 +166,20 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float:
         # the series converges), leaving an integrand finite at t = 1.
         beta += e
 
-        def tail(t: float) -> float:
+        def tail(t):
             return (special.hyp2f1(c - p, c - q, c, t)
                     - (1.0 - t) ** -e * head_poly(t))
     else:
-        def tail(t: float) -> float:
+        def tail(t):
             return special.hyp2f1(p, q, c, t) - head_poly(t)
 
-    value, err, *_ = integrate.quad(
-        tail, 0.0, 1.0, weight="alg", wvar=(a - 1.0, beta),
-        epsabs=1e-15, epsrel=1e-13, limit=200, full_output=True)
+    from .quad import integrate_1d  # quad imports this module
+    try:
+        r = integrate_1d(tail, 0.0, 1.0, tol=1e-13, epsabs=1e-15,
+                         weight=(a - 1.0, beta))
+    except ConvergenceError as exc:  # certified below, against the sum
+        r = exc.best
+    value, err = r.value, r.error_estimate
     scale = math.gamma(b) / (math.gamma(a) * math.gamma(b - a))
     total = math.fsum(_series_terms(uppers, lowers, _HEAD_TERMS)) + scale * value
     if not (math.isfinite(total) and scale * err <= 1e-10 * max(1.0, abs(total))):

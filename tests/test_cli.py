@@ -257,10 +257,13 @@ class TestHullDump:
         assert a != c
 
 
-def test_import_does_not_load_mpmath():
+@pytest.mark.parametrize("module", ["mpmath", "scipy.integrate"])
+def test_import_does_not_load_mpmath(module):
+    # neither is a dependency of the library: mpmath is the tests' oracle,
+    # and QUADPACK (scipy.integrate) their second quadrature route
     src = str(Path(cubeshadow.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    code = "import sys, cubeshadow.cli; sys.exit('mpmath' in sys.modules)"
+    code = f"import sys, cubeshadow.cli; sys.exit({module!r} in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], timeout=60,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
@@ -363,10 +366,17 @@ class TestParser:
                 in capsys.readouterr().err)
 
     def test_zero_tolerance_is_accepted(self, capsys):
-        # zeta4 meets its closed form exactly
-        assert cli.main(["constants", "--which", "zeta4", "--tol", "0",
-                         "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["tolerance"] == 0.0
+        # --tol 0 parses, and a row then passes only where it meets its
+        # closed form exactly; zeta4 is within 2 ulps of it, no row is
+        # exact by construction, so the exit status follows the rows
+        rc = cli.main(["constants", "--which", "zeta4", "--tol", "0",
+                       "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["tolerance"] == 0.0
+        assert [row["pass"] for row in payload["rows"]] == [
+            row["discrepancy"] == 0.0 for row in payload["rows"]]
+        assert rc == (0 if payload["pass"] else 1)
+        assert payload["rows"][0]["discrepancy"] < 4 * 2.0 ** -50
 
     def test_samples_not_an_int(self, capsys):
         with pytest.raises(SystemExit) as exc:
