@@ -154,8 +154,9 @@ def _algebraic(t_max: float, level: int, alpha: float, beta: float):
     power of a distance below the smallest double under- or overflows."""
     t = _new_steps(-t_max, t_max, level)
     u = HALF_PI * np.sinh(t)
-    return PI * np.cosh(t) * np.exp(-(1.0 + alpha) * np.logaddexp(0.0, -2.0 * u)
-                                    - (1.0 + beta) * np.logaddexp(0.0, 2.0 * u))
+    log_p, log_q = -np.logaddexp(0.0, -2.0 * u), -np.logaddexp(0.0, 2.0 * u)
+    return PI * np.cosh(t) * np.exp((1.0 + alpha) * log_p
+                                    + (1.0 + beta) * log_q)
 
 
 @functools.cache
@@ -215,7 +216,8 @@ def _region(inner, outer):
         y, wy = _place(new, *outer)
         every = tuple(map(np.concatenate, zip(old, new)))
         yield [_grid(y, wy, every, inner), _grid(ys, wys, new, inner)]
-        ys, wys, old = np.concatenate((ys, y)), np.concatenate((wys, wy)), every
+        ys, wys = np.concatenate((ys, y)), np.concatenate((wys, wy))
+        old = every
 
 
 def _converge(f, levels, dims: int, tol: float, epsabs: float,
@@ -403,7 +405,8 @@ def _theta_sqrt_integral(a, b):
     is sqrt(a) E(1) = sqrt(a), and at a = b = 0 it is 0.
     """
     total = a + b
-    return np.sqrt(total) * special.ellipe(a / np.where(total > 0.0, total, 1.0))
+    m = a / np.where(total > 0.0, total, 1.0)
+    return np.sqrt(total) * special.ellipe(m)
 
 
 def _cone(ph, ps):
@@ -425,7 +428,8 @@ def _vl(ph, ps):
 
 def _vl2(ph, ps):
     cps = np.cos(ps)
-    return (64.0 * cps ** 2 + 192.0 * np.cos(ph) * np.sin(ps) * cps) * _dens4(ph, ps)
+    return ((64.0 * cps ** 2 + 192.0 * np.cos(ph) * np.sin(ps) * cps)
+            * _dens4(ph, ps))
 
 
 def _mw(ph, ps):
@@ -433,10 +437,10 @@ def _mw(ph, ps):
 
 
 def _mw2(ph, ps):
-    root = np.sqrt(1.0 - np.cos(ps) ** 2)
-    return (16.0 * (1.0 - np.cos(ps) ** 2)
+    sps2 = 1.0 - np.cos(ps) ** 2
+    return (16.0 * sps2
             + 48.0 * np.sqrt(1.0 - np.cos(ph) ** 2 * np.sin(ps) ** 2)
-            * root) * _dens4(ph, ps)
+            * np.sqrt(sps2)) * _dens4(ph, ps)
 
 
 def _vl_mw(ph, ps):
@@ -515,9 +519,9 @@ def _ij(p2, p3):
     a quadruple integral over (theta, p1, p2, p3) whose integrand is free of
     theta and depends on p1 only through the density factor sin(p1), which
     integrates to 1."""
-    root = np.sqrt(1.0 - np.cos(p3) ** 2)
-    return ((5.0 * (1.0 - np.cos(p3) ** 2)
-             + 20.0 * (np.sqrt(1.0 - np.cos(p2) ** 2 * np.sin(p3) ** 2) * root))
+    sp3_2 = 1.0 - np.cos(p3) ** 2
+    j_part = np.sqrt(1.0 - np.cos(p2) ** 2 * np.sin(p3) ** 2) * np.sqrt(sp3_2)
+    return ((5.0 * sp3_2 + 20.0 * j_part)
             * 3.0 / (8.0 * PI**2) * np.sin(p2) ** 2 * np.sin(p3) ** 3)
 
 
@@ -545,7 +549,8 @@ def _polar(f, corner):
     (ph0, dph), (ps0, dps) = ((c, -1.0 if c else 1.0) for c in corner)
 
     def integrand(r, al):
-        return r * f(ph0 + r * (dph * np.cos(al)), ps0 + r * (dps * np.sin(al)))
+        return r * f(ph0 + r * (dph * np.cos(al)),
+                     ps0 + r * (dps * np.sin(al)))
     return integrand
 
 

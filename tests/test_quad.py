@@ -109,8 +109,8 @@ ULPS = 8 * np.finfo(float).eps
 
 def _agree(vectorized, scalar):
     vectorized, scalar = np.broadcast_arrays(vectorized, np.asarray(scalar))
-    assert np.all(np.abs(vectorized - scalar)
-                  <= ULPS * np.abs(scalar).max()), np.abs(vectorized - scalar).max()
+    gap = np.abs(vectorized - scalar)
+    assert np.all(gap <= ULPS * np.abs(scalar).max()), gap.max()
 
 
 def _box_points(count=1000, seed=15):
@@ -159,7 +159,8 @@ class TestCurriedIntegrands:
         """`_box_points` mapped to (r, alpha), t in [0, pi/2] to r from 0
         to the far edge."""
         al, t = np.array(_box_points()).T
-        return t / (math.pi / 2) * quad._edge(al)[1], al
+        far = np.array([ref.edge(a)[1] for a in al.tolist()])
+        return t / (math.pi / 2) * far, al
 
     def test_polar_integrand_bytes(self):
         f, corner = quad._ar2_cone, quad._CONE_CORNER
@@ -179,30 +180,40 @@ class TestCurriedIntegrands:
                 for a, b in zip(r.tolist(), al.tolist())])
 
     @staticmethod
-    def _matches_nquad(f, ranges):
-        """The rule's double integral and nquad's, each asked the suite's
-        accuracy, agree within ten times it."""
+    def _matches_nquad(rule, reference):
+        """The rule's double integral of (f, ranges) and nquad's of the
+        reference (f, ranges), each asked the suite's accuracy, agree
+        within ten times it."""
         tol = quad._BOX_TOLS[1]
-        rule = quad._nested(f, ranges, tol)
-        value = integrate.nquad(f, ranges,
+        result = quad._nested(*rule, tol)
+        value = integrate.nquad(*reference,
                                 opts={"epsabs": tol, "epsrel": tol})[0]
-        assert rule.evaluations > 0
-        assert abs(rule.value - value) <= 10 * tol * max(1.0, abs(value))
+        assert result.evaluations > 0
+        assert abs(result.value - value) <= 10 * tol * max(1.0, abs(value))
 
     def test_nested_matches_nquad_smooth(self):
         def f(x, y):
             return np.exp(np.sin(x) * np.cos(2 * y)) * (1 + x * y)
 
-        self._matches_nquad(f, [(0.0, math.pi / 2)] * 2)
+        box = [(0.0, math.pi / 2)] * 2
+        self._matches_nquad((f, box), (f, box))
+
+    @staticmethod
+    def _polar_pair(f, f_reference, corner):
+        """The rule's and the reference's polar integrands of f about the
+        corner over the piece of alpha [0, pi/4], with their ranges."""
+        half = (0.0, math.pi / 4)
+        return ((quad._polar(f, corner), [quad._edge, half]),
+                (ref.polar(f_reference, corner), [ref.edge, half]))
 
     def test_nested_matches_nquad_corner_cone(self):
-        self._matches_nquad(quad._polar(quad._cone, quad._CONE_CORNER),
-                            [quad._edge, (0.0, math.pi / 4)])
+        self._matches_nquad(*self._polar_pair(quad._cone, quad._cone,
+                                              quad._CONE_CORNER))
 
     def test_nested_matches_nquad_theta_corner(self):
         # the piece of alpha that holds the logarithmic edge at alpha = 0
-        self._matches_nquad(quad._polar(quad._ar2_theta, (0.0, math.pi / 2)),
-                            [quad._edge, (0.0, math.pi / 4)])
+        self._matches_nquad(*self._polar_pair(quad._ar2_theta, ref._ar2_theta,
+                                              (0.0, math.pi / 2)))
 
 
 class TestCornerPolar:
