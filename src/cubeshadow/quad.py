@@ -14,7 +14,11 @@ derivative decays double-exponentially in t,
   (x - a)^alpha (b - x)^beta is exact however close the node is to an end;
 - exp-sinh on (a, inf), x = a + exp(pi/2 sinh t);
 - their tensor product on a two-dimensional region, whose inner limits
-  follow the outer node (`_nested`).
+  follow the outer node (`_nested`);
+- near a finite end other than 0, where the nodes round to the end and an
+  integrable singularity of f makes the sum infinite, pieces that shrink
+  geometrically toward each end, each by tanh-sinh, whose partial sums are
+  extrapolated to the end by Wynn's epsilon algorithm (`_end_pieces`).
 The substitution turns the endpoint singularities of these integrands --
 the logarithms of the elliptic integrals, their polynomial decay at
 infinity and the algebraic weight of the Euler integral of
@@ -61,6 +65,7 @@ uses none of them.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -129,34 +134,27 @@ def _weighted_t(weight: tuple[float, float]) -> float:
     return max(_LINE_T, math.ceil(2.0 * math.asinh(u / HALF_PI)) / 2.0)
 
 
-@functools.cache
-def _tanh_sinh(t_max: float, level: int):
+@functools.lru_cache(maxsize=64)
+def _tanh_sinh(t_max: float, level: int, alpha: float = 0.0,
+               beta: float = 0.0):
     """The tanh-sinh nodes that a level adds, |t| <= t_max: each node's
-    distances p and q to the two ends and its weight w, all per unit
-    length of the interval and w without the step h.
+    distances p and q to the two ends and its weight w times the algebraic
+    weight p^alpha q^beta, all per unit length of the interval and w
+    without the step h.
 
     With u = (pi/2) sinh(t), p = (1 + tanh u)/2 = 1/(1 + e^(-2u)) and
     q = (1 - tanh u)/2 = 1/(1 + e^(2u)), each from its own exponential, so
-    neither is formed as 1 minus the other; w = dx/dt = pi cosh(t) p q.
+    neither is formed as 1 minus the other; dx/dt = pi cosh(t) p q, and
+    w = pi cosh(t) p^(1+alpha) q^(1+beta) is formed from
+    log p = -log(1 + e^(-2u)) and log q = -log(1 + e^(2u)), so that no
+    power of a distance below the smallest double under- or overflows.
     """
     t = _new_steps(-t_max, t_max, level)
     u = HALF_PI * np.sinh(t)
-    with np.errstate(over="ignore"):  # a distance below 1e-308 is 0
-        p = 1.0 / (1.0 + np.exp(-2.0 * u))
-        q = 1.0 / (1.0 + np.exp(2.0 * u))
-    return _frozen(p, q, PI * np.cosh(t) * p * q)
-
-
-def _algebraic(t_max: float, level: int, alpha: float, beta: float):
-    """The weights of a level's tanh-sinh nodes on [0, 1] times
-    p^alpha q^beta: pi cosh(t) p^(1+alpha) q^(1+beta), with
-    log p = -log(1 + e^(-2u)) and log q = -log(1 + e^(2u)), so that no
-    power of a distance below the smallest double under- or overflows."""
-    t = _new_steps(-t_max, t_max, level)
-    u = HALF_PI * np.sinh(t)
     log_p, log_q = -np.logaddexp(0.0, -2.0 * u), -np.logaddexp(0.0, 2.0 * u)
-    return PI * np.cosh(t) * np.exp((1.0 + alpha) * log_p
-                                    + (1.0 + beta) * log_q)
+    w = PI * np.cosh(t) * np.exp((1.0 + alpha) * log_p
+                                 + (1.0 + beta) * log_q)
+    return _frozen(np.exp(log_p), np.exp(log_q), w)
 
 
 @functools.cache
@@ -176,22 +174,19 @@ def _place(nodes, a, b):
     return np.where(p <= q, a + length * p, b - length * q), length * w
 
 
-def _line(a: float, b: float, weight):
+def _line(a: float, b: float, weight: tuple[float, float]):
     """The nodes that each level adds on (a, b), b finite or +inf, as one
-    block ((x,), w); weight = (alpha, beta) multiplies w by
-    (x - a)^alpha (b - x)^beta, formed from the exact distances
-    (`_algebraic`)."""
-    t_max = _LINE_T if weight is None else _weighted_t(weight)
+    block ((x,), w); on a finite (a, b), w carries the algebraic weight
+    (x - a)^alpha (b - x)^beta, weight = (alpha, beta), formed from the
+    exact distances (`_tanh_sinh`)."""
+    t_max = _weighted_t(weight)
     for level in range(_MAX_LEVEL + 1):
         if b == math.inf:
             e, w = _exp_sinh(level)
             yield [((a + e,), w)]
             continue
-        x, w = _place(_tanh_sinh(t_max, level), a, b)
-        if weight is not None:
-            w = (b - a) ** (1.0 + sum(weight)) * _algebraic(t_max, level,
-                                                            *weight)
-        yield [((x,), w)]
+        x, w = _place(_tanh_sinh(t_max, level, *weight), a, b)
+        yield [((x,), (b - a) ** sum(weight) * w)]
 
 
 def _grid(y, wy, nodes, inner):
@@ -220,21 +215,89 @@ def _region(inner, outer):
         old = every
 
 
-def _converge(f, levels, dims: int, tol: float, epsabs: float,
-              what: str) -> QuadResult:
+# The pieces into which `integrate_1d` cuts each half of an interval with a
+# singular end that the nodes round to: at the distances [d/2, d] from the
+# end, d = 2^-(k+1) of the interval for k < _PIECES, so that the nearest
+# node lies 2^-21 of the interval from the end, and its rounding moves it by
+# about 2e-10 of that distance when the end is as large as the interval.
+_PIECES = 20
+
+
+def _end_pieces(a: float, b: float, weight: tuple[float, float]):
+    """The nodes that each level adds on the pieces of the two halves of
+    [a, b], as one block ((x,), w) of shape (2, _PIECES, n): row 0 holds the
+    pieces toward a, row 1 those toward b.  Each piece, clear of the ends,
+    takes the tanh-sinh nodes of a bounded integrand (|t| <= _BOX_T), and
+    the weight (x - a)^alpha (b - x)^beta is formed from each node's
+    distance s to its end and b - a - s."""
+    alpha, beta = weight
+    length = b - a
+    d = length * 0.5 ** np.arange(1, _PIECES + 1)[:, None]
+    for level in range(_MAX_LEVEL + 1):
+        p, _, w = _tanh_sinh(_BOX_T, level)
+        s = 0.5 * d * (1.0 + p)
+        ws, far = 0.5 * d * w, length - s
+        yield [((np.stack((a + s, b - s)),),
+                np.stack((ws * s ** alpha * far ** beta,
+                          ws * far ** alpha * s ** beta)))]
+
+
+def _wynn(partial: np.ndarray) -> tuple[float, float]:
+    """The limit of the partial sums by Wynn's epsilon algorithm (Wynn,
+    MTAC 10, 1956; the extrapolation of QUADPACK's QAGS), with its spread:
+    of the even columns of the table, the last entry of the one whose last
+    three entries lie closest together, and their two distances summed; the
+    last sum and the last term when no column does better."""
+    value, spread = partial[-1], abs(partial[-1] - partial[-2])
+    before, column = np.zeros(len(partial) + 1), partial
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(1, len(partial) - 2):
+            before, column = (column,
+                              before[1:len(column)] + 1.0 / np.diff(column))
+            if k % 2 == 0:
+                near = np.sum(np.abs(np.diff(column[-3:])))
+                if near < spread:
+                    value, spread = column[-1], near
+    return float(value), float(spread)
+
+
+def _extrapolated(sums: np.ndarray) -> tuple[float, float]:
+    """The integral whose pieces toward each end sum to the rows of sums,
+    each row's partial sums extrapolated to its end (`_wynn`), and the sum
+    of the two spreads."""
+    limits = [_wynn(np.cumsum(row)) for row in sums]
+    return sum(v for v, _ in limits), sum(e for _, e in limits)
+
+
+def _converge(f, levels, dims: int, tol: float, epsabs: float, what: str,
+              extrapolate=None) -> QuadResult:
     """Sum the rule level by level, I_k = h^dims times the sum of f w over
     every node so far, until |I_k - I_(k-1)| is within the accuracy asked,
     max(epsabs, tol |I_k|); that difference is the error estimate, and the
-    result is certified (see `_certified`) after the last level."""
+    result is certified (see `_certified`) after the last level.
+
+    With `extrapolate`, the sums run over the last axis of each block only,
+    and extrapolate maps them to I_k and a spread that the error estimate
+    takes if it is larger.  A sum that is not finite (f infinite or
+    undefined at a node that rounded to an end) ends the levels at once.
+    """
     total, evaluations, value, err = 0.0, 0, math.nan, math.nan
-    for level, blocks in enumerate(levels):
-        for args, w in blocks:
-            total += float(np.sum(f(*args) * w))
-            evaluations += w.size
-        previous, value = value, total * 0.5 ** (dims * level)
-        err = abs(value - previous)
-        if err <= max(epsabs, tol * abs(value)):
-            break
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for level, blocks in enumerate(levels):
+            for args, w in blocks:
+                terms = f(*args) * w
+                total = total + (np.sum(terms) if extrapolate is None
+                                 else np.sum(terms, axis=-1))
+                evaluations += w.size
+            previous, value = value, total * 0.5 ** (dims * level)
+            spread = 0.0
+            if extrapolate is not None:
+                value, spread = extrapolate(value)
+            value = float(value)
+            err = max(abs(value - previous), spread)
+            if (not math.isfinite(value)
+                    or err <= max(epsabs, tol * abs(value))):
+                break
     return _certified(QuadResult(value=value, error_estimate=err,
                                  evaluations=evaluations), tol, epsabs, what)
 
@@ -247,18 +310,41 @@ def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
 
     With weight = (alpha, beta), alpha, beta > -1 and b finite, integrates
     f(x) (x - a)^alpha (b - x)^beta with the weight formed from each node's
-    exact distances to the ends, so f need only be finite there.  tol is the
-    relative accuracy asked and epsabs the absolute one (tol if None).
-    Returns the estimate with its error estimate and evaluation count;
-    raises ConvergenceError (carrying the best estimate) when the requested
-    accuracy is not certified (see `_certified`).
+    exact distances to the ends.  tol is the relative accuracy asked and
+    epsabs the absolute one (tol if None).  Returns the estimate with its
+    error estimate and evaluation count; raises ConvergenceError (carrying
+    the best estimate) when the requested accuracy is not certified (see
+    `_certified`).
+
+    The nodes nearest a finite end other than 0 round to it, so an
+    integrable singularity of f there makes the sum infinite: then each
+    half of (a, b) is cut into pieces that shrink geometrically toward its
+    end (`_end_pieces`), and their sums are extrapolated to the end
+    (`_wynn`), the evaluations of both attempts counted.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if weight is not None and b == math.inf:
         raise ValueError("an algebraic weight needs a finite interval")
-    return _converge(f, _line(a, b, weight), 1, tol,
-                     tol if epsabs is None else epsabs, "quadrature")
+    weight = (0.0, 0.0) if weight is None else weight
+    epsabs = tol if epsabs is None else epsabs
+    try:
+        return _converge(f, _line(a, b, weight), 1, tol, epsabs, "quadrature")
+    except ConvergenceError as error:
+        first = error.best
+        if b == math.inf or math.isfinite(first.value):
+            raise
+    try:
+        r = _converge(f, _end_pieces(a, b, weight), 1, tol, epsabs,
+                      "quadrature", extrapolate=_extrapolated)
+    except ConvergenceError as error:
+        error.best = _counted(error.best, first.evaluations)
+        raise
+    return _counted(r, first.evaluations)
+
+
+def _counted(r: QuadResult, evaluations: int) -> QuadResult:
+    return dataclasses.replace(r, evaluations=r.evaluations + evaluations)
 
 
 def _nested(f, ranges, tol: float) -> QuadResult:

@@ -36,21 +36,20 @@ class ConvergenceError(ValueError):
         self.best = best
 
 
-def _ke(k, kc):
-    """K(k) and E(k) given the modulus k and k' = sqrt(1-k^2), elementwise
-    over arrays.
+def _ellipk(kc):
+    """K(k) given only the complementary modulus k' = sqrt(1-k^2),
+    elementwise over arrays.
 
     K is `ellipkm1(k'^2)`, which takes the complementary parameter and so
-    avoids the cancellation in 1 - k^2; E is `ellipe(k^2)`.  Against mpmath
-    at 40 digits both are within 2.5e-16 relative for real k (2,030 moduli
-    up to k = 1 - 1e-15).  For k' < 1e-8, K = ln 4 - ln k', the asymptotic
-    form `ellipkm1` itself uses there, is exact to a double and stays so
-    where k'^2 would be subnormal (k' below about 1e-154) or zero.
+    avoids the cancellation in 1 - k^2; against mpmath at 40 digits it is
+    within 2.5e-16 relative for real k (2,030 moduli up to k = 1 - 1e-15).
+    For k' < 1e-8, K = ln 4 - ln k', the asymptotic form `ellipkm1` itself
+    uses there, is exact to a double and stays so where k'^2 would be
+    subnormal (k' below about 1e-154) or zero.
     """
     kc = np.asarray(kc, dtype=float)
-    big_k = np.where(kc < 1e-8, math.log(4.0) - np.log(kc),
-                     special.ellipkm1(kc * kc))
-    return big_k[()], special.ellipe(np.multiply(k, k))[()]
+    return np.where(kc < 1e-8, math.log(4.0) - np.log(kc),
+                    special.ellipkm1(kc * kc))[()]
 
 
 def elliptic_imag(t):
@@ -61,19 +60,18 @@ def elliptic_imag(t):
     `ellipe(-t^2)`, at the negative parameter itself: on 200 log-spaced t
     in [1e-3, 1e12] it is within 6.3e-16 of mpmath at 40 digits, against
     2.0e-15 for s E(k), whose k carries its rounding into 1 - k^2.  Where
-    t^2 overflows (t above about 1.3e154), E(it) = s E(k), with E(k) = 1.
-    Real arithmetic throughout; total for all finite t >= 0.
+    t^2 overflows (t above about 1.3e154), k rounds to 1 and E(it) = s E(1)
+    = s.  Real arithmetic throughout; total for all finite t >= 0.
     """
     t = np.asarray(t, dtype=float)
     bad = t[~((t >= 0.0) & (t < math.inf))]
     if bad.size:
         raise DomainError(f"need finite t >= 0, got {bad[0]}")
     s = np.hypot(1.0, t)
-    big_k, big_e = _ke(t / s, 1.0 / s)
     with np.errstate(over="ignore"):
         t2 = t * t
-    big_e = np.where(t2 < math.inf, special.ellipe(-t2), s * big_e)
-    return (big_k / s)[()], big_e[()]
+    big_e = np.where(t2 < math.inf, special.ellipe(-t2), s)
+    return (_ellipk(1.0 / s) / s)[()], big_e[()]
 
 
 # Series terms summed exactly before the Euler integral takes the rest, so
@@ -118,7 +116,9 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float:
       weight.  The 2F1 behaves like (1-t)^e at t = 1, e = b1 - a1 - a2; a
       negative power is moved into the weight by Euler's transformation,
       and of the admissible permutations the one with the largest |e|
-      (the smoothest integrand) is used.
+      (the smoothest integrand) is used.  At e = 0 the 2F1 grows like
+      -log(1-t), infinite at the nodes that round to t = 1, and
+      `integrate_1d` extrapolates its pieces toward that end instead.
 
     Raises DomainError when no route applies (no upper parameter positive
     and below a lower one), ConvergenceError when the series diverges or

@@ -11,10 +11,7 @@ from cubeshadow import moments, quad, specfun
 class TestIntegrator:
     KNOWN = [
         (lambda t: np.exp(-t), 0, np.inf, 1.0),
-        # 1/sqrt(1 - v^2) with w = 1 - v: the singularity at the end that
-        # the integrand can resolve alone (for one at b, see
-        # `test_algebraic_weight`)
-        (lambda w: 1.0 / np.sqrt(w * (2.0 - w)), 0, 1, math.pi / 2),
+        (lambda v: 1.0 / np.sqrt(1 - v * v), 0, 1, math.pi / 2),
         (lambda t: t * np.log(t), 0, 1, -0.25),
         (lambda t: np.log(t) ** 2, 0, 1, 2.0),
         (lambda t: 1.0 / np.sqrt(t), 0, 1, 2.0),
@@ -23,6 +20,11 @@ class TestIntegrator:
         (lambda t: 1.0 / (1 + t * t), 0, np.inf, math.pi / 2),
         (lambda t: np.sin(t) ** 2, 0, math.pi, math.pi / 2),
         (lambda t: t * np.exp(-t) * np.log(t), 0, np.inf, 1 - 0.5772156649015329),
+        # singular at ends other than 0, where the nodes round to the end
+        (lambda v: 1.0 / np.sqrt((v - 2.0) * (3.0 - v)), 2, 3, math.pi),
+        (lambda v: np.log(1.0 - v), 0, 1, -1.0),
+        (lambda v: (1.0 - v) ** -0.9, 0, 1, 10.0),
+        (lambda v: np.log(-v) / np.sqrt(v + 1.0), -1, 0, 4 * math.log(2) - 4),
     ]
 
     @pytest.mark.parametrize("f,a,b,expected", KNOWN)
@@ -65,6 +67,21 @@ class TestIntegrator:
         r = quad.integrate_1d(lambda v: 1.0 / np.sqrt(1.0 + v), a, b,
                               tol=1e-13, weight=(0.0, -0.5))
         assert r.value == pytest.approx(expected, rel=1e-15)
+
+    def test_singular_end_evaluations(self):
+        # nodes round to the end 1, where f is infinite: the first attempt
+        # stops at its first level, and the pieces toward each end, then
+        # extrapolated to it, are counted with it
+        first = quad._new_steps(-quad._LINE_T, quad._LINE_T, 0).size
+        calls = []
+
+        def f(v):
+            calls.append(np.size(v))
+            return 1.0 / np.sqrt(1.0 - v)
+        r = quad.integrate_1d(f, 0.0, 1.0, tol=1e-12)
+        assert r.value == pytest.approx(2.0, rel=1e-14)
+        assert calls[0] == first
+        assert r.evaluations == sum(calls)
 
     def test_unconverged_raises_budget_error(self):
         with pytest.raises(specfun.ConvergenceError) as info:

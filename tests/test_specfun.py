@@ -4,7 +4,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 import quad_reference
 from cubeshadow import moments, specfun
@@ -20,9 +20,15 @@ def quad_oracle(f, a, b):
     return value
 
 
+def _ke(k, kc):
+    """K(k) by the library's kernel `specfun._ellipk`, from k', and E(k) by
+    `ellipe(k^2)`, the call of `quad._theta_sqrt_integral`."""
+    return specfun._ellipk(kc), special.ellipe(k * k)
+
+
 def ke(k):
     """K(k) and E(k), with k' formed without cancellation in 1 - k^2."""
-    return specfun._ke(k, math.sqrt((1.0 - k) * (1.0 + k)))
+    return _ke(k, math.sqrt((1.0 - k) * (1.0 + k)))
 
 
 class TestEllipticReal:
@@ -33,7 +39,7 @@ class TestEllipticReal:
 
     def test_unit_modulus(self):
         # E(1) = 1; K diverges like ln 4 - ln k', finite for every k' > 0
-        big_k, big_e = specfun._ke(1.0, 5e-324)
+        big_k, big_e = _ke(1.0, 5e-324)
         assert big_e == 1.0
         assert big_k == math.log(4.0) - math.log(5e-324)
 
@@ -71,14 +77,15 @@ def _real_moduli():
 
 
 class TestEllipticKernel:
-    """`specfun._ke`, K from `ellipkm1(k'^2)` and E from `ellipe(k^2)`."""
+    """`_ke`: K from `specfun._ellipk`, by `ellipkm1(k'^2)`, and E from
+    `ellipe(k^2)`."""
 
     @pytest.mark.parametrize("kc", [1.0, 0.5, 0.1, 0.01, 1e-4, 1e-8, 1e-16,
                                     1e-50, 1e-100, 1e-300, 1e-320, 5e-324])
     def test_total_in_kc(self, kc):
         # below k' = 1e-154, k'^2 is subnormal or zero, where ellipkm1 is
         # off or infinite; K then comes from its asymptotic form
-        big_k, big_e = specfun._ke(math.sqrt((1.0 - kc) * (1.0 + kc)), kc)
+        big_k, big_e = _ke(math.sqrt((1.0 - kc) * (1.0 + kc)), kc)
         assert math.isfinite(big_k) and math.isfinite(big_e)
         with mpmath.workdps(700):  # 1 - k'^2 held exactly down to 5e-324
             oracle = mpmath.ellipk(1 - mpmath.mpf(kc) ** 2)
@@ -90,7 +97,7 @@ class TestEllipticKernel:
         with mpmath.workdps(40):
             for j in range(1, 16):
                 k = 1.0 - 10.0 ** -j
-                _, big_e = specfun._ke(k, math.sqrt((1.0 - k) * (1.0 + k)))
+                _, big_e = _ke(k, math.sqrt((1.0 - k) * (1.0 + k)))
                 oracle = mpmath.ellipe(mpmath.mpf(k) ** 2)
                 assert abs(float(big_e / oracle - 1)) < 5e-16, k
 
@@ -107,7 +114,7 @@ class TestAgm:
         with mpmath.workdps(40):
             for k in _real_moduli():
                 kc = math.sqrt((1.0 - k) * (1.0 + k))
-                big_k, big_e = specfun._ke(k, kc)
+                big_k, big_e = _ke(k, kc)
                 m = mpmath.mpf(k) ** 2
                 worst_k = max(worst_k, abs(float(big_k / mpmath.ellipk(m) - 1)))
                 worst_e = max(worst_e, abs(float(big_e / mpmath.ellipe(m) - 1)))
@@ -208,6 +215,16 @@ class TestHyp3F2:
     def test_generic_parameter_sets_against_series(self, params):
         assert specfun.hyp3f2_unit(*params) == pytest.approx(
             series_3f2_oracle(*params), abs=1e-11)
+
+    def test_logarithmic_2f1(self):
+        # every admissible permutation has e = c - p - q = 0, so the 2F1
+        # of the Euler integral is logarithmic at t = 1; 3F2(1/2, 1/2, 1/2;
+        # 1, 1; 1) = pi / Gamma(3/4)^4
+        value = specfun.hyp3f2_unit(0.5, 0.5, 0.5, 1.0, 1.0)
+        assert value == pytest.approx(math.pi / math.gamma(0.75) ** 4,
+                                      rel=1e-12)
+        assert value == pytest.approx(
+            series_3f2_oracle(0.5, 0.5, 0.5, 1.0, 1.0), rel=1e-10)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("params", [
