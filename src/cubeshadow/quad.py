@@ -270,36 +270,54 @@ def _extrapolated(sums: np.ndarray) -> tuple[float, float]:
 
 
 def _converge(f, levels, dims: int, tol: float, epsabs: float, what: str,
-              extrapolate=None) -> QuadResult:
-    """Sum the rule level by level, I_k = h^dims times the sum of f w over
-    every node so far, until |I_k - I_(k-1)| is within the accuracy asked,
-    max(epsabs, tol |I_k|); that difference is the error estimate, and the
-    result is certified (see `_certified`) after the last level.
+              extrapolate=None) -> tuple[QuadResult, ...]:
+    """The integrals of the k components of f, which returns a tuple of k
+    arrays, on one set of nodes: each block of each level is evaluated
+    once, for every component.
+
+    Each component sums the rule level by level, I_k = h^dims times the sum
+    of f_i w over every node so far, until |I_k - I_(k-1)| is within the
+    accuracy asked, max(epsabs, tol |I_k|); that difference is its error
+    estimate, and its result is certified (see `_certified`) after the last
+    level.  A component that stops keeps its value, error estimate and
+    evaluation count while the others go on, so each result is that of the
+    integral of f_i alone (k = 1).
 
     With `extrapolate`, the sums run over the last axis of each block only,
     and extrapolate maps them to I_k and a spread that the error estimate
     takes if it is larger.  A sum that is not finite (f infinite or
-    undefined at a node that rounded to an end) ends the levels at once.
+    undefined at a node that rounded to an end) ends its levels at once.
     """
-    total, evaluations, value, err = 0.0, 0, math.nan, math.nan
+    total = None
     with np.errstate(divide="ignore", invalid="ignore"):
         for level, blocks in enumerate(levels):
             for args, w in blocks:
-                terms = f(*args) * w
-                total = total + (np.sum(terms) if extrapolate is None
-                                 else np.sum(terms, axis=-1))
-                evaluations += w.size
-            previous, value = value, total * 0.5 ** (dims * level)
-            spread = 0.0
-            if extrapolate is not None:
-                value, spread = extrapolate(value)
-            value = float(value)
-            err = max(abs(value - previous), spread)
-            if (not math.isfinite(value)
-                    or err <= max(epsabs, tol * abs(value))):
+                parts = f(*args)
+                if total is None:
+                    k = len(parts)
+                    total, evaluations = [0.0] * k, [0] * k
+                    value, err = [math.nan] * k, [math.nan] * k
+                    going = list(range(k))
+                for i in going:
+                    terms = parts[i] * w
+                    total[i] = total[i] + (np.sum(terms) if extrapolate is None
+                                           else np.sum(terms, axis=-1))
+                    evaluations[i] += w.size
+            for i in list(going):
+                previous, current = value[i], total[i] * 0.5 ** (dims * level)
+                spread = 0.0
+                if extrapolate is not None:
+                    current, spread = extrapolate(current)
+                value[i] = float(current)
+                err[i] = max(abs(value[i] - previous), spread)
+                if (not math.isfinite(value[i])
+                        or err[i] <= max(epsabs, tol * abs(value[i]))):
+                    going.remove(i)
+            if not going:
                 break
-    return _certified(QuadResult(value=value, error_estimate=err,
-                                 evaluations=evaluations), tol, epsabs, what)
+    return tuple(_certified(QuadResult(value=v, error_estimate=e,
+                                       evaluations=n), tol, epsabs, what)
+                 for v, e, n in zip(value, err, evaluations))
 
 
 def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
@@ -328,15 +346,19 @@ def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
         raise ValueError("an algebraic weight needs a finite interval")
     weight = (0.0, 0.0) if weight is None else weight
     epsabs = tol if epsabs is None else epsabs
+
+    def one(*args):
+        return (f(*args),)
     try:
-        return _converge(f, _line(a, b, weight), 1, tol, epsabs, "quadrature")
+        return _converge(one, _line(a, b, weight), 1, tol, epsabs,
+                         "quadrature")[0]
     except ConvergenceError as error:
         first = error.best
         if b == math.inf or math.isfinite(first.value):
             raise
     try:
-        r = _converge(f, _end_pieces(a, b, weight), 1, tol, epsabs,
-                      "quadrature", extrapolate=_extrapolated)
+        (r,) = _converge(one, _end_pieces(a, b, weight), 1, tol, epsabs,
+                         "quadrature", extrapolate=_extrapolated)
     except ConvergenceError as error:
         error.best = _counted(error.best, first.evaluations)
         raise
@@ -347,11 +369,13 @@ def _counted(r: QuadResult, evaluations: int) -> QuadResult:
     return dataclasses.replace(r, evaluations=r.evaluations + evaluations)
 
 
-def _nested(f, ranges, tol: float) -> QuadResult:
-    """Integral of f(x, y), which takes and returns arrays, over y in
-    ranges[1] = (lo, hi) and x in ranges[0], either (lo, hi) or a function
-    of the array of outer nodes y that returns the arrays of their limits.
-    Raises ConvergenceError when tol is not certified (see `_certified`).
+def _nested(f, ranges, tol: float) -> tuple[QuadResult, ...]:
+    """The integrals of the components of f(x, y), which takes arrays and
+    returns a tuple of arrays, over y in ranges[1] = (lo, hi) and x in
+    ranges[0], either (lo, hi) or a function of the array of outer nodes y
+    that returns the arrays of their limits; one pass over the grid serves
+    every component (`_converge`).  Raises ConvergenceError when tol is not
+    certified for a component (see `_certified`).
     """
     return _converge(f, _region(*ranges), 2, tol, tol, "nested quadrature")
 
@@ -495,98 +519,110 @@ def _theta_sqrt_integral(a, b):
     return np.sqrt(total) * special.ellipe(m)
 
 
-def _cone(ph, ps):
-    """sqrt(cos^2(phi) sin^2(psi) + cos^2(psi)), the first area term.
-
-    It vanishes only at the corner (pi/2, pi/2), where it is sqrt(x^2 + y^2)
-    to first order in x = pi/2 - phi and y = pi/2 - psi.
-    """
-    return np.sqrt(np.cos(ph) ** 2 * np.sin(ps) ** 2 + np.cos(ps) ** 2)
-
-
 # The integrands over the angle box, f(phi, psi) on arrays, each the
-# density _dens4(phi, psi) times its functional.  The theta-free entries:
-# their triple integrals are HALF_PI times these.
-
-def _vl(ph, ps):
-    return 64.0 * np.cos(ps) * _dens4(ph, ps)
-
-
-def _vl2(ph, ps):
-    cps = np.cos(ps)
-    return ((64.0 * cps ** 2 + 192.0 * np.cos(ph) * np.sin(ps) * cps)
-            * _dens4(ph, ps))
-
-
-def _mw(ph, ps):
-    return 32.0 * np.sqrt(1.0 - np.cos(ps) ** 2) * _dens4(ph, ps)
-
-
-def _mw2(ph, ps):
-    sps2 = 1.0 - np.cos(ps) ** 2
-    return (16.0 * sps2
-            + 48.0 * np.sqrt(1.0 - np.cos(ph) ** 2 * np.sin(ps) ** 2)
-            * np.sqrt(sps2)) * _dens4(ph, ps)
-
-
-def _vl_mw(ph, ps):
-    return ((32.0 * np.cos(ps) + 96.0 * np.cos(ph) * np.sin(ps))
-            * np.sqrt(1.0 - np.cos(ps) ** 2) * _dens4(ph, ps))
-
-
+# density _dens4 times its functional, in three groups, one for each grid
+# on which they are integrated.  Each group is one function that returns
+# its integrands as a tuple, the components of one `_nested` pass, and
+# computes what they share once per node: the sines and cosines of phi and
+# psi, the density, cos^2(phi) sin^2(psi) and the cone.  Each component
+# keeps the operation order of the integrand it stands for, so it is that
+# integrand to the bit.
+#
 # The theta-integrated integrands of the three entries that hold the cone
-# and depend on theta, split into terms by kind: a cone term, a theta-term
-# sqrt(a+b) E(k) and e_ar2's smooth term.  Each entry's triple integral over
-# (theta, phi, psi) is the sum of the double integrals of its terms over
-# (phi, psi).  The cone terms, and e_ar2's theta-term, go to `_corner_polar`.
+# and depend on theta are split into terms by kind: a cone term, a
+# theta-term sqrt(a+b) E(k) and e_ar2's smooth term.  Each entry's triple
+# integral over (theta, phi, psi) is the sum of the double integrals of its
+# terms over (phi, psi).  The cone terms, and e_ar2's theta-term, go to
+# `_corner_polar`.
 
-def _ar2_smooth(ph, ps):
-    return (HALF_PI * 384.0 * (np.cos(ph) ** 2 * np.sin(ps) ** 2
-                               + np.cos(ps) ** 2) * _dens4(ph, ps))
+def _box_terms(ph, ps):
+    """The integrands that stay Cartesian (`_double`): those of the
+    theta-free entries e_vl, e_vl2, e_mw, e_mw2 and e_vl_mw, whose triple
+    integrals are HALF_PI times these; e_ar2's smooth term; and the 5-cube's
+    E(mw^2) = 32 (4/(3 pi))^2 (5I + 20J), a quadruple integral over
+    (theta, p1, p2, p3) = (theta, p1, phi, psi) whose integrand is free of
+    theta and depends on p1 only through the density factor sin(p1), which
+    integrates to 1."""
+    sph, cph, sps, cps = np.sin(ph), np.cos(ph), np.sin(ps), np.cos(ps)
+    dens = _dens4(sph, sps)
+    sps2 = 1.0 - cps ** 2
+    root = np.sqrt(sps2)
+    c2s2 = cph ** 2 * sps ** 2
+    j = np.sqrt(1.0 - c2s2)
+    return (64.0 * cps * dens,
+            (64.0 * cps ** 2 + 192.0 * cph * sps * cps) * dens,
+            32.0 * root * dens,
+            (16.0 * sps2 + 48.0 * j * root) * dens,
+            (32.0 * cps + 96.0 * cph * sps) * root * dens,
+            HALF_PI * 384.0 * (c2s2 + cps ** 2) * dens,
+            ((5.0 * sps2 + 20.0 * (j * root))
+             * 3.0 / (8.0 * PI**2) * sph ** 2 * sps ** 3))
 
 
-def _ar2_cone(ph, ps):
-    return (HALF_PI * 384.0 * np.sin(ph) * np.sin(ps) * _cone(ph, ps)
-            * _dens4(ph, ps))
+# The weights of psi, as functions of cos(psi), of e_vl_ar and e_ar_mw:
+# each entry's integrand is its weight times the two area terms, the cone
+# and the theta-term.
+
+def _vl_ar_weight(cps):
+    return 384.0 * cps
+
+
+def _ar_mw_weight(cps):
+    return 192.0 * np.sqrt(1.0 - cps ** 2)
+
+
+def _cone_terms(ph, ps):
+    """The integrands that hold the cone sqrt(cos^2(phi) sin^2(psi) +
+    cos^2(psi)), integrated about the corner (pi/2, pi/2): that of e_ar,
+    whose triple integral is HALF_PI times it, and the cone terms of e_ar2,
+    e_vl_ar and e_ar_mw.
+
+    The cone vanishes only at that corner, where it is sqrt(x^2 + y^2) to
+    first order in x = pi/2 - phi and y = pi/2 - psi.
+    """
+    sph, sps, cps = np.sin(ph), np.sin(ps), np.cos(ps)
+    cone = np.sqrt(np.cos(ph) ** 2 * sps ** 2 + cps ** 2)
+    dens = _dens4(sph, sps)
+    return (192.0 * cone * dens,
+            HALF_PI * 384.0 * sph * sps * cone * dens,
+            _vl_ar_weight(cps) * HALF_PI * cone * dens,
+            _ar_mw_weight(cps) * HALF_PI * cone * dens)
 
 
 def _ar2_theta(ph, ps):
-    """With a = sin^2(phi) sin^2(psi) and b = cos^2(psi), sqrt(a+b) is a
-    cone that vanishes only at the corner (0, pi/2)."""
+    """e_ar2's theta-term, one component.  With a = sin^2(phi) sin^2(psi)
+    and b = cos^2(psi), sqrt(a+b) is a cone that vanishes only at the
+    corner (0, pi/2)."""
     sph, sps = np.sin(ph), np.sin(ps)
     return (1536.0 * sph * sps
             * _theta_sqrt_integral(sph ** 2 * sps ** 2, np.cos(ps) ** 2)
-            * _dens4(ph, ps))
+            * _dens4(sph, sps),)
 
 
-def _area_terms(weight):
-    """The cone term, and the psi-factor of the theta-term, of an entry
-    whose integrand is weight(psi) times the two area terms.
+def _psi_factor(weight):
+    """The psi-factor of the theta-term of e_vl_ar or e_ar_mw, whose weight
+    of psi is weight(cos(psi)).
 
-    The theta-term is weight(psi) times the theta-integral of
+    The theta-term is the weight times the theta-integral of
     sqrt(a sin^2(theta) + b), a = sin^2(phi) sin^2(psi) and
     b = cos^2(phi) sin^2(psi), times the density.  As a + b = sin^2(psi),
     that theta-integral is sin(psi) E(sin(phi)), so the term is
-    weight(psi) sin^3(psi) / TWO_PI2 times `_area_phi`.
+    weight sin^3(psi) / TWO_PI2 times `_area_phi`.
     """
-    def cone(ph, ps):
-        return weight(ps) * HALF_PI * _cone(ph, ps) * _dens4(ph, ps)
-
     def psi_factor(ps):
-        return weight(ps) * np.sin(ps) ** 3 / TWO_PI2
-    return cone, psi_factor
+        return weight(np.cos(ps)) * np.sin(ps) ** 3 / TWO_PI2
+    return psi_factor
 
 
 def _area_phi(ph):
     """sin(phi) E(sin(phi)), the phi-factor of the theta-terms of e_vl_ar
-    and e_ar_mw (see `_area_terms`)."""
+    and e_ar_mw (see `_psi_factor`)."""
     sph = np.sin(ph)
     return sph * _theta_sqrt_integral(sph ** 2, np.cos(ph) ** 2)
 
 
-_vl_ar_cone, _vl_ar_psi = _area_terms(lambda ps: 384.0 * np.cos(ps))
-_ar_mw_cone, _ar_mw_psi = _area_terms(
-    lambda ps: 192.0 * np.sqrt(1.0 - np.cos(ps) ** 2))
+_vl_ar_psi = _psi_factor(_vl_ar_weight)
+_ar_mw_psi = _psi_factor(_ar_mw_weight)
 
 
 def _mw2_3cube(ph):
@@ -600,43 +636,33 @@ def _mw2_3cube(ph):
             * np.sqrt(1.0 - cph ** 2)) * pref
 
 
-def _ij(p2, p3):
-    """4D analog (shadow of the 5-cube): E(mw^2) = 32 (4/(3 pi))^2 (5I + 20J),
-    a quadruple integral over (theta, p1, p2, p3) whose integrand is free of
-    theta and depends on p1 only through the density factor sin(p1), which
-    integrates to 1."""
-    sp3_2 = 1.0 - np.cos(p3) ** 2
-    j_part = np.sqrt(1.0 - np.cos(p2) ** 2 * np.sin(p3) ** 2) * np.sqrt(sp3_2)
-    return ((5.0 * sp3_2 + 20.0 * j_part)
-            * 3.0 / (8.0 * PI**2) * np.sin(p2) ** 2 * np.sin(p3) ** 3)
-
-
 # The accuracy asked of the one-dimensional factors and of the double
 # integrals.
 _BOX_TOLS = (1e-12, 1e-11)
 
 
-def _double(f) -> QuadResult:
-    """Integral over [0, pi/2]^2 of f(phi, psi)."""
+def _double(f) -> tuple[QuadResult, ...]:
+    """The integrals over [0, pi/2]^2 of the components of f(phi, psi)."""
     return _nested(f, [(0.0, HALF_PI)] * 2, _BOX_TOLS[1])
 
 
-# The corners at which the suite's cones vanish: that of `_cone`, and that
-# of sqrt(a+b) in `_ar2_theta`.
+# The corners at which the suite's cones vanish: that of `_cone_terms`, and
+# that of sqrt(a+b) in `_ar2_theta`.
 _CONE_CORNER = (HALF_PI, HALF_PI)
 _AR2_THETA_CORNER = (0.0, HALF_PI)
 
 
 def _polar(f, corner):
     """f(phi, psi) times the Jacobian r in polar coordinates (r, alpha)
-    about a corner (phi0, psi0) of the box, as a function of (r, alpha):
-    phi = phi0 +- r cos(alpha) and psi = psi0 +- r sin(alpha), each sign
-    pointing into the box (- from pi/2, + from 0)."""
+    about a corner (phi0, psi0) of the box, as a function of (r, alpha),
+    component by component: phi = phi0 +- r cos(alpha) and
+    psi = psi0 +- r sin(alpha), each sign pointing into the box (- from
+    pi/2, + from 0)."""
     (ph0, dph), (ps0, dps) = ((c, -1.0 if c else 1.0) for c in corner)
 
     def integrand(r, al):
-        return r * f(ph0 + r * (dph * np.cos(al)),
-                     ps0 + r * (dps * np.sin(al)))
+        return tuple(r * part for part in f(ph0 + r * (dph * np.cos(al)),
+                                            ps0 + r * (dps * np.sin(al))))
     return integrand
 
 
@@ -645,17 +671,18 @@ def _edge(al):
     return 0.0, HALF_PI / np.maximum(np.cos(al), np.sin(al))
 
 
-def _corner_polar(f, corner) -> QuadResult:
-    """Integral of f(phi, psi) over [0, pi/2]^2 in polar coordinates about
-    one of its corners (see `_polar`).
+def _corner_polar(f, corner) -> tuple[QuadResult, ...]:
+    """The integrals of the components of f(phi, psi) over [0, pi/2]^2 in
+    polar coordinates about one of its corners (see `_polar`).
 
     r is innermost, from 0 to the far edge (`_edge`), and alpha is split at
     pi/4 into the two triangles whose far edges are the two sides of the box
     away from the corner, so that the edge is smooth in alpha on each piece.
     """
     quarter = 0.25 * PI
-    return _total(*(_nested(_polar(f, corner), [_edge, span], _BOX_TOLS[1])
-                    for span in ((0.0, quarter), (quarter, HALF_PI))))
+    halves = [_nested(_polar(f, corner), [_edge, span], _BOX_TOLS[1])
+              for span in ((0.0, quarter), (quarter, HALF_PI))]
+    return tuple(map(_total, *halves))
 
 
 def _product(a: QuadResult, b: QuadResult) -> QuadResult:
@@ -675,12 +702,11 @@ def moment_integral_suite() -> dict[str, QuadResult]:
     4-cube, the joint moments, and the 2D/4D-analog E(mw^2) integrals
     (the latter via the quadruple I and J integrals).  The theta (and
     phi_1) integrations are done analytically; see the module docstring.
-    The closed forms these integrals equal live in `moments` only.
+    Its 17 double integrals take five passes, one per grid: the box, each
+    half of the polar grid about (pi/2, pi/2), and each half of that about
+    (0, pi/2).  The closed forms these integrals equal live in `moments`
+    only.
     """
-    def theta_free(f) -> QuadResult:
-        """Triple integral of an integrand f(phi, psi) free of theta."""
-        return _scaled(_double(f), HALF_PI)
-
     def factor(f) -> QuadResult:
         return integrate_1d(f, 0.0, HALF_PI, tol=_BOX_TOLS[0])
 
@@ -689,24 +715,22 @@ def moment_integral_suite() -> dict[str, QuadResult]:
     def area(cone, psi_factor) -> QuadResult:
         """e_vl_ar or e_ar_mw: the cone term plus the theta-term, a
         psi-integral times the phi-integral of `_area_phi`."""
-        return _total(_corner_polar(cone, _CONE_CORNER),
-                      _product(factor(psi_factor), area_phi))
+        return _total(cone, _product(factor(psi_factor), area_phi))
 
+    vl, vl2, mw, mw2, vl_mw, ar2_smooth, ij = _double(_box_terms)
+    ar, ar2_cone, vl_ar_cone, ar_mw_cone = _corner_polar(_cone_terms,
+                                                         _CONE_CORNER)
+    (ar2_theta,) = _corner_polar(_ar2_theta, _AR2_THETA_CORNER)
     return {
-        "e_vl": theta_free(_vl),
-        "e_vl2": theta_free(_vl2),
-        "e_ar": _scaled(_corner_polar(lambda ph, ps: 192.0 * _cone(ph, ps)
-                                      * _dens4(ph, ps), _CONE_CORNER),
-                        HALF_PI),
-        "e_ar2": _total(_double(_ar2_smooth),
-                        _corner_polar(_ar2_cone, _CONE_CORNER),
-                        _corner_polar(_ar2_theta, _AR2_THETA_CORNER)),
-        "e_mw": theta_free(_mw),
-        "e_mw2": theta_free(_mw2),
-        "e_vl_ar": area(_vl_ar_cone, _vl_ar_psi),
-        "e_vl_mw": theta_free(_vl_mw),
-        "e_ar_mw": area(_ar_mw_cone, _ar_mw_psi),
+        "e_vl": _scaled(vl, HALF_PI),
+        "e_vl2": _scaled(vl2, HALF_PI),
+        "e_ar": _scaled(ar, HALF_PI),
+        "e_ar2": _total(ar2_smooth, ar2_cone, ar2_theta),
+        "e_mw": _scaled(mw, HALF_PI),
+        "e_mw2": _scaled(mw2, HALF_PI),
+        "e_vl_ar": area(vl_ar_cone, _vl_ar_psi),
+        "e_vl_mw": _scaled(vl_mw, HALF_PI),
+        "e_ar_mw": area(ar_mw_cone, _ar_mw_psi),
         "e_mw2_3cube": integrate_1d(_mw2_3cube, 0.0, HALF_PI, tol=1e-12),
-        "e_mw2_5cube": _scaled(_double(_ij),
-                               HALF_PI * 32.0 * (4.0 / (3.0 * PI)) ** 2),
+        "e_mw2_5cube": _scaled(ij, HALF_PI * 32.0 * (4.0 / (3.0 * PI)) ** 2),
     }

@@ -2,12 +2,19 @@
 
 The two-argument scalar integrands of the moment suite, written with
 `math` at every call as they were before the suite was vectorized: each
-is f(phi, psi) (or, for the 5-cube, f(p2, p3)).  The vectorized integrands
-of `quad` must agree with them elementwise.  They call the live
-`quad._theta_sqrt_integral`, so that only the integrands are compared.
-`_ar2_theta` is the reference of `quad._ar2_theta`, which
-`quad._corner_polar` integrates, and `polar` and `edge` that of its polar
-coordinates.
+is f(phi, psi) (or, for the 5-cube, f(p2, p3)).  The components of the
+vectorized term functions of `quad` must agree with them elementwise.
+They call the live `quad._theta_sqrt_integral`, so that only the
+integrands are compared.  `_ar2_theta` is the reference of
+`quad._ar2_theta`, which `quad._corner_polar` integrates, and `polar` and
+`edge` that of its polar coordinates.
+
+The per-integral route: the suite's 17 double integrals, each of one numpy
+integrand (`BOX`, `CONE`, `ar2_theta`) by its own `quad._nested` pass, as
+the suite ran them before the integrals that share a grid shared one pass
+(`per_integral_suite`).  Each component of `quad`'s term functions keeps
+the operation order of its integrand here, so the suite must equal this
+route bit for bit.
 
 `spherical_density` is the density of the spherical angles at n = 3, 4
 and 5, whose n = 4 case `geometry.density4` must equal.
@@ -90,6 +97,138 @@ def _ij(p2, p3):
     return (i_part + j_part) * 3.0 / (8.0 * PI**2) * s(p2) ** 2 * s(p3) ** 3
 
 
+# The per-integral route: numpy integrands of arrays, one integral each.
+
+def dens4(ph, ps):
+    return np.sin(ph) * np.sin(ps) ** 2 / (2.0 * PI**2)
+
+
+def vl(ph, ps):
+    return 64.0 * np.cos(ps) * dens4(ph, ps)
+
+
+def vl2(ph, ps):
+    cps = np.cos(ps)
+    return ((64.0 * cps ** 2 + 192.0 * np.cos(ph) * np.sin(ps) * cps)
+            * dens4(ph, ps))
+
+
+def mw(ph, ps):
+    return 32.0 * np.sqrt(1.0 - np.cos(ps) ** 2) * dens4(ph, ps)
+
+
+def mw2(ph, ps):
+    sps2 = 1.0 - np.cos(ps) ** 2
+    return (16.0 * sps2
+            + 48.0 * np.sqrt(1.0 - np.cos(ph) ** 2 * np.sin(ps) ** 2)
+            * np.sqrt(sps2)) * dens4(ph, ps)
+
+
+def vl_mw(ph, ps):
+    return ((32.0 * np.cos(ps) + 96.0 * np.cos(ph) * np.sin(ps))
+            * np.sqrt(1.0 - np.cos(ps) ** 2) * dens4(ph, ps))
+
+
+def ar2_smooth(ph, ps):
+    return (HALF_PI * 384.0 * (np.cos(ph) ** 2 * np.sin(ps) ** 2
+                               + np.cos(ps) ** 2) * dens4(ph, ps))
+
+
+def ij(p2, p3):
+    sp3_2 = 1.0 - np.cos(p3) ** 2
+    j_part = np.sqrt(1.0 - np.cos(p2) ** 2 * np.sin(p3) ** 2) * np.sqrt(sp3_2)
+    return ((5.0 * sp3_2 + 20.0 * j_part)
+            * 3.0 / (8.0 * PI**2) * np.sin(p2) ** 2 * np.sin(p3) ** 3)
+
+
+def cone(ph, ps):
+    return np.sqrt(np.cos(ph) ** 2 * np.sin(ps) ** 2 + np.cos(ps) ** 2)
+
+
+def ar(ph, ps):
+    return 192.0 * cone(ph, ps) * dens4(ph, ps)
+
+
+def ar2_cone(ph, ps):
+    return (HALF_PI * 384.0 * np.sin(ph) * np.sin(ps) * cone(ph, ps)
+            * dens4(ph, ps))
+
+
+def vl_ar_cone(ph, ps):
+    return 384.0 * np.cos(ps) * HALF_PI * cone(ph, ps) * dens4(ph, ps)
+
+
+def ar_mw_cone(ph, ps):
+    return (192.0 * np.sqrt(1.0 - np.cos(ps) ** 2) * HALF_PI * cone(ph, ps)
+            * dens4(ph, ps))
+
+
+def ar2_theta(ph, ps):
+    sph, sps = np.sin(ph), np.sin(ps)
+    return (1536.0 * sph * sps
+            * _theta_sqrt_integral(sph ** 2 * sps ** 2, np.cos(ps) ** 2)
+            * dens4(ph, ps))
+
+
+def vl_ar_psi(ps):
+    return 384.0 * np.cos(ps) * np.sin(ps) ** 3 / quad.TWO_PI2
+
+
+def ar_mw_psi(ps):
+    return (192.0 * np.sqrt(1.0 - np.cos(ps) ** 2) * np.sin(ps) ** 3
+            / quad.TWO_PI2)
+
+
+# in the order of the components of `quad._box_terms` and `quad._cone_terms`
+BOX = (vl, vl2, mw, mw2, vl_mw, ar2_smooth, ij)
+CONE = (ar, ar2_cone, vl_ar_cone, ar_mw_cone)
+
+
+def one(f):
+    """f as an integrand of one component."""
+    return lambda *x: (f(*x),)
+
+
+def per_integral_suite() -> dict:
+    """`quad.moment_integral_suite` by the per-integral route: each double
+    integral a pass of its own (k = 1), the one-dimensional ones by the
+    same `integrate_1d` calls."""
+    def double(f):
+        return quad._double(one(f))[0]
+
+    def corner_polar(f, corner):
+        return quad._corner_polar(one(f), corner)[0]
+
+    def theta_free(f):
+        return quad._scaled(double(f), HALF_PI)
+
+    def factor(f):
+        return integrate_1d(f, 0.0, HALF_PI, tol=quad._BOX_TOLS[0])
+
+    area_phi = factor(quad._area_phi)
+
+    def area(cone_term, psi_factor):
+        return quad._total(corner_polar(cone_term, quad._CONE_CORNER),
+                           quad._product(factor(psi_factor), area_phi))
+
+    return {
+        "e_vl": theta_free(vl),
+        "e_vl2": theta_free(vl2),
+        "e_ar": quad._scaled(corner_polar(ar, quad._CONE_CORNER), HALF_PI),
+        "e_ar2": quad._total(double(ar2_smooth),
+                             corner_polar(ar2_cone, quad._CONE_CORNER),
+                             corner_polar(ar2_theta, quad._AR2_THETA_CORNER)),
+        "e_mw": theta_free(mw),
+        "e_mw2": theta_free(mw2),
+        "e_vl_ar": area(vl_ar_cone, vl_ar_psi),
+        "e_vl_mw": theta_free(vl_mw),
+        "e_ar_mw": area(ar_mw_cone, ar_mw_psi),
+        "e_mw2_3cube": integrate_1d(quad._mw2_3cube, 0.0, HALF_PI, tol=1e-12),
+        "e_mw2_5cube": quad._scaled(double(ij),
+                                    HALF_PI * 32.0 * (4.0 / (3.0 * PI)) ** 2),
+    }
+
+
 def polar(f, corner):
     """`_corner_polar`'s integrand of (r, alpha) about corner, r innermost:
     each coordinate moves from its side of the box to the other."""
@@ -169,9 +308,10 @@ def quadpack_twin(monkeypatch) -> list:
     Wraps `quad.integrate_1d` and `quad._nested`, through which every
     integral of `quad` and of `specfun.hyp3f2_unit` goes, so that each call
     also integrates its integrand over its range with `integrate.quad`
-    (QAWS for an algebraic weight) or `integrate.nquad`, asked the same
-    accuracy.  Returns the list to which each call appends (the rule's
-    QuadResult, QUADPACK's value, the accuracy asked of both).
+    (QAWS for an algebraic weight), or each component of its integrand
+    with `integrate.nquad`, asked the same accuracy.  Returns the list to
+    which each integral appends (the rule's QuadResult, QUADPACK's value,
+    the accuracy asked of both).
     """
     pairs = []
     line, nested = quad.integrate_1d, quad._nested
@@ -186,11 +326,12 @@ def quadpack_twin(monkeypatch) -> list:
         return result
 
     def _nested(f, ranges, tol):
-        result = nested(f, ranges, tol)
-        value = integrate.nquad(f, ranges,
-                                opts={"epsabs": tol, "epsrel": tol})[0]
-        pairs.append((result, value, tol * max(1.0, abs(value))))
-        return result
+        results = nested(f, ranges, tol)
+        for i, result in enumerate(results):
+            value = integrate.nquad(lambda *x, i=i: f(*x)[i], ranges,
+                                    opts={"epsabs": tol, "epsrel": tol})[0]
+            pairs.append((result, value, tol * max(1.0, abs(value))))
+        return results
 
     monkeypatch.setattr(quad, "integrate_1d", integrate_1d)
     monkeypatch.setattr(quad, "_nested", _nested)

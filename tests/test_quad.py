@@ -107,15 +107,81 @@ class TestIntegrator:
 
 class TestNested:
     def test_value_and_evaluations(self):
-        r = quad._nested(lambda x, y: x * y, [(0, 1), (0, 2)], 1e-12)
+        (r,) = quad._nested(lambda x, y: (x * y,), [(0, 1), (0, 2)], 1e-12)
         assert r.value == pytest.approx(1.0, abs=1e-13)
         assert r.evaluations > 0
 
     def test_unconverged_raises_budget_error(self):
         with pytest.raises(specfun.ConvergenceError) as info:
-            quad._nested(lambda x, y: np.sin(1e4 * x), [(0, 1), (0, 1)],
+            quad._nested(lambda x, y: (np.sin(1e4 * x),), [(0, 1), (0, 1)],
                          1e-13)
         assert info.value.best.evaluations > 0
+
+
+def _raised(call):
+    """The ConvergenceError that call raises."""
+    with pytest.raises(specfun.ConvergenceError) as info:
+        call()
+    return info.value
+
+
+class TestComponents:
+    """`_converge` integrates the k components of one integrand on one set
+    of nodes, and each component's result is exactly that of its own
+    k = 1 call: its value, error estimate and evaluation count, and, when it
+    does not converge, its ConvergenceError."""
+
+    BOX = [(0.0, 1.0), (0.0, 1.0)]
+
+    @staticmethod
+    def nested(*fs, tol=1e-12):
+        return quad._nested(lambda x, y: tuple(f(x, y) for f in fs),
+                            TestComponents.BOX, tol)
+
+    @staticmethod
+    def line(*fs):
+        return quad._converge(lambda x: tuple(f(x) for f in fs),
+                              quad._line(0.0, 1.0, (0.0, 0.0)), 1, 1e-12,
+                              1e-12, "quadrature")
+
+    def test_components_stop_at_their_own_levels(self):
+        # x y stops at level 3 (51 x 51 nodes), cos(40 x y) at level 5
+        # (205 x 205): each keeps the count of its own levels
+        def poly(x, y):
+            return x * y
+
+        def wave(x, y):
+            return np.cos(40.0 * x * y)
+        both = self.nested(poly, wave)
+        assert both == self.nested(poly) + self.nested(wave)
+        assert [r.evaluations for r in both] == [51 ** 2, 205 ** 2]
+        assert self.nested(wave, poly) == both[::-1]
+
+    def test_line_components_stop_at_their_own_levels(self):
+        # t^3 - 2t stops at level 4 (129 nodes), sin(40 t) at level 5 (257)
+        def poly(t):
+            return t ** 3 - 2.0 * t
+
+        def wave(t):
+            return np.sin(40.0 * t)
+        both = self.line(poly, wave)
+        assert both == self.line(poly) + self.line(wave)
+        assert [r.evaluations for r in both] == [129, 257]
+        (alone,) = self.line(poly)
+        assert alone == quad.integrate_1d(poly, 0.0, 1.0, tol=1e-12)
+
+    def test_unconverged_component_raises_its_own_error(self):
+        def poly(x, y):
+            return x * y
+
+        def fast(x, y):
+            return np.sin(1e4 * x)
+        alone = _raised(lambda: self.nested(fast, tol=1e-13))
+        for fs in ((poly, fast), (fast, poly)):
+            error = _raised(lambda: self.nested(*fs, tol=1e-13))
+            assert str(error) == str(alone)
+            assert error.best == alone.best
+        assert alone.best.evaluations == 409 ** 2
 
 
 # numpy's ufuncs may round sin, cos, sqrt and pow other than libm does, by
@@ -142,29 +208,35 @@ def _box_points(count=1000, seed=15):
 
 
 def test_dens4_is_the_spherical_density():
-    # the moment integrands' density of (phi, psi) is the n = 4 case of
-    # `spherical_density` over the whole range of the angles
+    # the moment integrands' density of (phi, psi), from their sines, is
+    # the n = 4 case of `spherical_density` over the whole range of the
+    # angles
     ph, ps = np.random.default_rng(4).uniform(0.0, math.pi, (2, 100_000))
-    _agree(quad._dens4(ph, ps),
+    _agree(quad._dens4(np.sin(ph), np.sin(ps)),
            [ref.spherical_density(4, (0.0, x, y))
             for x, y in zip(ph.tolist(), ps.tolist())])
 
 
+# The components of `quad._box_terms`, by the names of their scalar
+# references in `tests/quad_reference.py`.
+BOX_TERMS = ("_vl", "_vl2", "_mw", "_mw2", "_vl_mw", "_ar2_smooth", "_ij")
+
+
 class TestCurriedIntegrands:
-    """The vectorized integrands equal the two-argument scalar ones of
-    `tests/quad_reference.py` (see `_agree`), and the rule agrees with
-    QUADPACK's `integrate.nquad` on the suite's kinds of double integral.
+    """The components of the vectorized term functions equal the
+    two-argument scalar integrands of `tests/quad_reference.py` (see
+    `_agree`), and the rule agrees with QUADPACK's `integrate.nquad` on the
+    suite's kinds of double integral.
 
     The integrands were once curried, and the ids of these checks, which
     compared those bytes and `_nested`'s calls, stay stable.
     """
 
-    @pytest.mark.parametrize("name", [
-        "_vl", "_vl2", "_mw", "_mw2", "_vl_mw", "_ar2_smooth", "_ij"])
+    @pytest.mark.parametrize("name", BOX_TERMS)
     def test_box_integrand_bytes(self, name):
-        vectorized, reference = getattr(quad, name), getattr(ref, name)
+        reference = getattr(ref, name)
         x, y = np.array(_box_points()).T
-        _agree(vectorized(x, y),
+        _agree(quad._box_terms(x, y)[BOX_TERMS.index(name)],
                [reference(a, b) for a, b in zip(x.tolist(), y.tolist())])
 
     def test_mw2_3cube_bytes(self):
@@ -180,11 +252,16 @@ class TestCurriedIntegrands:
         return t / (math.pi / 2) * far, al
 
     def test_polar_integrand_bytes(self):
-        f, corner = quad._ar2_cone, quad._CONE_CORNER
+        # each component of the cone terms, in polar coordinates about
+        # their corner, against the same component at each point
+        corner = quad._CONE_CORNER
         r, al = self._polar_points()
-        _agree(quad._polar(f, corner)(r, al),
-               [ref.polar(f, corner)(a, b)
-                for a, b in zip(r.tolist(), al.tolist())])
+        vectorized = quad._polar(quad._cone_terms, corner)(r, al)
+        for i, part in enumerate(vectorized):
+            def component(ph, ps, i=i):
+                return quad._cone_terms(ph, ps)[i]
+            _agree(part, [ref.polar(component, corner)(a, b)
+                          for a, b in zip(r.tolist(), al.tolist())])
 
     def test_polar_theta_integrand_bytes(self):
         # e_ar2's theta-term about its own corner, against the two-argument
@@ -192,9 +269,9 @@ class TestCurriedIntegrands:
         corner = quad._AR2_THETA_CORNER
         assert corner == (0.0, math.pi / 2)
         r, al = self._polar_points()
-        _agree(quad._polar(quad._ar2_theta, corner)(r, al),
-               [ref.polar(ref._ar2_theta, corner)(a, b)
-                for a, b in zip(r.tolist(), al.tolist())])
+        (vectorized,) = quad._polar(quad._ar2_theta, corner)(r, al)
+        _agree(vectorized, [ref.polar(ref._ar2_theta, corner)(a, b)
+                            for a, b in zip(r.tolist(), al.tolist())])
 
     @staticmethod
     def _matches_nquad(rule, reference):
@@ -202,7 +279,7 @@ class TestCurriedIntegrands:
         reference (f, ranges), each asked the suite's accuracy, agree
         within ten times it."""
         tol = quad._BOX_TOLS[1]
-        result = quad._nested(*rule, tol)
+        (result,) = quad._nested(*rule, tol)
         value = integrate.nquad(*reference,
                                 opts={"epsabs": tol, "epsrel": tol})[0]
         assert result.evaluations > 0
@@ -213,18 +290,19 @@ class TestCurriedIntegrands:
             return np.exp(np.sin(x) * np.cos(2 * y)) * (1 + x * y)
 
         box = [(0.0, math.pi / 2)] * 2
-        self._matches_nquad((f, box), (f, box))
+        self._matches_nquad((ref.one(f), box), (f, box))
 
     @staticmethod
     def _polar_pair(f, f_reference, corner):
-        """The rule's and the reference's polar integrands of f about the
-        corner over the piece of alpha [0, pi/4], with their ranges."""
+        """The rule's and the reference's polar integrands of f, of one
+        component, about the corner over the piece of alpha [0, pi/4], with
+        their ranges."""
         half = (0.0, math.pi / 4)
         return ((quad._polar(f, corner), [quad._edge, half]),
                 (ref.polar(f_reference, corner), [ref.edge, half]))
 
     def test_nested_matches_nquad_corner_cone(self):
-        self._matches_nquad(*self._polar_pair(quad._cone, quad._cone,
+        self._matches_nquad(*self._polar_pair(ref.one(ref.cone), ref.cone,
                                               quad._CONE_CORNER))
 
     def test_nested_matches_nquad_theta_corner(self):
@@ -238,7 +316,7 @@ class TestCornerPolar:
 
     def test_constant(self):
         for corner in self.CORNERS:
-            r = quad._corner_polar(lambda ph, ps: 1.0, corner)
+            (r,) = quad._corner_polar(lambda ph, ps: (1.0,), corner)
             assert r.value == pytest.approx((math.pi / 2) ** 2, abs=1e-13)
             assert r.evaluations > 0
 
@@ -246,8 +324,8 @@ class TestCornerPolar:
         # The distance to the corner over the square of side a = pi/2:
         # a^3/3 (sqrt 2 + asinh 1).
         for ph0, ps0 in self.CORNERS:
-            r = quad._corner_polar(
-                lambda ph, ps: np.hypot(ph0 - ph, ps0 - ps), (ph0, ps0))
+            (r,) = quad._corner_polar(
+                lambda ph, ps: (np.hypot(ph0 - ph, ps0 - ps),), (ph0, ps0))
             assert r.value == pytest.approx(
                 (math.pi / 2) ** 3 / 3 * (math.sqrt(2) + math.asinh(1)),
                 abs=1e-12)
@@ -256,16 +334,17 @@ class TestCornerPolar:
         def f(ph, ps):
             return np.exp(np.sin(ph) * np.cos(2 * ps)) * (1 + ph * ps)
 
-        cartesian = quad._double(f).value
+        (cartesian,) = quad._double(ref.one(f))
         for corner in self.CORNERS:
-            assert quad._corner_polar(f, corner).value == pytest.approx(
-                cartesian, abs=1e-12)
+            (polar,) = quad._corner_polar(ref.one(f), corner)
+            assert polar.value == pytest.approx(cartesian.value, abs=1e-12)
 
     def test_unconverged_raises_budget_error(self):
         # Smooth in r, but it oscillates in alpha too fast for the finest
         # level of the rule.
         def f(ph, ps):
-            return np.sin(1e4 * np.arctan2(math.pi / 2 - ps, math.pi / 2 - ph))
+            return (np.sin(1e4 * np.arctan2(math.pi / 2 - ps,
+                                            math.pi / 2 - ph)),)
 
         with pytest.raises(specfun.ConvergenceError) as info:
             quad._corner_polar(f, quad._CONE_CORNER)
@@ -282,7 +361,7 @@ def _ar2_original(th, ph, ps):
               * np.sqrt(s(th) ** 2 * s(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2))
     third = (384.0 * s(ph) * s(ps)
              * np.sqrt(c(ph) ** 2 * s(ps) ** 2 + c(ps) ** 2))
-    return (first + second + third) * quad._dens4(ph, ps)
+    return (first + second + third) * ref.dens4(ph, ps)
 
 
 def _area_terms_original(th, ph, ps):
@@ -294,28 +373,30 @@ def _area_terms_original(th, ph, ps):
 
 def _vl_ar_original(th, ph, ps):
     return (384.0 * np.cos(ps) * _area_terms_original(th, ph, ps)
-            * quad._dens4(ph, ps))
+            * ref.dens4(ph, ps))
 
 
 def _ar_mw_original(th, ph, ps):
     return (192.0 * np.sqrt(1.0 - np.cos(ps) ** 2)
-            * _area_terms_original(th, ph, ps) * quad._dens4(ph, ps))
+            * _area_terms_original(th, ph, ps) * ref.dens4(ph, ps))
 
 
 # Their theta-integrals, as the sums of the terms the suite integrates; the
 # theta-terms of e_vl_ar and e_ar_mw as the products of their factors.
 
 def _ar2_reduced(ph, ps):
-    return (quad._ar2_smooth(ph, ps) + quad._ar2_cone(ph, ps)
-            + quad._ar2_theta(ph, ps))
+    return (quad._box_terms(ph, ps)[5] + quad._cone_terms(ph, ps)[1]
+            + quad._ar2_theta(ph, ps)[0])
 
 
 def _vl_ar_reduced(ph, ps):
-    return quad._vl_ar_cone(ph, ps) + quad._vl_ar_psi(ps) * quad._area_phi(ph)
+    return (quad._cone_terms(ph, ps)[2]
+            + quad._vl_ar_psi(ps) * quad._area_phi(ph))
 
 
 def _ar_mw_reduced(ph, ps):
-    return quad._ar_mw_cone(ph, ps) + quad._ar_mw_psi(ps) * quad._area_phi(ph)
+    return (quad._cone_terms(ph, ps)[3]
+            + quad._ar_mw_psi(ps) * quad._area_phi(ph))
 
 
 class TestThetaReduction:
@@ -421,6 +502,46 @@ class TestMomentIntegralSuite:
         # since rounding elsewhere could stop a piece one level earlier.
         assert sum(r.evaluations for r in moment_suite.values()) <= 180_998
 
+    def test_equals_the_per_integral_route(self, moment_suite):
+        # every entry, bit for bit, as each double integral gave it in a
+        # pass of its own (`quad_reference.per_integral_suite`)
+        route = ref.per_integral_suite()
+        assert list(moment_suite) == list(route)
+        for name, result in moment_suite.items():
+            assert result.value == route[name].value, name
+            assert result.error_estimate == route[name].error_estimate, name
+            assert result.evaluations == route[name].evaluations, name
+
+    def test_components_equal_the_per_integral_integrands(self):
+        # each component to the bit, on a row of phi against a column of
+        # psi as on the box grid, and on full grids as on the polar ones
+        x, y = np.array(_box_points()).T
+        for ph, ps in ((x[None, :], y[:, None]),
+                       np.broadcast_arrays(x[None, :], y[:, None])):
+            for terms, singles in ((quad._box_terms, ref.BOX),
+                                   (quad._cone_terms, ref.CONE),
+                                   (quad._ar2_theta, (ref.ar2_theta,))):
+                parts = terms(ph, ps)
+                assert len(parts) == len(singles)
+                for part, single in zip(parts, singles):
+                    assert np.array_equal(part, single(ph, ps)), single
+
+    def test_one_pass_per_grid(self, monkeypatch):
+        # 5 levels of 2 blocks: the box term function runs 10 times, and
+        # the cone term function 20 times (two halves), where a pass per
+        # integral ran 70 and 80 integrand calls
+        calls = {"_box_terms": 0, "_cone_terms": 0, "_ar2_theta": 0}
+
+        def counted(name, f):
+            def wrapper(ph, ps):
+                calls[name] += 1
+                return f(ph, ps)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(quad, name, counted(name, getattr(quad, name)))
+        quad.moment_integral_suite()
+        assert calls == {"_box_terms": 10, "_cone_terms": 20, "_ar2_theta": 20}
+
     def test_key_values(self, moment_suite):
         assert moment_suite["e_vl"].value == pytest.approx(
             1.697652726313550, abs=1e-9)
@@ -434,6 +555,13 @@ class TestQuadpackRoute:
     beside the rule (`quad_reference.quadpack_twin`), agrees with it within
     ten times the accuracy asked of both."""
 
+    # The number of integrals each suite twins: the moment suite's 17 double
+    # integrals (7 box, 8 cone and 2 theta-term components of 5 `_nested`
+    # passes) and its 4 one-dimensional ones.
+    PAIRS = {"zeta4_quadrature": 1, "zeta3_quadrature": 1,
+             "zeta5_reduction_check": 3, "pi_over_128_suite": 3,
+             "moment_integral_suite": 21}
+
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("suite", [
         quad.zeta4_quadrature, quad.zeta3_quadrature,
@@ -442,6 +570,6 @@ class TestQuadpackRoute:
     def test_every_integral_matches_quadpack(self, suite, monkeypatch):
         pairs = ref.quadpack_twin(monkeypatch)
         suite()
-        assert pairs
+        assert len(pairs) == self.PAIRS[suite.__name__]
         for rule, quadpack, requested in pairs:
             assert abs(rule.value - quadpack) <= 10 * requested
