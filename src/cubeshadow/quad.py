@@ -26,8 +26,10 @@ infinity and the algebraic weight of the Euler integral of
 roughly doubles the correct digits.  Each level evaluates the integrand,
 vectorized, on the nodes new to it (on a region, two blocks of the grid,
 each by one call), and the levels stop when two successive ones agree to
-the tolerance asked (`_converge`).  The node tables are built on first
-use.
+the tolerance asked (`_converge`).  An integrand may have k components,
+integrals that share their nodes: each level evaluates each grid once for
+all of them, and each component stops at its own level with the result it
+would have alone.  The node tables are built on first use.
 
 The moment integrals are reduced before they are integrated: the angle
 theta enters only through sqrt(a sin^2 theta + b), whose integral over
@@ -53,8 +55,13 @@ coordinates in which it is smooth:
 - the theta-terms of e_vl_ar and e_ar_mw factor exactly: with
   a = sin^2(phi) sin^2(psi) and b = cos^2(phi) sin^2(psi),
   sqrt(a+b) E(k) = sin(psi) E(sin(phi)), so each is a psi-integral times
-  one phi-integral, both by `integrate_1d` (see `_area_terms`);
+  one phi-integral, both by `integrate_1d` (see `_psi_factor`);
 - the smooth terms stay Cartesian (`_double`).
+The terms integrated on one grid are the components of one pass: the seven
+Cartesian integrands on the box (`_box_terms`), the four cone terms about
+(pi/2, pi/2) (`_cone_terms`) on each half of their polar grid, and e_ar2's
+theta-term on each half of its own, so the 17 double integrals take five
+passes.
 
 The suites return integrals only and hold no target: each value is checked
 against its row's target in `moments.CONSTANT_TARGETS`, which takes the

@@ -145,8 +145,9 @@ class TestComponents:
                               1e-12, "quadrature")
 
     def test_components_stop_at_their_own_levels(self):
-        # x y stops at level 3 (51 x 51 nodes), cos(40 x y) at level 5
-        # (205 x 205): each keeps the count of its own levels
+        # x y has converged by level 2 and stops at level 3, which confirms
+        # it (51 x 51 nodes); cos(40 x y) needs level 5 (205 x 205): each
+        # keeps the count of its own levels
         def poly(x, y):
             return x * y
 
