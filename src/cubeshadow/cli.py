@@ -144,7 +144,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_hull_dump(args) -> int:
-    u = geometry.sample_unit_vector(4, geometry.stream(args.seed))
+    u = geometry.sample_unit_vectors(4, 1, geometry.stream(args.seed))[:, 0]
     _emit(hull.to_off(hull.shadow_hulls(u[None]).mesh(0)), args.out)
     return 0
 

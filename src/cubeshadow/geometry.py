@@ -11,7 +11,8 @@ block, and `sample_unit_vectors` is it with one block.  The frames are
 `build_frames`, one Householder formula at every n, and `project_vertices`
 takes one frame or a stack of them.  The two scalar entry points are
 batches of one: `sample_unit_vector` of `sample_unit_vectors` (hull-dump
-draws its direction with it) and `build_frame` of `build_frames`.
+draws its direction as a batch of one of `sample_unit_vectors`) and
+`build_frame` of `build_frames`.
 `density4` is the density of the spherical angles of a uniform direction
 of R^4, which the moment integrals of `quad` integrate against.
 

@@ -28,8 +28,9 @@ vectorized, on the nodes new to it (on a region, two blocks of the grid,
 each by one call), and the levels stop when two successive ones agree to
 the tolerance asked (`_converge`).  An integrand may have k components,
 integrals that share their nodes: each level evaluates each grid once for
-all of them, and each component stops at its own level with the result it
-would have alone.  The node tables are built on first use.
+all of them, in one dimension (`_line_pass`) as in two (`_nested`), and
+each component stops at its own level with the result it would have
+alone.  The node tables are built on first use.
 
 The moment integrals are reduced before they are integrated: the angle
 theta enters only through sqrt(a sin^2 theta + b), whose integral over
@@ -55,13 +56,15 @@ coordinates in which it is smooth:
 - the theta-terms of e_vl_ar and e_ar_mw factor exactly: with
   a = sin^2(phi) sin^2(psi) and b = cos^2(phi) sin^2(psi),
   sqrt(a+b) E(k) = sin(psi) E(sin(phi)), so each is a psi-integral times
-  one phi-integral, both by `integrate_1d` (see `_psi_factor`);
+  one phi-integral (see `_line_terms`);
 - the smooth terms stay Cartesian (`_double`).
 The terms integrated on one grid are the components of one pass: the seven
 Cartesian integrands on the box (`_box_terms`), the four cone terms about
 (pi/2, pi/2) (`_cone_terms`) on each half of their polar grid, and e_ar2's
 theta-term on each half of its own, so the 17 double integrals take five
-passes.
+passes; the phi-factor, the two psi-factors and the 3-cube's E(mw^2) share
+one pass on [0, pi/2] (`_line_terms`).  So do the three integrals of the
+pi/128 identity, and the three of the zeta_5 reduction, on (0, inf).
 
 The suites return integrals only and hold no target: each value is checked
 against its row's target in `moments.CONSTANT_TARGETS`, which takes the
@@ -357,8 +360,7 @@ def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
     def one(*args):
         return (f(*args),)
     try:
-        return _converge(one, _line(a, b, weight), 1, tol, epsabs,
-                         "quadrature")[0]
+        return _line_pass(one, a, b, tol, weight, epsabs)[0]
     except ConvergenceError as error:
         first = error.best
         if b == math.inf or math.isfinite(first.value):
@@ -374,6 +376,21 @@ def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
 
 def _counted(r: QuadResult, evaluations: int) -> QuadResult:
     return dataclasses.replace(r, evaluations=r.evaluations + evaluations)
+
+
+def _line_pass(f, a: float, b: float, tol: float,
+               weight: tuple[float, float] = (0.0, 0.0),
+               epsabs: float | None = None) -> tuple[QuadResult, ...]:
+    """The integrals over (a, b) of the components of f(x), which takes an
+    array and returns a tuple of arrays, each asked tol and epsabs (tol if
+    None) as by `integrate_1d`: one pass over the nodes serves every
+    component (`_converge`), and each component's result is that of its
+    own `integrate_1d` call when that call's first attempt converges.
+    Raises ConvergenceError when tol is not certified for a component;
+    there are no end pieces to fall back on.
+    """
+    return _converge(f, _line(a, b, weight), 1, tol,
+                     tol if epsabs is None else epsabs, "quadrature")
 
 
 def _nested(f, ranges, tol: float) -> tuple[QuadResult, ...]:
@@ -434,16 +451,17 @@ class PiIdentitySuite:
         return self.first.value - 2.0 * self.second.value + self.third.value
 
 
+def _pi128_terms(t):
+    """The integrands of the three, E(it) t/(1+t^2)^2, E(it) t/(1+t^2)^3
+    and K(it) t/(1+t^2)^2, on one evaluation of K(it) and E(it)."""
+    k, e = elliptic_imag(t)
+    square = 1.0 + t * t
+    return e * t / square ** 2, e * t / square ** 3, k * t / square ** 2
+
+
 def pi_over_128_suite() -> PiIdentitySuite:
-    scale = 1.0 / (12.0 * PI)
-
-    def scaled(f) -> QuadResult:
-        return _scaled(integrate_1d(f, 0.0, math.inf, tol=1e-12), scale)
-
-    first = scaled(lambda t: elliptic_imag(t)[1] * t / (1.0 + t * t) ** 2)
-    second = scaled(lambda t: elliptic_imag(t)[1] * t / (1.0 + t * t) ** 3)
-    third = scaled(lambda t: elliptic_imag(t)[0] * t / (1.0 + t * t) ** 2)
-    return PiIdentitySuite(first=first, second=second, third=third)
+    return PiIdentitySuite(*(_scaled(r, 1.0 / (12.0 * PI)) for r in
+                             _line_pass(_pi128_terms, 0.0, math.inf, 1e-12)))
 
 
 def zeta3_quadrature() -> float:
@@ -476,35 +494,29 @@ def zeta4_quadrature() -> float:
     return 256.0 * 4.0 / (3.0 * PI**2) * r.value
 
 
+def _zeta5_terms(t):
+    """The E^2, EK and K^2 integrands of the zeta_5 reduction, on one
+    evaluation of K(it), E(it), (1 + 2t^2)^2 - 1 and (1 + 2t^2)^5."""
+    k, e = elliptic_imag(t)
+    q = 1.0 + 2.0 * t * t
+    poly, q5 = q ** 2 - 1.0, q ** 5
+    return ((-2.0 + 4.0 * poly) * e * e / q5 * t,
+            (1.0 - 2.0 * poly + q) * e * k / q5 * t,
+            (-1.0 + poly - q) * k * k / q5 * t)
+
+
 def zeta5_reduction_check() -> float:
     """zeta_5 as 640 times the reduced three-integral combination.
 
-    Evaluates the E^2, EK and K^2 integrals separately (coefficients
-    4/(15 pi^2), 8/(15 pi^2), 4/(15 pi^2)); equals zeta_4 analytically.
+    Evaluates the E^2, EK and K^2 integrals, the components of one pass
+    (coefficients 4/(15 pi^2), 8/(15 pi^2), 4/(15 pi^2)); equals zeta_4
+    analytically.
     """
-    def poly(t):
-        return (1.0 + 2.0 * t * t) ** 2 - 1.0
-
-    def f_e2(t):
-        _, e = elliptic_imag(t)
-        return (-2.0 + 4.0 * poly(t)) * e * e / (1.0 + 2.0 * t * t) ** 5 * t
-
-    def f_ek(t):
-        k, e = elliptic_imag(t)
-        return ((1.0 - 2.0 * poly(t) + (1.0 + 2.0 * t * t)) * e * k
-                / (1.0 + 2.0 * t * t) ** 5 * t)
-
-    def f_k2(t):
-        k, _ = elliptic_imag(t)
-        return ((-1.0 + poly(t) - (1.0 + 2.0 * t * t)) * k * k
-                / (1.0 + 2.0 * t * t) ** 5 * t)
-
-    def integral(f) -> float:
-        return integrate_1d(f, 0.0, math.inf, tol=1e-13).value
-
-    total = (4.0 / (15.0 * PI**2) * integral(f_e2)
-             + 8.0 / (15.0 * PI**2) * integral(f_ek)
-             + 4.0 / (15.0 * PI**2) * integral(f_k2))
+    e2, ek, k2 = (r.value for r in
+                  _line_pass(_zeta5_terms, 0.0, math.inf, 1e-13))
+    total = (4.0 / (15.0 * PI**2) * e2
+             + 8.0 / (15.0 * PI**2) * ek
+             + 4.0 / (15.0 * PI**2) * k2)
     return 640.0 * total
 
 
@@ -606,41 +618,31 @@ def _ar2_theta(ph, ps):
             * _dens4(sph, sps),)
 
 
-def _psi_factor(weight):
-    """The psi-factor of the theta-term of e_vl_ar or e_ar_mw, whose weight
-    of psi is weight(cos(psi)).
+def _line_terms(x):
+    """The suite's one-dimensional integrands on [0, pi/2], x = phi or psi,
+    the components of one `_line_pass`: the phi-factor sin(phi) E(sin(phi))
+    of the theta-terms of e_vl_ar and e_ar_mw, their two psi-factors, and
+    the 3-cube's E(mw^2).
 
-    The theta-term is the weight times the theta-integral of
-    sqrt(a sin^2(theta) + b), a = sin^2(phi) sin^2(psi) and
-    b = cos^2(phi) sin^2(psi), times the density.  As a + b = sin^2(psi),
-    that theta-integral is sin(psi) E(sin(phi)), so the term is
-    weight sin^3(psi) / TWO_PI2 times `_area_phi`.
+    The theta-term of e_vl_ar or e_ar_mw is its weight of psi (a function
+    of cos(psi)) times the theta-integral of sqrt(a sin^2(theta) + b),
+    a = sin^2(phi) sin^2(psi) and b = cos^2(phi) sin^2(psi), times the
+    density.  As a + b = sin^2(psi), that theta-integral is
+    sin(psi) E(sin(phi)), so the term is the psi-factor
+    weight sin^3(psi) / TWO_PI2 times the phi-factor.
+
+    The 3-cube's E(mw^2), the 2D analog (shadow of the 3-cube onto a
+    plane), is a double integral over (theta, phi) whose theta-integral is
+    int sqrt(1 - cos^2(theta) sin^2(phi)) = E(sin(phi)).
     """
-    def psi_factor(ps):
-        return weight(np.cos(ps)) * np.sin(ps) ** 3 / TWO_PI2
-    return psi_factor
-
-
-def _area_phi(ph):
-    """sin(phi) E(sin(phi)), the phi-factor of the theta-terms of e_vl_ar
-    and e_ar_mw (see `_psi_factor`)."""
-    sph = np.sin(ph)
-    return sph * _theta_sqrt_integral(sph ** 2, np.cos(ph) ** 2)
-
-
-_vl_ar_psi = _psi_factor(_vl_ar_weight)
-_ar_mw_psi = _psi_factor(_ar_mw_weight)
-
-
-def _mw2_3cube(ph):
-    """2D analog (shadow of the 3-cube onto a plane): E(mw^2), a double
-    integral over (theta, phi) whose theta-integral is
-    int sqrt(1 - cos^2(th) sin^2(ph)) = E(sin(ph))."""
-    cph, sph = np.cos(ph), np.sin(ph)
-    pref = (2.0 / PI) ** 2 * sph / (4.0 * PI)
-    return (24.0 * (1.0 - cph ** 2) * HALF_PI
-            + 48.0 * _theta_sqrt_integral(sph ** 2, cph ** 2)
-            * np.sqrt(1.0 - cph ** 2)) * pref
+    s, c = np.sin(x), np.cos(x)
+    area = _theta_sqrt_integral(s ** 2, c ** 2)
+    return (s * area,
+            _vl_ar_weight(c) * s ** 3 / TWO_PI2,
+            _ar_mw_weight(c) * s ** 3 / TWO_PI2,
+            (24.0 * (1.0 - c ** 2) * HALF_PI
+             + 48.0 * area * np.sqrt(1.0 - c ** 2))
+            * ((2.0 / PI) ** 2 * s / (4.0 * PI)))
 
 
 # The accuracy asked of the one-dimensional factors and of the double
@@ -711,19 +713,11 @@ def moment_integral_suite() -> dict[str, QuadResult]:
     phi_1) integrations are done analytically; see the module docstring.
     Its 17 double integrals take five passes, one per grid: the box, each
     half of the polar grid about (pi/2, pi/2), and each half of that about
-    (0, pi/2).  The closed forms these integrals equal live in `moments`
-    only.
+    (0, pi/2); its four one-dimensional integrals take one.  The closed
+    forms these integrals equal live in `moments` only.
     """
-    def factor(f) -> QuadResult:
-        return integrate_1d(f, 0.0, HALF_PI, tol=_BOX_TOLS[0])
-
-    area_phi = factor(_area_phi)
-
-    def area(cone, psi_factor) -> QuadResult:
-        """e_vl_ar or e_ar_mw: the cone term plus the theta-term, a
-        psi-integral times the phi-integral of `_area_phi`."""
-        return _total(cone, _product(factor(psi_factor), area_phi))
-
+    area_phi, vl_ar_psi, ar_mw_psi, mw2_3cube = _line_pass(
+        _line_terms, 0.0, HALF_PI, _BOX_TOLS[0])
     vl, vl2, mw, mw2, vl_mw, ar2_smooth, ij = _double(_box_terms)
     ar, ar2_cone, vl_ar_cone, ar_mw_cone = _corner_polar(_cone_terms,
                                                          _CONE_CORNER)
@@ -735,9 +729,9 @@ def moment_integral_suite() -> dict[str, QuadResult]:
         "e_ar2": _total(ar2_smooth, ar2_cone, ar2_theta),
         "e_mw": _scaled(mw, HALF_PI),
         "e_mw2": _scaled(mw2, HALF_PI),
-        "e_vl_ar": area(vl_ar_cone, _vl_ar_psi),
+        "e_vl_ar": _total(vl_ar_cone, _product(vl_ar_psi, area_phi)),
         "e_vl_mw": _scaled(vl_mw, HALF_PI),
-        "e_ar_mw": area(ar_mw_cone, _ar_mw_psi),
-        "e_mw2_3cube": integrate_1d(_mw2_3cube, 0.0, HALF_PI, tol=1e-12),
+        "e_ar_mw": _total(ar_mw_cone, _product(ar_mw_psi, area_phi)),
+        "e_mw2_3cube": mw2_3cube,
         "e_mw2_5cube": _scaled(ij, HALF_PI * 32.0 * (4.0 / (3.0 * PI)) ** 2),
     }

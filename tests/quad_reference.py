@@ -10,11 +10,12 @@ integrands are compared.  `_ar2_theta` is the reference of
 `edge` that of its polar coordinates.
 
 The per-integral route: the suite's 17 double integrals, each of one numpy
-integrand (`BOX`, `CONE`, `ar2_theta`) by its own `quad._nested` pass, as
-the suite ran them before the integrals that share a grid shared one pass
-(`per_integral_suite`).  Each component of `quad`'s term functions keeps
-the operation order of its integrand here, so the suite must equal this
-route bit for bit.
+integrand (`BOX`, `CONE`, `ar2_theta`) by its own `quad._nested` pass, and
+its four one-dimensional ones (`LINE`), each by its own
+`quad.integrate_1d` call, as the suite ran them before the integrals that
+share a grid shared one pass (`per_integral_suite`).  Each component of
+`quad`'s term functions keeps the operation order of its integrand here,
+so the suite must equal this route bit for bit.
 
 `spherical_density` is the density of the spherical angles at n = 3, 4
 and 5, whose n = 4 case `geometry.density4` must equal.
@@ -170,6 +171,13 @@ def ar2_theta(ph, ps):
             * dens4(ph, ps))
 
 
+def area_phi(ph):
+    """sin(phi) E(sin(phi)), the phi-factor of the theta-terms of e_vl_ar
+    and e_ar_mw."""
+    sph = np.sin(ph)
+    return sph * _theta_sqrt_integral(sph ** 2, np.cos(ph) ** 2)
+
+
 def vl_ar_psi(ps):
     return 384.0 * np.cos(ps) * np.sin(ps) ** 3 / quad.TWO_PI2
 
@@ -179,9 +187,19 @@ def ar_mw_psi(ps):
             / quad.TWO_PI2)
 
 
-# in the order of the components of `quad._box_terms` and `quad._cone_terms`
+def mw2_3cube(ph):
+    cph, sph = np.cos(ph), np.sin(ph)
+    pref = (2.0 / PI) ** 2 * sph / (4.0 * PI)
+    return (24.0 * (1.0 - cph ** 2) * HALF_PI
+            + 48.0 * _theta_sqrt_integral(sph ** 2, cph ** 2)
+            * np.sqrt(1.0 - cph ** 2)) * pref
+
+
+# in the order of the components of `quad._box_terms`, `quad._cone_terms`
+# and `quad._line_terms`
 BOX = (vl, vl2, mw, mw2, vl_mw, ar2_smooth, ij)
 CONE = (ar, ar2_cone, vl_ar_cone, ar_mw_cone)
+LINE = (area_phi, vl_ar_psi, ar_mw_psi, mw2_3cube)
 
 
 def one(f):
@@ -205,11 +223,11 @@ def per_integral_suite() -> dict:
     def factor(f):
         return integrate_1d(f, 0.0, HALF_PI, tol=quad._BOX_TOLS[0])
 
-    area_phi = factor(quad._area_phi)
+    phi_factor = factor(area_phi)
 
     def area(cone_term, psi_factor):
         return quad._total(corner_polar(cone_term, quad._CONE_CORNER),
-                           quad._product(factor(psi_factor), area_phi))
+                           quad._product(factor(psi_factor), phi_factor))
 
     return {
         "e_vl": theta_free(vl),
@@ -223,7 +241,7 @@ def per_integral_suite() -> dict:
         "e_vl_ar": area(vl_ar_cone, vl_ar_psi),
         "e_vl_mw": theta_free(vl_mw),
         "e_ar_mw": area(ar_mw_cone, ar_mw_psi),
-        "e_mw2_3cube": integrate_1d(quad._mw2_3cube, 0.0, HALF_PI, tol=1e-12),
+        "e_mw2_3cube": integrate_1d(mw2_3cube, 0.0, HALF_PI, tol=1e-12),
         "e_mw2_5cube": quad._scaled(double(ij),
                                     HALF_PI * 32.0 * (4.0 / (3.0 * PI)) ** 2),
     }
@@ -305,25 +323,42 @@ def zeta5_inner_v_identity(u: float) -> tuple[float, float]:
 def quadpack_twin(monkeypatch) -> list:
     """Integrate by QUADPACK beside the rule of `quad`, call for call.
 
-    Wraps `quad.integrate_1d` and `quad._nested`, through which every
-    integral of `quad` and of `specfun.hyp3f2_unit` goes, so that each call
-    also integrates its integrand over its range with `integrate.quad`
-    (QAWS for an algebraic weight), or each component of its integrand
-    with `integrate.nquad`, asked the same accuracy.  Returns the list to
-    which each integral appends (the rule's QuadResult, QUADPACK's value,
-    the accuracy asked of both).
+    Wraps `quad.integrate_1d`, `quad._line_pass` and `quad._nested`,
+    through which every integral of `quad` and of `specfun.hyp3f2_unit`
+    goes, so that each call also integrates its integrand over its range
+    with `integrate.quad` (QAWS for an algebraic weight), or each component
+    of its integrand with `integrate.quad` or `integrate.nquad`, asked the
+    same accuracy.  The `_line_pass` that `integrate_1d` makes is twinned
+    as that call.  Returns the list to which each integral appends (the
+    rule's QuadResult, QUADPACK's value, the accuracy asked of both).
     """
-    pairs = []
-    line, nested = quad.integrate_1d, quad._nested
+    pairs, inside = [], []
+    line, line_pass, nested = quad.integrate_1d, quad._line_pass, quad._nested
 
-    def integrate_1d(f, a, b, tol=1e-10, weight=None, epsabs=None):
-        result = line(f, a, b, tol, weight, epsabs)
+    def twin(result, f, a, b, tol, weight, epsabs):
         epsabs = tol if epsabs is None else epsabs
-        alg = {} if weight is None else {"weight": "alg", "wvar": weight}
+        alg = ({} if weight is None or weight == (0.0, 0.0)
+               else {"weight": "alg", "wvar": weight})
         value = integrate.quad(f, a, b, epsabs=epsabs, epsrel=tol, limit=200,
                                **alg)[0]
         pairs.append((result, value, max(epsabs, tol * abs(value))))
+
+    def integrate_1d(f, a, b, tol=1e-10, weight=None, epsabs=None):
+        inside.append(f)
+        try:
+            result = line(f, a, b, tol, weight, epsabs)
+        finally:
+            inside.pop()
+        twin(result, f, a, b, tol, weight, epsabs)
         return result
+
+    def _line_pass(f, a, b, tol, weight=(0.0, 0.0), epsabs=None):
+        results = line_pass(f, a, b, tol, weight, epsabs)
+        if not inside:
+            for i, result in enumerate(results):
+                twin(result, lambda x, i=i: f(x)[i], a, b, tol, weight,
+                     epsabs)
+        return results
 
     def _nested(f, ranges, tol):
         results = nested(f, ranges, tol)
@@ -334,5 +369,6 @@ def quadpack_twin(monkeypatch) -> list:
         return results
 
     monkeypatch.setattr(quad, "integrate_1d", integrate_1d)
+    monkeypatch.setattr(quad, "_line_pass", _line_pass)
     monkeypatch.setattr(quad, "_nested", _nested)
     return pairs

@@ -129,7 +129,8 @@ class TestComponents:
     """`_converge` integrates the k components of one integrand on one set
     of nodes, and each component's result is exactly that of its own
     k = 1 call: its value, error estimate and evaluation count, and, when it
-    does not converge, its ConvergenceError."""
+    does not converge, its ConvergenceError.  In one dimension (`_line_pass`)
+    that call is `integrate_1d`."""
 
     BOX = [(0.0, 1.0), (0.0, 1.0)]
 
@@ -139,10 +140,9 @@ class TestComponents:
                             TestComponents.BOX, tol)
 
     @staticmethod
-    def line(*fs):
-        return quad._converge(lambda x: tuple(f(x) for f in fs),
-                              quad._line(0.0, 1.0, (0.0, 0.0)), 1, 1e-12,
-                              1e-12, "quadrature")
+    def line(*fs, b=1.0, tol=1e-12, weight=(0.0, 0.0), epsabs=None):
+        return quad._line_pass(lambda x: tuple(f(x) for f in fs), 0.0, b,
+                               tol, weight, epsabs)
 
     def test_components_stop_at_their_own_levels(self):
         # x y has converged by level 2 and stops at level 3, which confirms
@@ -168,8 +168,39 @@ class TestComponents:
         both = self.line(poly, wave)
         assert both == self.line(poly) + self.line(wave)
         assert [r.evaluations for r in both] == [129, 257]
-        (alone,) = self.line(poly)
-        assert alone == quad.integrate_1d(poly, 0.0, 1.0, tol=1e-12)
+        assert both == tuple(quad.integrate_1d(f, 0.0, 1.0, tol=1e-12)
+                             for f in (poly, wave))
+        assert self.line(wave, poly) == both[::-1]
+
+    @pytest.mark.parametrize("b,weight,epsabs,other", [
+        (1.0, (-0.5, 0.3), None, lambda t: np.sin(40.0 * t)),
+        (1.0, (0.0, 0.0), 1e-15, lambda t: np.sin(40.0 * t)),
+        (math.inf, (0.0, 0.0), None, lambda t: 1.0 / (1.0 + t * t) ** 2)])
+    def test_line_components_equal_integrate_1d(self, b, weight, epsabs,
+                                                other):
+        # under an algebraic weight, an absolute accuracy of its own and on
+        # (0, inf), each component is its own `integrate_1d` call, bit for
+        # bit, and they stop at different levels
+        fs = (lambda t: np.exp(-t), other, lambda t: t * np.exp(-t))
+        parts = self.line(*fs, b=b, weight=weight, epsabs=epsabs)
+        assert parts == tuple(
+            quad.integrate_1d(f, 0.0, b, tol=1e-12, epsabs=epsabs,
+                              weight=None if b == math.inf else weight)
+            for f in fs)
+        assert len({r.evaluations for r in parts}) > 1
+
+    def test_unconverged_line_component_raises_its_own_error(self):
+        def poly(t):
+            return t ** 3 - 2.0 * t
+
+        def fast(t):
+            return np.sin(1e4 * t)
+        alone = _raised(lambda: quad.integrate_1d(fast, 0.0, 1.0, tol=1e-13))
+        for fs in ((poly, fast), (fast, poly)):
+            error = _raised(lambda: self.line(*fs, tol=1e-13))
+            assert str(error) == str(alone)
+            assert error.best == alone.best
+        assert alone.best.evaluations == 513
 
     def test_unconverged_component_raises_its_own_error(self):
         def poly(x, y):
@@ -242,7 +273,7 @@ class TestCurriedIntegrands:
 
     def test_mw2_3cube_bytes(self):
         x = np.array(_box_points())[:, 0]
-        _agree(quad._mw2_3cube(x), [ref._mw2_3cube(a) for a in x.tolist()])
+        _agree(quad._line_terms(x)[3], [ref._mw2_3cube(a) for a in x.tolist()])
 
     @staticmethod
     def _polar_points():
@@ -383,7 +414,8 @@ def _ar_mw_original(th, ph, ps):
 
 
 # Their theta-integrals, as the sums of the terms the suite integrates; the
-# theta-terms of e_vl_ar and e_ar_mw as the products of their factors.
+# theta-terms of e_vl_ar and e_ar_mw as the products of their factors, the
+# components of `quad._line_terms` at psi and at phi.
 
 def _ar2_reduced(ph, ps):
     return (quad._box_terms(ph, ps)[5] + quad._cone_terms(ph, ps)[1]
@@ -392,12 +424,12 @@ def _ar2_reduced(ph, ps):
 
 def _vl_ar_reduced(ph, ps):
     return (quad._cone_terms(ph, ps)[2]
-            + quad._vl_ar_psi(ps) * quad._area_phi(ph))
+            + quad._line_terms(ps)[1] * quad._line_terms(ph)[0])
 
 
 def _ar_mw_reduced(ph, ps):
     return (quad._cone_terms(ph, ps)[3]
-            + quad._ar_mw_psi(ps) * quad._area_phi(ph))
+            + quad._line_terms(ps)[2] * quad._line_terms(ph)[0])
 
 
 class TestThetaReduction:
@@ -436,6 +468,25 @@ class TestPiIdentity:
         assert suite.third.value == pytest.approx(target["third"], abs=1e-10)
         assert suite.combination == pytest.approx(target["combination"],
                                                   abs=1e-10)
+
+
+@pytest.mark.parametrize("suite", [quad.pi_over_128_suite,
+                                   quad.zeta5_reduction_check],
+                         ids=lambda f: f.__name__)
+def test_one_elliptic_call_per_level(suite, monkeypatch):
+    # the three integrals of each suite are the components of one pass on
+    # (0, inf): K(it) and E(it) are evaluated once per level, on the nodes
+    # that level adds, where a pass per integral evaluated them three times
+    sizes = []
+
+    def counted(t):
+        sizes.append(np.size(t))
+        return specfun.elliptic_imag(t)
+    monkeypatch.setattr(quad, "elliptic_imag", counted)
+    suite()
+    assert 0 < len(sizes) <= quad._MAX_LEVEL + 1
+    assert sizes == [quad._new_steps(*quad._HALF_LINE_T, level).size
+                     for level in range(len(sizes))]
 
 
 class TestZetaQuadratures:
@@ -526,22 +577,30 @@ class TestMomentIntegralSuite:
                 assert len(parts) == len(singles)
                 for part, single in zip(parts, singles):
                     assert np.array_equal(part, single(ph, ps)), single
+        # and on the nodes of one line
+        parts = quad._line_terms(x)
+        assert len(parts) == len(ref.LINE)
+        for part, single in zip(parts, ref.LINE):
+            assert np.array_equal(part, single(x)), single
 
     def test_one_pass_per_grid(self, monkeypatch):
         # 5 levels of 2 blocks: the box term function runs 10 times, and
         # the cone term function 20 times (two halves), where a pass per
-        # integral ran 70 and 80 integrand calls
-        calls = {"_box_terms": 0, "_cone_terms": 0, "_ar2_theta": 0}
+        # integral ran 70 and 80 integrand calls; 5 levels of one block on
+        # [0, pi/2], where the four one-dimensional integrals ran 20 calls
+        calls = {"_box_terms": 0, "_cone_terms": 0, "_ar2_theta": 0,
+                 "_line_terms": 0}
 
         def counted(name, f):
-            def wrapper(ph, ps):
+            def wrapper(*x):
                 calls[name] += 1
-                return f(ph, ps)
+                return f(*x)
             return wrapper
         for name in calls:
             monkeypatch.setattr(quad, name, counted(name, getattr(quad, name)))
         quad.moment_integral_suite()
-        assert calls == {"_box_terms": 10, "_cone_terms": 20, "_ar2_theta": 20}
+        assert calls == {"_box_terms": 10, "_cone_terms": 20, "_ar2_theta": 20,
+                         "_line_terms": 5}
 
     def test_key_values(self, moment_suite):
         assert moment_suite["e_vl"].value == pytest.approx(
@@ -556,9 +615,11 @@ class TestQuadpackRoute:
     beside the rule (`quad_reference.quadpack_twin`), agrees with it within
     ten times the accuracy asked of both."""
 
-    # The number of integrals each suite twins: the moment suite's 17 double
-    # integrals (7 box, 8 cone and 2 theta-term components of 5 `_nested`
-    # passes) and its 4 one-dimensional ones.
+    # The number of integrals each suite twins: the 3 components of the one
+    # `_line_pass` of the zeta_5 reduction and of the pi/128 identity; the
+    # moment suite's 17 double integrals (7 box, 8 cone and 2 theta-term
+    # components of 5 `_nested` passes) and its 4 one-dimensional ones (the
+    # components of one `_line_pass`).
     PAIRS = {"zeta4_quadrature": 1, "zeta3_quadrature": 1,
              "zeta5_reduction_check": 3, "pi_over_128_suite": 3,
              "moment_integral_suite": 21}
