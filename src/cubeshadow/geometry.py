@@ -118,9 +118,9 @@ def sample_unit_vectors(n: int, count: int,
     """
     if n < 2:
         raise DimensionError(f"need n >= 2, got {n}")
-    v, norms = np.empty((n, count)), np.empty(count)
+    v, sq, norms = np.empty((n, count)), np.empty(n * count), np.empty(count)
     for _ in draw_blocks(rng, count, max(count, 1),
-                         lambda i, k: (v[:, i:i + k], None, norms[:k])):
+                         lambda i, k: (v[:, i:i + k], sq[:n * k], norms[:k])):
         pass
     return v
 
@@ -157,15 +157,13 @@ def draw_directions(rng: np.random.Generator, out) -> np.ndarray:
     v (n, k), any view, receives k directions, one per column; sq, n k
     elements, C-contiguous, and norms (k,) are scratch.  The Gaussian block
     is drawn as (k, n), one direction per row, which fixes the order in
-    which the stream is read, into the memory of sq (a new array when sq is
-    None), and transposed once.
+    which the stream is read, into the memory of sq, and transposed once.
     Returns the indices of the columns whose norm is at most 1e-100: those
     are left unnormalized, for `draw_blocks` to draw again.
     """
     v, sq, norms = out
     n, k = v.shape
-    draw = (rng.standard_normal((k, n)) if sq is None
-            else rng.standard_normal(out=sq.reshape(k, n)))
+    draw = rng.standard_normal(out=sq.reshape(k, n))
     np.copyto(v, draw.T)
     _norms(v, draw.reshape(n, k), norms)
     short = np.flatnonzero(norms <= 1e-100)

@@ -217,8 +217,8 @@ class MeshBatch:
         corner = loop_start[fan_face] + np.arange(fan_start[-1])
         corner -= fan_start[fan_face]
         p0 = verts[loops[loop_start[fan_face]]]
-        cross = _cross(verts[loops[corner + 1]] - p0,
-                       verts[loops[corner + 2]] - p0)
+        cross = np.cross(verts[loops[corner + 1]] - p0,
+                         verts[loops[corner + 2]] - p0)
         # each hull's fan triangles are those of its faces
         hull_fans = fan_start[self.face_start]
         area = 0.5 * _segment_sums(np.linalg.norm(cross, axis=1), hull_fans)
@@ -279,16 +279,6 @@ def _dedup_mask(clouds: np.ndarray, tol: float) -> np.ndarray:
     for c, j in zip(*np.nonzero(~np.take_along_axis(keep, first, axis=1))):
         keep[c, j] = not np.any(close[c, :j, j] & keep[c, :j])
     return keep
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of (m, 3) arrays, bit-identical to np.cross,
-    whose axis handling costs more than the product for one mesh's rows.
-    Component by component, so that temporaries are single columns."""
-    out = np.empty(a.shape)
-    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.subtract(a[:, i] * b[:, j], a[:, j] * b[:, i], out=out[:, k])
-    return out
 
 
 def _affine_ranks(clouds: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -354,7 +344,7 @@ def _face_loops(vertices, normals, inc_face, inc_vert, counts) -> np.ndarray:
     rel = vertices[inc_vert]
     center = np.add.reduceat(rel, starts, axis=0) / counts[:, None]
     b1 = rel[starts + 1] - rel[starts]
-    b2 = _cross(normals, b1)
+    b2 = np.cross(normals, b1)
     # Row gathers go into one (n, 3) buffer; mode="clip" (the indices are
     # in range) lets np.take write into it without a buffer of its own.
     per_row = np.take(center, inc_face, axis=0)

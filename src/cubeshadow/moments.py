@@ -52,15 +52,20 @@ That is 8 (5 CHUNK + (2n + 2) MC_BLOCK) bytes per thread for
 `mc_estimate`, 3.1, 3.4, 4.1 and 45.4 MiB at n = 4, 6, 12 and 342, and
 8 (5 CHUNK + 7 MC_BLOCK) bytes, 2.9 MiB, for `mc_octagon`.
 
-Each chunk returns its count, per quantity its sum and its
-M2 = sum (v - chunk mean)^2, and the extremes of the bounded quantities
-(vl, ar, mw; perimeter, area).  `_accumulate` merges them in chunk-index
-order by the rule of Chan, Golub and LeVeque (1979); the means stay the
-chunk-ordered sums over N.
+Each chunk returns one record of arrays, (count, sums, m2, mins, maxs):
+sums and M2 = sum (v - chunk mean)^2 over the quantities, the kernel's
+rows first, then each product, and the extremes over the kernel's rows,
+which are the bounded quantities (vl, ar, mw; perimeter, area).
+`_accumulate` merges the records in chunk-index order with one vector
+update, the rule of Chan, Golub and LeVeque (1979), and names the
+quantities once, in `McResult`; the means stay the chunk-ordered sums
+over N.  The chunks run on a pool of `threads` threads, one thread
+included.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import threading
@@ -71,11 +76,11 @@ import numpy as np
 
 from . import functionals, geometry, hull
 from .geometry import DimensionError
-from .specfun import catalan_const, hyp3f2_unit
+from .specfun import CATALAN, hyp3f2_unit
 
 PI = math.pi
 CHUNK = 1 << 16
-SPEC_VERSION = "1.4"
+SPEC_VERSION = "1.5"
 
 # The constant zeta in E(ar^2) is the same for every n >= 3 (proved).
 # Expanding E(ar^2) at dimension n gives
@@ -85,11 +90,21 @@ SPEC_VERSION = "1.4"
 # times the S^2-average of sqrt(x^2 + y^2) sqrt(x^2 + z^2), free of n.
 # At n = 3 it is 3 pi 3F2(-1/2, 1/2, 3/2; 1, 2; 1).
 # That 3F2 equals Gamma(1/4)^4/(12 pi^3) + 16 pi/Gamma(1/4)^4 in all of
-# 100 digits (identified by PSLQ, not proved), so
+# 100 digits (identified by PSLQ), so
 # zeta = Gamma(1/4)^4/(4 pi^2) + 48 pi^2/Gamma(1/4)^4 = 4K^2/pi + 3 pi/K^2
-# with the singular value K(1/sqrt 2) = Gamma(1/4)^2/(4 sqrt pi) (Borwein
-# and Borwein, Pi and the AGM, 1987).  Written as X/4 + 48/X it rounds
-# correctly; the form above is 1 ulp high.
+# with the singular value K = K(1/sqrt 2) = Gamma(1/4)^2/(4 sqrt pi)
+# (Borwein and Borwein, Pi and the AGM, 1987).  With k' = sqrt(1 - k^2)
+# and every integral over k in [0, 1], four links lead there:
+# 1. Euler's integral (DLMF 16.5.2, 19.5.2): the 3F2 is
+#    (8/pi^2) int k^2 E(k)/k' dk, and k^2/k' = 1/k' - k';
+# 2. d/dk [k k' (E(k) + K(k))/3] = k' E(k) - K(k)/(3 k'), and the bracket
+#    vanishes at both ends, so int k' E(k) dk = (1/3) int K(k)/k' dk;
+# 3. int K(k)/k' dk = (pi^2/4) 3F2(1/2, 1/2, 1/2; 1, 1; 1) = K^2 (Dixon);
+# 4. int E(k)/k' dk = K^2/2 + pi^2/(8 K^2): identified, the one link not
+#    yet derived;
+# so zeta = (24/pi) [int E(k)/k' dk - (1/3) int K(k)/k' dk].  The tests
+# check each link at 50 digits.  Written as X/4 + 48/X it rounds
+# correctly; 4K^2/pi + 3 pi/K^2 is 1 ulp high.
 _X = (math.gamma(0.25) ** 2 / PI) ** 2
 ZETA = _X / 4.0 + 48.0 / _X
 
@@ -169,7 +184,7 @@ CORANK1_TARGETS = {
     "mw2": (_e_mw2, (3, 4, 5)),
     "vl_ar": (lambda n: 6.0 * (1.0 + 4.0 / PI), (4,)),
     "vl_mw": (lambda n: 9.0 / 4.0 + 2.0 / PI, (4,)),
-    "ar_mw": (lambda n: 3.0 * (5.0 + 2.0 * catalan_const()) / PI
+    "ar_mw": (lambda n: 3.0 * (5.0 + 2.0 * CATALAN) / PI
               + 9.0 * PI / 4.0, (4,)),
 }
 
@@ -250,69 +265,54 @@ SHADOW_PRODUCTS = {"vl2": ("vl", "vl"), "ar2": ("ar", "ar"),
                    "vl_mw": ("vl", "mw"), "ar_mw": ("ar", "mw")}
 
 
-def _chunk_stats(values: dict, products: dict, work: np.ndarray) -> dict:
-    """One chunk's count, and per quantity its sum and M2 = sum (v - mean)^2.
+def _chunk_stats(values: np.ndarray, products: tuple,
+                 work: np.ndarray) -> tuple:
+    """One chunk's record (count, sums, m2, mins, maxs).
 
-    `values` maps names to arrays of one length; each also keeps its min
-    and max.  `products` maps further names to pairs of those names; each
-    product is formed in work[0] when its turn comes, so one row serves
-    them all.  work[1] holds v - mean.  `work` is two rows of that length.
+    values (k, m) holds k quantities of m samples, one per row, and
+    `products` index pairs (a, b), each the quantity values[a] values[b].
+    sums and m2 = sum (v - mean)^2 are arrays over the k rows, then the
+    products; mins and maxs are arrays over the k rows.  Each product is
+    formed in work[0] when its turn comes, so one row serves them all;
+    work[1] holds v - mean.  `work` is two rows of length m.
     """
     product, deviation = work
-    count = len(product)
-    sums, m2 = {}, {}
-
-    def add(name, v):
-        sums[name] = float(v.sum())
-        np.subtract(v, sums[name] / count, out=deviation)
-        m2[name] = float(np.square(deviation, out=deviation).sum())
-
-    for name, v in values.items():
-        add(name, v)
-    for name, (a, b) in products.items():
-        add(name, np.multiply(values[a], values[b], out=product))
-    return {
-        "count": count,
-        "sums": sums,
-        "m2": m2,
-        "mins": {k: float(v.min()) for k, v in values.items()},
-        "maxs": {k: float(v.max()) for k, v in values.items()},
-    }
+    count = values.shape[1]
+    sums, m2 = np.empty((2, len(values) + len(products)))
+    for i, v in enumerate(itertools.chain(values, (
+            np.multiply(values[a], values[b], out=product)
+            for a, b in products))):
+        sums[i] = v.sum()
+        np.subtract(v, sums[i] / count, out=deviation)
+        m2[i] = np.square(deviation, out=deviation).sum()
+    return count, sums, m2, values.min(axis=1), values.max(axis=1)
 
 
-def _accumulate(per_chunk: list[dict], samples: int, seed: int) -> McResult:
-    """Reduce chunk statistics in chunk-index order.
+def _accumulate(per_chunk: list[tuple], names: tuple, seed: int) -> McResult:
+    """Reduce chunk records in chunk-index order, and name them.
 
-    Means are the chunk-ordered sums over `samples`.  M2 is merged by the
-    rule of Chan, Golub and LeVeque (1979),
+    Means are the chunk-ordered sums over the total count.  The M2 vector
+    is merged by the rule of Chan, Golub and LeVeque (1979),
     M2 = M2_a + M2_b + (mean_b - mean_a)^2 n_a n_b / (n_a + n_b),
-    which has no sumsq/N - mean^2 cancellation.
+    which has no sumsq/N - mean^2 cancellation.  `names` names the
+    quantities in the record's order; the first len(mins) also name the
+    extremes.
     """
-    first = per_chunk[0]
-    count = first["count"]
-    sums = dict(first["sums"])
-    m2 = dict(first["m2"])
-    mins = dict(first["mins"])
-    maxs = dict(first["maxs"])
-    for chunk in per_chunk[1:]:  # fixed index order: deterministic reduction
-        nb = chunk["count"]
-        weight = count * nb / (count + nb)
-        for q, sb in chunk["sums"].items():
-            delta = sb / nb - sums[q] / count
-            m2[q] += chunk["m2"][q] + delta * delta * weight
-            sums[q] += sb
+    count, sums, m2, mins, maxs = per_chunk[0]
+    sums, m2 = sums.copy(), m2.copy()
+    for nb, sb, m2b, lo, hi in per_chunk[1:]:  # fixed index order
+        delta = sb / nb - sums / count
+        m2 += m2b + delta * delta * (count * nb / (count + nb))
+        sums += sb
         count += nb
-        for q, lo in chunk["mins"].items():
-            mins[q] = min(mins[q], lo)
-        for q, hi in chunk["maxs"].items():
-            maxs[q] = max(maxs[q], hi)
-    estimates = {}
-    for q in sums:
-        var = m2[q] / samples
-        estimates[q] = (sums[q] / samples, math.sqrt(var / samples))
-    extremes = {q: (mins[q], maxs[q]) for q in mins}
-    return McResult(samples=samples, seed=seed, estimates=estimates,
-                    extremes_observed=extremes)
+        mins, maxs = np.minimum(mins, lo), np.maximum(maxs, hi)
+    stderr = np.sqrt(m2 / count / count)
+    return McResult(
+        samples=count, seed=seed,
+        estimates={q: (float(s / count), float(e))
+                   for q, s, e in zip(names, sums, stderr)},
+        extremes_observed={q: (float(lo), float(hi))
+                           for q, lo, hi in zip(names, mins, maxs)})
 
 
 def _per_thread(make):
@@ -333,24 +333,23 @@ def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
-def _run_chunked(worker, samples: int, seed: int, threads: int) -> McResult:
-    """The statistics of worker(rng, m) over the chunks of `samples`, merged
-    in index order: chunk i has m = min(CHUNK, samples - i CHUNK) samples
-    and the stream (seed, i)."""
+def _run_chunked(worker, names: tuple, samples: int, seed: int,
+                 threads: int) -> McResult:
+    """The statistics of worker(rng, m) over the chunks of `samples`, run on
+    a pool of `threads` threads and merged in index order: chunk i has
+    m = min(CHUNK, samples - i CHUNK) samples and the stream (seed, i)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
 
     def chunk(start):
         return worker(geometry.stream(seed, start // CHUNK),
                       min(CHUNK, samples - start))
 
-    starts = range(0, samples, CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_chunk = list(pool.map(chunk, starts))
-    else:
-        per_chunk = [chunk(start) for start in starts]
-    return _accumulate(per_chunk, samples, seed)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        per_chunk = list(pool.map(chunk, range(0, samples, CHUNK)))
+    return _accumulate(per_chunk, names, seed)
 
 
 # Directions per block of a Monte Carlo chunk.  A chunk is drawn, normalized
@@ -377,6 +376,8 @@ def _mc(factors: tuple, scratch: int, kernel, names: tuple, products: dict,
     size = min(CHUNK, samples)
     block = min(MC_BLOCK, size)
     front = max(sum(lead), 2)
+    pairs = tuple((names.index(a), names.index(b))
+                  for a, b in products.values())
     workspace = _per_thread(lambda: (
         np.empty((front + len(names)) * size),
         np.empty((last + max(max(factors) + 1, scratch)) * block)))
@@ -400,10 +401,9 @@ def _mc(factors: tuple, scratch: int, kernel, names: tuple, products: dict,
         for i, k in draw(lambda i, k: _view(b, last, k), last):
             kernel(*(x[:, i:i + k] for x in points), _view(b, last, k),
                    rows[front:, i:i + k], _view(s, scratch, k))
-        return _chunk_stats(dict(zip(names, rows[front:])), products,
-                            rows[:2])
+        return _chunk_stats(rows[front:], pairs, rows[:2])
 
-    return _run_chunked(worker, samples, seed, threads)
+    return _run_chunked(worker, (*names, *products), samples, seed, threads)
 
 
 def mc_estimate(n: int, samples: int, seed: int, threads: int = 1) -> McResult:
@@ -608,7 +608,7 @@ def verify_report(n: int, samples: int, seed: int,
 OCTAGON_RANGES = {"perimeter": (4.0, 4.0 * math.sqrt(2.0)),
                   "area": (1.0, 1.0 + math.sqrt(2.0))}
 # The octagon's targets, in the order of `verify --octagon`'s rows.
-OCTAGON_TARGETS = {"perimeter2": 23.0 + 6.0 * catalan_const(),
+OCTAGON_TARGETS = {"perimeter2": 23.0 + 6.0 * CATALAN,
                    "perimeter": 16.0 / 3.0, "area": 2.0}
 
 

@@ -12,12 +12,15 @@ take the modulus k, not the parameter m = k^2.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
 import numpy as np
 from scipy import special
+
+
+# Catalan's constant G = sum (-1)^k / (2k + 1)^2, correctly rounded.
+CATALAN = 0.915965594177219
 
 
 class DomainError(ValueError):
@@ -186,23 +189,3 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float:
         raise ConvergenceError(
             f"Euler integral not converged: error estimate {scale * err:.3g}")
     return total
-
-
-@functools.lru_cache(maxsize=1)
-def catalan_const() -> float:
-    """Catalan's constant G = sum (-1)^k / (2k+1)^2.
-
-    Accelerated with the Cohen-Rodriguez Villegas-Zagier scheme for
-    alternating series; 33 terms give far below double-precision error.
-    """
-    n = 33
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = 0.5 * (d + 1.0 / d)
-    b = -1.0
-    c = -d
-    s = 0.0
-    for k in range(n):
-        c = b - c
-        s += c / (2 * k + 1) ** 2
-        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-    return s / d

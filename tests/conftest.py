@@ -4,6 +4,14 @@ from cubeshadow import moments, quad
 from cubeshadow.moments import hull_cross_check
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "oldest_numpy(reason): a test whose result rests on numpy's or "
+        "scipy's own bits, which CI also runs on the oldest numpy and scipy "
+        "that pyproject.toml allows; reason says why")
+
+
 @pytest.fixture(scope="session")
 def zeta4():
     return quad.zeta4_quadrature()

@@ -30,6 +30,9 @@ def test_scalar_calls_are_the_columns_of_one_batch(n):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.oldest_numpy(
+    reason=("the blocked chunks rest on numpy's Generator filling consecutive"
+            " draws from one stream as it fills one draw"))
 @pytest.mark.parametrize("n", [4, 12])
 def test_consecutive_draws_equal_one_draw(n):
     # A Monte Carlo chunk is drawn in blocks: consecutive (k, n) draws, the
@@ -69,6 +72,9 @@ def test_stream_determinism():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.oldest_numpy(
+    reason=("every verify payload rests on numpy's SeedSequence spawn, SFC64 "
+            "and Ziggurat normals giving the same numbers on every numpy"))
 def test_stream_golden_draws():
     # Every verify payload rests on these bytes: SeedSequence's spawn,
     # SFC64 and the Ziggurat normals must give them on every numpy the
@@ -91,18 +97,20 @@ def test_batch_is_normalized_gaussian_draw():
 
 
 class _ZeroRowGenerator:
-    """Stub generator whose first draw has an all-zero second row."""
+    """Stub generator whose first draw has an all-zero second row; it
+    draws into `out`, as the sampler asks."""
 
     def __init__(self):
         self.sizes = []
 
-    def standard_normal(self, size):
-        self.sizes.append(size)
+    def standard_normal(self, out):
+        self.sizes.append(out.shape)
         if len(self.sizes) == 1:
-            out = np.arange(1.0, 1.0 + np.prod(size)).reshape(size)
+            out[...] = np.arange(1.0, 1.0 + out.size).reshape(out.shape)
             out[1] = 0.0
-            return out
-        return np.full(size, -2.0)
+        else:
+            out[...] = -2.0
+        return out
 
 
 def test_batch_redraws_zero_norm_rows_only():
@@ -118,8 +126,8 @@ def test_batch_redraws_zero_norm_rows_only():
 class _ZeroRedrawGenerator(_ZeroRowGenerator):
     """The same draws, except that the first redraw is zero too."""
 
-    def standard_normal(self, size):
-        draw = super().standard_normal(size)
+    def standard_normal(self, out):
+        draw = super().standard_normal(out)
         if len(self.sizes) == 2:
             draw[...] = 0.0
         return draw
@@ -133,6 +141,9 @@ def test_batch_redraws_until_the_norm_is_positive():
     assert np.array_equal(x[:, 0], np.arange(1.0, 5.0) / math.sqrt(30.0))
 
 
+@pytest.mark.oldest_numpy(
+    reason=("draw_blocks rests on numpy's Generator filling consecutive draws"
+            " from one stream as it fills one draw"))
 @pytest.mark.parametrize("block", [1, 7, 48, 130])
 @pytest.mark.parametrize("n", [4, 12])
 def test_draw_blocks_is_one_batch_with_deferred_redraws(n, block):
@@ -164,6 +175,8 @@ def test_draw_blocks_is_one_batch_with_deferred_redraws(n, block):
     assert np.isnan(scratch[n * block + block:]).all()
 
 
+@pytest.mark.oldest_numpy(
+    reason="coordinate_sum adds in the order of numpy's pairwise reduce")
 def test_coordinate_sum_is_numpys_reduce_order():
     # Magnitudes over 16 decades and both signs, so that another order of
     # the additions moves bits; a row of -0.0, whose sum numpy starts from
@@ -183,6 +196,9 @@ def test_coordinate_sum_is_numpys_reduce_order():
         assert not np.signbit(got[0])
 
 
+@pytest.mark.oldest_numpy(
+    reason=("the sampler's bytes rest on numpy's reduction order, against the"
+            " frozen row-major reference"))
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 9, 12, 129, 342])
 def test_sampler_equals_row_major_reference(n):
     got = geometry.sample_unit_vectors(n, 5000, geometry.stream(9, n))
@@ -190,6 +206,9 @@ def test_sampler_equals_row_major_reference(n):
     assert got.tobytes() == want.T.tobytes()
 
 
+@pytest.mark.oldest_numpy(
+    reason=("complete_pairs' bytes rest on numpy's reduction order, against "
+            "the frozen row-major reference"))
 def test_complete_pairs_equals_row_major_reference():
     rng = geometry.stream(10)
     u = geometry.sample_unit_vectors(4, 5000, rng)

@@ -8,6 +8,10 @@ import hull_reference
 from octagon_branches import build_rank2_pair
 from cubeshadow import functionals, geometry, hull
 
+pytestmark = pytest.mark.oldest_numpy(
+    reason=("the batch hull's _segment_sums relies on numpy's reduction order,"
+            " as coordinate_sum does, and Qhull comes from scipy"))
+
 
 def shadow_mesh(u):
     return hull.convex_hull_3d(

@@ -10,11 +10,16 @@ alone and second in a batch.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hull_reference
 from cubeshadow import functionals, geometry, hull
+
+pytestmark = pytest.mark.oldest_numpy(
+    reason=("hull.DEDUP_TOL = 1e-14 keeps points that Qhull must then merge or"
+            " keep as slivers itself, and older scipy ships an older Qhull"))
 
 # CLOSED_FORM_TOL is the criterion of `moments.hull_cross_check`.  The mesh
 # is built from the deduplicated cloud and Qhull's measures from the whole

@@ -9,6 +9,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from scipy import integrate, special
 
 import cubeshadow
@@ -90,6 +91,19 @@ class TestClosedFormTables:
             moments.verify_report(2, 10, seed=1)
 
 
+def hyp3f2_unit_series(uppers, lowers):
+    """3F2(uppers; lowers; 1) at mpmath's working precision.  The series
+    converges like k^(sum(uppers) - sum(lowers) - 1); Levin's
+    transformation sums it to working precision."""
+    def term(k):
+        k = int(k)
+        return (math.prod(mpmath.rf(a, k) for a in uppers)
+                / (math.prod(mpmath.rf(b, k) for b in lowers)
+                   * mpmath.factorial(k)))
+
+    return mpmath.nsum(term, [0, mpmath.inf], method="levin")
+
+
 class TestZeta:
     """The closed form ZETA = Gamma(1/4)^4/(4 pi^2) + 48 pi^2/Gamma(1/4)^4
     against every other route to the paper's constant."""
@@ -108,18 +122,11 @@ class TestZeta:
         assert route() == pytest.approx(moments.ZETA, rel=1e-14, abs=0.0)
 
     def test_gamma_form_equals_3f2_to_100_digits(self):
-        # The 3F2 series converges like k^(-5/2); Levin's transformation
-        # sums it to working precision.
-        def term(k):
-            k = int(k)
-            return (mpmath.rf(-0.5, k) * mpmath.rf(0.5, k) * mpmath.rf(1.5, k)
-                    / (mpmath.rf(1, k) * mpmath.rf(2, k) * mpmath.factorial(k)))
-
         with mpmath.workdps(110):
             g4 = mpmath.gamma(mpmath.mpf(1) / 4) ** 4
             pi = mpmath.pi
             gamma_form = g4 / (4 * pi**2) + 48 * pi**2 / g4
-            series = 3 * pi * mpmath.nsum(term, [0, mpmath.inf], method="levin")
+            series = 3 * pi * hyp3f2_unit_series((-0.5, 0.5, 1.5), (1, 2))
             assert abs(gamma_form - series) < mpmath.mpf(10) ** -100
             assert float(gamma_form) == moments.ZETA
 
@@ -129,6 +136,91 @@ class TestZeta:
         j = moments.joint_table(4)
         assert j["corr_vl_ar"] == pytest.approx(0.94573393098931309, rel=1e-13)
         assert j["corr_ar_mw"] == pytest.approx(0.97392972997608259, rel=1e-13)
+
+
+class TestZetaProofChain:
+    """The four links from zeta = 3 pi 3F2(-1/2, 1/2, 3/2; 1, 2; 1) to
+    4 K0^2/pi + 3 pi/K0^2, K0 = K(1/sqrt 2), of the zeta comment in
+    `moments`.  With k' = sqrt(1 - k^2), E = E(k) and K = K(k), each
+    integral over k in [0, 1] is taken with k = sin(theta), and K as
+    pi/(2 agm(1, k')), whose k' = cos(theta) stays exact where k rounds
+    to 1.  Link 4 is checked, not derived."""
+
+    TOL = mpmath.mpf(10) ** -30
+
+    @staticmethod
+    def integral(f):
+        """int_0^1 f(k, k', K, E) dk / k' at 50 digits."""
+        def g(theta):
+            k, kc = mpmath.sin(theta), mpmath.cos(theta)
+            return f(k, kc, mpmath.pi / (2 * mpmath.agm(1, kc)),
+                     mpmath.ellipe(k * k))
+
+        return mpmath.quad(g, [0, mpmath.pi / 2])
+
+    @pytest.fixture
+    def k0(self):
+        """K0 = Gamma(1/4)^2/(4 sqrt pi), with mpmath at 50 digits for the
+        test."""
+        with mpmath.workdps(50):
+            yield (mpmath.gamma(mpmath.mpf(1) / 4) ** 2
+                   / (4 * mpmath.sqrt(mpmath.pi)))
+
+    def test_k0_is_the_singular_value(self, k0):
+        assert abs(k0 - mpmath.ellipk(mpmath.mpf(1) / 2)) < self.TOL
+
+    def test_link_1_euler_integral(self, k0):
+        # 3F2(-1/2, 1/2, 3/2; 1, 2; 1) = (8/pi^2) int k^2 E/k' dk
+        series = hyp3f2_unit_series((-0.5, 0.5, 1.5), (1, 2))
+        euler = 8 / mpmath.pi**2 * self.integral(lambda k, kc, K, E: k * k * E)
+        assert abs(series - euler) < self.TOL
+
+    def test_link_2_antiderivative(self):
+        # d/dk [k k' (E + K)/3] = k' E - K/(3 k'), in sympy's parameter
+        # m = k^2 and with its own derivatives of E(m) and K(m)
+        k = sympy.symbols("k", positive=True)
+        kc = sympy.sqrt(1 - k**2)
+        E, K = sympy.elliptic_e(k**2), sympy.elliptic_k(k**2)
+        difference = (sympy.diff(k * kc * (E + K) / 3, k)
+                      - (kc * E - K / (3 * kc)))
+        assert sympy.simplify(difference) == 0
+
+    def test_link_2_integrated(self, k0):
+        # the bracket vanishes at both ends, so int k' E = (1/3) int K/k'
+        k_prime_e = self.integral(lambda k, kc, K, E: kc * kc * E)
+        k_over_k_prime = self.integral(lambda k, kc, K, E: K)
+        assert abs(k_prime_e - k_over_k_prime / 3) < self.TOL
+
+    def test_link_3_dixon(self, k0):
+        # int K/k' dk = (pi^2/4) 3F2(1/2, 1/2, 1/2; 1, 1; 1) = K0^2
+        integral = self.integral(lambda k, kc, K, E: K)
+        series = mpmath.pi**2 / 4 * hyp3f2_unit_series((0.5, 0.5, 0.5), (1, 1))
+        assert abs(integral - k0**2) < self.TOL
+        assert abs(series - k0**2) < self.TOL
+
+    def test_link_4_identified(self, k0):
+        # int E/k' dk = (pi^2/4) 3F2(-1/2, 1/2, 1/2; 1, 1; 1)
+        # = K0^2/2 + pi^2/(8 K0^2) = E0^2 + (K0 - E0)^2, E0 = E(1/sqrt 2)
+        pi = mpmath.pi
+        e0 = mpmath.ellipe(mpmath.mpf(1) / 2)
+        integral = self.integral(lambda k, kc, K, E: E)
+        series = pi**2 / 4 * hyp3f2_unit_series((-0.5, 0.5, 0.5), (1, 1))
+        for value in (series, e0**2 + (k0 - e0) ** 2):
+            assert abs(integral - value) < self.TOL
+        assert abs(integral - (k0**2 / 2 + pi**2 / (8 * k0**2))) < self.TOL
+
+    def test_final_algebra(self, k0):
+        # zeta = (24/pi) [int E/k' - (1/3) int K/k'], and links 3 and 4
+        # make that 4 K0^2/pi + 3 pi/K0^2
+        x, pi = sympy.symbols("K0", positive=True), sympy.pi
+        chain = 24 / pi * (x**2 / 2 + pi**2 / (8 * x**2) - x**2 / 3)
+        assert sympy.simplify(chain - (4 * x**2 / pi + 3 * pi / x**2)) == 0
+        pi = mpmath.pi
+        zeta = 24 / pi * (self.integral(lambda k, kc, K, E: E)
+                          - self.integral(lambda k, kc, K, E: K) / 3)
+        series = 3 * pi * hyp3f2_unit_series((-0.5, 0.5, 1.5), (1, 2))
+        for value in (series, 4 * k0**2 / pi + 3 * pi / k0**2):
+            assert abs(zeta - value) < self.TOL
 
 
 class TestExtremes:
@@ -191,6 +283,14 @@ class TestMonteCarlo:
         b = moments.mc_estimate(4, 200_000, seed=7, threads=4)
         assert a.estimates == b.estimates
         assert a.extremes_observed == b.extremes_observed
+
+    @pytest.mark.parametrize("run", [
+        lambda: moments.mc_estimate(4, 10, seed=1, threads=0),
+        lambda: moments.mc_octagon(10, seed=1, threads=-1),
+    ], ids=["mc_estimate", "mc_octagon"])
+    def test_threads_below_one_raise(self, run):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            run()
 
     def test_n12_bytes_across_threads(self):
         samples = 3 * moments.CHUNK + 17
@@ -328,7 +428,7 @@ class TestAccumulate:
     def chunks(self, offset, sigma):
         rng = np.random.default_rng(5)
         data = [offset + sigma * rng.standard_normal(size) for size in self.SIZES]
-        return data, [moments._chunk_stats({"v": d}, {},
+        return data, [moments._chunk_stats(d[None], (),
                                            np.empty((2, len(d))))
                       for d in data]
 
@@ -338,10 +438,11 @@ class TestAccumulate:
         # ulp(offset) / (sigma sqrt(CHUNK)) = 6e-14 relative.
         data, stats = self.chunks(1e8, 1e3)
         samples = sum(self.SIZES)
-        mean, stderr = moments._accumulate(stats, samples, seed=0).estimates["v"]
+        result = moments._accumulate(stats, ("v",), seed=0)
+        mean, stderr = result.estimates["v"]
         reference = np.var(np.concatenate(data))
         assert stderr**2 * samples == pytest.approx(reference, rel=1e-12)
-        assert mean == sum(s["sums"]["v"] for s in stats) / samples
+        assert mean == sum(sums[0] for _, sums, *_ in stats) / samples
         sumsq = sum(float(np.square(d).sum()) for d in data)
         old = sumsq / samples - mean * mean
         assert abs(old / reference - 1.0) > 1e-12
@@ -349,9 +450,34 @@ class TestAccumulate:
     def test_extremes_and_counts(self):
         data, stats = self.chunks(0.0, 1.0)
         values = np.concatenate(data)
-        result = moments._accumulate(stats, len(values), seed=0)
+        result = moments._accumulate(stats, ("v",), seed=0)
         assert result.extremes_observed["v"] == (values.min(), values.max())
-        assert sum(s["count"] for s in stats) == len(values)
+        assert sum(count for count, *_ in stats) == len(values)
+        assert result.samples == len(values)
+
+    @pytest.mark.parametrize("chunks", [1, 2, 17])
+    def test_vector_merge_equals_np_var(self, chunks):
+        # Three rows of unlike offsets and scales, chunks of unequal sizes,
+        # and two products, one of them a square: the one vector update
+        # must give each quantity the variance of its concatenated samples.
+        rng = np.random.default_rng(chunks)
+        scale, offset = np.array([[1.0], [1e3], [1e-3]]), [[0.0], [1e6], [5.0]]
+        data = [offset + scale * rng.standard_normal((3, m))
+                for m in rng.integers(1, 5000, chunks)]
+        stats = [moments._chunk_stats(d, ((0, 1), (2, 2)),
+                                      np.empty((2, d.shape[1])))
+                 for d in data]
+        names = ("a", "b", "c", "ab", "c2")
+        result = moments._accumulate(stats, names, seed=0)
+        whole = np.concatenate(data, axis=1)
+        for q, v in zip(names, [*whole, whole[0] * whole[1], whole[2]**2]):
+            mean, stderr = result.estimates[q]
+            assert mean == pytest.approx(v.mean(), rel=1e-14,
+                                         abs=1e-14 * v.std())
+            assert stderr**2 * len(v) == pytest.approx(np.var(v), rel=1e-12)
+        for q, v in zip(names, whole):
+            assert result.extremes_observed[q] == (v.min(), v.max())
+        assert list(result.extremes_observed) == ["a", "b", "c"]
 
 
 def octagon_chunk_reference(x, y):
@@ -364,6 +490,9 @@ def octagon_chunk_reference(x, y):
 
 
 class TestMcOctagon:
+    @pytest.mark.oldest_numpy(
+        reason=("_mc draws every x of a chunk, redraws included, before any "
+                "y, and the octagon kernel adds in numpy's reduce order"))
     def test_matches_chunk_reference(self):
         # one chunk: every x of its stream, then every y
         m = moments.CHUNK
@@ -416,43 +545,41 @@ class TestMcOctagon:
 
 def chunk_stats_reference(values, ranged):
     """`_chunk_stats` as it was: every quantity an array of its own, and M2
-    from a fresh array v - mean."""
-    count = len(values[ranged[0]])
-    sums = {k: float(v.sum()) for k, v in values.items()}
-    return {
-        "count": count,
-        "sums": sums,
-        "m2": {k: float(np.square(v - sums[k] / count).sum())
-               for k, v in values.items()},
-        "mins": {k: float(values[k].min()) for k in ranged},
-        "maxs": {k: float(values[k].max()) for k in ranged},
-    }
+    from a fresh array v - mean; the first `ranged` quantities also keep
+    their extremes."""
+    count = len(values[0])
+    sums = [float(v.sum()) for v in values]
+    return (count, np.array(sums),
+            np.array([float(np.square(v - s / count).sum())
+                      for v, s in zip(values, sums)]),
+            np.array([float(v.min()) for v in values[:ranged]]),
+            np.array([float(v.max()) for v in values[:ranged]]))
+
+
+SHADOW_NAMES = ("vl", "ar", "mw", *moments.SHADOW_PRODUCTS)
+OCTAGON_NAMES = ("perimeter", "area", "perimeter2")
 
 
 def shadow_chunk_reference(n, seed, index, m):
     """One chunk of mc_estimate as it was: the row-major kernels, and fresh
-    arrays for the draw, the kernel and each of the nine quantities."""
+    arrays for the draw, the kernel and each of the nine quantities, in the
+    order of SHADOW_NAMES."""
     x = mc_reference.sample_unit_vectors(n, m, geometry.stream(seed, index))
     q = mc_reference.shadow_batch(x)
-    values = {
-        "vl": q["vl"], "ar": q["ar"], "mw": q["mw"],
-        "vl2": q["vl"] ** 2, "ar2": q["ar"] ** 2, "mw2": q["mw"] ** 2,
-        "vl_ar": q["vl"] * q["ar"], "vl_mw": q["vl"] * q["mw"],
-        "ar_mw": q["ar"] * q["mw"],
-    }
-    return chunk_stats_reference(values, ("vl", "ar", "mw"))
+    vl, ar, mw = q["vl"], q["ar"], q["mw"]
+    values = [vl, ar, mw, vl**2, ar**2, mw**2, vl * ar, vl * mw, ar * mw]
+    return chunk_stats_reference(values, 3)
 
 
 def octagon_worker_reference(seed, index, m):
     """One chunk of mc_octagon: the row-major kernels, with fresh arrays
     throughout, and every x of the stream, its redraws included, before any
-    y."""
+    y; the quantities in the order of OCTAGON_NAMES."""
     rng = geometry.stream(seed, index)
     x = mc_reference.sample_unit_vectors(3, m, rng)
     y = mc_reference.sample_unit_vectors(3, m, rng)
     per, area = mc_reference.octagon_xy(x, y)
-    values = {"perimeter": per, "perimeter2": per**2, "area": area}
-    return chunk_stats_reference(values, ("perimeter", "area"))
+    return chunk_stats_reference([per, area, per**2], 2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -464,7 +591,8 @@ def pipeline_reference(n, samples, seed):
     per_chunk = [shadow_chunk_reference(n, seed, i, m) if n
                  else octagon_worker_reference(seed, i, m)
                  for i, m in enumerate(sizes)]
-    return moments._accumulate(per_chunk, samples, seed)
+    return moments._accumulate(per_chunk,
+                               SHADOW_NAMES if n else OCTAGON_NAMES, seed)
 
 
 WORKSPACE_SAMPLES = [1, 2, moments.CHUNK, 3 * moments.CHUNK + 17]
@@ -485,6 +613,9 @@ print((faults(18) - faults(2)) / 16)
 """
 
 
+@pytest.mark.oldest_numpy(
+    reason=("the reused workspaces must give the bytes of the row-major "
+            "reference pipeline, whose sums are numpy's"))
 class TestChunkWorkspace:
     """The per-thread reused buffers give the bytes of fresh arrays."""
 
@@ -551,6 +682,9 @@ def workspace_bytes(monkeypatch, run):
     return sum(a.nbytes for a in made[0]())
 
 
+@pytest.mark.oldest_numpy(
+    reason=("blocks and deferred redraws rest on numpy's Generator filling "
+            "consecutive draws from one stream as it fills one draw"))
 class TestBlockedChunks:
     """A chunk runs in blocks of MC_BLOCK directions, with the bytes of
     one batch, and its workspace is sized by the block, not by n CHUNK."""
@@ -670,6 +804,9 @@ def octagon_pairs(samples, seed):
     return u, geometry.complete_pairs(u.T, g.T).T
 
 
+@pytest.mark.oldest_numpy(
+    reason=("the batch hull's _segment_sums relies on numpy's reduction "
+            "order, and Qhull comes from scipy"))
 class TestHullCrossCheck:
     def test_no_samples_is_a_range_error(self):
         with pytest.raises(ValueError, match=r"^samples must be >= 1$"):

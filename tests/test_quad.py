@@ -7,6 +7,13 @@ from scipy import integrate, special
 import quad_reference as ref
 from cubeshadow import moments, quad, specfun
 
+pytestmark = pytest.mark.oldest_numpy(
+    reason=("the double-exponential rule runs on scipy's ellipe, ellipkm1 and "
+            "hyp2f1 and on numpy's ufuncs, and its levels stop where two "
+            "successive ones agree, so its values and node counts, the "
+            "QUADPACK second route and the bit-for-bit identities of the "
+            "shared passes rest on them"))
+
 
 class TestIntegrator:
     KNOWN = [

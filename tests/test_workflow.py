@@ -1,10 +1,10 @@
-"""Every test id that the CI workflow names still collects.
+"""The CI workflow's marker selects the tests it is meant to.
 
-The `oldest-numpy` job of `.github/workflows/tests.yml` runs a list of test
-ids on the oldest numpy and scipy that pyproject.toml allows.  An id there
-that a change renames or deletes would fail only in that job; here it
-fails with the tier-1 suite.  The workflow is read as text, since PyYAML is
-not a dependency.
+The `oldest-numpy` job of `.github/workflows/tests.yml` runs the tests of
+one pytest marker on the oldest numpy and scipy that pyproject.toml allows.
+A marker that selects nothing, or not what the job ran when it listed its
+tests by id, would show only in that job; here it fails with the tier-1
+suite.  The workflow is read as text, since PyYAML is not a dependency.
 """
 
 import os
@@ -15,16 +15,47 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
-IDS = re.findall(r"(?<![\w/])tests/[^\s\"']+", WORKFLOW.read_text())
+MARKERS = re.findall(r"python -m pytest\b.* -m (\w+)", WORKFLOW.read_text())
+
+# The job's selection when it named its tests by id; the marker selects
+# exactly the node ids these collect.
+LISTED = [
+    "tests/test_geometry.py::test_stream_golden_draws",
+    "tests/test_geometry.py::test_coordinate_sum_is_numpys_reduce_order",
+    "tests/test_geometry.py::test_consecutive_draws_equal_one_draw",
+    "tests/test_geometry.py::"
+    "test_draw_blocks_is_one_batch_with_deferred_redraws",
+    "tests/test_geometry.py::test_sampler_equals_row_major_reference",
+    "tests/test_geometry.py::test_complete_pairs_equals_row_major_reference",
+    "tests/test_functionals.py::TestOctagonBatch::"
+    "test_xy_equals_row_major_reference",
+    "tests/test_moments.py::TestMcOctagon::test_matches_chunk_reference",
+    "tests/test_moments.py::TestChunkWorkspace",
+    "tests/test_moments.py::TestBlockedChunks",
+    "tests/test_moments.py::TestHullCrossCheck",
+    "tests/test_quad.py",
+    "tests/test_specfun.py",
+    "tests/test_hull.py",
+    "tests/test_hull_properties.py",
+    "tests/test_octagon_properties.py",
+]
 
 
-def test_workflow_test_ids_collect():
-    assert IDS, "the workflow names no tests/... id"
+def collected(*args) -> list[str]:
+    """The node ids that `pytest --collect-only` lists for args."""
     src = str(ROOT / "src")
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "--collect-only", "-q",
-         "-p", "no:cacheprovider", *IDS],
+         "-p", "no:cacheprovider", *args],
         cwd=ROOT, timeout=300, env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    return sorted(line for line in proc.stdout.splitlines() if "::" in line)
+
+
+def test_workflow_test_ids_collect():
+    assert MARKERS == ["oldest_numpy"]
+    marked = collected("-m", MARKERS[0], "tests")
+    assert marked
+    assert marked == collected(*LISTED)
