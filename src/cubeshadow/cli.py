@@ -6,7 +6,9 @@ Subcommands: moments, verify, constants, octagon, hull-dump.  Exit codes:
 given both --n and --octagon, included).
 --seed is taken only by the commands it drives (verify, octagon,
 hull-dump), and --format only by those with more than one output format
-(all but hull-dump, which writes OFF text).
+(all but hull-dump, which writes OFF text).  --threads is the number of
+Monte Carlo workers, forked processes when more than one; it defaults to
+the number of CPUs this process may use, and never changes an output byte.
 
 Each command builds its result once, as three things: a JSON payload, a
 list of row dicts and text lines.  `_write` picks one by --format.  The CSV
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import geometry, hull, moments, quad
@@ -176,7 +179,9 @@ _OPTIONS = {
     "--format": {"choices": ["json", "csv", "text"], "default": "text"},
     "--out": {"default": None, "help": "write output to a file"},
     "--samples": {"type": _positive_int, "default": 100_000},
-    "--threads": {"type": _positive_int, "default": 1},
+    "--threads": {"type": _positive_int,
+                  "default": len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else 1},
 }
 _MONTE_CARLO = ("--seed", "--format", "--out", "--samples", "--threads")
 

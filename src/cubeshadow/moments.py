@@ -11,7 +11,7 @@ Every analytic moment is paired with a simulation estimate; both verify
 reports go through one accept rule, `_report`: |z| < 4 on every row, and
 every observed extreme inside its analytic range.  Monte Carlo is chunked
 with one stream per chunk, `geometry.stream(seed, chunk index)`, so results
-are bit-identical for a fixed (seed, samples) regardless of thread count.
+are bit-identical for a fixed (seed, samples) regardless of worker count.
 
 The per-sample functionals come from the batch kernels of `functionals`:
 `shadow_batch` for vl, ar, mw and `octagon_xy` for the octagon.  Both
@@ -35,8 +35,8 @@ index, after the chunk's last draw; the kernel then runs again on that
 redraw.  So the octagon reads 6 normals per sample, every x of a chunk
 before any y.
 
-Each worker thread has one workspace, made on its first chunk and reused
-for every later one, so the steady state allocates nothing.  The kernels
+Each worker has one workspace, made on its first chunk and reused for
+every later one, so the steady state allocates nothing.  The kernels
 of `geometry` and `functionals` write into it through their `out`
 arguments, and buffers whose lifetimes do not overlap share memory.  It is
 two flat arrays, for a kernel of q quantities that needs s rows of scratch
@@ -48,7 +48,7 @@ two flat arrays, for a kernel of q quantities that needs s rows of scratch
   the scratch of each draw, the (k, d) Gaussian draw and the norms, then
   the kernel's s rows.  `shadow_batch` takes the squares in the first n of
   them and writes the suffix sums over the block of directions.
-That is 8 (5 CHUNK + (2n + 2) MC_BLOCK) bytes per thread for
+That is 8 (5 CHUNK + (2n + 2) MC_BLOCK) bytes per worker for
 `mc_estimate`, 3.1, 3.4, 4.1 and 45.4 MiB at n = 4, 6, 12 and 342, and
 8 (5 CHUNK + 7 MC_BLOCK) bytes, 2.9 MiB, for `mc_octagon`.
 
@@ -59,17 +59,19 @@ which are the bounded quantities (vl, ar, mw; perimeter, area).
 `_accumulate` merges the records in chunk-index order with one vector
 update, the rule of Chan, Golub and LeVeque (1979), and names the
 quantities once, in `McResult`; the means stay the chunk-ordered sums
-over N.  The chunks run on a pool of `threads` threads, one thread
-included.
+over N.  `threads` is the number of workers: at most one per chunk, one
+worker running the chunks in the calling thread and more a pool of forked
+processes, each returning its records to the parent.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import os
+import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -315,17 +317,9 @@ def _accumulate(per_chunk: list[tuple], names: tuple, seed: int) -> McResult:
                            for q, lo, hi in zip(names, mins, maxs)})
 
 
-def _per_thread(make):
-    """A function that returns the calling thread's make(), made on its
-    first call: one workspace per pool thread, kept for all its chunks."""
-    local = threading.local()
-
-    def get():
-        if not hasattr(local, "value"):
-            local.value = make()
-        return local.value
-
-    return get
+# _per_worker(make) returns make(), made on its first call: one workspace
+# per worker, made in the worker and kept for all its chunks.
+_per_worker = functools.cache
 
 
 def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
@@ -333,11 +327,33 @@ def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
+def _in_worker(start: int) -> tuple:
+    """The record of the chunk at `start`, in a pool worker: the chunk
+    function is the one the pool's initializer set on this function.
+
+    The chunk starts on a CPU of the worker's own, by its pid.  A forked
+    child starts on its parent's CPU, and on a 2-vCPU VM the scheduler left
+    two workers there, each at half speed (its wall time twice its CPU
+    time).  The mask is restored at once, so the scheduler may still move
+    the worker.
+    """
+    if hasattr(os, "sched_setaffinity"):
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[os.getpid() % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    return _in_worker.chunk(start)
+
+
 def _run_chunked(worker, names: tuple, samples: int, seed: int,
                  threads: int) -> McResult:
-    """The statistics of worker(rng, m) over the chunks of `samples`, run on
-    a pool of `threads` threads and merged in index order: chunk i has
-    m = min(CHUNK, samples - i CHUNK) samples and the stream (seed, i)."""
+    """The statistics of worker(rng, m) over the chunks of `samples`, run by
+    min(threads, chunks) workers and merged in index order: chunk i has
+    m = min(CHUNK, samples - i CHUNK) samples and the stream (seed, i).
+
+    One worker runs the chunks in the calling thread.  More run them in a
+    pool of forked processes, which inherit the chunk function through the
+    pool's initializer (nothing of it is pickled) and return the records.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if threads < 1:
@@ -347,8 +363,22 @@ def _run_chunked(worker, names: tuple, samples: int, seed: int,
         return worker(geometry.stream(seed, start // CHUNK),
                       min(CHUNK, samples - start))
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        per_chunk = list(pool.map(chunk, range(0, samples, CHUNK)))
+    starts = range(0, samples, CHUNK)
+    workers = min(threads, len(starts))  # a pool forks all its workers
+    if workers == 1:
+        return _accumulate(list(map(chunk, starts)), names, seed)
+    import multiprocessing  # here: commands without Monte Carlo skip it
+
+    # Fork is safe here although numpy's OpenBLAS runs threads: the workers
+    # call no BLAS, OpenBLAS re-arms its pool in the child through
+    # pthread_atfork, and the pool is made and joined inside this call.
+    # Python 3.12+ warns at each fork of a multi-threaded process.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pool = multiprocessing.get_context("fork").Pool(
+            workers, setattr, (_in_worker, "chunk", chunk))
+    with pool:  # terminates and joins the workers on leaving
+        per_chunk = pool.map(_in_worker, starts, chunksize=1)
     return _accumulate(per_chunk, names, seed)
 
 
@@ -378,7 +408,7 @@ def _mc(factors: tuple, scratch: int, kernel, names: tuple, products: dict,
     front = max(sum(lead), 2)
     pairs = tuple((names.index(a), names.index(b))
                   for a, b in products.values())
-    workspace = _per_thread(lambda: (
+    workspace = _per_worker(lambda: (
         np.empty((front + len(names)) * size),
         np.empty((last + max(max(factors) + 1, scratch)) * block)))
 

@@ -87,30 +87,39 @@ class TestVerify:
                              "1000000", "--seed", "707", "--format", "json")
         assert code == 0
 
-    @pytest.mark.parametrize("argv,threads,chunk", [
-        (("--samples", "200000"), ("1", "1", "4"), None),
-        (("--octagon", "--samples", "200000"), ("1", "1", "3"), None),
+    @pytest.mark.parametrize("argv,chunk", [
+        (("--samples", "200000"), None),
+        (("--octagon", "--samples", "200000"), None),
+        (("--n", "6", "--samples", "200000"), None),
         # 3 CHUNK + 17: the last chunk is partial
-        (("--n", "12", "--samples", "196625"), ("1", "1", "3"), None),
+        (("--n", "12", "--samples", "196625"), None),
         # the first n whose coordinate sums take numpy's blocks of 8
-        (("--n", "9", "--samples", "196625"), ("1", "1", "3"), None),
+        (("--n", "9", "--samples", "196625"), None),
         # the first n whose coordinate sums split; chunks of 512, the last
         # one short, keep the 8256 pairs cheap
-        (("--n", "129", "--samples", "2000"), ("1", "1", "3"), 512),
-    ], ids=["n4", "octagon", "n12", "n9", "n129"])
+        (("--n", "129", "--samples", "2000"), 512),
+    ], ids=["n4", "octagon", "n6", "n12", "n9", "n129"])
     def test_byte_identical_across_runs_and_threads(self, capsys, tmp_path,
-                                                    monkeypatch, argv,
-                                                    threads, chunk):
+                                                    monkeypatch, argv, chunk):
+        # a second run at 1 worker, then 2 and 3 forked workers
         if chunk:
             monkeypatch.setattr(moments, "CHUNK", chunk)
-        paths = [tmp_path / f"r{i}.json" for i in range(3)]
-        for path, count in zip(paths, threads):
+        blobs = []
+        for i, count in enumerate(("1", "1", "2", "3")):
+            path = tmp_path / f"r{i}.json"
             code, _, _ = run_cli(capsys, "verify", *argv, "--seed", "25",
                                  "--threads", count, "--format", "json",
                                  "--out", str(path))
             assert code == 0
-        blobs = [p.read_bytes() for p in paths]
-        assert blobs[0] == blobs[1] == blobs[2]
+            blobs.append(path.read_bytes())
+        assert blobs[1:] == blobs[:1] * 3
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="the default is 1 without sched_getaffinity")
+    def test_threads_default_to_the_usable_cpus(self):
+        for argv in (["verify"], ["octagon"]):
+            args = cli.build_parser().parse_args(argv)
+            assert args.threads == len(os.sched_getaffinity(0))
 
     def test_n2_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "2")

@@ -1,9 +1,12 @@
 import functools
 import json
 import math
+import multiprocessing.context
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -329,6 +332,83 @@ class TestMonteCarlo:
             moments.mc_octagon(0, seed=1)
 
 
+class PoolMade(Exception):
+    """Raised by a stand-in for the fork pool's constructor."""
+
+
+class TestWorkerProcesses:
+    """More than one worker runs the chunks in forked processes."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The size of every fork pool asked for; none is made."""
+        sizes = []
+
+        def pool(context, processes, *args, **kwargs):
+            sizes.append(processes)
+            raise PoolMade
+
+        monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool",
+                            pool)
+        return sizes
+
+    def test_pool_is_bounded_by_the_chunks(self, pool_sizes):
+        with pytest.raises(PoolMade):  # 10^6 samples are 16 chunks
+            moments.mc_estimate(4, 1_000_000, seed=1, threads=1000)
+        with pytest.raises(PoolMade):
+            moments.mc_octagon(2 * moments.CHUNK + 1, seed=1, threads=1000)
+        assert pool_sizes == [16, 3]
+
+    def test_one_chunk_forks_nothing(self, pool_sizes):
+        moments.mc_estimate(4, moments.CHUNK, seed=1, threads=1000)
+        moments.mc_octagon(10, seed=1, threads=1000)
+        assert pool_sizes == []
+
+    def test_kernel_error_surfaces_in_the_parent(self, monkeypatch):
+        def kernel(*args, **kwargs):
+            raise ZeroDivisionError("kernel fault")
+
+        monkeypatch.setattr(functionals, "shadow_batch", kernel)
+        with pytest.raises(ZeroDivisionError, match="kernel fault"):
+            moments.verify_report(5, 3 * moments.CHUNK, seed=1, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_verify(self):
+        moments.verify_report(5, 3 * moments.CHUNK, seed=1, threads=2)
+        moments.octagon_report(3 * moments.CHUNK, seed=1, threads=3)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity on this platform")
+    def test_chunk_placement_restores_the_cpu_mask(self, monkeypatch):
+        # _in_worker moves the worker to a CPU of its own and then restores
+        # the mask; a chunk still runs, and no pin outlives the move
+        mask = os.sched_getaffinity(0)
+        monkeypatch.setattr(moments._in_worker, "chunk",
+                            lambda start: (start, os.sched_getaffinity(0)),
+                            raising=False)
+        assert moments._in_worker(7) == (7, mask)
+        assert os.sched_getaffinity(0) == mask
+
+    def test_fork_of_a_threaded_process_warns_nothing(self):
+        # Python 3.12+ warns at each fork of a multi-threaded process, from
+        # os.fork, which then clears the warning: an "error" filter turns
+        # it into nothing, so the warnings are recorded instead.
+        stop = threading.Event()
+        sleeper = threading.Thread(target=stop.wait, args=(60,))
+        sleeper.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = moments.mc_estimate(4, 3 * moments.CHUNK, 1, threads=2)
+        finally:
+            stop.set()
+            sleeper.join(timeout=60)
+        assert not sleeper.is_alive()
+        assert [str(w.message) for w in caught] == []
+        assert got == moments.mc_estimate(4, 3 * moments.CHUNK, 1)
+
+
 def hypot_kernel_reference(x, coeff):
     """The batch kernel as it was: one strided np.hypot per pair, and the
     mean width from sqrt(1 - u_j^2)."""
@@ -617,7 +697,7 @@ print((faults(18) - faults(2)) / 16)
     reason=("the reused workspaces must give the bytes of the row-major "
             "reference pipeline, whose sums are numpy's"))
 class TestChunkWorkspace:
-    """The per-thread reused buffers give the bytes of fresh arrays."""
+    """The per-worker reused buffers give the bytes of fresh arrays."""
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("samples", WORKSPACE_SAMPLES)
@@ -676,7 +756,7 @@ def workspace_bytes(monkeypatch, run):
     """The bytes of the arrays that run()'s workspace factory makes, taken
     without running a chunk."""
     made = []
-    monkeypatch.setattr(moments, "_per_thread", made.append)
+    monkeypatch.setattr(moments, "_per_worker", made.append)
     monkeypatch.setattr(moments, "_run_chunked", lambda *args: None)
     run()
     return sum(a.nbytes for a in made[0]())
