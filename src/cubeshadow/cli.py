@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: moments, verify, constants, octagon, hull-dump.  Exit codes:
-0 success, 1 numeric verification failure, 2 usage error (--samples or
---threads below 1, a --tol that is not a finite number >= 0, and verify
-given both --n and --octagon, included).
+0 success, 1 numeric verification failure, 2 usage error.  A usage error is
+argparse's (--samples or --threads below 1, a --tol that is not a finite
+number >= 0, verify given both --n and --octagon) or an argument that the
+library rejects with `geometry.DomainError`, its one argument error (--n
+outside 3..342), which `main` writes to stderr as one "error: <message>"
+line.
 --seed is taken only by the commands it drives (verify, octagon,
 hull-dump), and --format only by those with more than one output format
 (all but hull-dump, which writes OFF text).  --threads is the number of
@@ -235,7 +238,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except geometry.DimensionError as exc:
+    except geometry.DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -71,17 +71,20 @@ import math
 
 import numpy as np
 
-from .geometry import DimensionError, checked_pair, coordinate_sum
+from .geometry import DomainError, checked_pair, coordinate_sum
 
 
 def shadow_batch(x: np.ndarray, out=None) -> dict:
     """Per-direction vl, ar, mw arrays for a batch of unit directions x
     (n, m), one per column.
 
-    c_{n-1} comes from the shape, so n >= 3 (`DimensionError` otherwise).
-    Layout, buffers and error bound are in the module docstring.
+    c_{n-1} comes from the shape, so n >= 3: fewer rows raise
+    `DomainError`, "need n >= 3, got <n>".  Layout, buffers and error bound
+    are in the module docstring.
     """
     n, m = x.shape
+    if n < 3:
+        raise DomainError(f"need n >= 3, got {n}")
     coeff = segment_mw_coeff(n - 1)
     if out is None:
         rows, s, rest = np.empty((5, m)), np.empty((n, m)), np.empty((n, m))
@@ -120,7 +123,7 @@ def segment_mw_coeff(d: int) -> float:
     1/2, 4/(3*pi) for d = 2, 3, 4.
     """
     if d < 2:
-        raise DimensionError(f"need d >= 2, got {d}")
+        raise DomainError(f"need d >= 2, got {d}")
     kappa_dm1 = math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0 + 1.0)
     kappa_d = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
     return 2.0 * kappa_dm1 / (d * kappa_d)

@@ -18,6 +18,10 @@ of R^4, which the moment integrals of `quad` integrate against.
 
 `checked_pair` is the one check of a rank-2 pair, shared by the octagon's
 closed forms and its hull oracle.
+
+`DomainError` is the one error of an argument check, in every module of
+the package; it lives here, in the module that imports numpy only, so that
+every other module can import it.
 """
 
 from __future__ import annotations
@@ -29,12 +33,11 @@ import numpy as np
 ORTHO_TOL = 1e-10
 
 
-class DimensionError(ValueError):
-    """A cube, ambient or segment dimension outside the supported range."""
-
-
-class OrthogonalityError(ValueError):
-    """The rank-2 direction pair is not orthonormal."""
+class DomainError(ValueError):
+    """An argument outside the domain of the function it is passed to: a
+    dimension, a direction pair that is not orthonormal, a sample or worker
+    count, a quadrature tolerance or weight, a special-function argument.
+    The one type of every argument check of the package."""
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -117,7 +120,7 @@ def sample_unit_vectors(n: int, count: int,
     rotation-invariant by construction: `draw_blocks` with one block.
     """
     if n < 2:
-        raise DimensionError(f"need n >= 2, got {n}")
+        raise DomainError(f"need n >= 2, got {n}")
     v, sq, norms = np.empty((n, count)), np.empty(n * count), np.empty(count)
     for _ in draw_blocks(rng, count, max(count, 1),
                          lambda i, k: (v[:, i:i + k], sq[:n * k], norms[:k])):
@@ -188,8 +191,9 @@ def complete_pairs(u: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
     """u and v as float arrays, (4,) or (m, 4), each row pair orthonormal:
-    |u.v|, ||u|^2 - 1| and ||v|^2 - 1| at most ORTHO_TOL, or
-    `OrthogonalityError` names the first that is not (NaN included)."""
+    |u.v|, ||u|^2 - 1| and ||v|^2 - 1| at most ORTHO_TOL, or `DomainError`
+    names the first that is not (NaN included), "<check> = <value> exceeds
+    <ORTHO_TOL>"."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     checks = {"|u.v|": u[..., None, :] @ v[..., :, None],
               "||u|^2 - 1|": np.sum(u * u, axis=-1) - 1.0,
@@ -198,7 +202,7 @@ def checked_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
         errors = np.abs(values).ravel()
         bad = np.flatnonzero(~(errors <= ORTHO_TOL))
         if len(bad):
-            raise OrthogonalityError(
+            raise DomainError(
                 f"{name} = {float(errors[bad[0]])} exceeds {ORTHO_TOL}")
     return u, v
 
@@ -226,7 +230,7 @@ def build_frames(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     m, n = u.shape
     if n < 2:
-        raise DimensionError(f"need n >= 2, got {n}")
+        raise DomainError(f"need n >= 2, got {n}")
     rows, p = np.arange(m), np.abs(u).argmax(axis=1)
     up = u[rows, p]
     w = u.copy()

@@ -121,13 +121,6 @@ class MeshMeasures:
     face_count: int
 
 
-@dataclass(frozen=True)
-class Polygon2D:
-    """Strictly convex polygon, vertices in counterclockwise order."""
-
-    vertices: np.ndarray
-
-
 def _starts(counts) -> np.ndarray:
     """Offsets of consecutive segments of the given lengths, with the end."""
     return np.concatenate(([0], np.cumsum(counts)))
@@ -452,11 +445,10 @@ def convex_hulls_2d(clouds) -> PolygonBatch:
                         start=_starts([len(p) for p in polygons]))
 
 
-def convex_hull_2d(points) -> Polygon2D:
+def convex_hull_2d(points) -> PolygonBatch:
     """Convex hull of a planar point cloud as a CCW polygon, a batch of one
     of `convex_hulls_2d`."""
-    polys = convex_hulls_2d(np.asarray(points, dtype=float)[None])
-    return Polygon2D(vertices=polys.vertices)
+    return convex_hulls_2d(np.asarray(points, dtype=float)[None])
 
 
 def to_off(mesh: PolyMesh) -> str:

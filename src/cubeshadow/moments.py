@@ -77,7 +77,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import functionals, geometry, hull
-from .geometry import DimensionError
 from .specfun import CATALAN, hyp3f2_unit
 
 PI = math.pi
@@ -135,7 +134,7 @@ MAX_N = 342
 
 def _check_n(n: int) -> None:
     if not 3 <= n <= MAX_N:
-        raise DimensionError(f"need 3 <= n <= {MAX_N}, got {n}")
+        raise geometry.DomainError(f"need 3 <= n <= {MAX_N}, got {n}")
 
 
 def _gamma_ratio(n: int) -> float:
@@ -355,9 +354,9 @@ def _run_chunked(worker, names: tuple, samples: int, seed: int,
     pool's initializer (nothing of it is pickled) and return the records.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise geometry.DomainError("samples must be >= 1")
     if threads < 1:
-        raise ValueError("threads must be >= 1")
+        raise geometry.DomainError("threads must be >= 1")
 
     def chunk(start):
         return worker(geometry.stream(seed, start // CHUNK),
@@ -569,7 +568,7 @@ def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
     deviation below 1e-9).
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise geometry.DomainError("samples must be >= 1")
     rng = geometry.stream(seed, index=2**32)  # separate from MC chunks
     dirs = geometry.sample_unit_vectors(4, samples, rng)
     q = functionals.shadow_batch(dirs)

@@ -83,7 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .geometry import density4 as _dens4
+from .geometry import DomainError, density4 as _dens4
 from .specfun import ConvergenceError, elliptic_imag, hyp3f2_unit
 
 HALF_PI = 0.5 * math.pi
@@ -139,7 +139,7 @@ def _weighted_t(weight: tuple[float, float]) -> float:
     below 2^-56."""
     lowest = 1.0 + min(weight)
     if not lowest > 0.0:
-        raise ValueError(f"weight exponents must exceed -1, got {weight}")
+        raise DomainError(f"weight exponents must exceed -1, got {weight}")
     u = (56.0 * math.log(2.0) - math.log(lowest)) / (2.0 * lowest)
     return max(_LINE_T, math.ceil(2.0 * math.asinh(u / HALF_PI)) / 2.0)
 
@@ -338,8 +338,9 @@ def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
 
     With weight = (alpha, beta), alpha, beta > -1 and b finite, integrates
     f(x) (x - a)^alpha (b - x)^beta with the weight formed from each node's
-    exact distances to the ends.  tol is the relative accuracy asked and
-    epsabs the absolute one (tol if None).  Returns the estimate with its
+    exact distances to the ends.  tol > 0 is the relative accuracy asked and
+    epsabs the absolute one (tol if None).  A tol or a weight outside these
+    bounds raises `DomainError`.  Returns the estimate with its
     error estimate and evaluation count; raises ConvergenceError (carrying
     the best estimate) when the requested accuracy is not certified (see
     `_certified`).
@@ -351,9 +352,9 @@ def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
     (`_wynn`), the evaluations of both attempts counted.
     """
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise DomainError("tol must be positive")
     if weight is not None and b == math.inf:
-        raise ValueError("an algebraic weight needs a finite interval")
+        raise DomainError("an algebraic weight needs a finite interval")
     weight = (0.0, 0.0) if weight is None else weight
     epsabs = tol if epsabs is None else epsabs
 

@@ -8,6 +8,10 @@ hypergeometric 3F2 at unit argument (terminating sum, Gauss summation or
 the Euler integral over 2F1 by the double-exponential rule of `quad`, in
 double precision), and Catalan's constant.  Modulus convention: K(k), E(k)
 take the modulus k, not the parameter m = k^2.
+
+An argument outside a function's domain raises `geometry.DomainError`, the
+package's one argument error; a series or a quadrature that does not reach
+its accuracy raises `ConvergenceError`.
 """
 
 from __future__ import annotations
@@ -18,13 +22,11 @@ import math
 import numpy as np
 from scipy import special
 
+from . import geometry
+
 
 # Catalan's constant G = sum (-1)^k / (2k + 1)^2, correctly rounded.
 CATALAN = 0.915965594177219
-
-
-class DomainError(ValueError):
-    """Argument outside the supported domain."""
 
 
 class ConvergenceError(ValueError):
@@ -64,12 +66,13 @@ def elliptic_imag(t):
     in [1e-3, 1e12] it is within 6.3e-16 of mpmath at 40 digits, against
     2.0e-15 for s E(k), whose k carries its rounding into 1 - k^2.  Where
     t^2 overflows (t above about 1.3e154), k rounds to 1 and E(it) = s E(1)
-    = s.  Real arithmetic throughout; total for all finite t >= 0.
+    = s.  Real arithmetic throughout; total for all finite t >= 0, and any
+    other t raises `geometry.DomainError`.
     """
     t = np.asarray(t, dtype=float)
     bad = t[~((t >= 0.0) & (t < math.inf))]
     if bad.size:
-        raise DomainError(f"need finite t >= 0, got {bad[0]}")
+        raise geometry.DomainError(f"need finite t >= 0, got {bad[0]}")
     s = np.hypot(1.0, t)
     with np.errstate(over="ignore"):
         t2 = t * t
@@ -123,14 +126,16 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float:
       -log(1-t), infinite at the nodes that round to t = 1, and
       `integrate_1d` extrapolates its pieces toward that end instead.
 
-    Raises DomainError when no route applies (no upper parameter positive
-    and below a lower one), ConvergenceError when the series diverges or
-    the quadrature does not certify ~1e-10 relative accuracy.
+    Raises `geometry.DomainError` when a lower parameter is a nonpositive
+    integer or no route applies (no upper parameter positive and below a
+    lower one), ConvergenceError when the series diverges or the quadrature
+    does not certify ~1e-10 relative accuracy.
     """
     uppers, lowers = (a1, a2, a3), (b1, b2)
     for b in lowers:
         if _is_nonpositive_int(b):
-            raise DomainError(f"lower parameter {b} is a nonpositive integer")
+            raise geometry.DomainError(
+                f"lower parameter {b} is a nonpositive integer")
     for a in uppers:
         if _is_nonpositive_int(a):
             # terminating series; always convergent
@@ -149,7 +154,7 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float:
         if b > a > 0:
             choices.append((abs(c - p - q), c - p - q, a, b, c, p, q))
     if not choices:
-        raise DomainError(
+        raise geometry.DomainError(
             f"3F2({a1}, {a2}, {a3}; {b1}, {b2}; 1) has no upper parameter "
             "a3 and lower parameter b2 with b2 > a3 > 0")
     _, e, a, b, c, p, q = max(choices)

@@ -120,7 +120,8 @@ def mesh_measures(mesh):
 
 def convex_hull_2d(points):
     pts, _, qh = qhull(points, 2)
-    return hull.Polygon2D(vertices=pts[qh.vertices])
+    v = pts[qh.vertices]
+    return hull.PolygonBatch(vertices=v, start=np.array([0, len(v)]))
 
 
 def polygon_measures(poly):
@@ -158,7 +159,7 @@ def octagon_hull_measures(u, v):
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     dot = abs(float(np.dot(u, v)))
     if dot > geometry.ORTHO_TOL:
-        raise geometry.OrthogonalityError(dot)
+        raise geometry.DomainError(dot)
     pts = cube_vertices(4) @ plane_rows(u, v).T
     return polygon_measures(convex_hull_2d(pts))
 

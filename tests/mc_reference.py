@@ -14,7 +14,7 @@ within a few ulps.
 import numpy as np
 
 from cubeshadow.functionals import PAIRS, segment_mw_coeff
-from cubeshadow.geometry import DimensionError, sample_unit_vector
+from cubeshadow.geometry import DomainError, sample_unit_vector
 
 
 def _row_norms(v: np.ndarray, sq: np.ndarray, norms: np.ndarray) -> None:
@@ -39,7 +39,7 @@ def sample_unit_vectors(n: int, count: int, rng: np.random.Generator,
     same either way.
     """
     if n < 2:
-        raise DimensionError(f"need n >= 2, got {n}")
+        raise DomainError(f"need n >= 2, got {n}")
     if out is None:
         v = rng.standard_normal((count, n))
         sq, norms = np.empty((count, n)), np.empty(count)
@@ -70,7 +70,7 @@ def complete_pairs(u: np.ndarray, g: np.ndarray, out=None) -> np.ndarray:
 def shadow_batch(x: np.ndarray, out=None) -> dict:
     """Per-row vl, ar, mw arrays for a batch of unit directions x (m, n).
 
-    c_{n-1} comes from the shape, so n >= 3 (`DimensionError` otherwise).
+    c_{n-1} comes from the shape, so n >= 3 (`DomainError` otherwise).
     Layout, buffers and error bound are in the module docstring.
     """
     m, n = x.shape

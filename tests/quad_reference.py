@@ -35,7 +35,7 @@ import numpy as np
 from scipy import integrate
 
 from cubeshadow import quad
-from cubeshadow.geometry import DimensionError
+from cubeshadow.geometry import DomainError
 from cubeshadow.quad import HALF_PI, PI, _theta_sqrt_integral, integrate_1d
 from cubeshadow.specfun import elliptic_imag
 
@@ -280,7 +280,7 @@ def spherical_density(n: int, angles) -> float:
         (_, p1, p2, p3) = angles
         return (3.0 / (8.0 * math.pi**2)
                 * math.sin(p1) * math.sin(p2) ** 2 * math.sin(p3) ** 3)
-    raise DimensionError(f"spherical_density supports n in {{3,4,5}}, got {n}")
+    raise DomainError(f"spherical_density supports n in {{3,4,5}}, got {n}")
 
 
 def zeta4_quadrature_psi_form() -> float:

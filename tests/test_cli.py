@@ -322,6 +322,29 @@ def test_closed_forms_do_not_load_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "4", "--samples", "70000", "--threads", "2"],
+    ["verify", "--octagon", "--samples", "70000", "--threads", "2"],
+    ["hull-dump", "--seed", "9"],
+], ids=["verify_n4", "verify_octagon", "hull_dump"])
+def test_bytes_do_not_depend_on_blas_threads(argv):
+    # The hull path runs matmul and SVD through BLAS, and the Monte Carlo
+    # forks its workers from a process whose BLAS may run threads: the
+    # output is the same bytes at one BLAS thread and at two.
+    src = str(Path(cubeshadow.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    outputs = []
+    for blas in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": blas, "OMP_NUM_THREADS": blas}
+        proc = subprocess.run([sys.executable, "-m", "cubeshadow.cli", *argv],
+                              timeout=120, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0]
+
+
 class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

@@ -52,7 +52,7 @@ def test_consecutive_draws_equal_one_draw(n):
 
 def test_sample_rejects_bad_dimension():
     rng = geometry.stream(0)
-    with pytest.raises(geometry.DimensionError):
+    with pytest.raises(geometry.DomainError):
         geometry.sample_unit_vector(1, rng)
 
 
@@ -231,7 +231,7 @@ def test_spherical_density_values():
     assert quad_reference.spherical_density(4, (0.7, math.pi / 2, math.pi / 2)) == pytest.approx(
         1.0 / (2 * math.pi**2), abs=1e-15)
     assert quad_reference.spherical_density(4, (0.7, 1.0, 0.0)) == 0.0
-    with pytest.raises(geometry.DimensionError):
+    with pytest.raises(geometry.DomainError):
         quad_reference.spherical_density(6, (0, 0, 0, 0, 0))
 
 

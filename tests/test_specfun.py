@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, special
 
 import quad_reference
-from cubeshadow import moments, specfun
+from cubeshadow import geometry, moments, specfun
 
 pytestmark = pytest.mark.oldest_numpy(
     reason=("K and E come from scipy.special.ellipkm1 and ellipe, and E(it) "
@@ -130,7 +130,7 @@ class TestAgm:
     def test_nan_modulus_raises(self):
         # a NaN real modulus gives NaN, never a finite K or E
         assert all(map(math.isnan, ke(math.nan)))
-        with pytest.raises(specfun.DomainError):
+        with pytest.raises(geometry.DomainError):
             specfun.elliptic_imag(math.nan)
 
 
@@ -179,9 +179,9 @@ class TestEllipticImag:
         assert big_e == 1e300
 
     def test_domain(self):
-        with pytest.raises(specfun.DomainError):
+        with pytest.raises(geometry.DomainError):
             specfun.elliptic_imag(-0.5)
-        with pytest.raises(specfun.DomainError):
+        with pytest.raises(geometry.DomainError):
             specfun.elliptic_imag(math.inf)
 
 
@@ -246,7 +246,7 @@ class TestHyp3F2:
 
     def test_unsupported_parameters(self):
         # convergent, but no upper parameter is positive
-        with pytest.raises(specfun.DomainError):
+        with pytest.raises(geometry.DomainError):
             specfun.hyp3f2_unit(-0.5, -0.5, -0.5, 1.0, 1.0)
 
     def test_gauss_2f1_identity(self):
@@ -269,7 +269,7 @@ class TestHyp3F2:
             specfun.hyp3f2_unit(1.0, 1.0, 1.0, 1.0, 1.5)
 
     def test_nonpositive_integer_lower(self):
-        with pytest.raises(specfun.DomainError):
+        with pytest.raises(geometry.DomainError):
             specfun.hyp3f2_unit(0.5, 0.5, 0.5, -1.0, 2.0)
 
 
