@@ -351,7 +351,7 @@ def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
     end (`_end_pieces`), and their sums are extrapolated to the end
     (`_wynn`), the evaluations of both attempts counted.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise DomainError("tol must be positive")
     if weight is not None and b == math.inf:
         raise DomainError("an algebraic weight needs a finite interval")

@@ -124,6 +124,9 @@ DOMAIN_ERRORS = [
      "need 3 <= n <= 342, got -1"),
     (lambda: moments.verify_report(2, 10, seed=1),
      "need 3 <= n <= 342, got 2"),
+    # a NaN tolerance, which compares false with any bound
+    (lambda: quad.integrate_1d(lambda t: t, 0, 1, tol=math.nan),
+     "tol must be positive"),
 ]
 
 
