@@ -151,7 +151,7 @@ def cmd_constants(args) -> int:
 
 def cmd_hull_dump(args) -> int:
     u = geometry.sample_unit_vectors(4, 1, geometry.stream(args.seed))[:, 0]
-    _emit(hull.to_off(hull.shadow_hulls(u[None]).mesh(0)), args.out)
+    _emit(hull.to_off(hull.shadow_hulls(u[None])), args.out)
     return 0
 
 

@@ -121,6 +121,8 @@ def sample_unit_vectors(n: int, count: int,
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
+    if count < 0:
+        raise DomainError(f"need count >= 0, got {count}")
     v, sq, norms = np.empty((n, count)), np.empty(n * count), np.empty(count)
     for _ in draw_blocks(rng, count, max(count, 1),
                          lambda i, k: (v[:, i:i + k], sq[:n * k], norms[:k])):

@@ -16,8 +16,10 @@ adjacent faces, and volume / surface area / mean width are extracted.
 Hulls come in batches: the clouds of a batch are stacked, (m, k, dim).
 Qhull runs once per cloud; every other step runs once over the whole
 batch, on arrays that concatenate all clouds, meshes or polygons and are
-keyed by hull index.  The functions for one cloud or one mesh are batches
-of one.
+keyed by hull index.  There is one type per kind of hull, `MeshBatch` in
+3D and `PolygonBatch` in 2D, and a single hull is a batch of one:
+`convex_hull_3d` and `convex_hull_2d` return one, and `mesh_measures`,
+`PolygonBatch.measures` and `to_off` read any batch.
 
 - Deduplication reads one pairwise-distance array: a point is dropped
   when it lies within DEDUP_TOL of an earlier kept point of its cloud.
@@ -81,46 +83,6 @@ class FlatInputError(ValueError):
                               start + self.index, True, handle)
 
 
-@dataclass(frozen=True)
-class PolyMesh:
-    """Closed convex polyhedral surface.
-
-    faces are outward-oriented vertex-index loops; edges are
-    (v0, v1, face_a, face_b) with v0 < v1.
-    """
-
-    vertices: np.ndarray
-    faces: list
-    edges: list
-    face_normals: np.ndarray
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
-    def face_count(self) -> int:
-        return len(self.faces)
-
-    @property
-    def euler_characteristic(self) -> int:
-        return self.vertex_count - self.edge_count + self.face_count
-
-
-@dataclass(frozen=True)
-class MeshMeasures:
-    volume: float
-    area: float
-    mean_width: float
-    vertex_count: int
-    edge_count: int
-    face_count: int
-
-
 def _starts(counts) -> np.ndarray:
     """Offsets of consecutive segments of the given lengths, with the end."""
     return np.concatenate(([0], np.cumsum(counts)))
@@ -143,13 +105,15 @@ def _segment_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeshBatch:
-    """Polygonal meshes of several hulls in concatenated arrays.
+    """Closed convex polyhedral surfaces of one or more hulls in
+    concatenated arrays; a single hull is a batch of one.
 
     Hull h has vertices[vertex_start[h]:vertex_start[h + 1]], faces
     face_start[h]..face_start[h + 1] - 1 and edges likewise.  Face f is the
-    vertex loop loops[loop_start[f]:loop_start[f + 1]] with unit outward
-    normal normals[f]; edges rows are (v0, v1, face_a, face_b).  Indices
-    into vertices and faces are global, over the whole batch.
+    vertex loop loops[loop_start[f]:loop_start[f + 1]], counterclockwise
+    about its unit outward normal normals[f]; edges rows are (v0, v1,
+    face_a, face_b) with v0 < v1.  Indices into vertices and faces are
+    global, over the whole batch, so those of a batch of one are its own.
     """
 
     vertices: np.ndarray
@@ -161,78 +125,10 @@ class MeshBatch:
     face_start: np.ndarray
     edge_start: np.ndarray
 
-    @classmethod
-    def of(cls, mesh: PolyMesh) -> MeshBatch:
-        """A batch of one mesh."""
-        return cls(vertices=mesh.vertices, normals=mesh.face_normals,
-                   loops=np.array([i for face in mesh.faces for i in face]),
-                   loop_start=_starts([len(face) for face in mesh.faces]),
-                   edges=np.array(mesh.edges).reshape(-1, 4),
-                   vertex_start=_starts([mesh.vertex_count]),
-                   face_start=_starts([mesh.face_count]),
-                   edge_start=_starts([mesh.edge_count]))
-
     def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per hull (vertex count, edge count, face count)."""
         return (np.diff(self.vertex_start), np.diff(self.edge_start),
                 np.diff(self.face_start))
-
-    def mesh(self, h: int) -> PolyMesh:
-        """Hull h as a PolyMesh with its own vertex and face numbering."""
-        v0, v1 = self.vertex_start[h:h + 2]
-        f0, f1 = self.face_start[h:h + 2]
-        e0, e1 = self.edge_start[h:h + 2]
-        starts = (self.loop_start[f0:f1 + 1] - self.loop_start[f0]).tolist()
-        flat = (self.loops[self.loop_start[f0]:self.loop_start[f1]]
-                - v0).tolist()
-        faces = [flat[a:b] for a, b in zip(starts, starts[1:])]
-        edges = [tuple(e) for e in
-                 (self.edges[e0:e1] - [v0, v0, f0, f0]).tolist()]
-        return PolyMesh(vertices=self.vertices[v0:v1], faces=faces,
-                        edges=edges, face_normals=self.normals[f0:f1])
-
-    def measures(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per hull (volume, area, mean width); see `mesh_measures`.  The
-        fan and the edge terms of all hulls are formed by two methods, so
-        that the temporaries of one are freed before the other runs."""
-        return (*self._fan_measures(), self._mean_widths())
-
-    def _fan_measures(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per hull (volume, area) from the fan triangles (f[0], f[i],
-        f[i+1]) of every face, face by face."""
-        verts, loops, loop_start = self.vertices, self.loops, self.loop_start
-        nv = np.diff(self.vertex_start)
-        centroid = _segment_sums(verts, self.vertex_start) / nv[:, None]
-        face_hull = np.repeat(np.arange(len(nv)), np.diff(self.face_start))
-        fans = np.diff(loop_start) - 2
-        fan_face = np.repeat(np.arange(len(fans)), fans)
-        fan_start = _starts(fans)
-        corner = loop_start[fan_face] + np.arange(fan_start[-1])
-        corner -= fan_start[fan_face]
-        p0 = verts[loops[loop_start[fan_face]]]
-        cross = np.cross(verts[loops[corner + 1]] - p0,
-                         verts[loops[corner + 2]] - p0)
-        # each hull's fan triangles are those of its faces
-        hull_fans = fan_start[self.face_start]
-        area = 0.5 * _segment_sums(np.linalg.norm(cross, axis=1), hull_fans)
-        # det(p0 - c, a - c, b - c) = (p0 - c) . ((a - p0) x (b - p0))
-        p0 -= centroid[face_hull[fan_face]]
-        dets = np.sum(np.multiply(cross, p0, out=cross), axis=1)
-        return _segment_sums(np.abs(dets), hull_fans) / 6.0, area
-
-    def _mean_widths(self) -> np.ndarray:
-        """Per hull the sum over edges of length times the angle between
-        the adjacent outward face normals, over 4 pi."""
-        e, verts = self.edges, self.vertices
-        lengths = np.linalg.norm(verts[e[:, 0]] - verts[e[:, 1]], axis=1)
-        na, nb = self.normals[e[:, 2]], self.normals[e[:, 3]]
-        # The angle between unit normals as 2 atan2(|na - nb|, |na + nb|)
-        # stays accurate where arccos(na . nb) loses digits, between nearly
-        # coplanar faces.
-        gap = np.linalg.norm(na - nb, axis=1)
-        angles = 2.0 * np.arctan2(
-            gap, np.linalg.norm(np.add(na, nb, out=nb), axis=1))
-        return _segment_sums(lengths * angles, self.edge_start) / (4.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -410,31 +306,67 @@ def convex_hulls_3d(clouds) -> MeshBatch:
         edge_start=_starts(np.bincount(vertex_hull[v0], minlength=m)))
 
 
-def convex_hull_3d(points) -> PolyMesh:
+def convex_hull_3d(points) -> MeshBatch:
     """Convex hull of a 3D point cloud as a coplanar-merged polygonal mesh,
-    a batch of one of `convex_hulls_3d`.
+    a MeshBatch of one of `convex_hulls_3d`.
 
     Raises FlatInputError when the deduplicated cloud is not
     full-dimensional (degenerate projection direction upstream).
     """
-    return convex_hulls_3d(np.asarray(points, dtype=float)[None]).mesh(0)
+    return convex_hulls_3d(np.asarray(points, dtype=float)[None])
 
 
-def mesh_measures(mesh: PolyMesh) -> MeshMeasures:
-    """Volume, surface area and mean width of a convex PolyMesh, a batch of
-    one of `MeshBatch.measures`.
+def mesh_measures(meshes: MeshBatch) -> tuple[np.ndarray, np.ndarray,
+                                               np.ndarray]:
+    """Per hull of a MeshBatch (volume, surface area, mean width).
 
     Volume: signed tetrahedra fanned from the centroid.  Area: summed
     polygon areas.  Mean width: sum over edges of length times the angle
     between the adjacent outward face normals, divided by 4*pi (exact for
-    convex polytopes; the unit cube gives 3/2).
+    convex polytopes; the unit cube gives 3/2).  The fan and the edge terms
+    of all hulls are formed by two functions, so that the temporaries of
+    one are freed before the other runs.
     """
-    volume, area, mw = MeshBatch.of(mesh).measures()
-    return MeshMeasures(volume=float(volume[0]), area=float(area[0]),
-                        mean_width=float(mw[0]),
-                        vertex_count=mesh.vertex_count,
-                        edge_count=mesh.edge_count,
-                        face_count=mesh.face_count)
+    return (*_fan_measures(meshes), _mean_widths(meshes))
+
+
+def _fan_measures(meshes: MeshBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Per hull (volume, area) from the fan triangles (f[0], f[i], f[i+1])
+    of every face, face by face."""
+    verts, loops, loop_start = meshes.vertices, meshes.loops, meshes.loop_start
+    nv = np.diff(meshes.vertex_start)
+    centroid = _segment_sums(verts, meshes.vertex_start) / nv[:, None]
+    face_hull = np.repeat(np.arange(len(nv)), np.diff(meshes.face_start))
+    fans = np.diff(loop_start) - 2
+    fan_face = np.repeat(np.arange(len(fans)), fans)
+    fan_start = _starts(fans)
+    corner = loop_start[fan_face] + np.arange(fan_start[-1])
+    corner -= fan_start[fan_face]
+    p0 = verts[loops[loop_start[fan_face]]]
+    cross = np.cross(verts[loops[corner + 1]] - p0,
+                     verts[loops[corner + 2]] - p0)
+    # each hull's fan triangles are those of its faces
+    hull_fans = fan_start[meshes.face_start]
+    area = 0.5 * _segment_sums(np.linalg.norm(cross, axis=1), hull_fans)
+    # det(p0 - c, a - c, b - c) = (p0 - c) . ((a - p0) x (b - p0))
+    p0 -= centroid[face_hull[fan_face]]
+    dets = np.sum(np.multiply(cross, p0, out=cross), axis=1)
+    return _segment_sums(np.abs(dets), hull_fans) / 6.0, area
+
+
+def _mean_widths(meshes: MeshBatch) -> np.ndarray:
+    """Per hull the sum over edges of length times the angle between the
+    adjacent outward face normals, over 4 pi."""
+    e, verts = meshes.edges, meshes.vertices
+    lengths = np.linalg.norm(verts[e[:, 0]] - verts[e[:, 1]], axis=1)
+    na, nb = meshes.normals[e[:, 2]], meshes.normals[e[:, 3]]
+    # The angle between unit normals as 2 atan2(|na - nb|, |na + nb|)
+    # stays accurate where arccos(na . nb) loses digits, between nearly
+    # coplanar faces.
+    gap = np.linalg.norm(na - nb, axis=1)
+    angles = 2.0 * np.arctan2(
+        gap, np.linalg.norm(np.add(na, nb, out=nb), axis=1))
+    return _segment_sums(lengths * angles, meshes.edge_start) / (4.0 * math.pi)
 
 
 def convex_hulls_2d(clouds) -> PolygonBatch:
@@ -451,13 +383,18 @@ def convex_hull_2d(points) -> PolygonBatch:
     return convex_hulls_2d(np.asarray(points, dtype=float)[None])
 
 
-def to_off(mesh: PolyMesh) -> str:
-    """OFF-format text dump of a PolyMesh for external viewers."""
-    lines = ["OFF", f"{mesh.vertex_count} {mesh.face_count} {mesh.edge_count}"]
-    for v in mesh.vertices:
+def to_off(meshes: MeshBatch) -> str:
+    """OFF-format text of a MeshBatch for external viewers: "OFF", the
+    vertex, face and edge counts, one line per vertex, then one line per
+    face loop.  Its indices are those of the batch, so a batch of one, as
+    `hull-dump` writes, is one polyhedron numbered from 0."""
+    nv, ne, nf = (int(c.sum()) for c in meshes.counts())
+    lines = ["OFF", f"{nv} {nf} {ne}"]
+    for v in meshes.vertices:
         lines.append(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
-    for face in mesh.faces:
-        lines.append(" ".join([str(len(face))] + [str(i) for i in face]))
+    loops, ends = meshes.loops.tolist(), meshes.loop_start.tolist()
+    for a, b in zip(ends, ends[1:]):
+        lines.append(" ".join(map(str, [b - a, *loops[a:b]])))
     return "\n".join(lines) + "\n"
 
 

@@ -560,7 +560,8 @@ def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
     The directions are one batch drawn from their own stream, and the
     closed forms come from one batch call.  Their hulls come from
     `hull.shadow_hulls`, HULL_BLOCK directions per call, so that memory does
-    not grow with `samples`, and `_cross_check` compares the two.  A hull
+    not grow with `samples`, and are measured by `hull.mesh_measures`;
+    `_cross_check` compares the two.  A hull
     that fails raises FlatInputError naming its index and direction.
 
     Returns (max absolute deviation over volume/area/mean width,
@@ -577,7 +578,7 @@ def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
     def oracle(block):
         meshes = hull.shadow_hulls(dirs[block])
         v, e, f = meshes.counts()
-        return meshes.measures(), (v == 14) & (e == 24) & (f == 12)
+        return hull.mesh_measures(meshes), (v == 14) & (e == 24) & (f == 12)
 
     return _cross_check(np.stack([q["vl"], q["ar"], q["mw"]]), oracle,
                         lambda i: f"direction u = {dirs[i].tolist()}")

@@ -1,11 +1,14 @@
 """The per-mesh hull oracle that the batch code of `hull` replaced, kept as
-the reference: one cloud, one mesh, one polygon or one pair per call.
+the reference: one cloud, one mesh, one polygon or one pair per call.  A
+mesh is a `hull.MeshBatch` of one, and `one_hull` slices one out of a
+larger batch.
 
 The batch must give the same bytes: the same vertices, face loops, edges and
 normals, and measures equal with `==`.  Shared by the hull, hull-property,
 octagon-property, geometry and moments tests.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -75,8 +78,6 @@ def convex_hull_3d(points):
     ang = np.arctan2(np.sum(rel * b2[inc_face], axis=1),
                      np.sum(rel * b1[inc_face], axis=1))
     loops = inc_vert[np.lexsort((ang, inc_face))]
-    flat = loops.tolist()
-    faces = [flat[s:s + c] for s, c in zip(starts.tolist(), counts.tolist())]
 
     nxt = np.arange(1, len(loops) + 1)
     nxt[starts + counts - 1] = starts
@@ -88,34 +89,62 @@ def convex_hull_3d(points):
         a, b = divmod(int(keys[bad[0]]), nv)
         raise hull.FlatInputError(
             rank, f"edge ({a},{b}) borders {key_counts[bad[0]]} faces")
-    edge_faces = inc_face[order].reshape(-1, 2).T
-    edges = list(zip((keys // nv).tolist(), (keys % nv).tolist(),
-                     edge_faces[0].tolist(), edge_faces[1].tolist()))
-    return hull.PolyMesh(vertices=vertices, faces=faces, edges=edges,
-                         face_normals=normals)
+    edges = np.column_stack((keys // nv, keys % nv,
+                             inc_face[order].reshape(-1, 2)))
+    return hull.MeshBatch(
+        vertices=vertices, normals=normals, loops=loops,
+        loop_start=np.append(starts, len(loops)), edges=edges,
+        vertex_start=np.array([0, nv]), face_start=np.array([0, len(leaders)]),
+        edge_start=np.array([0, len(edges)]))
+
+
+def faces(mesh):
+    """The vertex loops of a MeshBatch, one list per face."""
+    loops, ends = mesh.loops.tolist(), mesh.loop_start.tolist()
+    return [loops[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def counts(mesh):
+    """(V, E, F) of a MeshBatch of one, from `MeshBatch.counts`."""
+    (v,), (e,), (f,) = mesh.counts()
+    return int(v), int(e), int(f)
+
+
+def one_hull(batch, h):
+    """Hull h of a MeshBatch as a batch of one, numbered from 0."""
+    v0, v1 = batch.vertex_start[h:h + 2]
+    f0, f1 = batch.face_start[h:h + 2]
+    e0, e1 = batch.edge_start[h:h + 2]
+    l0, l1 = batch.loop_start[[f0, f1]]
+    return hull.MeshBatch(
+        vertices=batch.vertices[v0:v1], normals=batch.normals[f0:f1],
+        loops=batch.loops[l0:l1] - v0,
+        loop_start=batch.loop_start[f0:f1 + 1] - l0,
+        edges=batch.edges[e0:e1] - [v0, v0, f0, f0],
+        vertex_start=np.array([0, v1 - v0]), face_start=np.array([0, f1 - f0]),
+        edge_start=np.array([0, e1 - e0]))
 
 
 def mesh_measures(mesh):
+    """(volume, area, mean width) of a MeshBatch of one."""
+    counts(mesh)  # a batch of one
     verts = mesh.vertices
     centroid = verts.sum(axis=0) / len(verts)
-    fan = np.array([(face[0], a, b) for face in mesh.faces
+    fan = np.array([(face[0], a, b) for face in faces(mesh)
                     for a, b in zip(face[1:-1], face[2:])])
     p0 = verts[fan[:, 0]]
     c = cross(verts[fan[:, 1]] - p0, verts[fan[:, 2]] - p0)
     area = 0.5 * float(np.sum(np.linalg.norm(c, axis=1)))
     dets = np.sum(c * (p0 - centroid), axis=1)
     volume = float(np.sum(np.abs(dets))) / 6.0
-    edges = np.array(mesh.edges)
+    edges = mesh.edges
     lengths = np.linalg.norm(verts[edges[:, 0]] - verts[edges[:, 1]], axis=1)
-    na = mesh.face_normals[edges[:, 2]]
-    nb = mesh.face_normals[edges[:, 3]]
+    na = mesh.normals[edges[:, 2]]
+    nb = mesh.normals[edges[:, 3]]
     angles = 2.0 * np.arctan2(np.linalg.norm(na - nb, axis=1),
                               np.linalg.norm(na + nb, axis=1))
     mw = float(np.sum(lengths * angles)) / (4.0 * math.pi)
-    return hull.MeshMeasures(volume=volume, area=area, mean_width=mw,
-                             vertex_count=mesh.vertex_count,
-                             edge_count=mesh.edge_count,
-                             face_count=mesh.face_count)
+    return volume, area, mw
 
 
 def convex_hull_2d(points):
@@ -208,8 +237,8 @@ def explicit_frame_rows(u):
 
 
 def assert_same_mesh(got, want):
-    """Vertices, face loops, edges and normals equal, bit for bit."""
-    assert np.array_equal(got.vertices, want.vertices)
-    assert got.faces == want.faces
-    assert got.edges == want.edges
-    assert np.array_equal(got.face_normals, want.face_normals)
+    """Every array of two MeshBatches equal, bit for bit: vertices, normals,
+    face loops, edges and the offsets of each."""
+    for field in dataclasses.fields(hull.MeshBatch):
+        assert np.array_equal(getattr(got, field.name),
+                              getattr(want, field.name)), field.name

@@ -272,7 +272,7 @@ class TestHullDump:
         # column is the direction that `sample_unit_vector` draws from the
         # same stream, so it dumps the shadow of that direction
         u = geometry.sample_unit_vector(4, geometry.stream(9))
-        off = hull.to_off(hull.shadow_hulls(u[None]).mesh(0))
+        off = hull.to_off(hull.shadow_hulls(u[None]))
         assert run_cli(capsys, "hull-dump", "--seed", "9")[1] == off
 
     def test_seed_determinism(self, capsys):

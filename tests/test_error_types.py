@@ -95,6 +95,8 @@ def test_the_scan_finds_a_builtin_raise_and_a_derived_class():
 DOMAIN_ERRORS = [
     (lambda: geometry.sample_unit_vectors(1, 5, geometry.stream(0)),
      "need n >= 2, got 1"),
+    (lambda: geometry.sample_unit_vectors(4, -1, geometry.stream(0)),
+     "need count >= 0, got -1"),
     (lambda: geometry.build_frames(np.ones((2, 1))), "need n >= 2, got 1"),
     (lambda: geometry.checked_pair([1, 0, 0, 0], [1, 0, 0, 0]),
      "|u.v| = 1.0 exceeds 1e-10"),
