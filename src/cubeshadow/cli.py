@@ -3,10 +3,10 @@
 Subcommands: moments, verify, constants, octagon, hull-dump.  Exit codes:
 0 success, 1 numeric verification failure, 2 usage error.  A usage error is
 argparse's (--samples or --threads below 1, a --tol that is not a finite
-number >= 0, verify given both --n and --octagon) or an argument that the
-library rejects with `geometry.DomainError`, its one argument error (--n
-outside 3..342), which `main` writes to stderr as one "error: <message>"
-line.
+number >= 0, verify given both --n and --octagon) or a
+`geometry.DomainError`: the library's one argument error (--n outside
+3..342), or an --out file that cannot be opened.  `main` writes it to
+stderr as one "error: <message>" line.
 --seed is taken only by the commands it drives (verify, octagon,
 hull-dump), and --format only by those with more than one output format
 (all but hull-dump, which writes OFF text).  --threads is the number of
@@ -30,11 +30,18 @@ from . import geometry, hull, moments, quad
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+    """Write text to the file out_path, or to stdout when it is None; a
+    file that cannot be opened is a usage error (`geometry.DomainError`)."""
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        fh = open(out_path, "w")
+    except OSError as exc:
+        raise geometry.DomainError(
+            f"cannot open --out {out_path}: {exc.strerror}") from None
+    with fh:
+        fh.write(text)
 
 
 def _write(args, payload: dict, rows: list[dict], text: list[str],

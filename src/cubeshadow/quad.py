@@ -14,11 +14,10 @@ derivative decays double-exponentially in t,
   (x - a)^alpha (b - x)^beta is exact however close the node is to an end;
 - exp-sinh on (a, inf), x = a + exp(pi/2 sinh t);
 - their tensor product on a two-dimensional region, whose inner limits
-  follow the outer node (`_nested`);
-- near a finite end other than 0, where the nodes round to the end and an
-  integrable singularity of f makes the sum infinite, pieces that shrink
-  geometrically toward each end, each by tanh-sinh, whose partial sums are
-  extrapolated to the end by Wynn's epsilon algorithm (`_end_pieces`).
+  follow the outer node (`_nested`).
+Near a finite end other than 0 the nodes round to the end, so a
+singularity of f there makes the sum infinite and raises ConvergenceError;
+an algebraic one is integrated exactly as the weight.
 The substitution turns the endpoint singularities of these integrands --
 the logarithms of the elliptic integrals, their polynomial decay at
 infinity and the algebraic weight of the Euler integral of
@@ -75,7 +74,6 @@ uses none of them.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -225,62 +223,8 @@ def _region(inner, outer):
         old = every
 
 
-# The pieces into which `integrate_1d` cuts each half of an interval with a
-# singular end that the nodes round to: at the distances [d/2, d] from the
-# end, d = 2^-(k+1) of the interval for k < _PIECES, so that the nearest
-# node lies 2^-21 of the interval from the end, and its rounding moves it by
-# about 2e-10 of that distance when the end is as large as the interval.
-_PIECES = 20
-
-
-def _end_pieces(a: float, b: float, weight: tuple[float, float]):
-    """The nodes that each level adds on the pieces of the two halves of
-    [a, b], as one block ((x,), w) of shape (2, _PIECES, n): row 0 holds the
-    pieces toward a, row 1 those toward b.  Each piece, clear of the ends,
-    takes the tanh-sinh nodes of a bounded integrand (|t| <= _BOX_T), and
-    the weight (x - a)^alpha (b - x)^beta is formed from each node's
-    distance s to its end and b - a - s."""
-    alpha, beta = weight
-    length = b - a
-    d = length * 0.5 ** np.arange(1, _PIECES + 1)[:, None]
-    for level in range(_MAX_LEVEL + 1):
-        p, _, w = _tanh_sinh(_BOX_T, level)
-        s = 0.5 * d * (1.0 + p)
-        ws, far = 0.5 * d * w, length - s
-        yield [((np.stack((a + s, b - s)),),
-                np.stack((ws * s ** alpha * far ** beta,
-                          ws * far ** alpha * s ** beta)))]
-
-
-def _wynn(partial: np.ndarray) -> tuple[float, float]:
-    """The limit of the partial sums by Wynn's epsilon algorithm (Wynn,
-    MTAC 10, 1956; the extrapolation of QUADPACK's QAGS), with its spread:
-    of the even columns of the table, the last entry of the one whose last
-    three entries lie closest together, and their two distances summed; the
-    last sum and the last term when no column does better."""
-    value, spread = partial[-1], abs(partial[-1] - partial[-2])
-    before, column = np.zeros(len(partial) + 1), partial
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(1, len(partial) - 2):
-            before, column = (column,
-                              before[1:len(column)] + 1.0 / np.diff(column))
-            if k % 2 == 0:
-                near = np.sum(np.abs(np.diff(column[-3:])))
-                if near < spread:
-                    value, spread = column[-1], near
-    return float(value), float(spread)
-
-
-def _extrapolated(sums: np.ndarray) -> tuple[float, float]:
-    """The integral whose pieces toward each end sum to the rows of sums,
-    each row's partial sums extrapolated to its end (`_wynn`), and the sum
-    of the two spreads."""
-    limits = [_wynn(np.cumsum(row)) for row in sums]
-    return sum(v for v, _ in limits), sum(e for _, e in limits)
-
-
-def _converge(f, levels, dims: int, tol: float, epsabs: float, what: str,
-              extrapolate=None) -> tuple[QuadResult, ...]:
+def _converge(f, levels, dims: int, tol: float, epsabs: float,
+              what: str) -> tuple[QuadResult, ...]:
     """The integrals of the k components of f, which returns a tuple of k
     arrays, on one set of nodes: each block of each level is evaluated
     once, for every component.
@@ -291,12 +235,9 @@ def _converge(f, levels, dims: int, tol: float, epsabs: float, what: str,
     estimate, and its result is certified (see `_certified`) after the last
     level.  A component that stops keeps its value, error estimate and
     evaluation count while the others go on, so each result is that of the
-    integral of f_i alone (k = 1).
-
-    With `extrapolate`, the sums run over the last axis of each block only,
-    and extrapolate maps them to I_k and a spread that the error estimate
-    takes if it is larger.  A sum that is not finite (f infinite or
-    undefined at a node that rounded to an end) ends its levels at once.
+    integral of f_i alone (k = 1).  A sum that is not finite (f infinite or
+    undefined at a node, such as one that rounded to a singular end) ends
+    its component's levels at once.
     """
     total = None
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -309,17 +250,12 @@ def _converge(f, levels, dims: int, tol: float, epsabs: float, what: str,
                     value, err = [math.nan] * k, [math.nan] * k
                     going = list(range(k))
                 for i in going:
-                    terms = parts[i] * w
-                    total[i] = total[i] + (np.sum(terms) if extrapolate is None
-                                           else np.sum(terms, axis=-1))
+                    total[i] = total[i] + np.sum(parts[i] * w)
                     evaluations[i] += w.size
             for i in list(going):
-                previous, current = value[i], total[i] * 0.5 ** (dims * level)
-                spread = 0.0
-                if extrapolate is not None:
-                    current, spread = extrapolate(current)
-                value[i] = float(current)
-                err[i] = max(abs(value[i] - previous), spread)
+                previous = value[i]
+                value[i] = float(total[i] * 0.5 ** (dims * level))
+                err[i] = abs(value[i] - previous)
                 if (not math.isfinite(value[i])
                         or err[i] <= max(epsabs, tol * abs(value[i]))):
                     going.remove(i)
@@ -333,50 +269,32 @@ def _converge(f, levels, dims: int, tol: float, epsabs: float, what: str,
 def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
                  weight: tuple[float, float] | None = None,
                  epsabs: float | None = None) -> QuadResult:
-    """Integral of f over (a, b); b may be +inf.  f takes and returns
-    arrays.
+    """Integral of f over (a, b), a finite and b finite or +inf.  f takes
+    and returns arrays.
 
     With weight = (alpha, beta), alpha, beta > -1 and b finite, integrates
     f(x) (x - a)^alpha (b - x)^beta with the weight formed from each node's
     exact distances to the ends.  tol > 0 is the relative accuracy asked and
-    epsabs the absolute one (tol if None).  A tol or a weight outside these
-    bounds raises `DomainError`.  Returns the estimate with its
-    error estimate and evaluation count; raises ConvergenceError (carrying
-    the best estimate) when the requested accuracy is not certified (see
-    `_certified`).
+    epsabs the absolute one (tol if None).  A bound, a tol or a weight
+    outside these ranges raises `DomainError`.  Returns the estimate with
+    its error estimate and evaluation count; raises ConvergenceError
+    (carrying the best estimate) when the requested accuracy is not
+    certified (see `_certified`).
 
-    The nodes nearest a finite end other than 0 round to it, so an
-    integrable singularity of f there makes the sum infinite: then each
-    half of (a, b) is cut into pieces that shrink geometrically toward its
-    end (`_end_pieces`), and their sums are extrapolated to the end
-    (`_wynn`), the evaluations of both attempts counted.
+    The nodes nearest a finite end other than 0 round to it, so a
+    singularity of f there makes the sum infinite, and ConvergenceError is
+    raised at the first level: an algebraic singularity belongs in the
+    weight, which is exact at any distance from the end.
     """
     if not tol > 0:  # NaN included
         raise DomainError("tol must be positive")
+    if not (math.isfinite(a) and -math.inf < b <= math.inf):
+        raise DomainError(f"need a finite a and a finite or +inf b, "
+                          f"got ({a}, {b})")
     if weight is not None and b == math.inf:
         raise DomainError("an algebraic weight needs a finite interval")
-    weight = (0.0, 0.0) if weight is None else weight
-    epsabs = tol if epsabs is None else epsabs
-
-    def one(*args):
-        return (f(*args),)
-    try:
-        return _line_pass(one, a, b, tol, weight, epsabs)[0]
-    except ConvergenceError as error:
-        first = error.best
-        if b == math.inf or math.isfinite(first.value):
-            raise
-    try:
-        (r,) = _converge(one, _end_pieces(a, b, weight), 1, tol, epsabs,
-                         "quadrature", extrapolate=_extrapolated)
-    except ConvergenceError as error:
-        error.best = _counted(error.best, first.evaluations)
-        raise
-    return _counted(r, first.evaluations)
-
-
-def _counted(r: QuadResult, evaluations: int) -> QuadResult:
-    return dataclasses.replace(r, evaluations=r.evaluations + evaluations)
+    return _line_pass(lambda x: (f(x),), a, b, tol,
+                      (0.0, 0.0) if weight is None else weight, epsabs)[0]
 
 
 def _line_pass(f, a: float, b: float, tol: float,
@@ -386,9 +304,8 @@ def _line_pass(f, a: float, b: float, tol: float,
     array and returns a tuple of arrays, each asked tol and epsabs (tol if
     None) as by `integrate_1d`: one pass over the nodes serves every
     component (`_converge`), and each component's result is that of its
-    own `integrate_1d` call when that call's first attempt converges.
-    Raises ConvergenceError when tol is not certified for a component;
-    there are no end pieces to fall back on.
+    own `integrate_1d` call.  Raises ConvergenceError when tol is not
+    certified for a component (see `_certified`).
     """
     return _converge(f, _line(a, b, weight), 1, tol,
                      tol if epsabs is None else epsabs, "quadrature")
@@ -408,8 +325,13 @@ def _nested(f, ranges, tol: float) -> tuple[QuadResult, ...]:
 def _certified(result: QuadResult, tol: float, epsabs: float,
                what: str) -> QuadResult:
     """Return result, or raise ConvergenceError, whose `best` is result,
-    when its error estimate exceeds ten times the accuracy asked,
+    when its value is not finite (f infinite or undefined at a node) or its
+    error estimate exceeds ten times the accuracy asked,
     max(epsabs, tol*|value|)."""
+    if not math.isfinite(result.value):
+        raise ConvergenceError(f"{what} sum is not finite ({result.value}):"
+                               " f is infinite or undefined at a node",
+                               best=result)
     requested = max(epsabs, tol * abs(result.value))
     if not result.error_estimate <= 10.0 * requested:
         raise ConvergenceError(f"{what} error estimate "

@@ -123,13 +123,13 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float:
       negative power is moved into the weight by Euler's transformation,
       and of the admissible permutations the one with the largest |e|
       (the smoothest integrand) is used.  At e = 0 the 2F1 grows like
-      -log(1-t), infinite at the nodes that round to t = 1, and
-      `integrate_1d` extrapolates its pieces toward that end instead.
+      -log(1-t), infinite at the nodes that round to t = 1, which no
+      weight holds, and ConvergenceError is raised.
 
     Raises `geometry.DomainError` when a lower parameter is a nonpositive
     integer or no route applies (no upper parameter positive and below a
-    lower one), ConvergenceError when the series diverges or the quadrature
-    does not certify ~1e-10 relative accuracy.
+    lower one), ConvergenceError when the series diverges, e = 0, or the
+    quadrature does not certify ~1e-10 relative accuracy.
     """
     uppers, lowers = (a1, a2, a3), (b1, b2)
     for b in lowers:

@@ -67,6 +67,23 @@ class TestMoments:
         assert out == ""
         assert json.loads(path.read_text())["moments"]["n"] == 4
 
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "m.json"
+        code, out, err = run_cli(capsys, "moments", "--n", "3",
+                                 "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot open --out {path}: "
+                       "No such file or directory\n")
+
+    def test_other_os_errors_are_not_usage_errors(self, capsys, monkeypatch):
+        # only the open of --out is a usage error; an OSError elsewhere, such
+        # as a failed fork of the Monte Carlo workers, propagates
+        def fail(n):
+            raise OSError("fork failed")
+        monkeypatch.setattr(moments, "closed_form_table", fail)
+        with pytest.raises(OSError, match="fork failed"):
+            cli.main(["moments", "--n", "3"])
+
 
 class TestVerify:
     def test_json_passes(self, capsys):

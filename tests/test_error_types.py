@@ -12,12 +12,13 @@ import ast
 import builtins
 import importlib
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cubeshadow import functionals, geometry, moments, quad, specfun
+from cubeshadow import cli, functionals, geometry, moments, quad, specfun
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cubeshadow"
 TREES = {path.name: ast.parse(path.read_text())
@@ -129,6 +130,14 @@ DOMAIN_ERRORS = [
     # a NaN tolerance, which compares false with any bound
     (lambda: quad.integrate_1d(lambda t: t, 0, 1, tol=math.nan),
      "tol must be positive"),
+    # an interval bound that is NaN, or infinite where it may not be
+    (lambda: quad.integrate_1d(lambda t: t, 0, math.nan),
+     "need a finite a and a finite or +inf b, got (0, nan)"),
+    (lambda: quad.integrate_1d(lambda t: t, -math.inf, 0),
+     "need a finite a and a finite or +inf b, got (-inf, 0)"),
+    # an --out file that cannot be opened
+    (lambda: cli._emit("", os.devnull + "/out.txt"),
+     f"cannot open --out {os.devnull}/out.txt: Not a directory"),
 ]
 
 

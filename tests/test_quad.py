@@ -18,7 +18,6 @@ pytestmark = pytest.mark.oldest_numpy(
 class TestIntegrator:
     KNOWN = [
         (lambda t: np.exp(-t), 0, np.inf, 1.0),
-        (lambda v: 1.0 / np.sqrt(1 - v * v), 0, 1, math.pi / 2),
         (lambda t: t * np.log(t), 0, 1, -0.25),
         (lambda t: np.log(t) ** 2, 0, 1, 2.0),
         (lambda t: 1.0 / np.sqrt(t), 0, 1, 2.0),
@@ -27,11 +26,6 @@ class TestIntegrator:
         (lambda t: 1.0 / (1 + t * t), 0, np.inf, math.pi / 2),
         (lambda t: np.sin(t) ** 2, 0, math.pi, math.pi / 2),
         (lambda t: t * np.exp(-t) * np.log(t), 0, np.inf, 1 - 0.5772156649015329),
-        # singular at ends other than 0, where the nodes round to the end
-        (lambda v: 1.0 / np.sqrt((v - 2.0) * (3.0 - v)), 2, 3, math.pi),
-        (lambda v: np.log(1.0 - v), 0, 1, -1.0),
-        (lambda v: (1.0 - v) ** -0.9, 0, 1, 10.0),
-        (lambda v: np.log(-v) / np.sqrt(v + 1.0), -1, 0, 4 * math.log(2) - 4),
     ]
 
     @pytest.mark.parametrize("f,a,b,expected", KNOWN)
@@ -66,29 +60,39 @@ class TestIntegrator:
         assert r.value == pytest.approx(special.beta(alpha + 1, beta + 1),
                                         rel=1e-14)
 
-    @pytest.mark.parametrize("a,b,expected", [(0.0, 1.0, math.pi / 2),
-                                              (2.0, 3.0, math.pi / 3)])
-    def test_singular_end_as_weight(self, a, b, expected):
-        # 1/sqrt((1 + v)(b - v)) = (b - v)^(-1/2) / sqrt(1 + v): at the end
-        # b, where nodes round to b, the singular factor is the weight
-        r = quad.integrate_1d(lambda v: 1.0 / np.sqrt(1.0 + v), a, b,
-                              tol=1e-13, weight=(0.0, -0.5))
+    # Integrands singular at an end other than 0, where the nodes round to
+    # the end, each as (f, weight, a, b, expected): the singular factor is
+    # the weight.  The first is 1/sqrt(1 - v^2) = (1 - v)^(-1/2)/sqrt(1 + v),
+    # then 1/sqrt((1 + v)(3 - v)), 1/sqrt((v - 2)(3 - v)), (1 - v)^-0.9 and
+    # log(-v)/sqrt(v + 1).
+    SINGULAR_ENDS = [
+        (lambda v: 1.0 / np.sqrt(1.0 + v), (0.0, -0.5), 0.0, 1.0, math.pi / 2),
+        (lambda v: 1.0 / np.sqrt(1.0 + v), (0.0, -0.5), 2.0, 3.0, math.pi / 3),
+        (np.ones_like, (-0.5, -0.5), 2, 3, math.pi),
+        (np.ones_like, (0.0, -0.9), 0, 1, 10.0),
+        (lambda v: np.log(-v), (-0.5, 0.0), -1, 0, 4 * math.log(2) - 4),
+    ]
+
+    @pytest.mark.parametrize(
+        "f,weight,a,b,expected", SINGULAR_ENDS,
+        ids=[f"{a}-{b}-{expected}" for *_, a, b, expected in SINGULAR_ENDS])
+    def test_singular_end_as_weight(self, f, weight, a, b, expected):
+        r = quad.integrate_1d(f, a, b, tol=1e-13, weight=weight)
         assert r.value == pytest.approx(expected, rel=1e-15)
 
-    def test_singular_end_evaluations(self):
-        # nodes round to the end 1, where f is infinite: the first attempt
-        # stops at its first level, and the pieces toward each end, then
-        # extrapolated to it, are counted with it
+    def test_infinite_at_a_node_raises(self):
+        # nodes round to the end 1, where each f is infinite: the sum is not
+        # finite at the first level, which ends the levels
         first = quad._new_steps(-quad._LINE_T, quad._LINE_T, 0).size
-        calls = []
+        for g in (lambda v: np.log(1.0 - v), lambda v: 1.0 / np.sqrt(1.0 - v)):
+            calls = []
 
-        def f(v):
-            calls.append(np.size(v))
-            return 1.0 / np.sqrt(1.0 - v)
-        r = quad.integrate_1d(f, 0.0, 1.0, tol=1e-12)
-        assert r.value == pytest.approx(2.0, rel=1e-14)
-        assert calls[0] == first
-        assert r.evaluations == sum(calls)
+            def f(v):
+                calls.append(np.size(v))
+                return g(v)
+            error = _raised(lambda: quad.integrate_1d(f, 0.0, 1.0, tol=1e-12))
+            assert str(error).startswith("quadrature sum is not finite")
+            assert error.best.evaluations == first == sum(calls)
 
     def test_unconverged_raises_budget_error(self):
         with pytest.raises(specfun.ConvergenceError) as info:

@@ -41,21 +41,37 @@ LISTED = [
 ]
 
 
-def collected(*args) -> list[str]:
-    """The node ids that `pytest --collect-only` lists for args."""
-    src = str(ROOT / "src")
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+def collected() -> dict[str, set[str]]:
+    """The node id of each test under tests/, with the names of its
+    markers, from one `pytest --collect-only` run with the `marker_ids`
+    plugin."""
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"),
+                            os.environ.get("PYTHONPATH", "")])
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "--collect-only", "-q",
-         "-p", "no:cacheprovider", *args],
+        [sys.executable, "-m", "pytest", "--collect-only", "-qq",
+         "-p", "no:cacheprovider", "-p", "marker_ids", "tests"],
         cwd=ROOT, timeout=300, env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    return sorted(line for line in proc.stdout.splitlines() if "::" in line)
+    return {node: set(names) for node, *names in
+            (line.split("\t") for line in proc.stdout.splitlines()
+             if "\t" in line)}
+
+
+def selected(node: str, arg: str) -> bool:
+    """Whether pytest, given arg (a file, or a file and a class or a test),
+    collects the test node: arg itself, a test of its class or file, or one
+    of its parameter sets."""
+    return node == arg or node.startswith((arg + "::", arg + "["))
 
 
 def test_workflow_test_ids_collect():
     assert MARKERS == ["oldest_numpy"]
-    marked = collected("-m", MARKERS[0], "tests")
+    tests = collected()
+    marked = sorted(node for node, names in tests.items()
+                    if MARKERS[0] in names)
     assert marked
-    assert marked == collected(*LISTED)
+    for arg in LISTED:
+        assert any(selected(node, arg) for node in tests), arg
+    assert marked == sorted(node for node in tests
+                            if any(selected(node, arg) for arg in LISTED))
