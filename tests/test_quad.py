@@ -26,11 +26,17 @@ class TestIntegrator:
         (lambda t: 1.0 / (1 + t * t), 0, np.inf, math.pi / 2),
         (lambda t: np.sin(t) ** 2, 0, math.pi, math.pi / 2),
         (lambda t: t * np.exp(-t) * np.log(t), 0, np.inf, 1 - 0.5772156649015329),
+        # 1/sqrt(1 - v^2) = (1 - v)^(-1/2)/sqrt(1 + v) is singular at the end
+        # 1, where the nodes round to the end: the singular factor is the
+        # weight
+        (lambda v: 1.0 / np.sqrt(1.0 + v), 0, 1, math.pi / 2, (0.0, -0.5)),
     ]
 
-    @pytest.mark.parametrize("f,a,b,expected", KNOWN)
-    def test_known_integrals(self, f, a, b, expected):
-        r = quad.integrate_1d(f, a, b, tol=1e-12)
+    @pytest.mark.parametrize(
+        "f,a,b,expected,weight", [(*k, None)[:5] for k in KNOWN],
+        ids=[f"<lambda>-{a}-{b}-{expected}" for _, a, b, expected, *_ in KNOWN])
+    def test_known_integrals(self, f, a, b, expected, weight):
+        r = quad.integrate_1d(f, a, b, tol=1e-12, weight=weight)
         assert abs(r.value - expected) <= max(10 * r.error_estimate, 1e-12)
         assert r.error_estimate >= 0
         assert r.evaluations > 0
@@ -80,9 +86,10 @@ class TestIntegrator:
         r = quad.integrate_1d(f, a, b, tol=1e-13, weight=weight)
         assert r.value == pytest.approx(expected, rel=1e-15)
 
-    def test_infinite_at_a_node_raises(self):
+    def test_singular_end_evaluations(self):
         # nodes round to the end 1, where each f is infinite: the sum is not
-        # finite at the first level, which ends the levels
+        # finite at the first level, which ends the levels, and the error
+        # carries that level's evaluations
         first = quad._new_steps(-quad._LINE_T, quad._LINE_T, 0).size
         for g in (lambda v: np.log(1.0 - v), lambda v: 1.0 / np.sqrt(1.0 - v)):
             calls = []
