@@ -2,11 +2,11 @@
 
 Subcommands: moments, verify, constants, octagon, hull-dump.  Exit codes:
 0 success, 1 numeric verification failure, 2 usage error.  A usage error is
-argparse's (--samples or --threads below 1, a --tol that is not a finite
-number >= 0, verify given both --n and --octagon) or a
-`geometry.DomainError`: the library's one argument error (--n outside
-3..342), or an --out file that cannot be opened.  `main` writes it to
-stderr as one "error: <message>" line.
+argparse's (a --tol that is not a finite number >= 0, verify given both
+--n and --octagon) or a `geometry.DomainError`: the library's one argument
+error (--n outside 3..342, --samples or --threads below 1), or an --out
+file that cannot be opened.  `main` writes it to stderr as one
+"error: <message>" line.
 --seed is taken only by the commands it drives (verify, octagon,
 hull-dump), and --format only by those with more than one output format
 (all but hull-dump, which writes OFF text).  --threads is the number of
@@ -32,7 +32,7 @@ from . import geometry, hull, moments, quad
 def _emit(text: str, out_path: str | None) -> None:
     """Write text to the file out_path, or to stdout when it is None; a
     file that cannot be opened is a usage error (`geometry.DomainError`)."""
-    if not out_path:
+    if out_path is None:
         sys.stdout.write(text)
         return
     try:
@@ -73,14 +73,13 @@ _VALUE_LINE = "  {name:12s} {value!r}"
 
 def cmd_moments(args) -> int:
     table = moments.closed_form_table(args.n)
-    payload = {"spec_version": moments.SPEC_VERSION,
-               "moments": table.as_dict()}
-    rows = _value_rows(payload["moments"])
+    payload = {"spec_version": moments.SPEC_VERSION, "moments": table}
+    rows = _value_rows(table)
     text = [f"closed-form moments, n={args.n}",
             *map(_VALUE_LINE.format_map, rows),
-            f"  zeta source: {table.zeta_source}"]
+            f"  zeta source: {table['zeta_source']}"]
     text += [f"  {name} range   [{lo!r}, {hi!r}]"
-             for name, (lo, hi) in table.extremes.items()]
+             for name, (lo, hi) in table["extremes"].items()]
     joint = moments.joint_table(args.n)
     if joint:
         payload["joint"] = joint
@@ -162,16 +161,6 @@ def cmd_hull_dump(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:  # argparse's own wording for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _tolerance(text: str) -> float:
     try:
         value = float(text)
@@ -188,8 +177,8 @@ _OPTIONS = {
     "--seed": {"type": int, "default": 1},
     "--format": {"choices": ["json", "csv", "text"], "default": "text"},
     "--out": {"default": None, "help": "write output to a file"},
-    "--samples": {"type": _positive_int, "default": 100_000},
-    "--threads": {"type": _positive_int,
+    "--samples": {"type": int, "default": 100_000},
+    "--threads": {"type": int,
                   "default": len(os.sched_getaffinity(0))
                   if hasattr(os, "sched_getaffinity") else 1},
 }

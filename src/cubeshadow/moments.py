@@ -5,7 +5,9 @@ hold them all: `CORANK1_TARGETS`, the nine moments of the corank-1 shadow
 as functions of n with the n at which each is known; `OCTAGON_TARGETS`,
 the octagon's three; and `CONSTANT_TARGETS`, the target of every row of
 `constants`.  `moments`, `verify` and `constants` read their targets from
-these, and the quadrature of `quad` holds none.
+these, and the quadrature of `quad` holds none.  `closed_form_table` and
+`joint_table` return the `moments` payload as the CLI writes it, plain
+dicts whose names come from `PAYLOAD_QUANTITIES` and `SHADOW_PRODUCTS`.
 
 Every analytic moment is paired with a simulation estimate; both verify
 reports go through one accept rule, `_report`: |z| < 4 on every row, and
@@ -110,23 +112,6 @@ _X = (math.gamma(0.25) ** 2 / PI) ** 2
 ZETA = _X / 4.0 + 48.0 / _X
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    n: int
-    e_vl: float
-    e_vl2: float
-    e_ar: float
-    e_ar2: float
-    e_mw: float
-    zeta_used: float
-    zeta_source: str
-    extremes: dict
-    e_mw2: float | None  # last: the CLI's csv and text rows keep field order
-
-    def as_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
-
-
 # The closed forms of vl, ar and mw take Gamma((n + 1)/2), which overflows
 # a double for n > 342 (Gamma(x) does for x > 171.62).
 MAX_N = 342
@@ -198,16 +183,26 @@ def closed_form_targets(n: int) -> dict:
             if known is None or n in known}
 
 
-def closed_form_table(n: int) -> MomentTable:
-    """The closed-form moments of the corank-1 shadow of the n-cube, as the
-    `moments` payload names them.  E(mw^2) is present only for n in
-    {3, 4, 5}.  Takes 3 <= n <= MAX_N, as do `extremes_table` and
+# The quantities of the `moments` payload, in its order, each written once:
+# the table's own moments, E(mw^2) last where it is known, then the joint
+# moments.  The n = 4 rows of `CONSTANT_TARGETS` take the same order.
+PAYLOAD_QUANTITIES = ("vl", "vl2", "ar", "ar2", "mw", "mw2",
+                      "vl_ar", "vl_mw", "ar_mw")
+
+
+def closed_form_table(n: int) -> dict:
+    """The closed-form moments of the corank-1 shadow of the n-cube: the
+    `moments` payload itself, with keys n, e_vl, e_vl2, e_ar, e_ar2, e_mw,
+    zeta_used, zeta_source, extremes and, last, e_mw2, present only for n
+    in {3, 4, 5}.  Takes 3 <= n <= MAX_N, as do `extremes_table` and
     `mc_estimate`."""
     t = closed_form_targets(n)
-    return MomentTable(n=n, e_vl=t["vl"], e_vl2=t["vl2"], e_ar=t["ar"],
-                       e_ar2=t["ar2"], e_mw=t["mw"], e_mw2=t.get("mw2"),
-                       zeta_used=ZETA, zeta_source="identified to 100 digits",
-                       extremes=extremes_table(n))
+    table = {"n": n, **{"e_" + q: t[q] for q in PAYLOAD_QUANTITIES[:5]},
+             "zeta_used": ZETA, "zeta_source": "identified to 100 digits",
+             "extremes": extremes_table(n)}
+    if "mw2" in t:  # last: the CLI's csv and text rows keep the key order
+        table["e_mw2"] = t["mw2"]
+    return table
 
 
 def joint_table(n: int) -> dict:
@@ -218,10 +213,10 @@ def joint_table(n: int) -> dict:
         return {}
     t = closed_form_targets(n)
     sd = {q: math.sqrt(t[q + "2"] - t[q]**2) for q in ("vl", "ar", "mw")}
-    return {"e_vl_ar": t["vl_ar"], "e_vl_mw": t["vl_mw"],
-            "e_ar_mw": t["ar_mw"],
+    joint = {q: ab for q, ab in SHADOW_PRODUCTS.items() if ab[0] != ab[1]}
+    return {**{"e_" + q: t[q] for q in joint},
             **{"corr_" + q: (t[q] - t[a] * t[b]) / (sd[a] * sd[b])
-               for q, (a, b) in SHADOW_PRODUCTS.items() if a != b}}
+               for q, (a, b) in joint.items()}}
 
 
 def _at(q: str, n: int):
@@ -239,11 +234,7 @@ CONSTANT_TARGETS = {
                      "zeta5_reduction"), lambda: ZETA),
     "pi128_first": lambda: PI / 96.0, "pi128_second": lambda: PI / 256.0,
     "pi128_third": lambda: PI / 192.0, "pi128_combination": lambda: PI / 128.0,
-    "integral_e_vl": _at("vl", 4), "integral_e_vl2": _at("vl2", 4),
-    "integral_e_ar": _at("ar", 4), "integral_e_ar2": _at("ar2", 4),
-    "integral_e_mw": _at("mw", 4), "integral_e_mw2": _at("mw2", 4),
-    "integral_e_vl_ar": _at("vl_ar", 4), "integral_e_vl_mw": _at("vl_mw", 4),
-    "integral_e_ar_mw": _at("ar_mw", 4),
+    **{"integral_e_" + q: _at(q, 4) for q in PAYLOAD_QUANTITIES},
     "integral_e_mw2_3cube": _at("mw2", 3),
     "integral_e_mw2_5cube": _at("mw2", 5),
 }
@@ -352,6 +343,8 @@ def _run_chunked(worker, names: tuple, samples: int, seed: int,
     One worker runs the chunks in the calling thread.  More run them in a
     pool of forked processes, which inherit the chunk function through the
     pool's initializer (nothing of it is pickled) and return the records.
+    samples or threads below 1 raises `geometry.DomainError`, the one range
+    check of the CLI's --samples and --threads.
     """
     if samples < 1:
         raise geometry.DomainError("samples must be >= 1")

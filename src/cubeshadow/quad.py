@@ -272,7 +272,7 @@ def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
     """Integral of f over (a, b), a finite and b finite or +inf.  f takes
     and returns arrays.
 
-    With weight = (alpha, beta), alpha, beta > -1 and b finite, integrates
+    With weight = (alpha, beta), alpha, beta > -1 and a < b finite, integrates
     f(x) (x - a)^alpha (b - x)^beta with the weight formed from each node's
     exact distances to the ends.  tol > 0 is the relative accuracy asked and
     epsabs the absolute one (tol if None).  A bound, a tol or a weight
@@ -293,6 +293,8 @@ def integrate_1d(f, a: float, b: float, tol: float = 1e-10,
                           f"got ({a}, {b})")
     if weight is not None and b == math.inf:
         raise DomainError("an algebraic weight needs a finite interval")
+    if weight is not None and not a < b:  # (b - a)^(alpha + beta) is complex
+        raise DomainError(f"an algebraic weight needs a < b, got ({a}, {b})")
     return _line_pass(lambda x: (f(x),), a, b, tol,
                       (0.0, 0.0) if weight is None else weight, epsabs)[0]
 

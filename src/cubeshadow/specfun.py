@@ -124,7 +124,8 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float:
       and of the admissible permutations the one with the largest |e|
       (the smoothest integrand) is used.  At e = 0 the 2F1 grows like
       -log(1-t), infinite at the nodes that round to t = 1, which no
-      weight holds, and ConvergenceError is raised.
+      weight holds, and the quadrature's ConvergenceError, that its sum is
+      not finite, is raised.
 
     Raises `geometry.DomainError` when a lower parameter is a nonpositive
     integer or no route applies (no upper parameter positive and below a
@@ -186,6 +187,8 @@ def hyp3f2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float:
         r = integrate_1d(tail, 0.0, 1.0, tol=1e-13, epsabs=1e-15,
                          weight=(a - 1.0, beta))
     except ConvergenceError as exc:  # certified below, against the sum
+        if not math.isfinite(exc.best.value):
+            raise  # "quadrature sum is not finite", with its `best`
         r = exc.best
     value, err = r.value, r.error_estimate
     scale = math.gamma(b) / (math.gamma(a) * math.gamma(b - a))

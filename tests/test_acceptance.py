@@ -30,10 +30,10 @@ def report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_01_closed_form_table_n4():
     t = moments.closed_form_table(4)
     tol = 1e-12
-    ok = (abs(t.e_vl - 1.697652726313550) < tol
-          and abs(t.e_vl2 - 2.909859317102744) < tol
-          and abs(t.e_ar - 8.0) < tol
-          and abs(t.e_mw2 - 2.883026903647544) < tol)
+    ok = (abs(t["e_vl"] - 1.697652726313550) < tol
+          and abs(t["e_vl2"] - 2.909859317102744) < tol
+          and abs(t["e_ar"] - 8.0) < tol
+          and abs(t["e_mw2"] - 2.883026903647544) < tol)
     report(1, ok, "n=4 closed-form moments exact to 1e-12")
 
 
@@ -76,8 +76,8 @@ def test_criterion_06_zeta5_reduction(zeta4):
 
 
 def test_criterion_07_lower_dim_analogs(moment_suite):
-    mw2_3 = moments.closed_form_table(3).e_mw2
-    mw2_5 = moments.closed_form_table(5).e_mw2
+    mw2_3 = moments.closed_form_table(3)["e_mw2"]
+    mw2_5 = moments.closed_form_table(5)["e_mw2"]
     numeric_5 = moment_suite["e_mw2_5cube"].value
     ok = (abs(mw2_3 - 2.253091059149751) < 1e-10
           and abs(mw2_5 - 3.516040901689803) < 1e-9

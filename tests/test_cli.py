@@ -75,6 +75,12 @@ class TestMoments:
         assert err == (f"error: cannot open --out {path}: "
                        "No such file or directory\n")
 
+    def test_empty_out_is_a_usage_error(self, capsys):
+        # an empty path is a file name that cannot be opened, not stdout
+        code, out, err = run_cli(capsys, "moments", "--n", "3", "--out", "")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot open --out : No such file or directory\n"
+
     def test_other_os_errors_are_not_usage_errors(self, capsys, monkeypatch):
         # only the open of --out is a usage error; an OSError elsewhere, such
         # as a failed fork of the Monte Carlo workers, propagates
@@ -240,8 +246,8 @@ class TestConstants:
         assert [target for _, _, target in entries] == [
             t["vl"], t["vl2"], t["ar"], t["ar2"], t["mw"], t["mw2"],
             t["vl_ar"], t["vl_mw"], t["ar_mw"],
-            moments.closed_form_table(3).e_mw2,
-            moments.closed_form_table(5).e_mw2]
+            moments.closed_form_table(3)["e_mw2"],
+            moments.closed_form_table(5)["e_mw2"]]
 
     def test_impossible_tolerance_fails(self, capsys):
         # the moment integrals miss their closed forms by 2e-16 to 1e-13
@@ -300,10 +306,12 @@ class TestHullDump:
         assert a != c
 
 
-@pytest.mark.parametrize("module", ["mpmath", "scipy.integrate"])
+@pytest.mark.parametrize("module", ["mpmath", "scipy.integrate", "sympy",
+                                    "hypothesis", "pytest"])
 def test_import_does_not_load_mpmath(module):
-    # neither is a dependency of the library: mpmath is the tests' oracle,
-    # and QUADPACK (scipy.integrate) their second quadrature route
+    # none is a dependency of the library: mpmath is the tests' oracle,
+    # QUADPACK (scipy.integrate) their second quadrature route, and sympy,
+    # hypothesis and pytest the rest of the [test] extras
     src = str(Path(cubeshadow.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     code = f"import sys, cubeshadow.cli; sys.exit({module!r} in sys.modules)"
@@ -378,18 +386,14 @@ class TestParser:
                                       ["octagon", "--samples", "0"],
                                       ["octagon", "--samples", "-3"]])
     def test_samples_below_one(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        assert "argument --samples: must be >= 1" in capsys.readouterr().err
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: samples must be >= 1\n")
 
     @pytest.mark.parametrize("argv", [["verify", "--threads", "0"],
                                       ["octagon", "--threads", "-2"]])
     def test_threads_below_one(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-        assert "argument --threads: must be >= 1" in capsys.readouterr().err
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: threads must be >= 1\n")
 
     @pytest.mark.parametrize("argv", [["moments", "--seed", "1"],
                                       ["constants", "--seed", "1"],
@@ -463,12 +467,12 @@ def reference_json(obj):
 
 
 def reference_table_dict(t):
-    d = {"n": t.n, "e_vl": t.e_vl, "e_vl2": t.e_vl2,
-         "e_ar": t.e_ar, "e_ar2": t.e_ar2, "e_mw": t.e_mw,
-         "zeta_used": t.zeta_used, "zeta_source": t.zeta_source,
-         "extremes": t.extremes}
-    if t.e_mw2 is not None:
-        d["e_mw2"] = t.e_mw2
+    d = {"n": t["n"], "e_vl": t["e_vl"], "e_vl2": t["e_vl2"],
+         "e_ar": t["e_ar"], "e_ar2": t["e_ar2"], "e_mw": t["e_mw"],
+         "zeta_used": t["zeta_used"], "zeta_source": t["zeta_source"],
+         "extremes": t["extremes"]}
+    if "e_mw2" in t:
+        d["e_mw2"] = t["e_mw2"]
     return d
 
 
@@ -499,8 +503,8 @@ def reference_moments(args, result):
         for key, value in reference_table_dict(table).items():
             if isinstance(value, (int, float)):
                 lines.append(f"  {key:12s} {value!r}")
-        lines.append(f"  zeta source: {table.zeta_source}")
-        for name, (lo, hi) in table.extremes.items():
+        lines.append(f"  zeta source: {table['zeta_source']}")
+        for name, (lo, hi) in table["extremes"].items():
             lines.append(f"  {name} range   [{lo!r}, {hi!r}]")
         if args.n == 4:
             for key, value in reference_joint_dict(joint).items():

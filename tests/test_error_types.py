@@ -115,6 +115,12 @@ DOMAIN_ERRORS = [
      "tol must be positive"),
     (lambda: quad.integrate_1d(lambda t: t, 0, math.inf, weight=(0.5, 0.0)),
      "an algebraic weight needs a finite interval"),
+    # a weight on a reversed or empty interval, where (b - a)^(alpha + beta)
+    # is complex or 1/0
+    (lambda: quad.integrate_1d(lambda t: t, 1.0, 0.0, weight=(-0.5, 0.0)),
+     "an algebraic weight needs a < b, got (1.0, 0.0)"),
+    (lambda: quad.integrate_1d(lambda t: t, 1.0, 1.0, weight=(-0.5, 0.0)),
+     "an algebraic weight needs a < b, got (1.0, 1.0)"),
     (lambda: specfun.elliptic_imag(-0.5), "need finite t >= 0, got -0.5"),
     (lambda: specfun.hyp3f2_unit(0.5, 0.5, 0.5, -1.0, 2.0),
      "lower parameter -1.0 is a nonpositive integer"),

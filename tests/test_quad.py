@@ -54,6 +54,14 @@ class TestIntegrator:
         with pytest.raises(geometry.DomainError):
             quad.integrate_1d(lambda t: t, 0, np.inf, weight=(0.5, 0.0))
 
+    def test_reversed_interval_without_weight(self):
+        # with no weight, b < a is the integral over (b, a) negated (the
+        # nodes are placed from a, so not to the bit); a weight there is a
+        # DomainError
+        forward = quad.integrate_1d(np.exp, 0.0, 1.0, tol=1e-12)
+        backward = quad.integrate_1d(np.exp, 1.0, 0.0, tol=1e-12)
+        assert backward.value == pytest.approx(-forward.value, rel=1e-15)
+
     @pytest.mark.parametrize("alpha,beta", [
         (0.0, 0.0), (-0.5, -0.5), (0.5, -0.5), (-0.9, 0.3), (0.7, -0.95),
         (-0.99, -0.2), (2.5, -0.7), (-0.999, -0.999)])

@@ -227,8 +227,10 @@ class TestHyp3F2:
         # nodes that round to t = 1, and no route applies; Dixon's value
         # 3F2(1/2, 1/2, 1/2; 1, 1; 1) = pi / Gamma(3/4)^4 is checked at 50
         # digits by test_moments.py's TestZetaProofChain::test_link_3_dixon
-        with pytest.raises(specfun.ConvergenceError):
+        with pytest.raises(specfun.ConvergenceError,
+                           match="not finite") as exc:
             specfun.hyp3f2_unit(0.5, 0.5, 0.5, 1.0, 1.0)
+        assert exc.value.best is not None
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("params", [
