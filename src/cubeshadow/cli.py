@@ -10,8 +10,9 @@ file that cannot be opened.  `main` writes it to stderr as one
 --seed is taken only by the commands it drives (verify, octagon,
 hull-dump), and --format only by those with more than one output format
 (all but hull-dump, which writes OFF text).  --threads is the number of
-Monte Carlo workers, forked processes when more than one; it defaults to
-the number of CPUs this process may use, and never changes an output byte.
+workers that run the Monte Carlo chunks and then the hull cross-check's
+blocks, forked processes when more than one; it defaults to the number of
+CPUs this process may use, and never changes an output byte.
 
 Each command builds its result once, as three things: a JSON payload, a
 list of row dicts and text lines.  `_write` picks one by --format.  The CSV

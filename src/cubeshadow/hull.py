@@ -64,7 +64,8 @@ class FlatInputError(ValueError):
     `reason` says what failed and `index` is the position of the failing
     cloud in its batch.  The message is `reason`, then "in hull <index>"
     when the batch holds more than one cloud (`named`), then `handle`,
-    what replays the failing cloud, when one is given.
+    what replays the failing cloud, when one is given.  It pickles as its
+    constructor arguments, so it crosses from a pool worker unchanged.
     """
 
     def __init__(self, affine_rank: int, reason: str | None = None,
@@ -73,8 +74,12 @@ class FlatInputError(ValueError):
         self.affine_rank = affine_rank
         self.reason = reason or f"flat input, affine rank {affine_rank}"
         self.index = index
+        self._args = (affine_rank, reason, index, named, handle)
         message = self.reason + (f" in hull {index}" if named else "")
         super().__init__(f"{message}, {handle}" if handle else message)
+
+    def __reduce__(self):
+        return type(self), self._args
 
     def in_batch(self, start: int, handle: str) -> FlatInputError:
         """This error of a block that starts at cloud `start` of a larger

@@ -19,8 +19,8 @@ The per-sample functionals come from the batch kernels of `functionals`:
 `shadow_batch` for vl, ar, mw and `octagon_xy` for the octagon.  Both
 reports also compare those closed forms with the hull oracle of `hull` on
 their own seeded directions, through one rule, `_cross_check`: blocks of
-HULL_BLOCK hulls, a failing hull named with what replays it, the largest
-deviation and the fraction that pass.
+HULL_BLOCK hulls on the command's workers, a failing hull named with what
+replays it, the largest deviation and the fraction that pass.
 
 One driver, `_mc`, runs both Monte Carlo estimates.  A sample is a point
 of a product of spheres S^(d_1 - 1) x ... x S^(d_f - 1), given by its
@@ -61,9 +61,15 @@ which are the bounded quantities (vl, ar, mw; perimeter, area).
 `_accumulate` merges the records in chunk-index order with one vector
 update, the rule of Chan, Golub and LeVeque (1979), and names the
 quantities once, in `McResult`; the means stay the chunk-ordered sums
-over N.  `threads` is the number of workers: at most one per chunk, one
-worker running the chunks in the calling thread and more a pool of forked
-processes, each returning its records to the parent.
+over N.
+
+`threads` is the number of workers of `_parallel`, the one task runner:
+at most one per task, one worker running the tasks in the calling thread
+and more a pool of forked processes, each returning its results to the
+parent in task order.  Its tasks are the Monte Carlo chunks of `_mc` and
+the hull blocks of `_cross_check`: the hulls of `verify --n 4` and
+`--octagon` run on the command's workers too, in a second pool made after
+the chunks' pool is joined.
 """
 
 from __future__ import annotations
@@ -317,11 +323,11 @@ def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
-def _in_worker(start: int) -> tuple:
-    """The record of the chunk at `start`, in a pool worker: the chunk
-    function is the one the pool's initializer set on this function.
+def _in_worker(index: int):
+    """The result of task `index` in a pool worker: the task list is the one
+    the pool's initializer set on this function.
 
-    The chunk starts on a CPU of the worker's own, by its pid.  A forked
+    The task starts on a CPU of the worker's own, by its pid.  A forked
     child starts on its parent's CPU, and on a 2-vCPU VM the scheduler left
     two workers there, each at half speed (its wall time twice its CPU
     time).  The mask is restored at once, so the scheduler may still move
@@ -331,47 +337,61 @@ def _in_worker(start: int) -> tuple:
         cpus = sorted(os.sched_getaffinity(0))
         os.sched_setaffinity(0, {cpus[os.getpid() % len(cpus)]})
         os.sched_setaffinity(0, cpus)
-    return _in_worker.chunk(start)
+    return _in_worker.tasks[index]()
+
+
+def _parallel(tasks: list, threads: int) -> list:
+    """The results of the argument-free callables `tasks`, in task order,
+    run by min(threads, len(tasks)) workers: the one task runner of the
+    Monte Carlo chunks and the hull blocks.
+
+    One worker runs the tasks in the calling thread.  More run them in a
+    pool of forked processes, which inherit the task list through the
+    pool's initializer (nothing of it is pickled) and return the results.
+    The first task in task order that raises raises in the caller, at any
+    worker count.  threads below 1 raises `geometry.DomainError`, the one
+    range check of the CLI's --threads.
+    """
+    if threads < 1:
+        raise geometry.DomainError("threads must be >= 1")
+    workers = min(threads, len(tasks))  # a pool forks all its workers
+    if workers == 1:
+        return [task() for task in tasks]
+    import multiprocessing  # here: commands that fork nothing skip it
+
+    # Fork is safe here although numpy's OpenBLAS runs threads: OpenBLAS
+    # stops its pool before a fork and re-arms it in the child through
+    # pthread_atfork, so the hull blocks' SVDs and matrix products run in the
+    # workers as in the parent, and the pool is made and joined inside this
+    # call.
+    # Python 3.12+ warns at each fork of a multi-threaded process.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pool = multiprocessing.get_context("fork").Pool(
+            workers, setattr, (_in_worker, "tasks", tasks))
+    with pool:  # terminates and joins the workers on leaving
+        return list(pool.imap(_in_worker, range(len(tasks))))
 
 
 def _run_chunked(worker, names: tuple, samples: int, seed: int,
                  threads: int) -> McResult:
     """The statistics of worker(rng, m) over the chunks of `samples`, run by
-    min(threads, chunks) workers and merged in index order: chunk i has
+    `_parallel` and merged in index order: chunk i has
     m = min(CHUNK, samples - i CHUNK) samples and the stream (seed, i).
-
-    One worker runs the chunks in the calling thread.  More run them in a
-    pool of forked processes, which inherit the chunk function through the
-    pool's initializer (nothing of it is pickled) and return the records.
-    samples or threads below 1 raises `geometry.DomainError`, the one range
-    check of the CLI's --samples and --threads.
+    samples below 1 raises `geometry.DomainError`, the one range check of
+    the CLI's --samples.
     """
     if samples < 1:
         raise geometry.DomainError("samples must be >= 1")
-    if threads < 1:
-        raise geometry.DomainError("threads must be >= 1")
 
     def chunk(start):
         return worker(geometry.stream(seed, start // CHUNK),
                       min(CHUNK, samples - start))
 
-    starts = range(0, samples, CHUNK)
-    workers = min(threads, len(starts))  # a pool forks all its workers
-    if workers == 1:
-        return _accumulate(list(map(chunk, starts)), names, seed)
-    import multiprocessing  # here: commands without Monte Carlo skip it
-
-    # Fork is safe here although numpy's OpenBLAS runs threads: the workers
-    # call no BLAS, OpenBLAS re-arms its pool in the child through
-    # pthread_atfork, and the pool is made and joined inside this call.
-    # Python 3.12+ warns at each fork of a multi-threaded process.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pool = multiprocessing.get_context("fork").Pool(
-            workers, setattr, (_in_worker, "chunk", chunk))
-    with pool:  # terminates and joins the workers on leaving
-        per_chunk = pool.map(_in_worker, starts, chunksize=1)
-    return _accumulate(per_chunk, names, seed)
+    return _accumulate(
+        _parallel([functools.partial(chunk, start)
+                   for start in range(0, samples, CHUNK)], threads),
+        names, seed)
 
 
 # Directions per block of a Monte Carlo chunk.  A chunk is drawn, normalized
@@ -510,56 +530,66 @@ class VerifyReport:
         return d
 
 
-# Hulls per batch call of the cross-checks.  A batch holds every array of
-# its hulls at once (a peak of about 1.6 MB per 250 3D hulls, 6.2 MB per
-# 1000); blocks keep that fixed.  1000 hulls took the same time in blocks
-# of 250 as in one block of 1000.
+# Hulls per batch call of the cross-checks, and per task of `_parallel`.  A
+# batch holds every array of its hulls at once (a peak of about 1.6 MB per
+# 250 3D hulls, 6.2 MB per 1000); blocks keep that fixed.  1000 hulls took
+# the same time in blocks of 250 as in one block of 1000, and 4 blocks let
+# up to 4 workers share them.
 HULL_BLOCK = 250
 # Hulls per cross-check of `verify --n 4` and `verify --octagon`, read at
 # call time.
 HULL_SAMPLES = 1000
 
 
-def _cross_check(closed: np.ndarray, oracle, handle) -> tuple[float, float]:
+def _cross_check(closed: np.ndarray, oracle, handle,
+                 threads: int) -> tuple[float, float]:
     """The one comparison of the hull oracle with the closed forms.
 
     closed (k, m) holds k closed-form measures of m items, one item per
     column.  oracle(block), for a slice of at most HULL_BLOCK items, returns
     their k hull measures in the same order, and per item whether its hull
-    has the expected combinatorics (True where none is checked).  A
-    FlatInputError of a block is raised again with the item's index in the
-    whole batch and handle(index), the text that replays it.
+    has the expected combinatorics (True where none is checked).  The
+    blocks are the tasks of `_parallel` on `threads` workers, and their
+    deviations and pass flags are joined in block order.  A FlatInputError
+    of a block is raised again with the item's index in the whole batch and
+    handle(index), the text that replays it; of several, the first block's.
 
     Returns (the largest |hull - closed form| over items and measures, the
     fraction of items within 1e-9 on every measure and of the expected
     combinatorics).
     """
     m = closed.shape[1]
-    dev, good = np.empty(m), np.empty(m, dtype=bool)
-    for start in range(0, m, HULL_BLOCK):
+
+    def check(start):  # one block's deviations and pass flags
         block = slice(start, start + HULL_BLOCK)
         try:
-            measures, good[block] = oracle(block)
+            measures, good = oracle(block)
         except hull.FlatInputError as exc:
             raise exc.in_batch(start, handle(start + exc.index)) from exc
-        dev[block] = np.abs(np.subtract(measures, closed[:, block])).max(axis=0)
-    good &= dev < 1e-9
+        dev = np.abs(np.subtract(measures, closed[:, block])).max(axis=0)
+        return dev, good & (dev < 1e-9)
+
+    dev, good = map(np.concatenate, zip(*_parallel(
+        [functools.partial(check, start)
+         for start in range(0, m, HULL_BLOCK)],
+        threads)))
     return float(dev.max()), int(good.sum()) / m
 
 
-def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
+def hull_cross_check(samples: int, seed: int,
+                     threads: int = 1) -> tuple[float, float]:
     """Compare hull-derived measures with the closed-form functionals.
 
     The directions are one batch drawn from their own stream, and the
     closed forms come from one batch call.  Their hulls come from
     `hull.shadow_hulls`, HULL_BLOCK directions per call, so that memory does
     not grow with `samples`, and are measured by `hull.mesh_measures`;
-    `_cross_check` compares the two.  A hull
-    that fails raises FlatInputError naming its index and direction.
+    `_cross_check` compares the two, its blocks on `threads` workers.  A
+    hull that fails raises FlatInputError naming its index and direction.
 
     Returns (max absolute deviation over volume/area/mean width,
     fraction of samples with the generic 14/24/12 combinatorics and
-    deviation below 1e-9).
+    deviation below 1e-9), the same at every worker count.
     """
     if samples < 1:
         raise geometry.DomainError("samples must be >= 1")
@@ -574,7 +604,8 @@ def hull_cross_check(samples: int, seed: int) -> tuple[float, float]:
         return hull.mesh_measures(meshes), (v == 14) & (e == 24) & (f == 12)
 
     return _cross_check(np.stack([q["vl"], q["ar"], q["mw"]]), oracle,
-                        lambda i: f"direction u = {dirs[i].tolist()}")
+                        lambda i: f"direction u = {dirs[i].tolist()}",
+                        threads)
 
 
 def _report(n: int, mc: McResult, targets: dict, ranges: dict,
@@ -608,11 +639,12 @@ def verify_report(n: int, samples: int, seed: int,
     """Confront every closed-form moment and extreme with Monte Carlo.
 
     For n = 4 additionally cross-checks hull-derived measures against the
-    functionals on HULL_SAMPLES seeded directions.
+    functionals on HULL_SAMPLES seeded directions, on the same `threads`.
     """
     targets = closed_form_targets(n)
     mc = mc_estimate(n, samples, seed, threads=threads)
-    hull_check = hull_cross_check(HULL_SAMPLES, seed) if n == 4 else None
+    hull_check = (hull_cross_check(HULL_SAMPLES, seed, threads=threads)
+                  if n == 4 else None)
     return _report(n, mc, targets, extremes_table(n), hull_check)
 
 
@@ -640,7 +672,7 @@ def octagon_report(samples: int, seed: int,
     """Rank-2 octagon verification: perimeter^2, perimeter and area against
     their closed forms, the extremes against their ranges, plus the 2D hull
     cross-check, `_cross_check` of `hull.octagon_hull_batch`, on
-    HULL_SAMPLES seeded pairs."""
+    HULL_SAMPLES seeded pairs; both on `threads` workers."""
     mc = mc_octagon(samples, seed, threads=threads)
     rng = geometry.stream(seed, index=2**32 + 1)
     # the stream interleaves the pairs: u is every even draw, g every odd
@@ -652,5 +684,6 @@ def octagon_report(samples: int, seed: int,
     hull_check = _cross_check(
         np.stack([area, per]),  # in the order of `octagon_hull_batch`
         lambda block: (hull.octagon_hull_batch(u[block], v[block]), True),
-        lambda i: f"pair u = {u[i].tolist()}, v = {v[i].tolist()}")
+        lambda i: f"pair u = {u[i].tolist()}, v = {v[i].tolist()}",
+        threads)
     return _report(4, mc, OCTAGON_TARGETS, OCTAGON_RANGES, hull_check)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 
 import numpy as np
@@ -361,6 +362,21 @@ class TestBatch:
         with pytest.raises(hull.FlatInputError) as exc:
             hull.convex_hulls_2d(planar)
         assert (exc.value.index, exc.value.affine_rank) == (5, 1)
+
+    def test_flat_input_error_survives_pickling(self):
+        # a pool worker's error reaches the parent pickled
+        plain = hull.FlatInputError(2, index=3, named=True)
+        blocked = plain.in_batch(250, "direction u = [0.5, 0.5, 0.5, 0.5]")
+        edge = hull.FlatInputError(3, "edge (1,2) borders 1 faces", 0)
+        for err in (plain, blocked, edge):
+            back = pickle.loads(pickle.dumps(err))
+            assert type(back) is hull.FlatInputError
+            assert (str(back), back.index, back.affine_rank, back.reason) == \
+                (str(err), err.index, err.affine_rank, err.reason)
+        assert str(back) == "edge (1,2) borders 1 faces"
+        assert str(pickle.loads(pickle.dumps(blocked))) == (
+            "flat input, affine rank 2 in hull 253, "
+            "direction u = [0.5, 0.5, 0.5, 0.5]")
 
     def test_open_surface_names_its_hull(self, monkeypatch):
         # Qhull's third hull loses a simplex: three of its edges then

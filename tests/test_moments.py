@@ -349,6 +349,21 @@ class TestWorkerProcesses:
         moments.mc_octagon(10, seed=1, threads=1000)
         assert pool_sizes == []
 
+    def test_hull_pool_is_bounded_by_the_blocks(self, pool_sizes):
+        with pytest.raises(PoolMade):  # 1000 hulls are 4 blocks of 250
+            moments.hull_cross_check(1000, seed=1, threads=1000)
+        assert pool_sizes == [4]
+
+    def test_one_hull_block_forks_nothing(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(moments, "HULL_SAMPLES", moments.HULL_BLOCK)
+        moments.hull_cross_check(moments.HULL_BLOCK, seed=1, threads=1000)
+        moments.octagon_report(10, seed=1, threads=1000)
+        assert pool_sizes == []
+
+    def test_hull_blocks_on_two_workers_equal_one(self, hull_check_1e3):
+        assert moments.hull_cross_check(1000, seed=11, threads=2) == \
+            hull_check_1e3
+
     def test_kernel_error_surfaces_in_the_parent(self, monkeypatch):
         def kernel(*args, **kwargs):
             raise ZeroDivisionError("kernel fault")
@@ -359,6 +374,7 @@ class TestWorkerProcesses:
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_verify(self):
+        moments.verify_report(4, 3 * moments.CHUNK, seed=1, threads=2)
         moments.verify_report(5, 3 * moments.CHUNK, seed=1, threads=2)
         moments.octagon_report(3 * moments.CHUNK, seed=1, threads=3)
         assert multiprocessing.active_children() == []
@@ -367,11 +383,11 @@ class TestWorkerProcesses:
                         reason="no CPU affinity on this platform")
     def test_chunk_placement_restores_the_cpu_mask(self, monkeypatch):
         # _in_worker moves the worker to a CPU of its own and then restores
-        # the mask; a chunk still runs, and no pin outlives the move
+        # the mask; a task still runs, and no pin outlives the move
         mask = os.sched_getaffinity(0)
-        monkeypatch.setattr(moments._in_worker, "chunk",
-                            lambda start: (start, os.sched_getaffinity(0)),
-                            raising=False)
+        tasks = [functools.partial(lambda i: (i, os.sched_getaffinity(0)), i)
+                 for i in range(8)]
+        monkeypatch.setattr(moments._in_worker, "tasks", tasks, raising=False)
         assert moments._in_worker(7) == (7, mask)
         assert os.sched_getaffinity(0) == mask
 
@@ -928,15 +944,14 @@ class TestHullCrossCheck:
             "flat input, affine rank 1 in hull 4, "
             f"pair u = {u[4].tolist()}, v = {v[4].tolist()}")
 
-    def test_octagon_failure_in_a_later_block_names_its_pair(self,
-                                                             monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_octagon_failure_in_a_later_block_names_its_pair(
+            self, monkeypatch, threads):
         project = geometry.project_vertices
-        calls = []
 
         def collapse_second_of_third_block(rows):
             clouds = project(rows)
-            calls.append(1)
-            if len(calls) == 3:
+            if len(clouds) == 2:  # of 10 in blocks of 4, only the third
                 clouds[1, :, 1] = clouds[1, :, 0]
             return clouds
 
@@ -945,12 +960,13 @@ class TestHullCrossCheck:
         monkeypatch.setattr(geometry, "project_vertices",
                             collapse_second_of_third_block)
         with pytest.raises(hull.FlatInputError) as exc:
-            moments.octagon_report(1, seed=3)
+            moments.octagon_report(1, seed=3, threads=threads)
         u, v = octagon_pairs(10, seed=3)
         assert exc.value.index == 9
         assert str(exc.value) == (
             "flat input, affine rank 1 in hull 9, "
             f"pair u = {u[9].tolist()}, v = {v[9].tolist()}")
+        assert multiprocessing.active_children() == []
 
     def test_blocks_equal_one_batch(self, monkeypatch):
         # 23 hulls in blocks of 5 (the last one short) measure as one batch
@@ -963,14 +979,14 @@ class TestHullCrossCheck:
         assert (blocked.hull_max_deviation, blocked.hull_pass_rate) == \
             (octagon.hull_max_deviation, octagon.hull_pass_rate)
 
-    def test_failure_in_a_later_block_names_its_direction(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failure_in_a_later_block_names_its_direction(self, monkeypatch,
+                                                          threads):
         project = geometry.project_vertices
-        calls = []
 
         def flatten_second_of_third_block(rows):
             clouds = project(rows)
-            calls.append(1)
-            if len(calls) == 3:
+            if len(clouds) == 2:  # of 10 in blocks of 4, only the third
                 clouds[1, :, 2] = 0.0
             return clouds
 
@@ -978,12 +994,13 @@ class TestHullCrossCheck:
         monkeypatch.setattr(geometry, "project_vertices",
                             flatten_second_of_third_block)
         with pytest.raises(hull.FlatInputError) as exc:
-            moments.hull_cross_check(10, seed=3)
+            moments.hull_cross_check(10, seed=3, threads=threads)
         rng = geometry.stream(3, index=2**32)
         u = [geometry.sample_unit_vector(4, rng) for _ in range(10)][9]
         assert exc.value.index == 9
         assert str(exc.value) == ("flat input, affine rank 2 in hull 9, "
                                   f"direction u = {u.tolist()}")
+        assert multiprocessing.active_children() == []
 
 
 class TestVerifyReport:
