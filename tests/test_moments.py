@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -363,6 +364,27 @@ class TestWorkerProcesses:
     def test_hull_blocks_on_two_workers_equal_one(self, hull_check_1e3):
         assert moments.hull_cross_check(1000, seed=11, threads=2) == \
             hull_check_1e3
+
+    def test_first_failing_block_raises(self, monkeypatch):
+        # 6 hulls in blocks of 4 and 2, each flattened at its second hull;
+        # the first block ends last, and its error is still the one raised
+        project = geometry.project_vertices
+
+        def flatten_second_of_each_block(rows):
+            clouds = project(rows)
+            clouds[1, :, 2] = 0.0
+            if len(clouds) == 4:
+                time.sleep(0.3)
+            return clouds
+
+        monkeypatch.setattr(moments, "HULL_BLOCK", 4)
+        monkeypatch.setattr(geometry, "project_vertices",
+                            flatten_second_of_each_block)
+        for threads in (1, 2):
+            with pytest.raises(hull.FlatInputError) as exc:
+                moments.hull_cross_check(6, seed=3, threads=threads)
+            assert exc.value.index == 1
+        assert multiprocessing.active_children() == []
 
     def test_kernel_error_surfaces_in_the_parent(self, monkeypatch):
         def kernel(*args, **kwargs):
