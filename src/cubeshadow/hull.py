@@ -65,7 +65,7 @@ class FlatInputError(ValueError):
     cloud in its batch.  The message is `reason`, then "in hull <index>"
     when the batch holds more than one cloud (`named`), then `handle`,
     what replays the failing cloud, when one is given.  It pickles as its
-    constructor arguments, so it crosses from a pool worker unchanged.
+    constructor arguments, so it crosses from a forked worker unchanged.
     """
 
     def __init__(self, affine_rank: int, reason: str | None = None,

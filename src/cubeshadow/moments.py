@@ -65,11 +65,11 @@ over N.
 
 `threads` is the number of workers of `_parallel`, the one task runner:
 at most one per task, one worker running the tasks in the calling thread
-and more a pool of forked processes, each returning its results to the
-parent in task order.  Its tasks are the Monte Carlo chunks of `_mc` and
-the hull blocks of `_cross_check`: the hulls of `verify --n 4` and
-`--octagon` run on the command's workers too, in a second pool made after
-the chunks' pool is joined.
+and more forked processes, each piping its results to the parent, which
+puts them in task order and reaps every worker before it returns.  Its
+tasks are the Monte Carlo chunks of `_mc` and the hull blocks of
+`_cross_check`: the hulls of `verify --n 4` and `--octagon` run on the
+command's workers too, forked again after the chunks' workers are reaped.
 """
 
 from __future__ import annotations
@@ -323,21 +323,29 @@ def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
-def _in_worker(index: int):
-    """The result of task `index` in a pool worker: the task list is the one
-    the pool's initializer set on this function.
+def _in_worker(worker: int, workers: int, tasks: list) -> list:
+    """The report of worker `worker` of `workers`: (index, failed, result or
+    exception) of tasks worker, worker + workers, worker + 2 workers, ... in
+    order, up to and including the first that raises.
 
-    The task starts on a CPU of the worker's own, by its pid.  A forked
-    child starts on its parent's CPU, and on a 2-vCPU VM the scheduler left
-    two workers there, each at half speed (its wall time twice its CPU
-    time).  The mask is restored at once, so the scheduler may still move
-    the worker.
+    The worker starts on a CPU of its own, by its index (two pids may share
+    a parity).  A forked child starts on its parent's CPU, and on a 2-vCPU
+    VM the scheduler left two workers there, each at half speed (its wall
+    time twice its CPU time).  The mask is restored at once, so the
+    scheduler may still move the worker.
     """
     if hasattr(os, "sched_setaffinity"):
         cpus = sorted(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, {cpus[os.getpid() % len(cpus)]})
+        os.sched_setaffinity(0, {cpus[worker % len(cpus)]})
         os.sched_setaffinity(0, cpus)
-    return _in_worker.tasks[index]()
+    report = []
+    for index in range(worker, len(tasks), workers):
+        try:
+            report.append((index, False, tasks[index]()))
+        except Exception as exc:  # raised again by the caller
+            report.append((index, True, exc))
+            break
+    return report
 
 
 def _parallel(tasks: list, threads: int) -> list:
@@ -345,32 +353,81 @@ def _parallel(tasks: list, threads: int) -> list:
     run by min(threads, len(tasks)) workers: the one task runner of the
     Monte Carlo chunks and the hull blocks.
 
-    One worker runs the tasks in the calling thread.  More run them in a
-    pool of forked processes, which inherit the task list through the
-    pool's initializer (nothing of it is pickled) and return the results.
-    The first task in task order that raises raises in the caller, at any
-    worker count.  threads below 1 raises `geometry.DomainError`, the one
-    range check of the CLI's --threads.
+    One worker runs the tasks in the calling thread.  More are forked
+    processes, which inherit the task list at the fork (nothing of it is
+    pickled); worker w runs the tasks of `_in_worker(w, ...)`, pickles its
+    report into a pipe of its own and leaves through os._exit.  A worker
+    that does not exit with status 0, or whose report does not unpickle,
+    is lost: killed by a signal, say, or stopped by an exception that
+    cannot be pickled.  Its tasks below the first failure reported run in
+    the calling thread, in task order, as at one worker.  So the first task
+    in task order that raises raises in the caller, with its own type and
+    message, at any worker count, and no worker outlives the call.  threads
+    below 1 raises `geometry.DomainError`, the one range check of the CLI's
+    --threads.
     """
     if threads < 1:
         raise geometry.DomainError("threads must be >= 1")
-    workers = min(threads, len(tasks))  # a pool forks all its workers
+    workers = min(threads, len(tasks))
     if workers == 1:
         return [task() for task in tasks]
-    import multiprocessing  # here: commands that fork nothing skip it
+    import pickle  # here: commands that fork nothing skip it
+    import signal
 
-    # Fork is safe here although numpy's OpenBLAS runs threads: OpenBLAS
-    # stops its pool before a fork and re-arms it in the child through
-    # pthread_atfork, so the hull blocks' SVDs and matrix products run in the
-    # workers as in the parent, and the pool is made and joined inside this
-    # call.
-    # Python 3.12+ warns at each fork of a multi-threaded process.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pool = multiprocessing.get_context("fork").Pool(
-            workers, setattr, (_in_worker, "tasks", tasks))
-    with pool:  # terminates and joins the workers on leaving
-        return list(pool.imap(_in_worker, range(len(tasks))))
+    pipes, alive, reports = [], [], []
+    try:
+        # Fork is safe here although numpy's OpenBLAS runs threads: OpenBLAS
+        # stops its pool before a fork and re-arms it in the child through
+        # pthread_atfork, so the hull blocks' SVDs and matrix products run
+        # in the workers as in the parent, and every worker is reaped inside
+        # this call.
+        # Python 3.12+ warns at each fork of a multi-threaded process.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            for worker in range(workers):
+                read, write = os.pipe()
+                pipes.append(open(read, "rb"))
+                with open(write, "wb") as out:  # the parent's copy closes
+                    pid = os.fork()
+                    if pid == 0:  # the worker: it leaves only by os._exit
+                        status = 1
+                        try:
+                            pickle.dump(_in_worker(worker, workers, tasks),
+                                        out)
+                            out.flush()
+                            status = 0
+                        finally:
+                            os._exit(status)
+                alive.append(pid)
+        for pid, pipe in zip(list(alive), pipes):
+            report = pipe.read()  # to EOF first: a full pipe blocks its worker
+            if os.waitpid(pid, 0)[1] == 0:  # else lost, whatever it wrote
+                reports.append(report)
+            alive.remove(pid)
+    finally:
+        for pid in alive:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+    outcomes = {}  # (failed, result or exception) of each task by index
+    for report in reports:
+        try:
+            outcomes.update((index, (failed, value))
+                            for index, failed, value in pickle.loads(report))
+        except Exception:  # lost: an exception that does not unpickle
+            pass
+    results = []
+    for index, task in enumerate(tasks):
+        if index not in outcomes:  # a lost worker's task runs here
+            results.append(task())
+            continue
+        failed, value = outcomes[index]
+        if failed:
+            raise value
+        results.append(value)
+    return results
 
 
 def _run_chunked(worker, names: tuple, samples: int, seed: int,

@@ -336,15 +336,35 @@ assert not loaded, loaded
 """
 
 
-def test_closed_forms_do_not_load_scipy():
-    # The closed forms and the hull oracle are two independent routes to
-    # the same measures, and the closed forms need numpy alone.
+def run_python(source: str) -> None:
+    """Run `source` in a fresh interpreter that imports this cubeshadow."""
     src = str(Path(cubeshadow.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    proc = subprocess.run([sys.executable, "-c", CLOSED_FORMS_ALONE],
+    proc = subprocess.run([sys.executable, "-c", source],
                           timeout=60, env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_forms_do_not_load_scipy():
+    # The closed forms and the hull oracle are two independent routes to
+    # the same measures, and the closed forms need numpy alone.
+    run_python(CLOSED_FORMS_ALONE)
+
+
+FORKED_VERIFY = """
+import sys
+from cubeshadow import cli
+cli.main(["verify", "--n", "4", "--samples", "200000", "--threads", "2"])
+assert "multiprocessing" not in sys.modules
+"""
+
+
+def test_forked_workers_do_not_load_multiprocessing():
+    # The task runner forks its workers with os.fork and pipes; a command
+    # that runs its chunks and hull blocks on two workers imports no
+    # multiprocessing.
+    run_python(FORKED_VERIFY)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,8 @@
 import functools
 import json
 import math
-import multiprocessing.context
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -318,48 +318,93 @@ class TestMonteCarlo:
             moments.mc_octagon(0, seed=1)
 
 
-class PoolMade(Exception):
-    """Raised by a stand-in for the fork pool's constructor."""
+class TwoArgs(Exception):
+    """Pickles as its message alone, so it does not unpickle."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+
+def assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestWorkerProcesses:
     """More than one worker runs the chunks in forked processes."""
 
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        """The size of every fork pool asked for; none is made."""
-        sizes = []
+    def forks(self, monkeypatch):
+        """The number of os.fork calls of each `_parallel` call.  Each child
+        exits at once, so its worker is lost and its tasks run in the
+        caller."""
+        counts = []
+        fork, parallel = os.fork, moments._parallel
 
-        def pool(context, processes, *args, **kwargs):
-            sizes.append(processes)
-            raise PoolMade
+        def spy():
+            counts[-1] += 1
+            pid = fork()
+            if pid == 0:
+                os._exit(1)
+            return pid
 
-        monkeypatch.setattr(multiprocessing.context.ForkContext, "Pool",
-                            pool)
-        return sizes
+        def counted(tasks, threads):
+            counts.append(0)
+            return parallel(tasks, threads)
 
-    def test_pool_is_bounded_by_the_chunks(self, pool_sizes):
-        with pytest.raises(PoolMade):  # 10^6 samples are 16 chunks
-            moments.mc_estimate(4, 1_000_000, seed=1, threads=1000)
-        with pytest.raises(PoolMade):
-            moments.mc_octagon(2 * moments.CHUNK + 1, seed=1, threads=1000)
-        assert pool_sizes == [16, 3]
+        monkeypatch.setattr(os, "fork", spy)
+        monkeypatch.setattr(moments, "_parallel", counted)
+        return counts
 
-    def test_one_chunk_forks_nothing(self, pool_sizes):
+    def test_pool_is_bounded_by_the_chunks(self, forks):
+        # 10^6 samples are 16 chunks
+        moments.mc_estimate(4, 1_000_000, seed=1, threads=1000)
+        moments.mc_octagon(2 * moments.CHUNK + 1, seed=1, threads=1000)
+        assert forks == [16, 3]
+        assert_no_child()
+
+    def test_one_chunk_forks_nothing(self, forks):
         moments.mc_estimate(4, moments.CHUNK, seed=1, threads=1000)
         moments.mc_octagon(10, seed=1, threads=1000)
-        assert pool_sizes == []
+        assert forks == [0, 0]
 
-    def test_hull_pool_is_bounded_by_the_blocks(self, pool_sizes):
-        with pytest.raises(PoolMade):  # 1000 hulls are 4 blocks of 250
-            moments.hull_cross_check(1000, seed=1, threads=1000)
-        assert pool_sizes == [4]
+    def test_hull_pool_is_bounded_by_the_blocks(self, forks):
+        # 1000 hulls are 4 blocks of 250
+        moments.hull_cross_check(1000, seed=1, threads=1000)
+        assert forks == [4]
+        assert_no_child()
 
-    def test_one_hull_block_forks_nothing(self, pool_sizes, monkeypatch):
+    def test_one_hull_block_forks_nothing(self, forks, monkeypatch):
         monkeypatch.setattr(moments, "HULL_SAMPLES", moments.HULL_BLOCK)
         moments.hull_cross_check(moments.HULL_BLOCK, seed=1, threads=1000)
         moments.octagon_report(10, seed=1, threads=1000)
-        assert pool_sizes == []
+        assert forks == [0, 0, 0]
+
+    def test_a_killed_worker_runs_its_tasks_in_the_caller(self):
+        parent = os.getpid()
+
+        def task(i):
+            if i == 1 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i * i
+
+        tasks = [functools.partial(task, i) for i in range(5)]
+        assert moments._parallel(tasks, 2) == moments._parallel(tasks, 1)
+        assert_no_child()
+
+    @pytest.mark.parametrize("error", [
+        ValueError("holds a lambda", lambda: None),  # does not pickle
+        TwoArgs("does not", "unpickle"),
+    ], ids=["lambda", "two_args"])
+    def test_an_exception_that_does_not_cross_raises_as_itself(self, error):
+        def fail():
+            raise error
+
+        with pytest.raises(type(error)) as exc:
+            moments._parallel([lambda: 0, fail, lambda: 2], 2)
+        assert str(exc.value) == str(error)
+        assert_no_child()
 
     def test_hull_blocks_on_two_workers_equal_one(self, hull_check_1e3):
         assert moments.hull_cross_check(1000, seed=11, threads=2) == \
@@ -384,7 +429,7 @@ class TestWorkerProcesses:
             with pytest.raises(hull.FlatInputError) as exc:
                 moments.hull_cross_check(6, seed=3, threads=threads)
             assert exc.value.index == 1
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_kernel_error_surfaces_in_the_parent(self, monkeypatch):
         def kernel(*args, **kwargs):
@@ -393,24 +438,24 @@ class TestWorkerProcesses:
         monkeypatch.setattr(functionals, "shadow_batch", kernel)
         with pytest.raises(ZeroDivisionError, match="kernel fault"):
             moments.verify_report(5, 3 * moments.CHUNK, seed=1, threads=2)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_no_worker_outlives_verify(self):
         moments.verify_report(4, 3 * moments.CHUNK, seed=1, threads=2)
         moments.verify_report(5, 3 * moments.CHUNK, seed=1, threads=2)
         moments.octagon_report(3 * moments.CHUNK, seed=1, threads=3)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="no CPU affinity on this platform")
-    def test_chunk_placement_restores_the_cpu_mask(self, monkeypatch):
+    def test_chunk_placement_restores_the_cpu_mask(self):
         # _in_worker moves the worker to a CPU of its own and then restores
         # the mask; a task still runs, and no pin outlives the move
         mask = os.sched_getaffinity(0)
         tasks = [functools.partial(lambda i: (i, os.sched_getaffinity(0)), i)
                  for i in range(8)]
-        monkeypatch.setattr(moments._in_worker, "tasks", tasks, raising=False)
-        assert moments._in_worker(7) == (7, mask)
+        assert moments._in_worker(1, 3, tasks) == [
+            (i, False, (i, mask)) for i in (1, 4, 7)]
         assert os.sched_getaffinity(0) == mask
 
     def test_fork_of_a_threaded_process_warns_nothing(self):
@@ -988,7 +1033,7 @@ class TestHullCrossCheck:
         assert str(exc.value) == (
             "flat input, affine rank 1 in hull 9, "
             f"pair u = {u[9].tolist()}, v = {v[9].tolist()}")
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_blocks_equal_one_batch(self, monkeypatch):
         # 23 hulls in blocks of 5 (the last one short) measure as one batch
@@ -1022,7 +1067,7 @@ class TestHullCrossCheck:
         assert exc.value.index == 9
         assert str(exc.value) == ("flat input, affine rank 2 in hull 9, "
                                   f"direction u = {u.tolist()}")
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
 
 class TestVerifyReport:
